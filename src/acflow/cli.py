@@ -2,7 +2,8 @@
 
 Subcommands: run, verify, mc-energy, mc-moment, uniqueness, sweep-eps.
 Exit status 0 means all assertions passed, 1 means an assertion failed (the
-CSV/JSON evidence is still written), 2 means a configuration or IO error.
+CSV/JSON evidence is still written) or a path diverged (reported with its
+path and step on stderr), 2 means a configuration or IO error.
 Outputs are byte-identical across reruns and worker counts for identical
 manifest inputs.
 """
@@ -13,6 +14,7 @@ import argparse
 import hashlib
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -35,9 +37,10 @@ from .diagnostics import (
     simulate_paths,
 )
 from .eps_limit import EpsSweepPlan, epsilon_sweep
-from .integrator import DivergedPathError, GalerkinIntegrator, write_snapshot
+from .forcing import DeterministicForce, default_noise
+from .integrator import DivergedPathError, GalerkinIntegrator, State, project_initial, write_snapshot
 from .operators import run_inequality_suite
-from .spaces import ConfigurationError, build_spaces
+from .spaces import ConfigurationError, PressureField, VelocityField, build_spaces
 
 
 def _add_common(parser: argparse.ArgumentParser) -> None:
@@ -55,7 +58,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     parser.add_argument(
-        "--workers", type=int, default=1, help="concurrent path workers"
+        "--workers", type=int, default=1, help="contiguous path blocks, one thread each"
     )
     parser.add_argument(
         "--stamp",
@@ -123,23 +126,28 @@ def _finish(manifest: RunManifest, out_dir: str, quiet: bool, ok: bool) -> int:
     return 0 if ok else 1
 
 
+def _problem(setup) -> tuple:
+    """Spaces, force, noise and initial state of the configured problem."""
+    spaces = build_spaces(setup.solver.n_modes)
+    force, noise = build_force(setup, spaces), build_noise(setup, spaces)
+    return spaces, force, noise, build_initial(setup, spaces)
+
+
+def _write(args, manifest: RunManifest, name: str, *content) -> None:
+    """Write one output, a CSV from (columns, rows) or a JSON report from a
+    summary, and record its hash in the manifest."""
+    writer = write_csv if name.endswith(".csv") else write_json_report
+    path = os.path.join(args.out, name)
+    manifest.outputs[name] = writer(path, *content, manifest.digest())
+
+
 def _cmd_run(args) -> int:
     setup, manifest = _setup(args)
     digest = manifest.digest()
-    spaces = build_spaces(setup.solver.n_modes)
-    force = build_force(setup, spaces)
-    noise = build_noise(setup, spaces)
-    initial = build_initial(setup, spaces)
+    spaces, force, noise, initial = _problem(setup)
     integ = GalerkinIntegrator(spaces, setup.solver, force=force, noise=noise)
-    try:
-        record = integ.run_path(initial, path_index=0)
-    except DivergedPathError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    csv_path = os.path.join(args.out, "run.csv")
-    manifest.outputs["run.csv"] = write_csv(
-        csv_path, record.CSV_COLUMNS, record.csv_rows(), digest
-    )
+    record = integ.run_path(initial, path_index=0)
+    _write(args, manifest, "run.csv", record.CSV_COLUMNS, record.csv_rows())
     snap_path = os.path.join(args.out, "run_final.bin")
     write_snapshot(snap_path, record.final_state, digest)
     manifest.outputs["run_final.bin"] = _file_sha(snap_path)
@@ -153,18 +161,13 @@ def _cmd_run(args) -> int:
 
 def _cmd_verify(args) -> int:
     setup, manifest = _setup(args)
-    digest = manifest.digest()
     rows, all_pass = run_inequality_suite(args.samples, setup.solver.seed)
     csv_rows = [
         (r["lemma"], r["seed"], r["lhs"], r["rhs"], r["margin"], r["pass"])
         for r in rows
     ]
-    manifest.outputs["verify.csv"] = write_csv(
-        os.path.join(args.out, "verify.csv"),
-        ("lemma", "seed", "lhs", "rhs", "margin", "pass"),
-        csv_rows,
-        digest,
-    )
+    columns = ("lemma", "seed", "lhs", "rhs", "margin", "pass")
+    _write(args, manifest, "verify.csv", columns, csv_rows)
     failures = [r for r in rows if not r["pass"]]
     summary = {
         "pass": all_pass,
@@ -176,9 +179,7 @@ def _cmd_verify(args) -> int:
         ],
         "seed": setup.solver.seed,
     }
-    manifest.outputs["verify.json"] = write_json_report(
-        os.path.join(args.out, "verify.json"), summary, digest
-    )
+    _write(args, manifest, "verify.json", summary)
     if not args.quiet:
         print(f"{len(rows)} checks, {len(failures)} violations")
     return _finish(manifest, args.out, args.quiet, all_pass)
@@ -186,11 +187,7 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc_energy(args) -> int:
     setup, manifest = _setup(args)
-    digest = manifest.digest()
-    spaces = build_spaces(setup.solver.n_modes)
-    force = build_force(setup, spaces)
-    noise = build_noise(setup, spaces)
-    initial = build_initial(setup, spaces)
+    spaces, force, noise, initial = _problem(setup)
     n_paths = setup.get_int("monte_carlo.paths")
     z = setup.get_float("monte_carlo.confidence_z")
     deltas = setup.float_list("monte_carlo.deltas")
@@ -211,12 +208,7 @@ def _cmd_mc_energy(args) -> int:
         margins[str(delta)] = float(rep.margins().min())
         for i, t in enumerate(rep.times):
             csv_rows.append((delta, t, rep.lhs[i], rep.rhs[i], rep.se[i]))
-    manifest.outputs["mc_energy.csv"] = write_csv(
-        os.path.join(args.out, "mc_energy.csv"),
-        ("delta", "t", "lhs", "rhs", "se"),
-        csv_rows,
-        digest,
-    )
+    _write(args, manifest, "mc_energy.csv", ("delta", "t", "lhs", "rhs", "se"), csv_rows)
     summary = {
         "pass": all_pass,
         "paths": n_paths,
@@ -224,9 +216,7 @@ def _cmd_mc_energy(args) -> int:
         "min_margin_by_delta": margins,
         "seed": setup.solver.seed,
     }
-    manifest.outputs["mc_energy.json"] = write_json_report(
-        os.path.join(args.out, "mc_energy.json"), summary, digest
-    )
+    _write(args, manifest, "mc_energy.json", summary)
     if not args.quiet:
         print(f"energy bound over {len(deltas)} weight rates: pass={all_pass}")
     return _finish(manifest, args.out, args.quiet, all_pass)
@@ -234,11 +224,7 @@ def _cmd_mc_energy(args) -> int:
 
 def _cmd_mc_moment(args) -> int:
     setup, manifest = _setup(args)
-    digest = manifest.digest()
-    spaces = build_spaces(setup.solver.n_modes)
-    force = build_force(setup, spaces)
-    noise = build_noise(setup, spaces)
-    initial = build_initial(setup, spaces)
+    spaces, force, noise, initial = _problem(setup)
     n_paths = setup.get_int("monte_carlo.paths")
     z = setup.get_float("monte_carlo.confidence_z")
     tol = setup.get_float("monte_carlo.moment_stability_tol")
@@ -261,12 +247,7 @@ def _cmd_mc_moment(args) -> int:
         )
         ok = spread <= tol
     csv_rows = [(i, v) for i, v in enumerate(full.per_path)]
-    manifest.outputs["mc_moment.csv"] = write_csv(
-        os.path.join(args.out, "mc_moment.csv"),
-        ("path", "sup_statistic"),
-        csv_rows,
-        digest,
-    )
+    _write(args, manifest, "mc_moment.csv", ("path", "sup_statistic"), csv_rows)
     summary = {
         "pass": bool(ok),
         "moment_p": mc.moment_p,
@@ -281,9 +262,7 @@ def _cmd_mc_moment(args) -> int:
         "stability_tolerance": tol,
         "seed": cfg.seed,
     }
-    manifest.outputs["mc_moment.json"] = write_json_report(
-        os.path.join(args.out, "mc_moment.json"), summary, digest
-    )
+    _write(args, manifest, "mc_moment.json", summary)
     if not args.quiet:
         print(f"implied constant {full.implied_constant} (spread {spread})")
     return _finish(manifest, args.out, args.quiet, bool(ok))
@@ -291,11 +270,7 @@ def _cmd_mc_moment(args) -> int:
 
 def _cmd_uniqueness(args) -> int:
     setup, manifest = _setup(args)
-    digest = manifest.digest()
-    spaces = build_spaces(setup.solver.n_modes)
-    force = build_force(setup, spaces)
-    noise = build_noise(setup, spaces)
-    init_a = build_initial(setup, spaces)
+    spaces, force, noise, init_a = _problem(setup)
     raw_mode = [t.strip() for t in setup.get("uniqueness.perturb_mode").split(",")]
     if len(raw_mode) != 3:
         raise ConfigurationError("uniqueness.perturb_mode must be 'j,k,d'")
@@ -310,12 +285,8 @@ def _cmd_uniqueness(args) -> int:
         (rep.times[i], rep.weighted_diff[i], rep.weight.samples[i])
         for i in range(len(rep.times))
     ]
-    manifest.outputs["uniqueness.csv"] = write_csv(
-        os.path.join(args.out, "uniqueness.csv"),
-        ("t", "weighted_diff", "weight_r"),
-        csv_rows,
-        digest,
-    )
+    columns = ("t", "weighted_diff", "weight_r")
+    _write(args, manifest, "uniqueness.csv", columns, csv_rows)
     summary = {
         "pass": rep.passed,
         "max_increase": rep.max_increase,
@@ -324,9 +295,7 @@ def _cmd_uniqueness(args) -> int:
         "perturb_amplitude": amp,
         "seed": setup.solver.seed,
     }
-    manifest.outputs["uniqueness.json"] = write_json_report(
-        os.path.join(args.out, "uniqueness.json"), summary, digest
-    )
+    _write(args, manifest, "uniqueness.json", summary)
     if not args.quiet:
         print(f"max weighted-difference increase {rep.max_increase:.3e}")
     return _finish(manifest, args.out, args.quiet, rep.passed)
@@ -370,21 +339,17 @@ def _cmd_sweep(args) -> int:
         )
         for r in report.rows
     ]
-    manifest.outputs["sweep_eps.csv"] = write_csv(
-        os.path.join(args.out, "sweep_eps.csv"),
-        (
-            "eps",
-            "sup_mean_div_sq",
-            "div_se",
-            "sup_mean_diff_sq",
-            "diff_se",
-            "pressure_energy",
-            "pressure_se",
-            "excluded_paths",
-        ),
-        csv_rows,
-        digest,
+    columns = (
+        "eps",
+        "sup_mean_div_sq",
+        "div_se",
+        "sup_mean_diff_sq",
+        "diff_se",
+        "pressure_energy",
+        "pressure_se",
+        "excluded_paths",
     )
+    _write(args, manifest, "sweep_eps.csv", columns, csv_rows)
     summary = {
         "pass": report.passed,
         "divergence_strictly_decreasing": report.divergence_strictly_decreasing,
@@ -396,9 +361,7 @@ def _cmd_sweep(args) -> int:
         "paths": plan.n_paths,
         "seed": setup.solver.seed,
     }
-    manifest.outputs["sweep_eps.json"] = write_json_report(
-        os.path.join(args.out, "sweep_eps.json"), summary, digest
-    )
+    _write(args, manifest, "sweep_eps.json", summary)
     if not args.quiet:
         print(
             "sweep:",
@@ -410,27 +373,20 @@ def _cmd_sweep(args) -> int:
 def _sweep_snapshots(spaces, plan, eps, snap_times):
     """Re-run path 0 of one sweep member, capturing states at the grid times
     nearest the requested ones."""
-    from dataclasses import replace
-
-    from .forcing import DeterministicForce, default_noise, sample_increment
-    from .integrator import project_initial
-
     cfg = replace(plan.base, eps=eps)
     force = DeterministicForce(spaces.velocity_from_modes(plan.force_modes).coeffs)
     noise = default_noise(spaces, trace=plan.noise_trace)
     integ = GalerkinIntegrator(spaces, cfg, force=force, noise=noise)
-    state = project_initial(spaces, plan.initial_u, plan.initial_p)
-    wanted = {
-        min(max(int(round(t / cfg.dt)), 0), cfg.n_steps): t for t in snap_times
-    }
+    wanted = {min(max(int(round(t / cfg.dt)), 0), cfg.n_steps): t for t in snap_times}
     out = []
-    if 0 in wanted:
-        out.append((wanted[0], state))
-    for m in range(1, cfg.n_steps + 1):
-        inc = sample_increment(integ.noise, cfg.dt, (cfg.seed, 0, m - 1))
-        state, _ = integ.step(state, inc)
+
+    def capture(m, block):
         if m in wanted:
-            out.append((wanted[m], state))
+            u, p = VelocityField(block.u[0], cfg.n_modes), PressureField(block.p[0], cfg.n_modes)
+            out.append((wanted[m], State(u, p, block.t)))
+
+    initial = project_initial(spaces, plan.initial_u, plan.initial_p)
+    integ.run_path(initial, path_index=0, observe=capture)
     return out
 
 
@@ -456,6 +412,9 @@ def main(argv=None) -> int:
     except ConfigurationError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
+    except DivergedPathError as exc:
+        print(f"error: {exc}", file=sys.stderr)
+        return 1
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2

@@ -11,20 +11,19 @@ Three checks are driven from simulated path ensembles:
   trajectories driven by identical noise, weighted by
   exp[-(27/nu^3) int ||u||_L4^4], must not increase beyond scheme error.
 
-Monte Carlo paths are independent and may run concurrently; reductions are
-done in path-index order so results do not depend on scheduling.
+Monte Carlo paths are independent and advance in blocks that may run
+concurrently; reductions go in path-index order, whatever the scheduling.
 """
 
 from __future__ import annotations
 
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
 from scipy.integrate import cumulative_trapezoid
 
-from .forcing import DeterministicForce, NoiseModel, sample_increment
-from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
+from .forcing import DeterministicForce, NoiseModel, sample_increment  # noqa: F401 (benchmark patch site)
+from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, completed
 from .spaces import ConfigurationError, SpectralSpaces, VelocityField, l2_norm
 
 
@@ -107,16 +106,10 @@ def simulate_paths(
     workers: int = 1,
     keep_history: bool = False,
 ) -> list[PathRecord]:
-    """Run n_paths independent trajectories; deterministic in path order."""
+    """Run n_paths independent trajectories in ``workers`` contiguous path
+    blocks; deterministic in path order.  A blow-up raises DivergedPathError."""
     integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
-
-    def run(i: int) -> PathRecord:
-        return integ.run_path(initial, path_index=i, keep_history=keep_history)
-
-    if workers <= 1:
-        return [run(i) for i in range(n_paths)]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(run, range(n_paths)))
+    return completed(integ.run_paths(initial, range(n_paths), workers, keep_history))
 
 
 def _weighted_dissipation_series(
@@ -260,38 +253,24 @@ def pathwise_uniqueness_check(
     weighted squared difference; additive noise cancels in the difference, so
     the weighted series must not increase beyond O(dt) scheme error."""
     integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
-    nse = integ.noise
-    n_steps = config.n_steps
-    dt = config.dt
+    diff = np.zeros(config.n_steps + 1)
 
-    times = np.zeros(n_steps + 1)
-    diff = np.zeros(n_steps + 1)
-    l4_a = np.zeros(n_steps + 1)
+    def diff_energy(m: int, block) -> None:
+        if len(block.rows) == 2:
+            du = block.u[0] - block.u[1]
+            dp = block.p[0] - block.p[1]
+            pr2 = max(float(dp @ (spaces.gram.matrix @ dp)), 0.0)
+            diff[m] = float(np.dot(du, du)) + config.eps * pr2
 
-    def diff_energy(sa: State, sb: State) -> float:
-        du = sa.u.coeffs - sb.u.coeffs
-        dp = sa.p.coeffs - sb.p.coeffs
-        pr2 = max(float(dp @ (spaces.gram.matrix @ dp)), 0.0)
-        return float(np.dot(du, du)) + config.eps * pr2
-
-    sa, sb = init_a, init_b
-    times[0] = 0.0
-    diff[0] = diff_energy(sa, sb)
-    l4_a[0] = spaces.l4_norm(sa.u, integ.quad_order)
-    for m in range(1, n_steps + 1):
-        inc = sample_increment(nse, dt, (config.seed, path_index, m - 1))
-        sa, _ = integ.step(sa, inc)
-        sb, _ = integ.step(sb, inc)
-        times[m] = sa.t
-        diff[m] = diff_energy(sa, sb)
-        l4_a[m] = spaces.l4_norm(sa.u, integ.quad_order)
+    pair = integ.run_path([init_a, init_b], [path_index] * 2, observe=diff_energy)
+    times, l4_a = completed(pair)[0].times, pair[0].l4_u
 
     rate = 27.0 / config.nu**3
     r = np.concatenate([[0.0], cumulative_trapezoid(rate * l4_a**4, times)])
     weighted = diff * np.exp(-r)
     increases = np.diff(weighted)
     max_increase = float(increases.max()) if increases.size else 0.0
-    tol = c_check * dt
+    tol = c_check * config.dt
     return UniquenessReport(
         times=times,
         weighted_diff=weighted,

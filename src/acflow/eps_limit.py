@@ -37,7 +37,7 @@ from .forcing import (
 from .integrator import (
     ENERGY_CAP,
     DivergedPathError,
-    EnergyLedgerEntry,
+    EnergyLedger,
     GalerkinIntegrator,
     PathRecord,
     SolverConfig,
@@ -120,7 +120,7 @@ def run_incompressible_reference(
     l2_div = np.zeros(n_steps + 1)
     residual = np.zeros(n_steps + 1)
     history = np.zeros((n_steps + 1, spaces.n_velocity)) if keep_history else None
-    ledger: list[EnergyLedgerEntry] = []
+    ledger_rows = []
 
     quad = integ.quad_order
 
@@ -154,25 +154,13 @@ def run_incompressible_reference(
             (energy_new - float(np.dot(u, u)))
             + dissipation - work - ito - martingale
         )
-        ledger.append(
-            EnergyLedgerEntry(
-                t=m * dt,
-                energy=energy_new,
-                energy_change=energy_new - float(np.dot(u, u)),
-                dissipation_increment=dissipation,
-                work_increment=work,
-                ito_increment=ito,
-                martingale_increment=martingale,
-                residual=res,
-            )
-        )
+        change = energy_new - float(np.dot(u, u))
+        ledger_rows.append((m * dt, energy_new, change, dissipation, work, ito, martingale, res, 0))
         u = u_new
         record(m, u, res)
         if l2_u[m] ** 2 > ENERGY_CAP or not np.isfinite(l2_u[m]):
-            raise DivergedPathError(m, l2_u[m] ** 2)
+            raise DivergedPathError(m, l2_u[m] ** 2, path_index)
 
-    rate = 27.0 / config.nu**3
-    weight_r = np.concatenate([[0.0], cumulative_trapezoid(rate * l4_u**4, times)])
     final = State(
         u=VelocityField(u, spaces.n_modes), p=spaces.zero_pressure(), t=times[-1]
     )
@@ -185,8 +173,7 @@ def run_incompressible_reference(
         l2_div_u=l2_div,
         energy=l2_u**2,
         residual=residual,
-        weight_r=weight_r,
-        ledger=ledger,
+        ledger=EnergyLedger(*np.array(ledger_rows).T),
         final_state=final,
         seed=config.seed,
         path_index=path_index,
@@ -301,37 +288,21 @@ def epsilon_sweep(
     for eps in plan.eps_values:
         cfg = replace(base, eps=eps)
         integ = GalerkinIntegrator(spaces, cfg, force=force, noise=noise)
-
-        def run_coupled(i: int):
-            try:
-                return i, integ.run_path(initial, path_index=i, keep_history=True)
-            except DivergedPathError as exc:
-                logger.warning(
-                    "path %d diverged at step %d for eps=%g; excluded", i, exc.step, eps
-                )
-                return i, None
-
-        if workers <= 1:
-            coupled = [run_coupled(i) for i in indices]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as ex:
-                coupled = list(ex.map(run_coupled, indices))
+        coupled = integ.run_paths(initial, indices, workers, keep_history=True)
 
         div2, diff2, press = [], [], []
-        excluded = 0
-        for i, rec in coupled:
-            if rec is None:
-                excluded += 1
+        for i, rec in enumerate(coupled):
+            if isinstance(rec, DivergedPathError):
+                logger.warning("path %d diverged at step %d for eps=%g; excluded", i, rec.step, eps)
                 continue
             div2.append(rec.l2_div_u**2)
             gap = rec.coeff_history - ref_records[i].coeff_history
             diff2.append(np.sum(gap * gap, axis=1))
             press.append(trapezoid(eps * rec.l2_p**2, rec.times))
         if not div2:
-            raise DivergedPathError(0, float("inf"))
-        div2 = np.array(div2)
-        diff2 = np.array(diff2)
-        press = np.array(press)
+            raise coupled[0]
+        excluded = len(coupled) - len(div2)
+        div2, diff2, press = np.array(div2), np.array(diff2), np.array(press)
 
         div_mean = div2.mean(axis=0)
         t_div = int(np.argmax(div_mean))

@@ -7,7 +7,11 @@ Monte Carlo scheduling or parallelism cannot change results.
 
 from __future__ import annotations
 
+import threading
 from dataclasses import dataclass, field
+from functools import lru_cache
+from itertools import permutations
+from operator import index
 
 import numpy as np
 
@@ -105,24 +109,93 @@ def trace_covariance(noise: NoiseModel) -> float:
 def sample_increment(
     noise: NoiseModel, dt: float, seed_path: tuple[int, int, int]
 ) -> WienerIncrement:
-    """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step)."""
+    """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step): the normals
+    of ``Philox(SeedSequence(seed, spawn_key=(path, step)))``.  A sequence of
+    paths gives ``dw`` a row per path, each the draw of its own key."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     seed, path, step = seed_path
-    if noise.n_terms == 0:
-        return WienerIncrement(np.zeros(0), dt, (seed, path, step))
-    ss = np.random.SeedSequence(seed, spawn_key=(path, step))
-    rng = np.random.Generator(np.random.Philox(ss))
-    dw = np.sqrt(dt) * rng.standard_normal(noise.n_terms)
+    seed, step, paths = index(seed), index(step), np.atleast_1d(path).tolist()
+    if min(seed, step, *paths) < 0:
+        raise ValueError("seed, path and step must be nonnegative")
+    rows = np.zeros((len(paths), noise.n_terms))
+    for row, p in zip(rows, paths if noise.n_terms else ()):
+        key = np.array(_philox_key(seed, p, step), dtype=np.uint64)
+        _STREAM.bits.state = {**_FRESH_PHILOX, "state": {"counter": _ZERO4, "key": key}}
+        row[:] = _STREAM.normal(noise.n_terms)
+    dw = np.sqrt(dt) * (rows if np.ndim(path) else rows[0])
     return WienerIncrement(dw, dt, (seed, path, step))
 
 
+class _Stream(threading.local):
+    """A Philox generator per thread, re-keyed for every draw."""
+
+    def __init__(self):
+        self.bits = np.random.Philox(0)
+        self.normal = np.random.Generator(self.bits).standard_normal
+
+
+# Philox keys as numpy's SeedSequence derives them: hashmix and mix the seed
+# words (padded to four), then the spawn key (path, step), into a pool of four
+# 32-bit words; the part fixed by (seed, path) is kept per path.
+_STREAM = _Stream()
+_MASK32 = 0xFFFFFFFF
+_ZERO4 = np.zeros(4, dtype=np.uint64)
+_FRESH_PHILOX = dict(bit_generator="Philox", buffer=_ZERO4, buffer_pos=4, has_uint32=0, uinteger=0)
+
+
+def _words(n: int) -> list[int]:
+    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
+
+
+def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple[int, int]:
+    after = const * mult & _MASK32
+    value = (value ^ const) * after & _MASK32
+    return value ^ value >> 16, after
+
+
+def _mix(pool: list[int], dst: int, word: int, const: int) -> int:
+    hashed, const = _hashmix(word, const)
+    mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashed) & _MASK32
+    pool[dst] = mixed ^ mixed >> 16
+    return const
+
+
+@lru_cache(maxsize=4096)
+def _path_pool(seed: int, path: int) -> tuple[tuple[int, ...], int]:
+    words, pool, const = _words(seed), [], 0x43B0D7E5
+    for word in (words + [0, 0, 0])[:4]:
+        hashed, const = _hashmix(word, const)
+        pool.append(hashed)
+    for src, dst in permutations(range(4), 2):
+        const = _mix(pool, dst, pool[src], const)
+    for word in words[4:] + _words(path):
+        for dst in range(4):
+            const = _mix(pool, dst, word, const)
+    return tuple(pool), const
+
+
+def _philox_key(seed: int, path: int, step: int) -> list[int]:
+    pool, const = _path_pool(seed, path)
+    pool = list(pool)
+    for word in _words(step):
+        for dst in range(4):
+            const = _mix(pool, dst, word, const)
+    state, const = [], 0x8B51F9DD
+    for word in pool:
+        hashed, const = _hashmix(word, const, 0x58F38DED)
+        state.append(hashed)
+    return [state[0] | state[1] << 32, state[2] | state[3] << 32]
+
+
 def noise_contribution(noise: NoiseModel, inc: WienerIncrement) -> np.ndarray:
-    """Coefficient increment sum_k g_k dW_k."""
-    if inc.dw.shape[0] != noise.n_terms:
+    """Coefficient increment sum_k g_k dW_k; an increment with one row of dW
+    per path gives one row per path, each bit-identical to its own call."""
+    dw = inc.dw
+    if dw.shape[-1] != noise.n_terms:
         raise ValueError(
-            f"increment has {inc.dw.shape[0]} terms, noise model has {noise.n_terms}"
+            f"increment has {dw.shape[-1]} terms, noise model has {noise.n_terms}"
         )
     if noise.n_terms == 0:
-        return np.zeros(noise.modes.shape[1])
-    return noise.modes.T @ inc.dw
+        return np.zeros(dw.shape[:-1] + (noise.modes.shape[1],))
+    return (noise.modes.T @ dw[..., None])[..., 0]

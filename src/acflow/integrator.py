@@ -20,16 +20,15 @@ from __future__ import annotations
 
 import struct
 import threading
-from dataclasses import dataclass
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 from scipy.linalg import cho_factor, cho_solve
 
 from .forcing import (
     DeterministicForce,
     NoiseModel,
-    WienerIncrement,
     empty_noise,
     noise_contribution,
     sample_increment,
@@ -39,20 +38,28 @@ from .spaces import (
     PressureField,
     SpectralSpaces,
     VelocityField,
+    _rowdot,
     h10_norm,
     l2_norm,
+    scalar_pow,
+    velocity_indices,
 )
 
 ENERGY_CAP = 1e12
+# Most paths one step call advances.  At N=8, blocks of 6 cost least per
+# path-step over 12, 50 and 200 paths; from 8 on, a block's grid temporaries
+# (2 Q^2 doubles per path) page-fault afresh every step (table in CHANGES.md).
+BLOCK_PATHS = 6
 
 
 class DivergedPathError(RuntimeError):
-    """Numerical blow-up; carries the step index where it happened."""
+    """Numerical blow-up of one path, with its path index and step."""
 
-    def __init__(self, step: int, energy: float):
-        super().__init__(f"energy {energy:.3e} exceeded cap at step {step}")
+    def __init__(self, step: int, energy: float, path: int = 0):
+        super().__init__(f"path {path} diverged at step {step}: energy {energy:.3e} exceeded cap")
         self.step = step
         self.energy = energy
+        self.path = path
 
 
 @dataclass(frozen=True)
@@ -100,18 +107,21 @@ class State:
 
 
 @dataclass(frozen=True)
-class EnergyLedgerEntry:
-    t: float
-    energy: float
-    energy_change: float
-    dissipation_increment: float
-    work_increment: float
-    ito_increment: float
-    martingale_increment: float
-    residual: float
-    convection_pairing: float = 0.0  # (B(u_m), u_m), zero up to round-off
+class EnergyLedger:
+    """Energy balance terms as arrays: one entry per step of a path, or, as
+    returned by one step call, one entry per path of the block."""
 
-    def recomputed_residual(self) -> float:
+    t: np.ndarray
+    energy: np.ndarray
+    energy_change: np.ndarray
+    dissipation_increment: np.ndarray
+    work_increment: np.ndarray
+    ito_increment: np.ndarray
+    martingale_increment: np.ndarray
+    residual: np.ndarray
+    convection_pairing: np.ndarray  # (B(u_m), u_m), zero up to round-off
+
+    def recomputed_residual(self) -> np.ndarray:
         return (
             self.energy_change
             + self.dissipation_increment
@@ -119,6 +129,25 @@ class EnergyLedgerEntry:
             - self.ito_increment
             - self.martingale_increment
         )
+
+
+@dataclass(frozen=True)
+class PathBlock:
+    """States of M paths at one time, a row each, with the norms the ledger
+    reads; ``rows`` are their positions in the batch given to run_path."""
+
+    u: np.ndarray  # (M, n_velocity)
+    p: np.ndarray  # (M, n_pressure)
+    t: float
+    rows: np.ndarray
+    l2_u: np.ndarray
+    h1_u: np.ndarray
+    l2_p: np.ndarray
+    energy: np.ndarray  # |u|^2 + eps |p|^2
+
+    def take(self, keep: np.ndarray) -> "PathBlock":
+        rows = {f.name: getattr(self, f.name)[keep] for f in fields(self) if f.name != "t"}
+        return replace(self, **rows)
 
 
 @dataclass
@@ -133,27 +162,22 @@ class PathRecord:
     l2_div_u: np.ndarray
     energy: np.ndarray
     residual: np.ndarray
-    weight_r: np.ndarray
-    ledger: list[EnergyLedgerEntry]
+    ledger: EnergyLedger
     final_state: State
     seed: int
     path_index: int
     coeff_history: np.ndarray | None = None  # (n_steps + 1, n_velocity) if kept
 
-    CSV_COLUMNS = ("t", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
+    SERIES = ("l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
+    CSV_COLUMNS = ("t",) + SERIES
 
     def csv_rows(self):
-        for i in range(len(self.times)):
-            yield (
-                self.times[i],
-                self.l2_u[i],
-                self.h1_u[i],
-                self.l4_u[i],
-                self.l2_p[i],
-                self.l2_div_u[i],
-                self.energy[i],
-                self.residual[i],
-            )
+        return zip(self.times, *(getattr(self, name) for name in self.SERIES))
+
+
+_LEDGER_TERMS = tuple(f.name for f in fields(EnergyLedger))[1:]
+# per-step arrays a path run fills: the record's series and the ledger's terms
+_RUN_ARRAYS = tuple(dict.fromkeys(PathRecord.SERIES + _LEDGER_TERMS))
 
 
 _FACTOR_CACHE: dict[tuple, tuple] = {}
@@ -212,23 +236,16 @@ def _resolve_velocity_spec(spaces: SpectralSpaces, spec) -> VelocityField:
     if isinstance(spec, VelocityField):
         if spec.n_modes == spaces.n_modes:
             return spec
-        entries = []
-        for idx, vi in enumerate(_enumerate_velocity(spec.n_modes)):
-            entries.append((vi[0], vi[1], vi[2], float(spec.coeffs[idx])))
-        return spaces.velocity_from_modes(entries)
+        modes = velocity_indices(spec.n_modes)
+        return spaces.velocity_from_modes(
+            (j, k, d, float(a)) for (j, k, d), a in zip(modes, spec.coeffs)
+        )
     if isinstance(spec, str):
         try:
             return spaces.velocity_from_modes(VELOCITY_PRESETS[spec])
         except KeyError:
             raise ConfigurationError(f"unknown velocity preset {spec!r}") from None
     return spaces.velocity_from_modes(spec)
-
-
-def _enumerate_velocity(n_modes: int):
-    for d in (1, 2):
-        for j in range(1, n_modes + 1):
-            for k in range(1, n_modes + 1):
-                yield (j, k, d)
 
 
 def _resolve_pressure_spec(spaces: SpectralSpaces, spec) -> PressureField:
@@ -247,7 +264,8 @@ def _resolve_pressure_spec(spaces: SpectralSpaces, spec) -> PressureField:
 
 
 class GalerkinIntegrator:
-    """Steps the coupled velocity/pressure system along one sample path."""
+    """Steps the coupled velocity/pressure system along sample paths, a
+    block of paths per step call."""
 
     def __init__(
         self,
@@ -267,131 +285,156 @@ class GalerkinIntegrator:
         self.quad_order = config.quad_order or spaces.default_quad_order
         self._factor = _implicit_factor(spaces, config.nu, config.eps, config.dt)
 
-    # -- single step -------------------------------------------------------------
+    # -- one step of a block of paths -------------------------------------------
 
-    def _convection_dual(self, u: VelocityField) -> np.ndarray:
+    def _block(self, u, p, t, rows) -> PathBlock:
+        l2_u, l2_p = l2_norm(u), self.spaces.pressure_l2(p)
+        eps = self.config.eps
+        energy = [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
+        return PathBlock(u, p, t, rows, l2_u, h10_norm(u), l2_p, np.array(energy))
+
+    def _convection_dual(self, u) -> np.ndarray:
         if not self.include_convection:
             return np.zeros(self.spaces.n_velocity)
         from .operators import bhat_operator
 
         return bhat_operator(self.spaces, u, self.quad_order).pairings
 
-    def step(self, state: State, inc: WienerIncrement):
-        """One semi-implicit step; returns the new state and ledger entry."""
-        cfg = self.config
-        sp = self.spaces
-        dt = cfg.dt
-        u_m = state.u.coeffs
-        p_m = state.p.coeffs
+    def step(self, state, inc):
+        """One semi-implicit step of every path of a PathBlock, given the
+        WienerIncrement with a row per path; returns the new block and the
+        step's EnergyLedger, an entry per path.  A State steps as a block of
+        one and comes back as a State."""
+        cfg, sp, dt = self.config, self.spaces, self.config.dt
+        if isinstance(state, State):
+            u, p = state.u.coeffs[None], state.p.coeffs[None]
+            block = self._block(u, p, state.t, np.zeros(1, int))
+            new, ledger = self.step(block, replace(inc, dw=inc.dw[None]))
+            u, p = VelocityField(new.u[0], cfg.n_modes), PressureField(new.p[0], cfg.n_modes)
+            return State(u, p, new.t), ledger
+        u_m, p_m = state.u, state.p
 
-        bhat = self._convection_dual(state.u)
+        bhat = self._convection_dual(u_m)
         xi = noise_contribution(self.noise, inc)
-        grad_dual_m = -sp.div_diagonal * (sp.gram.matrix @ p_m)
+        grad_dual_m = sp.gradient_dual(p_m)
 
         rhs = u_m - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
-        u_p = cho_solve(self._factor, rhs)
+        u_p = cho_solve(self._factor, rhs.T, check_finite=False).T
         p_p = p_m - (dt / cfg.eps) * (sp.div_diagonal * u_p)
+        new = self._block(u_p, p_p, state.t + dt, state.rows)
 
-        new_u = VelocityField(u_p, sp.n_modes)
-        new_p = PressureField(p_p, sp.n_modes)
-        t_new = state.t + dt
-
-        energy_old = l2_norm(state.u) ** 2 + cfg.eps * sp.pressure_l2(state.p) ** 2
-        energy_new = l2_norm(new_u) ** 2 + cfg.eps * sp.pressure_l2(new_p) ** 2
-        dissipation = 2.0 * cfg.nu * h10_norm(new_u) ** 2 * dt
-        work = 2.0 * float(np.dot(self.force.coeffs, u_p)) * dt
-        ito = self.noise.trace * dt
-        martingale = 2.0 * float(np.dot(xi, u_m))
-        residual = (energy_new - energy_old) + dissipation - work - ito - martingale
-        entry = EnergyLedgerEntry(
-            t=t_new,
-            energy=energy_new,
-            energy_change=energy_new - energy_old,
-            dissipation_increment=dissipation,
-            work_increment=work,
-            ito_increment=ito,
-            martingale_increment=martingale,
-            residual=residual,
-            convection_pairing=float(np.dot(bhat, u_m)),
+        change = new.energy - state.energy
+        dissipation = 2.0 * cfg.nu * scalar_pow(new.h1_u, 2) * dt
+        work = 2.0 * _rowdot(self.force.coeffs, u_p) * dt
+        ito = np.full(len(u_p), self.noise.trace * dt)
+        martingale = 2.0 * _rowdot(xi, u_m)
+        residual = change + dissipation - work - ito - martingale
+        return new, EnergyLedger(
+            np.full(len(u_p), new.t), new.energy, change, dissipation, work, ito,
+            martingale, residual, _rowdot(bhat, u_m),
         )
-        return State(u=new_u, p=new_p, t=t_new), entry
 
-    # -- full path ---------------------------------------------------------------
+    # -- whole paths ---------------------------------------------------------------
 
-    def run_path(
-        self, initial: State, path_index: int = 0, keep_history: bool = False
-    ) -> PathRecord:
+    def run_path(self, initial, path_index=0, keep_history=False, observe=None):
         """Integrate from 0 to the horizon; bit-reproducible from
-        (seed, path index)."""
+        (seed, path index).
+
+        An int ``path_index`` runs one path: it returns its PathRecord or
+        raises DivergedPathError.  A sequence of indices runs one block, a row
+        per entry (``initial`` is a State, or one per row; rows may share an
+        index and so its noise), and returns per row the record or the
+        DivergedPathError that stopped that row alone.  ``observe(m, block)``
+        sees the block after each step m.
+        """
         cfg = self.config
-        sp = self.spaces
-        n_steps = cfg.n_steps
-        state = initial
+        single = isinstance(path_index, (int, np.integer))
+        paths = np.atleast_1d(np.asarray(path_index, dtype=int))
+        inits = [initial] * len(paths) if isinstance(initial, State) else list(initial)
+        u0 = np.array([s.u.coeffs for s in inits])
+        p0 = np.array([s.p.coeffs for s in inits])
+        block = self._block(u0, p0, inits[0].t, np.arange(len(paths)))
+        times = np.zeros(cfg.n_steps + 1)
+        runs = {name: np.zeros((cfg.n_steps + 1, len(paths))) for name in _RUN_ARRAYS}
+        history = np.zeros((len(paths),) + times.shape + u0.shape[1:]) if keep_history else None
+        errors = {}
 
-        history = np.zeros((n_steps + 1, sp.n_velocity)) if keep_history else None
-        times = np.zeros(n_steps + 1)
-        l2_u = np.zeros(n_steps + 1)
-        h1_u = np.zeros(n_steps + 1)
-        l4_u = np.zeros(n_steps + 1)
-        l2_p = np.zeros(n_steps + 1)
-        l2_div = np.zeros(n_steps + 1)
-        energy = np.zeros(n_steps + 1)
-        residual = np.zeros(n_steps + 1)
-        ledger: list[EnergyLedgerEntry] = []
-
-        def record(m, st, res):
-            times[m] = st.t
-            l2_u[m] = l2_norm(st.u)
-            h1_u[m] = h10_norm(st.u)
-            l4_u[m] = sp.l4_norm(st.u, self.quad_order)
-            l2_p[m] = sp.pressure_l2(st.p)
-            l2_div[m] = sp.divergence_l2(st.u)
-            energy[m] = l2_u[m] ** 2 + cfg.eps * l2_p[m] ** 2
-            residual[m] = res
+        def record(m, blk, ledger=None):
+            times[m] = blk.t
+            for name in ("l2_u", "h1_u", "l2_p", "energy"):
+                runs[name][m, blk.rows] = getattr(blk, name)
+            runs["l4_u"][m, blk.rows] = self.spaces.l4_norm(blk.u, self.quad_order)
+            runs["l2_div_u"][m, blk.rows] = self.spaces.divergence_l2(blk.u)
+            for name in _LEDGER_TERMS if ledger is not None else ():
+                runs[name][m, blk.rows] = getattr(ledger, name)
             if history is not None:
-                history[m] = st.u.coeffs
+                history[blk.rows, m] = blk.u
+            if observe is not None:
+                observe(m, blk)
 
-        record(0, state, 0.0)
-        for m in range(1, n_steps + 1):
-            inc = sample_increment(self.noise, cfg.dt, (cfg.seed, path_index, m - 1))
-            state, entry = self.step(state, inc)
-            ledger.append(entry)
-            record(m, state, entry.residual)
-            if energy[m] > ENERGY_CAP or not np.isfinite(energy[m]):
-                raise DivergedPathError(m, energy[m])
+        record(0, block)
+        for m in range(1, cfg.n_steps + 1):
+            if not len(block.rows):
+                break
+            inc = sample_increment(self.noise, cfg.dt, (cfg.seed, paths[block.rows], m - 1))
+            block, ledger = self.step(block, inc)
+            record(m, block, ledger)
+            blown = ~(block.energy <= ENERGY_CAP)
+            for r, e in zip(block.rows[blown], block.energy[blown]):
+                errors[r] = DivergedPathError(m, float(e), int(paths[r]))
+            block = block.take(~blown) if blown.any() else block
 
-        rate = 27.0 / cfg.nu**3
-        weight_r = np.concatenate(
-            [[0.0], cumulative_trapezoid(rate * l4_u**4, times)]
-        )
-        return PathRecord(
-            times=times,
-            l2_u=l2_u,
-            h1_u=h1_u,
-            l4_u=l4_u,
-            l2_p=l2_p,
-            l2_div_u=l2_div,
-            energy=energy,
-            residual=residual,
-            weight_r=weight_r,
-            ledger=ledger,
-            final_state=state,
-            seed=cfg.seed,
-            path_index=path_index,
-            coeff_history=history,
-        )
+        runs = {name: np.ascontiguousarray(a.T) for name, a in runs.items()}
+        out, n = [errors.get(r) for r in range(len(paths))], cfg.n_modes
+        for r, u, p in zip(block.rows.tolist(), block.u, block.p):
+            out[r] = PathRecord(
+                times=times,
+                **{name: runs[name][r] for name in PathRecord.SERIES},
+                ledger=EnergyLedger(
+                    times[1:], **{name: runs[name][r, 1:] for name in _LEDGER_TERMS}
+                ),
+                final_state=State(VelocityField(u, n), PressureField(p, n), block.t),
+                seed=cfg.seed,
+                path_index=int(paths[r]),
+                coeff_history=None if history is None else history[r],
+            )
+        return completed(out)[0] if single else out
+
+    def run_paths(self, initial: State, path_indices, workers: int = 1, keep_history=False):
+        """run_path over many paths, split into ``workers`` contiguous parts on
+        a thread each, run in blocks of at most BLOCK_PATHS; per path, in
+        order, the record or DivergedPathError, whatever the split."""
+        paths = np.asarray(list(path_indices), dtype=int)
+
+        def run_part(part):
+            blocks = np.array_split(part, -(-len(part) // BLOCK_PATHS))
+            return [rec for b in blocks for rec in self.run_path(initial, b, keep_history)]
+
+        parts = [p for p in np.array_split(paths, max(1, workers)) if len(p)]
+        if len(parts) <= 1:
+            return [rec for p in parts for rec in run_part(p)]
+        with ThreadPoolExecutor(max_workers=len(parts)) as ex:
+            return [rec for recs in ex.map(run_part, parts) for rec in recs]
+
+
+def completed(results: list) -> list[PathRecord]:
+    """Block results as records; raises the first row's DivergedPathError."""
+    for rec in results:
+        if isinstance(rec, DivergedPathError):
+            raise rec
+    return results
 
 
 def energy_residual(
-    ledger: list[EnergyLedgerEntry],
-    finer_ledger: list[EnergyLedgerEntry] | None = None,
+    ledger: EnergyLedger,
+    finer_ledger: EnergyLedger | None = None,
 ) -> tuple[float, float | None]:
     """Max absolute ledger residual, and the empirical order under
     dt-halving when a run at half the step is supplied."""
-    max_abs = max((abs(e.residual) for e in ledger), default=0.0)
+    max_abs = float(np.abs(ledger.residual).max(initial=0.0))
     slope = None
     if finer_ledger is not None:
-        finer = max((abs(e.residual) for e in finer_ledger), default=0.0)
+        finer = float(np.abs(finer_ledger.residual).max(initial=0.0))
         if max_abs > 0 and finer > 0:
             slope = float(np.log2(max_abs / finer))
     return max_abs, slope
@@ -439,12 +482,15 @@ def read_snapshot(path) -> tuple[State, str]:
 
 
 __all__ = [
+    "BLOCK_PATHS",
     "DivergedPathError",
-    "EnergyLedgerEntry",
+    "EnergyLedger",
     "GalerkinIntegrator",
+    "PathBlock",
     "PathRecord",
     "SolverConfig",
     "State",
+    "completed",
     "energy_residual",
     "project_initial",
     "read_snapshot",

@@ -58,7 +58,8 @@ def stokes_apply(u: VelocityField, nu: float) -> DualVector:
 
 
 class _ConvectionArrays:
-    """Grid-sampled data for b(u, v, .) shared across pairings.
+    """Grid-sampled data for b(u, v, .) shared across pairings, with a
+    leading path axis when u and v are blocks of coefficient rows.
 
     a:   0.5 * w2d * ((u . grad) v)_d               -> pairs with w_d
     b1:  0.5 * w2d * u_1 v_d                        -> pairs with d_1 w_d
@@ -68,12 +69,21 @@ class _ConvectionArrays:
     def __init__(self, spaces: SpectralSpaces, u, v, quad_order):
         g = spaces.grid(quad_order)
         uv = spaces._component_values(u, g)
-        vv = spaces._component_values(v, g)
-        gv = spaces._component_gradients(v, g)
-        adv = uv[0] * gv[0] + uv[1] * gv[1]  # ((u . grad) v)_d
-        self.a = 0.5 * g.w2d * adv
-        self.b1 = 0.5 * g.w2d * (uv[0] * vv)
-        self.b2 = 0.5 * g.w2d * (uv[1] * vv)
+        vv = uv if v is u else spaces._component_values(v, g)
+        d1v, d2v = spaces._component_gradients(v, g)
+        u1, u2 = uv[..., 0:1, :, :], uv[..., 1:2, :, :]
+        weight = 0.5 * g.w2d
+        # in place, rounding as weight * (u1 * d1v + u2 * d2v) etc. would: each
+        # fresh block-sized temporary page-faults anew on every step
+        d1v *= u1
+        d2v *= u2
+        d1v += d2v  # ((u . grad) v)_d
+        d1v *= weight
+        self.a = d1v
+        self.b1 = u1 * vv
+        self.b1 *= weight
+        self.b2 = np.multiply(u2, vv, out=d2v)
+        self.b2 *= weight
         self.grid = g
 
 
@@ -106,14 +116,16 @@ def trilinear_bhat(
 
 
 def bhat_operator(
-    spaces: SpectralSpaces, u: VelocityField, quad_order: int | None = None
+    spaces: SpectralSpaces, u, quad_order: int | None = None
 ) -> DualVector:
     """Pairings of the stabilised convection operator against every basis
     function, from a single pseudo-spectral pass over u.
 
-    The adjoint transforms below contract the same grid arrays that
-    :func:`trilinear_bhat` pairs against a synthesised test field, so the two
-    agree to summation round-off.
+    ``u`` is a field or an (M, n_velocity) block of coefficient rows; a
+    block gives one row of pairings per path, each bit-identical to the
+    row's own call.  The adjoint transforms below contract the same grid
+    arrays that :func:`trilinear_bhat` pairs against a synthesised test
+    field, so the two agree to summation round-off.
     """
     if quad_order is None:
         quad_order = spaces.default_quad_order
@@ -121,13 +133,11 @@ def bhat_operator(
     g = arrays.grid
     n = spaces.n_modes
     jpi = np.pi * np.arange(1, n + 1, dtype=float)
-    pair = np.zeros((2, n, n))
-    for d in range(2):
-        t1 = 2.0 * (g.sin @ arrays.a[d] @ g.sin.T)
-        t2 = 2.0 * (g.cos @ arrays.b1[d] @ g.sin.T) * jpi[:, None]
-        t3 = 2.0 * (g.sin @ arrays.b2[d] @ g.cos.T) * jpi[None, :]
-        pair[d] = t1 - t2 - t3
-    return DualVector(pair.reshape(-1), spaces.n_modes)
+    t1 = 2.0 * (g.sin @ arrays.a @ g.sin.T)
+    t2 = 2.0 * (g.cos @ arrays.b1 @ g.sin.T) * jpi[:, None]
+    t3 = 2.0 * (g.sin @ arrays.b2 @ g.cos.T) * jpi[None, :]
+    pair = t1 - t2 - t3
+    return DualVector(pair.reshape(pair.shape[:-3] + (-1,)), spaces.n_modes)
 
 
 # -- inequality checks ---------------------------------------------------------

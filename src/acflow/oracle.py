@@ -116,22 +116,6 @@ def oracle_l4(u: VelocityField, rule: QuadRule) -> float:
     return float(max(oracle_integrate(f, rule), 0.0) ** 0.25)
 
 
-def oracle_component_l4(u: VelocityField, d: int, rule: QuadRule) -> float:
-    def f(x, y):
-        return velocity_values(u, x, y)[d - 1] ** 4
-
-    return float(max(oracle_integrate(f, rule), 0.0) ** 0.25)
-
-
-def oracle_velocity_inner(u: VelocityField, v: VelocityField, rule: QuadRule) -> float:
-    def f(x, y):
-        a1, a2 = velocity_values(u, x, y)
-        b1, b2 = velocity_values(v, x, y)
-        return a1 * b1 + a2 * b2
-
-    return oracle_integrate(f, rule)
-
-
 def oracle_gradient_inner(u: VelocityField, v: VelocityField, rule: QuadRule) -> float:
     """int grad u : grad v, the stiffness pairing."""
 
@@ -139,13 +123,6 @@ def oracle_gradient_inner(u: VelocityField, v: VelocityField, rule: QuadRule) ->
         gu = velocity_gradients(u, x, y)
         gv = velocity_gradients(v, x, y)
         return sum(gu[i][d] * gv[i][d] for i in range(2) for d in range(2))
-
-    return oracle_integrate(f, rule)
-
-
-def oracle_pressure_inner(p: PressureField, q: PressureField, rule: QuadRule) -> float:
-    def f(x, y):
-        return pressure_values(p, x, y) * pressure_values(q, x, y)
 
     return oracle_integrate(f, rule)
 
@@ -183,36 +160,5 @@ def oracle_trilinear(
             for jc in range(2):
                 total += uu[i] * gv[i][jc] * ww[jc] - uu[i] * gw[i][jc] * vv[jc]
         return 0.5 * total
-
-    return oracle_integrate(f, rule)
-
-
-def oracle_convection_inner(
-    u: VelocityField, v: VelocityField, w: VelocityField, rule: QuadRule
-) -> float:
-    """Plain convection pairing int ((u . grad) v) . w."""
-
-    def f(x, y):
-        uu = velocity_values(u, x, y)
-        ww = velocity_values(w, x, y)
-        gv = velocity_gradients(v, x, y)
-        total = np.zeros_like(np.asarray(x, dtype=float))
-        for i in range(2):
-            for jc in range(2):
-                total += uu[i] * gv[i][jc] * ww[jc]
-        return total
-
-    return oracle_integrate(f, rule)
-
-
-def oracle_weighted_inner(
-    u: VelocityField, v: VelocityField, weight: VelocityField, rule: QuadRule
-) -> float:
-    """int (Div weight) (u . v), used for the integration-by-parts identity."""
-
-    def f(x, y):
-        a1, a2 = velocity_values(u, x, y)
-        b1, b2 = velocity_values(v, x, y)
-        return oracle_divergence(weight, x, y) * (a1 * b1 + a2 * b2)
 
     return oracle_integrate(f, rule)

@@ -103,16 +103,43 @@ def pressure_indices(n_modes: int) -> list[PressureIndex]:
     ]
 
 
-def l2_norm(u: VelocityField) -> float:
+# Norms take a field or an (M, n) block of rows, one per path, and give a float
+# or one value per row, bit-identical to the row's own: stacked matmuls make a
+# BLAS call per row, while one GEMM or einsum over all rows rounds differently.
+
+
+def _coeffs(x) -> np.ndarray:
+    return x.coeffs if isinstance(x, (VelocityField, PressureField)) else np.asarray(x)
+
+
+def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Dot products over the last axis, one per leading index."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+
+
+def _per_row(values: np.ndarray):
+    return float(values) if values.ndim == 0 else values
+
+
+def scalar_pow(values: np.ndarray, exponent: float):
+    """values ** exponent through C pow(), entry by entry, as a scalar takes
+    it; array ``**`` and np.power round differently (x ** 2 is x * x)."""
+    if np.ndim(values) == 0:
+        return float(values) ** exponent
+    return np.array([v**exponent for v in values.tolist()])
+
+
+def l2_norm(u) -> float | np.ndarray:
     """L2 norm; equals the Euclidean coefficient norm (Parseval)."""
-    return float(np.linalg.norm(u.coeffs))
+    c = _coeffs(u)
+    return _per_row(np.sqrt(_rowdot(c, c)))
 
 
-def h10_norm(u: VelocityField) -> float:
+def h10_norm(u) -> float | np.ndarray:
     """H1_0 seminorm; the stiffness form is diagonal on the sine basis."""
-    n = u.n_modes
-    stiff = _stiffness_diagonal(n)
-    return float(np.sqrt(np.dot(stiff, u.coeffs * u.coeffs)))
+    c = _coeffs(u)
+    stiffness = _stiffness_diagonal(int(round(np.sqrt(c.shape[-1] // 2))))
+    return _per_row(np.sqrt(_rowdot(stiffness, c * c)))
 
 
 def _stiffness_diagonal(n_modes: int) -> np.ndarray:
@@ -191,8 +218,9 @@ class SpectralSpaces:
         except np.linalg.LinAlgError as exc:
             raise ConfigurationError(
                 f"pressure Gram is numerically indefinite at cutoff "
-                f"{self.n_modes}; the two pressure families lose linear "
-                f"independence in double precision near cutoff 16"
+                f"{self.n_modes} (smallest eigenvalue "
+                f"{np.linalg.eigvalsh(gram)[0]:.1e}); the two pressure families "
+                f"lose linear independence in double precision"
             ) from exc
         self.gram = PressureGram(matrix=gram, cholesky_factor=chol)
 
@@ -280,14 +308,12 @@ class SpectralSpaces:
 
     # -- norms and pairings ------------------------------------------------------
 
-    def pressure_l2(self, p: PressureField) -> float:
-        q = self.gram.matrix @ p.coeffs
-        return float(np.sqrt(max(np.dot(p.coeffs, q), 0.0)))
+    def pressure_l2(self, p) -> float | np.ndarray:
+        c = _coeffs(p)
+        q = (self.gram.matrix @ c[..., None])[..., 0]
+        return _per_row(np.sqrt(np.maximum(_rowdot(c, q), 0.0)))
 
-    def pressure_inner(self, p: PressureField, q: PressureField) -> float:
-        return float(p.coeffs @ (self.gram.matrix @ q.coeffs))
-
-    def l4_norm(self, u: VelocityField, quad_order: int | None = None) -> float:
+    def l4_norm(self, u, quad_order: int | None = None) -> float | np.ndarray:
         """L4 norm of the vector field by tensor Gauss-Legendre quadrature."""
         if quad_order is None:
             quad_order = self.default_quad_order
@@ -296,9 +322,13 @@ class SpectralSpaces:
                 f"quad_order {quad_order} too small; need at least {4 * self.n_modes}"
             )
         g = self.grid(quad_order)
-        v1, v2 = self._component_values(u, g)
-        mag2 = v1 * v1 + v2 * v2
-        return float(np.sum(mag2 * mag2 * g.w2d) ** 0.25)
+        vals = self._component_values(u, g)
+        vals *= vals
+        mag2 = vals[..., 0, :, :]
+        mag2 += vals[..., 1, :, :]
+        mag2 *= mag2
+        mag2 *= g.w2d
+        return scalar_pow(np.sum(mag2, axis=(-2, -1)), 0.25)
 
     def component_l4_norm(
         self, u: VelocityField, d: int, quad_order: int | None = None
@@ -314,39 +344,39 @@ class SpectralSpaces:
         """Exact coefficient map onto the pressure basis."""
         return PressureField(self.div_diagonal * u.coeffs, self.n_modes)
 
-    def divergence_l2(self, u: VelocityField) -> float:
-        return self.pressure_l2(self.divergence(u))
+    def divergence_l2(self, u) -> float | np.ndarray:
+        return self.pressure_l2(self.div_diagonal * _coeffs(u))
 
-    def gradient_dual(self, p: PressureField) -> np.ndarray:
+    def gradient_dual(self, p) -> np.ndarray:
         """Pairings <grad p, e_i> for every velocity basis function.
 
         Computed through the duality <grad p, w> = -<p, Div w>; the pressure
         field itself is never differentiated.
         """
-        return -self.div_diagonal * (self.gram.matrix @ p.coeffs)
-
-    def pressure_gradient_pairing(self, p: PressureField, i: int) -> float:
-        return float(self.gradient_dual(p)[i])
+        return -self.div_diagonal * (self.gram.matrix @ _coeffs(p)[..., None])[..., 0]
 
     # -- synthesis ----------------------------------------------------------------
 
-    def _coeff_blocks(self, u: VelocityField) -> np.ndarray:
+    def _coeff_blocks(self, u) -> np.ndarray:
         n = self.n_modes
-        return u.coeffs.reshape(2, n, n)
+        c = _coeffs(u)
+        return c.reshape(c.shape[:-1] + (2, n, n))
 
-    def _component_values(self, u: VelocityField, g: _SynthGrid) -> np.ndarray:
-        """Values of both components on the tensor grid, shape (2, Q, Q)."""
-        c = self._coeff_blocks(u)
-        return 2.0 * (g.sin.T @ c @ g.sin)
+    def _component_values(self, u, g: _SynthGrid) -> np.ndarray:
+        """Values of both components on the tensor grid, shape (..., 2, Q, Q)."""
+        vals = g.sin.T @ self._coeff_blocks(u) @ g.sin
+        vals *= 2.0
+        return vals
 
-    def _component_gradients(self, u: VelocityField, g: _SynthGrid) -> np.ndarray:
-        """Partial derivatives on the grid, shape (2, 2, Q, Q): [i, d] = d_i u_d."""
+    def _component_gradients(self, u, g: _SynthGrid) -> tuple[np.ndarray, np.ndarray]:
+        """Partial derivatives (d_1 u, d_2 u) on the grid, each of shape
+        (..., 2, Q, Q): [i][..., d] = d_i u_d."""
         c = self._coeff_blocks(u)
-        cj = c * (np.pi * g.jcol[None, :, :])
-        ck = c * (np.pi * g.jcol.T[None, :, :])
-        d1 = 2.0 * (g.cos.T @ cj @ g.sin)
-        d2 = 2.0 * (g.sin.T @ ck @ g.cos)
-        return np.stack([d1, d2])
+        d1 = g.cos.T @ (c * (np.pi * g.jcol[None, :, :])) @ g.sin
+        d2 = g.sin.T @ (c * (np.pi * g.jcol.T[None, :, :])) @ g.cos
+        d1 *= 2.0
+        d2 *= 2.0
+        return d1, d2
 
     def synthesize(self, u: VelocityField, points) -> np.ndarray:
         """Pointwise values of the field at (x, y) points in [0, 1]^2."""
@@ -356,22 +386,6 @@ class SpectralSpaces:
         sy = np.sin(np.outer(j, np.pi * pts[:, 1]))
         c = self._coeff_blocks(u)
         vals = 2.0 * np.einsum("jm,djk,km->md", sx, c, sy)
-        return vals
-
-    def synthesize_pressure(self, p: PressureField, points) -> np.ndarray:
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        n = self.n_modes
-        j = np.arange(1, n + 1, dtype=float)
-        sx = np.sin(np.outer(j, np.pi * pts[:, 0]))
-        cx = np.cos(np.outer(j, np.pi * pts[:, 0]))
-        sy = np.sin(np.outer(j, np.pi * pts[:, 1]))
-        cy = np.cos(np.outer(j, np.pi * pts[:, 1]))
-        a = p.coeffs[: n * n].reshape(n, n)
-        b = p.coeffs[n * n :].reshape(n, n)
-        vals = 2.0 * (
-            np.einsum("jm,jk,km->m", cx, a, sy)
-            + np.einsum("jm,jk,km->m", sx, b, cy)
-        )
         return vals
 
 

@@ -177,3 +177,14 @@ def test_mc_moment_subcommand(tmp_path):
 
 def test_help_exits_zero():
     assert main(["--help"]) == 0
+
+
+def test_diverged_path_exits_1_with_path_and_step(tmp_path, capsys):
+    rc = main(
+        ["mc-energy", "--quiet", "--out", str(tmp_path), "--paths", "3",
+         "--set", "solver.horizon=0.01", "--set", "noise.trace=1e9"]
+    )
+    assert rc == 1
+    err = capsys.readouterr().err
+    assert "path 0 diverged at step 4" in err
+    assert "Traceback" not in err

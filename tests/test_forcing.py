@@ -119,3 +119,20 @@ def test_contribution_moments(spaces3):
 def test_modes_live_in_galerkin_space(spaces3):
     g = default_noise(spaces3, n_terms=64)
     assert g.n_terms <= 2 * spaces3.n_modes**2
+
+
+def test_increments_match_numpy_seed_sequence_streams(spaces3):
+    # a draw is the Philox stream of SeedSequence(seed, spawn_key=(path, step)),
+    # also for words past 32 bits and for a block of paths drawn in one call
+    g = default_noise(spaces3, n_terms=5)
+    paths = [0, 3, 2**32 - 1, 2**32, 2**40 + 7]
+    for seed in (0, 12345, 2**32, 2**64 - 1):
+        for step in (0, 499, 2**33 + 1):
+            block = sample_increment(g, 1e-3, (seed, paths, step)).dw
+            assert block.shape == (len(paths), 5)
+            for row, path in zip(block, paths):
+                seq = np.random.SeedSequence(seed, spawn_key=(path, step))
+                normal = np.random.Generator(np.random.Philox(seq)).standard_normal
+                want = np.sqrt(1e-3) * normal(5)
+                assert row.tobytes() == want.tobytes()
+                assert sample_increment(g, 1e-3, (seed, path, step)).dw.tobytes() == want.tobytes()

@@ -1,0 +1,212 @@
+"""The batched stepping kernel: a path's bytes do not depend on the block it
+runs in, and equal the per-path step arithmetic the kernel replaced."""
+
+import sys
+from dataclasses import replace
+
+import numpy as np
+import pytest
+from scipy.linalg import cho_solve
+
+from acflow import build_spaces
+from acflow import integrator
+from acflow.eps_limit import EpsSweepPlan, epsilon_sweep
+from acflow.forcing import DeterministicForce, default_noise
+from acflow.integrator import (
+    DivergedPathError,
+    GalerkinIntegrator,
+    SolverConfig,
+    State,
+    project_initial,
+)
+from acflow.spaces import PressureField, VelocityField
+
+SERIES = ("times", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
+
+
+def _bhat(sp, u, quad_order):
+    """Convection pairings of one field, component by component."""
+    g = sp.grid(quad_order)
+    n = sp.n_modes
+    c = u.reshape(2, n, n)
+    uv = 2.0 * (g.sin.T @ c @ g.sin)
+    cj = c * (np.pi * g.jcol[None, :, :])
+    ck = c * (np.pi * g.jcol.T[None, :, :])
+    gv = np.stack([2.0 * (g.cos.T @ cj @ g.sin), 2.0 * (g.sin.T @ ck @ g.cos)])
+    adv = uv[0] * gv[0] + uv[1] * gv[1]
+    a = 0.5 * g.w2d * adv
+    b1 = 0.5 * g.w2d * (uv[0] * uv)
+    b2 = 0.5 * g.w2d * (uv[1] * uv)
+    jpi = np.pi * np.arange(1, n + 1, dtype=float)
+    pair = np.zeros((2, n, n))
+    for d in range(2):
+        t1 = 2.0 * (g.sin @ a[d] @ g.sin.T)
+        t2 = 2.0 * (g.cos @ b1[d] @ g.sin.T) * jpi[:, None]
+        t3 = 2.0 * (g.sin @ b2[d] @ g.cos.T) * jpi[None, :]
+        pair[d] = t1 - t2 - t3
+    return pair.reshape(-1)
+
+
+def reference_path(integ, initial, path_index):
+    """One path through a plain per-path loop: one semi-implicit step and one
+    set of scalar norms per step, as the kernel computes them for a row."""
+    sp, cfg = integ.spaces, integ.config
+    dt, eps = cfg.dt, cfg.eps
+    g = sp.grid(integ.quad_order)
+
+    def pressure_l2(p):
+        return float(np.sqrt(max(np.dot(p, sp.gram.matrix @ p), 0.0)))
+
+    def l4(u):
+        v1, v2 = 2.0 * (g.sin.T @ u.reshape(2, sp.n_modes, sp.n_modes) @ g.sin)
+        mag2 = v1 * v1 + v2 * v2
+        return float(np.sum(mag2 * mag2 * g.w2d) ** 0.25)
+
+    n_steps = cfg.n_steps
+    out = {name: np.zeros(n_steps + 1) for name in SERIES}
+    out["coeff_history"] = np.zeros((n_steps + 1, sp.n_velocity))
+    terms = ("dissipation", "work", "martingale", "convection_pairing")
+    out.update({name: np.zeros(n_steps) for name in terms})
+
+    def record(m, u, p, t, res):
+        out["times"][m] = t
+        out["l2_u"][m] = float(np.linalg.norm(u))
+        out["h1_u"][m] = float(np.sqrt(np.dot(sp.stiffness, u * u)))
+        out["l4_u"][m] = l4(u)
+        out["l2_p"][m] = pressure_l2(p)
+        out["l2_div_u"][m] = pressure_l2(sp.div_diagonal * u)
+        out["energy"][m] = out["l2_u"][m] ** 2 + eps * out["l2_p"][m] ** 2
+        out["residual"][m] = res
+        out["coeff_history"][m] = u
+
+    u, p, t = initial.u.coeffs, initial.p.coeffs, initial.t
+    record(0, u, p, t, 0.0)
+    for m in range(1, n_steps + 1):
+        seq = np.random.SeedSequence(cfg.seed, spawn_key=(path_index, m - 1))
+        normal = np.random.Generator(np.random.Philox(seq)).standard_normal
+        xi = integ.noise.modes.T @ (np.sqrt(dt) * normal(integ.noise.n_terms))
+        bhat = _bhat(sp, u, integ.quad_order)
+        grad_dual = -sp.div_diagonal * (sp.gram.matrix @ p)
+        rhs = u - dt * grad_dual - dt * bhat + dt * integ.force.coeffs + xi
+        u_new = cho_solve(integ._factor, rhs)
+        p_new = p - (dt / eps) * (sp.div_diagonal * u_new)
+        energy_old = float(np.linalg.norm(u)) ** 2 + eps * pressure_l2(p) ** 2
+        energy_new = float(np.linalg.norm(u_new)) ** 2 + eps * pressure_l2(p_new) ** 2
+        h1 = float(np.sqrt(np.dot(sp.stiffness, u_new * u_new)))
+        dissipation = 2.0 * cfg.nu * h1**2 * dt
+        work = 2.0 * float(np.dot(integ.force.coeffs, u_new)) * dt
+        ito = integ.noise.trace * dt
+        martingale = 2.0 * float(np.dot(xi, u))
+        residual = (energy_new - energy_old) + dissipation - work - ito - martingale
+        out["dissipation"][m - 1] = dissipation
+        out["work"][m - 1] = work
+        out["martingale"][m - 1] = martingale
+        out["convection_pairing"][m - 1] = float(np.dot(bhat, u))
+        u, p, t = u_new, p_new, t + dt
+        record(m, u, p, t, residual)
+    return out
+
+
+def _bits(a):
+    return np.ascontiguousarray(a).tobytes()
+
+
+def _noisy_forced(n_modes):
+    sp = build_spaces(n_modes)
+    cfg = SolverConfig(n_modes=n_modes, dt=1e-3, horizon=0.015, seed=4242)
+    force = DeterministicForce(sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
+    integ = GalerkinIntegrator(sp, cfg, force=force, noise=default_noise(sp, trace=0.05))
+    return integ, project_initial(sp, "smooth", "low_mode")
+
+
+@pytest.mark.parametrize("n_modes", [4, 8])
+def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
+    integ, initial = _noisy_forced(n_modes)
+    n_paths = 9
+    want = [reference_path(integ, initial, i) for i in range(n_paths)]
+    for block, workers in ((1, 1), (7, 1), (n_paths, 1), (n_paths, 3)):
+        monkeypatch.setattr(integrator, "BLOCK_PATHS", block)
+        recs = integ.run_paths(initial, range(n_paths), workers, keep_history=True)
+        for rec, ref in zip(recs, want):
+            for name in SERIES + ("coeff_history",):
+                assert _bits(getattr(rec, name)) == _bits(ref[name]), (block, name)
+            led = rec.ledger
+            assert _bits(led.dissipation_increment) == _bits(ref["dissipation"])
+            assert _bits(led.work_increment) == _bits(ref["work"])
+            assert _bits(led.martingale_increment) == _bits(ref["martingale"])
+            assert _bits(led.convection_pairing) == _bits(ref["convection_pairing"])
+            assert _bits(led.residual) == _bits(ref["residual"][1:])
+            assert _bits(rec.final_state.u.coeffs) == _bits(ref["coeff_history"][-1])
+
+
+def test_threaded_parts_match_serial_under_preemption():
+    integ, initial = _noisy_forced(4)
+    integ = GalerkinIntegrator(
+        integ.spaces, replace(integ.config, seed=77), force=integ.force, noise=integ.noise
+    )
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:  # threads first, so that they fill the per-path key cache together
+        threaded = integ.run_paths(initial, range(12), workers=6)
+    finally:
+        sys.setswitchinterval(interval)
+    serial = integ.run_paths(initial, range(12), workers=1)
+    assert [rec.path_index for rec in threaded] == list(range(12))
+    for a, b in zip(serial, threaded):
+        assert _bits(a.energy) == _bits(b.energy)
+        assert _bits(a.final_state.u.coeffs) == _bits(b.final_state.u.coeffs)
+
+
+def test_many_rows_match_scalar_arithmetic(spaces2):
+    # scalar powers (pow(x, 2) is not x * x in about one case in a thousand)
+    # and reductions only show their rounding over many values
+    cfg = SolverConfig(n_modes=2, dt=1e-3, horizon=2e-3, seed=9)
+    integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
+    rng = np.random.default_rng(11)
+    inits = [
+        State(VelocityField(rng.standard_normal(8), 2), PressureField(rng.standard_normal(8), 2), 0.0)
+        for _ in range(3000)
+    ]
+    rows = integ.run_path(inits, range(len(inits)))
+    for i, (rec, init) in enumerate(zip(rows, inits)):
+        ref = reference_path(integ, init, i)
+        for name in ("l2_u", "h1_u", "l4_u", "l2_p", "energy", "residual"):
+            assert _bits(getattr(rec, name)) == _bits(ref[name]), (i, name)
+        assert _bits(rec.ledger.dissipation_increment) == _bits(ref["dissipation"])
+
+
+def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
+    # the data of test_blowup_raises_structured_error, between quiet rows
+    cfg = SolverConfig(n_modes=2, dt=0.9, horizon=45.0, nu=1e-3, eps=1e-3)
+    integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
+    huge = project_initial(spaces2, [(1, 1, 1, 3e5), (2, 2, 2, -2e5)], None)
+    quiet = project_initial(spaces2, [(1, 1, 1, 1e-3)], None)
+    inits = [quiet, huge, quiet, project_initial(spaces2, None, None)]
+    rows = integ.run_path(inits, [0, 1, 2, 3])
+
+    with pytest.raises(DivergedPathError) as solo_error:
+        integ.run_path(huge, path_index=1)
+    assert isinstance(rows[1], DivergedPathError)
+    assert (rows[1].path, rows[1].step) == (1, solo_error.value.step)
+    for i in (0, 2, 3):
+        solo = integ.run_path(inits[i], path_index=i)
+        for name in SERIES:
+            assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
+
+
+def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
+    real = integrator.sample_increment
+
+    def kick_path_2(noise, dt, key):
+        inc = real(noise, dt, key)
+        kick = np.where(np.asarray(key[1]) == 2, 1e10, 1.0)
+        return replace(inc, dw=inc.dw * kick[..., None])
+
+    monkeypatch.setattr(integrator, "sample_increment", kick_path_2)
+    plan = EpsSweepPlan(
+        eps_values=(1e-1, 1e-2),
+        base=SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=7),
+        n_paths=5,
+    )
+    rep = epsilon_sweep(spaces4, plan, workers=2)
+    assert [r.excluded_paths for r in rep.rows] == [1, 1]
