@@ -5,7 +5,9 @@ Exit status 0 means all assertions passed, 1 means an assertion failed (the
 CSV/JSON evidence is still written) or a path diverged (reported with its
 path and step on stderr), 2 means a configuration or IO error.
 Outputs are byte-identical across reruns and worker counts for identical
-manifest inputs.
+manifest inputs at a fixed BLAS thread count (``OPENBLAS_NUM_THREADS``): the
+manifest does not record it, and stepping outputs at N >= 8 differ between
+one and two BLAS threads.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ import argparse
 import hashlib
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -37,8 +38,7 @@ from .diagnostics import (
     simulate_paths,
 )
 from .eps_limit import EpsSweepPlan, epsilon_sweep
-from .forcing import DeterministicForce, default_noise
-from .integrator import DivergedPathError, GalerkinIntegrator, State, project_initial, write_snapshot
+from .integrator import DivergedPathError, GalerkinIntegrator, State, write_snapshot
 from .operators import run_inequality_suite
 from .spaces import ConfigurationError, PressureField, VelocityField, build_spaces
 
@@ -314,17 +314,29 @@ def _cmd_sweep(args) -> int:
         initial_u=None,
         initial_p=None,
     )
-    report = epsilon_sweep(spaces, plan, workers=args.workers)
-
+    # states of path 0 at the grid times nearest the requested ones, captured
+    # while the sweep runs it
     snap_raw = setup.get("sweep.snapshot_times").strip()
-    if snap_raw:
-        snap_times = [float(tok) for tok in snap_raw.split(",") if tok.strip()]
-        for eps in plan.eps_values:
-            for t_req, state in _sweep_snapshots(spaces, plan, eps, snap_times):
-                name = f"sweep_eps{eps:g}_t{t_req:g}.bin"
-                path = os.path.join(args.out, name)
-                write_snapshot(path, state, digest)
-                manifest.outputs[name] = _file_sha(path)
+    cfg = plan.base
+    wanted = {
+        min(max(int(round(float(tok) / cfg.dt)), 0), cfg.n_steps): float(tok)
+        for tok in snap_raw.split(",")
+        if tok.strip()
+    }
+    snapshots = {eps: [] for eps in plan.eps_values}
+
+    def capture(eps, m, block):
+        if m in wanted and len(block.rows) and block.rows[0] == 0:
+            u, p = VelocityField(block.u[0], cfg.n_modes), PressureField(block.p[0], cfg.n_modes)
+            snapshots[eps].append((wanted[m], State(u, p, block.t)))
+
+    report = epsilon_sweep(spaces, plan, workers=args.workers, observe=capture if wanted else None)
+    for eps, states in snapshots.items():
+        for t_req, state in states:
+            name = f"sweep_eps{eps:g}_t{t_req:g}.bin"
+            path = os.path.join(args.out, name)
+            write_snapshot(path, state, digest)
+            manifest.outputs[name] = _file_sha(path)
 
     csv_rows = [
         (
@@ -368,26 +380,6 @@ def _cmd_sweep(args) -> int:
             " ".join(f"{r.eps:g}->{r.div_sup:.3e}" for r in report.rows),
         )
     return _finish(manifest, args.out, args.quiet, report.passed)
-
-
-def _sweep_snapshots(spaces, plan, eps, snap_times):
-    """Re-run path 0 of one sweep member, capturing states at the grid times
-    nearest the requested ones."""
-    cfg = replace(plan.base, eps=eps)
-    force = DeterministicForce(spaces.velocity_from_modes(plan.force_modes).coeffs)
-    noise = default_noise(spaces, trace=plan.noise_trace)
-    integ = GalerkinIntegrator(spaces, cfg, force=force, noise=noise)
-    wanted = {min(max(int(round(t / cfg.dt)), 0), cfg.n_steps): t for t in snap_times}
-    out = []
-
-    def capture(m, block):
-        if m in wanted:
-            u, p = VelocityField(block.u[0], cfg.n_modes), PressureField(block.p[0], cfg.n_modes)
-            out.append((wanted[m], State(u, p, block.t)))
-
-    initial = project_initial(spaces, plan.initial_u, plan.initial_p)
-    integ.run_path(initial, path_index=0, observe=capture)
-    return out
 
 
 _COMMANDS = {

@@ -153,16 +153,7 @@ def mc_energy_bound(
 
     lhs = per_path.mean(axis=0)
     se = per_path.std(axis=0, ddof=1) / np.sqrt(len(records)) if len(records) > 1 else np.zeros_like(lhs)
-
-    trace = noise.trace if noise is not None else 0.0
-    f_sq = force.l2_norm() ** 2
-    initial_energy = (
-        l2_norm(initial.u) ** 2 + config.eps * spaces.pressure_l2(initial.p) ** 2
-    )
-    source = (f_sq / delta + trace) * weight
-    rhs = initial_energy + np.concatenate(
-        [[0.0], cumulative_trapezoid(source, times)]
-    )
+    rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
 
     passed = bool(np.all(lhs <= rhs + mc.confidence_z * se + 1e-14))
     return EnergyBoundReport(
@@ -176,6 +167,27 @@ def mc_energy_bound(
         passed=passed,
         dissipation_term=float(dissipations.mean()),
     )
+
+
+def energy_bound_rhs(
+    spaces: SpectralSpaces,
+    config: SolverConfig,
+    force: DeterministicForce,
+    noise: NoiseModel | None,
+    initial: State,
+    delta: float,
+    times: np.ndarray,
+) -> np.ndarray:
+    """Right-hand side of the weighted energy bound at the given times:
+    initial energy + int_0^t [|f|^2/delta + Tr(g^2)] e^{-delta s} ds, the
+    integral by the trapezoid rule on ``times``."""
+    trace = noise.trace if noise is not None else 0.0
+    f_sq = force.l2_norm() ** 2
+    initial_energy = (
+        l2_norm(initial.u) ** 2 + config.eps * spaces.pressure_l2(initial.p) ** 2
+    )
+    source = (f_sq / delta + trace) * np.exp(-delta * times)
+    return initial_energy + np.concatenate([[0.0], cumulative_trapezoid(source, times)])
 
 
 def mc_moment_bound(
@@ -281,11 +293,6 @@ def pathwise_uniqueness_check(
     )
 
 
-def divergence_norm_series(record: PathRecord) -> np.ndarray:
-    """Per-step L2 norm of the velocity divergence along a trajectory."""
-    return record.l2_div_u.copy()
-
-
 def perturbed_state(spaces: SpectralSpaces, base: State, mode, amplitude: float) -> State:
     """Copy of a state with one velocity mode nudged by the given amplitude."""
     j, k, d = mode
@@ -300,7 +307,7 @@ __all__ = [
     "MomentConfig",
     "UniquenessReport",
     "UniquenessWeight",
-    "divergence_norm_series",
+    "energy_bound_rhs",
     "mc_energy_bound",
     "mc_moment_bound",
     "pathwise_uniqueness_check",

@@ -22,10 +22,12 @@ import logging
 import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, replace
+from functools import partial
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid, trapezoid
+from scipy.integrate import trapezoid
 
+from .diagnostics import energy_bound_rhs
 from .forcing import (
     DeterministicForce,
     NoiseModel,
@@ -256,9 +258,11 @@ def epsilon_sweep(
     spaces: SpectralSpaces,
     plan: EpsSweepPlan,
     workers: int = 1,
+    observe=None,
 ) -> ConvergenceReport:
     """Run the perturbed family over decreasing eps against the shared-noise
-    incompressible reference and collect the convergence statistics."""
+    incompressible reference and collect the convergence statistics.
+    ``observe(eps, m, block)`` sees path 0's block after each step m."""
     noise = default_noise(spaces, trace=plan.noise_trace)
     force = DeterministicForce(
         spaces.velocity_from_modes(plan.force_modes).coeffs
@@ -288,7 +292,8 @@ def epsilon_sweep(
     for eps in plan.eps_values:
         cfg = replace(base, eps=eps)
         integ = GalerkinIntegrator(spaces, cfg, force=force, noise=noise)
-        coupled = integ.run_paths(initial, indices, workers, keep_history=True)
+        hook = None if observe is None else partial(observe, eps)
+        coupled = integ.run_paths(initial, indices, workers, keep_history=True, observe=hook)
 
         div2, diff2, press = [], [], []
         for i, rec in enumerate(coupled):
@@ -375,12 +380,6 @@ def _pressure_energy_budget(
     """Budget for E int eps |p|^2 dt implied by the weighted energy bound:
     eps E|p(t)|^2 <= e^{t} * rhs(t) with unit weight rate, integrated in t."""
     delta = 1.0
-    n = config.n_steps
-    times = np.linspace(0.0, config.horizon, n + 1)
-    weight = np.exp(-delta * times)
-    initial_energy = (
-        l2_norm(initial.u) ** 2 + config.eps * spaces.pressure_l2(initial.p) ** 2
-    )
-    source = (force.l2_norm() ** 2 / delta + noise.trace) * weight
-    rhs = initial_energy + np.concatenate([[0.0], cumulative_trapezoid(source, times)])
+    times = np.linspace(0.0, config.horizon, config.n_steps + 1)
+    rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
     return float(trapezoid(np.exp(delta * times) * rhs, times))

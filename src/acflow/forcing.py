@@ -101,17 +101,14 @@ def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8)
     return NoiseModel(rows)
 
 
-def trace_covariance(noise: NoiseModel) -> float:
-    """Covariance trace sum_k |g_k|^2."""
-    return noise.trace
-
-
 def sample_increment(
-    noise: NoiseModel, dt: float, seed_path: tuple[int, int, int]
+    noise: NoiseModel, dt: float, seed_path: tuple[int, int, int], keys=None
 ) -> WienerIncrement:
     """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step): the normals
     of ``Philox(SeedSequence(seed, spawn_key=(path, step)))``.  A sequence of
-    paths gives ``dw`` a row per path, each the draw of its own key."""
+    paths gives ``dw`` a row per path, each the draw of its own key.
+    ``keys``, the rows' Philox keys as :func:`philox_keys` gives them for this
+    seed and step, saves deriving them here."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     seed, path, step = seed_path
@@ -119,8 +116,10 @@ def sample_increment(
     if min(seed, step, *paths) < 0:
         raise ValueError("seed, path and step must be nonnegative")
     rows = np.zeros((len(paths), noise.n_terms))
-    for row, p in zip(rows, paths if noise.n_terms else ()):
-        key = np.array(_philox_key(seed, p, step), dtype=np.uint64)
+    if noise.n_terms and keys is None:
+        keys = [_philox_key(seed, p, step) for p in paths]
+    for row, key in zip(rows, keys if noise.n_terms else ()):
+        key = np.asarray(key, dtype=np.uint64)
         _STREAM.bits.state = {**_FRESH_PHILOX, "state": {"counter": _ZERO4, "key": key}}
         row[:] = _STREAM.normal(noise.n_terms)
     dw = np.sqrt(dt) * (rows if np.ndim(path) else rows[0])
@@ -137,7 +136,9 @@ class _Stream(threading.local):
 
 # Philox keys as numpy's SeedSequence derives them: hashmix and mix the seed
 # words (padded to four), then the spawn key (path, step), into a pool of four
-# 32-bit words; the part fixed by (seed, path) is kept per path.
+# 32-bit words; the part fixed by (seed, path) is kept per path.  The same
+# functions run on Python ints or, for a table of keys, on uint64 arrays of
+# 32-bit words (products of two words fit, differences wrap mod 2^64).
 _STREAM = _Stream()
 _MASK32 = 0xFFFFFFFF
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -176,9 +177,12 @@ def _path_pool(seed: int, path: int) -> tuple[tuple[int, ...], int]:
 
 
 def _philox_key(seed: int, path: int, step: int) -> list[int]:
-    pool, const = _path_pool(seed, path)
+    return _spawned_key(*_path_pool(seed, path), _words(step))
+
+
+def _spawned_key(pool, const, step_words) -> list:
     pool = list(pool)
-    for word in _words(step):
+    for word in step_words:
         for dst in range(4):
             const = _mix(pool, dst, word, const)
     state, const = [], 0x8B51F9DD
@@ -186,6 +190,25 @@ def _philox_key(seed: int, path: int, step: int) -> list[int]:
         hashed, const = _hashmix(word, const, 0x58F38DED)
         state.append(hashed)
     return [state[0] | state[1] << 32, state[2] | state[3] << 32]
+
+
+def philox_keys(seed: int, paths, steps) -> np.ndarray:
+    """Philox keys of ``SeedSequence(seed, spawn_key=(path, step))`` for every
+    step and path, shape (len(steps), len(paths), 2), in uint64 arithmetic:
+    the table form of the key each :func:`sample_increment` row derives."""
+    seed, paths = index(seed), [index(p) for p in paths]
+    steps = np.asarray(steps, dtype=np.uint64).reshape(-1, 1)
+    pools = [_path_pool(seed, p) for p in paths]
+    pool = [np.array([pl[i] for pl, _ in pools], dtype=np.uint64) for i in range(4)]
+    const = np.array([c for _, c in pools], dtype=np.uint64)
+    keys = np.empty((len(steps), len(paths), 2), dtype=np.uint64)
+    two_words = (steps > _MASK32)[:, 0]
+    for n_words, rows in ((1, ~two_words), (2, two_words)):
+        if rows.any():
+            shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)
+            words = [steps[rows] >> s & np.uint64(_MASK32) for s in shifts]
+            keys[rows] = np.stack(_spawned_key(pool, const, words), axis=-1)
+    return keys
 
 
 def noise_contribution(noise: NoiseModel, inc: WienerIncrement) -> np.ndarray:

@@ -31,10 +31,12 @@ from .forcing import (
     NoiseModel,
     empty_noise,
     noise_contribution,
+    philox_keys,
     sample_increment,
 )
 from .spaces import (
     ConfigurationError,
+    GridWorkspace,
     PressureField,
     SpectralSpaces,
     VelocityField,
@@ -46,10 +48,10 @@ from .spaces import (
 )
 
 ENERGY_CAP = 1e12
-# Most paths one step call advances.  At N=8, blocks of 6 cost least per
-# path-step over 12, 50 and 200 paths; from 8 on, a block's grid temporaries
-# (2 Q^2 doubles per path) page-fault afresh every step (table in CHANGES.md).
-BLOCK_PATHS = 6
+# Most paths one step call advances.  At N=8, blocks of up to 20 cost least
+# per path-step over 12, 20, 50 and 200 paths (table in CHANGES.md); with the
+# block's grid arrays in its GridWorkspace, no block size page-faults per step.
+BLOCK_PATHS = 20
 
 
 class DivergedPathError(RuntimeError):
@@ -144,6 +146,7 @@ class PathBlock:
     h1_u: np.ndarray
     l2_p: np.ndarray
     energy: np.ndarray  # |u|^2 + eps |p|^2
+    gram_p: np.ndarray  # G p, the product behind l2_p and the next step's grad p
 
     def take(self, keep: np.ndarray) -> "PathBlock":
         rows = {f.name: getattr(self, f.name)[keep] for f in fields(self) if f.name != "t"}
@@ -288,22 +291,24 @@ class GalerkinIntegrator:
     # -- one step of a block of paths -------------------------------------------
 
     def _block(self, u, p, t, rows) -> PathBlock:
-        l2_u, l2_p = l2_norm(u), self.spaces.pressure_l2(p)
+        gram_p = np.empty_like(p)
+        l2_u, l2_p = l2_norm(u), self.spaces.pressure_l2(p, gram_out=gram_p)
         eps = self.config.eps
         energy = [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
-        return PathBlock(u, p, t, rows, l2_u, h10_norm(u), l2_p, np.array(energy))
+        return PathBlock(u, p, t, rows, l2_u, h10_norm(u), l2_p, np.array(energy), gram_p)
 
-    def _convection_dual(self, u) -> np.ndarray:
+    def _convection_dual(self, u, work: GridWorkspace | None = None) -> np.ndarray:
         if not self.include_convection:
             return np.zeros(self.spaces.n_velocity)
         from .operators import bhat_operator
 
-        return bhat_operator(self.spaces, u, self.quad_order).pairings
+        return bhat_operator(self.spaces, u, self.quad_order, work=work).pairings
 
-    def step(self, state, inc):
+    def step(self, state, inc, work: GridWorkspace | None = None):
         """One semi-implicit step of every path of a PathBlock, given the
         WienerIncrement with a row per path; returns the new block and the
-        step's EnergyLedger, an entry per path.  A State steps as a block of
+        step's EnergyLedger, an entry per path.  Grid arrays go to ``work``,
+        the block's GridWorkspace, when given.  A State steps as a block of
         one and comes back as a State."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
         if isinstance(state, State):
@@ -314,9 +319,9 @@ class GalerkinIntegrator:
             return State(u, p, new.t), ledger
         u_m, p_m = state.u, state.p
 
-        bhat = self._convection_dual(u_m)
+        bhat = self._convection_dual(u_m, work)
         xi = noise_contribution(self.noise, inc)
-        grad_dual_m = sp.gradient_dual(p_m)
+        grad_dual_m = -sp.div_diagonal * state.gram_p  # sp.gradient_dual(p_m), from G p
 
         rhs = u_m - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
         u_p = cho_solve(self._factor, rhs.T, check_finite=False).T
@@ -345,7 +350,8 @@ class GalerkinIntegrator:
         per entry (``initial`` is a State, or one per row; rows may share an
         index and so its noise), and returns per row the record or the
         DivergedPathError that stopped that row alone.  ``observe(m, block)``
-        sees the block after each step m.
+        sees the rows still running after each step m (and m = 0).  The
+        block's grid workspace and noise keys live as long as this call.
         """
         cfg = self.config
         single = isinstance(path_index, (int, np.integer))
@@ -358,31 +364,38 @@ class GalerkinIntegrator:
         runs = {name: np.zeros((cfg.n_steps + 1, len(paths))) for name in _RUN_ARRAYS}
         history = np.zeros((len(paths),) + times.shape + u0.shape[1:]) if keep_history else None
         errors = {}
+        # l4_norm leaves the grid values of each new u in the workspace, where
+        # the next step's convection finds them
+        work = GridWorkspace()
+        keys = philox_keys(cfg.seed, paths, range(cfg.n_steps))
 
         def record(m, blk, ledger=None):
             times[m] = blk.t
             for name in ("l2_u", "h1_u", "l2_p", "energy"):
                 runs[name][m, blk.rows] = getattr(blk, name)
-            runs["l4_u"][m, blk.rows] = self.spaces.l4_norm(blk.u, self.quad_order)
+            runs["l4_u"][m, blk.rows] = self.spaces.l4_norm(blk.u, self.quad_order, work=work)
             runs["l2_div_u"][m, blk.rows] = self.spaces.divergence_l2(blk.u)
             for name in _LEDGER_TERMS if ledger is not None else ():
                 runs[name][m, blk.rows] = getattr(ledger, name)
             if history is not None:
                 history[blk.rows, m] = blk.u
-            if observe is not None:
-                observe(m, blk)
 
         record(0, block)
+        if observe is not None:
+            observe(0, block)
         for m in range(1, cfg.n_steps + 1):
             if not len(block.rows):
                 break
-            inc = sample_increment(self.noise, cfg.dt, (cfg.seed, paths[block.rows], m - 1))
-            block, ledger = self.step(block, inc)
+            seed_path = (cfg.seed, paths[block.rows], m - 1)
+            inc = sample_increment(self.noise, cfg.dt, seed_path, keys=keys[m - 1, block.rows])
+            block, ledger = self.step(block, inc, work)
             record(m, block, ledger)
             blown = ~(block.energy <= ENERGY_CAP)
             for r, e in zip(block.rows[blown], block.energy[blown]):
                 errors[r] = DivergedPathError(m, float(e), int(paths[r]))
             block = block.take(~blown) if blown.any() else block
+            if observe is not None:
+                observe(m, block)
 
         runs = {name: np.ascontiguousarray(a.T) for name, a in runs.items()}
         out, n = [errors.get(r) for r in range(len(paths))], cfg.n_modes
@@ -400,21 +413,27 @@ class GalerkinIntegrator:
             )
         return completed(out)[0] if single else out
 
-    def run_paths(self, initial: State, path_indices, workers: int = 1, keep_history=False):
+    def run_paths(
+        self, initial: State, path_indices, workers: int = 1, keep_history=False, observe=None
+    ):
         """run_path over many paths, split into ``workers`` contiguous parts on
         a thread each, run in blocks of at most BLOCK_PATHS; per path, in
-        order, the record or DivergedPathError, whatever the split."""
+        order, the record or DivergedPathError, whatever the split.
+        ``observe`` goes to the block of the first path, which is its row 0."""
         paths = np.asarray(list(path_indices), dtype=int)
 
-        def run_part(part):
+        def run_part(part, hook):
             blocks = np.array_split(part, -(-len(part) // BLOCK_PATHS))
-            return [rec for b in blocks for rec in self.run_path(initial, b, keep_history)]
+            hooks = [hook] + [None] * (len(blocks) - 1)
+            runs = (self.run_path(initial, b, keep_history, h) for b, h in zip(blocks, hooks))
+            return [rec for recs in runs for rec in recs]
 
         parts = [p for p in np.array_split(paths, max(1, workers)) if len(p)]
+        hooks = [observe] + [None] * (len(parts) - 1)
         if len(parts) <= 1:
-            return [rec for p in parts for rec in run_part(p)]
+            return [rec for p, h in zip(parts, hooks) for rec in run_part(p, h)]
         with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-            return [rec for recs in ex.map(run_part, parts) for rec in recs]
+            return [rec for recs in ex.map(run_part, parts, hooks) for rec in recs]
 
 
 def completed(results: list) -> list[PathRecord]:

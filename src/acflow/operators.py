@@ -17,8 +17,10 @@ from dataclasses import dataclass
 import numpy as np
 
 from .spaces import (
+    GridWorkspace,
     SpectralSpaces,
     VelocityField,
+    _buffer,
     _stiffness_diagonal,
     h10_norm,
     l2_norm,
@@ -66,21 +68,21 @@ class _ConvectionArrays:
     b2:  0.5 * w2d * u_2 v_d                        -> pairs with d_2 w_d
     """
 
-    def __init__(self, spaces: SpectralSpaces, u, v, quad_order):
+    def __init__(self, spaces: SpectralSpaces, u, v, quad_order, work: GridWorkspace | None = None):
         g = spaces.grid(quad_order)
-        uv = spaces._component_values(u, g)
+        uv = spaces._component_values(u, g, work)
         vv = uv if v is u else spaces._component_values(v, g)
-        d1v, d2v = spaces._component_gradients(v, g)
+        d1v, d2v = spaces._component_gradients(v, g, work)
         u1, u2 = uv[..., 0:1, :, :], uv[..., 1:2, :, :]
         weight = 0.5 * g.w2d
-        # in place, rounding as weight * (u1 * d1v + u2 * d2v) etc. would: each
-        # fresh block-sized temporary page-faults anew on every step
+        # in place, so that a step allocates no grid temporaries; rounds as
+        # weight * (u1 * d1v + u2 * d2v) etc. would
         d1v *= u1
         d2v *= u2
         d1v += d2v  # ((u . grad) v)_d
         d1v *= weight
         self.a = d1v
-        self.b1 = u1 * vv
+        self.b1 = np.multiply(u1, vv, out=_buffer(work, "products", vv.shape))
         self.b1 *= weight
         self.b2 = np.multiply(u2, vv, out=d2v)
         self.b2 *= weight
@@ -116,26 +118,33 @@ def trilinear_bhat(
 
 
 def bhat_operator(
-    spaces: SpectralSpaces, u, quad_order: int | None = None
+    spaces: SpectralSpaces, u, quad_order: int | None = None, work: GridWorkspace | None = None
 ) -> DualVector:
     """Pairings of the stabilised convection operator against every basis
     function, from a single pseudo-spectral pass over u.
 
     ``u`` is a field or an (M, n_velocity) block of coefficient rows; a
     block gives one row of pairings per path, each bit-identical to the
-    row's own call.  The adjoint transforms below contract the same grid
-    arrays that :func:`trilinear_bhat` pairs against a synthesised test
-    field, so the two agree to summation round-off.
+    row's own call.  Grid arrays go to ``work`` when given (the pairings
+    never do), which also hands back grid values of u it already holds.
+    The adjoint transforms below contract the same grid arrays that
+    :func:`trilinear_bhat` pairs against a synthesised test field, so the
+    two agree to summation round-off.
     """
     if quad_order is None:
         quad_order = spaces.default_quad_order
-    arrays = _ConvectionArrays(spaces, u, u, quad_order)
+    arrays = _ConvectionArrays(spaces, u, u, quad_order, work)
     g = arrays.grid
     n = spaces.n_modes
     jpi = np.pi * np.arange(1, n + 1, dtype=float)
-    t1 = 2.0 * (g.sin @ arrays.a @ g.sin.T)
-    t2 = 2.0 * (g.cos @ arrays.b1 @ g.sin.T) * jpi[:, None]
-    t3 = 2.0 * (g.sin @ arrays.b2 @ g.cos.T) * jpi[None, :]
+
+    def adjoint(left, grid_array, right):
+        half = _buffer(work, "half_adjoint", grid_array.shape[:-2] + (n, g.order))
+        return 2.0 * (np.matmul(left, grid_array, out=half) @ right)
+
+    t1 = adjoint(g.sin, arrays.a, g.sin.T)
+    t2 = adjoint(g.cos, arrays.b1, g.sin.T) * jpi[:, None]
+    t3 = adjoint(g.sin, arrays.b2, g.cos.T) * jpi[None, :]
     pair = t1 - t2 - t3
     return DualVector(pair.reshape(pair.shape[:-3] + (-1,)), spaces.n_modes)
 

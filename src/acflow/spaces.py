@@ -184,6 +184,31 @@ class _SynthGrid:
         self.w2d = np.outer(self.w, self.w)
 
 
+class GridWorkspace:
+    """Grid-sized arrays of one path block, allocated on first use and reused
+    by every later step: a block's fresh grid temporaries page-fault anew on
+    every step.  Owned by the block, never shared between threads; a block
+    that lost rows uses leading slices.  The grid values of the coefficient
+    rows last synthesised are kept for a later call on the same array, which
+    must not have changed in between."""
+
+    def __init__(self):
+        self._arrays: dict[str, np.ndarray] = {}
+        self.held = None  # (coefficient rows, grid, their values on the grid)
+
+    def array(self, name: str, shape: tuple) -> np.ndarray:
+        """Uninitialised (shape[0], ...) leading slice of the named array; its
+        contents last until the next call for the same name."""
+        a = self._arrays.get(name)
+        if a is None or a.shape[1:] != shape[1:] or len(a) < shape[0]:
+            a = self._arrays[name] = np.empty(shape)
+        return a[: shape[0]]
+
+
+def _buffer(work: GridWorkspace | None, name: str, shape: tuple) -> np.ndarray:
+    return np.empty(shape) if work is None else work.array(name, shape)
+
+
 class SpectralSpaces:
     """Velocity/pressure enumerations, Gram data and coefficient operators
     for a fixed mode cutoff.  Immutable after construction and safe to share
@@ -308,13 +333,19 @@ class SpectralSpaces:
 
     # -- norms and pairings ------------------------------------------------------
 
-    def pressure_l2(self, p) -> float | np.ndarray:
+    def pressure_l2(self, p, gram_out: np.ndarray | None = None) -> float | np.ndarray:
+        """L2 norm through the Gram; G p goes to ``gram_out`` when given."""
         c = _coeffs(p)
-        q = (self.gram.matrix @ c[..., None])[..., 0]
+        q = np.matmul(
+            self.gram.matrix, c[..., None], out=None if gram_out is None else gram_out[..., None]
+        )[..., 0]
         return _per_row(np.sqrt(np.maximum(_rowdot(c, q), 0.0)))
 
-    def l4_norm(self, u, quad_order: int | None = None) -> float | np.ndarray:
-        """L4 norm of the vector field by tensor Gauss-Legendre quadrature."""
+    def l4_norm(
+        self, u, quad_order: int | None = None, work: GridWorkspace | None = None
+    ) -> float | np.ndarray:
+        """L4 norm of the vector field by tensor Gauss-Legendre quadrature;
+        with a workspace, the grid values of u stay held in it."""
         if quad_order is None:
             quad_order = self.default_quad_order
         if quad_order < 4 * self.n_modes:
@@ -322,8 +353,8 @@ class SpectralSpaces:
                 f"quad_order {quad_order} too small; need at least {4 * self.n_modes}"
             )
         g = self.grid(quad_order)
-        vals = self._component_values(u, g)
-        vals *= vals
+        vals = self._component_values(u, g, work)
+        vals = np.multiply(vals, vals, out=_buffer(work, "products", vals.shape))
         mag2 = vals[..., 0, :, :]
         mag2 += vals[..., 1, :, :]
         mag2 *= mag2
@@ -362,20 +393,34 @@ class SpectralSpaces:
         c = _coeffs(u)
         return c.reshape(c.shape[:-1] + (2, n, n))
 
-    def _component_values(self, u, g: _SynthGrid) -> np.ndarray:
-        """Values of both components on the tensor grid, shape (..., 2, Q, Q)."""
-        vals = g.sin.T @ self._coeff_blocks(u) @ g.sin
+    def _synthesize(self, left, c, right, g: _SynthGrid, work, name) -> np.ndarray:
+        """2 * left.T @ c @ right over the coefficient blocks c, into the
+        workspace's ``name`` array when one is given."""
+        rows = c.shape[:-2]
+        half = np.matmul(left.T, c, out=_buffer(work, "half", rows + (g.order, self.n_modes)))
+        vals = np.matmul(half, right, out=_buffer(work, name, rows + (g.order, g.order)))
         vals *= 2.0
         return vals
 
-    def _component_gradients(self, u, g: _SynthGrid) -> tuple[np.ndarray, np.ndarray]:
+    def _component_values(self, u, g: _SynthGrid, work: GridWorkspace | None = None) -> np.ndarray:
+        """Values of both components on the tensor grid, shape (..., 2, Q, Q).
+        A workspace holds them, and hands them back for the same rows."""
+        held = None if work is None else work.held
+        if held is not None and held[0] is u and held[1] is g:
+            return held[2]
+        vals = self._synthesize(g.sin, self._coeff_blocks(u), g.sin, g, work, "values")
+        if work is not None:
+            work.held = (u, g, vals)
+        return vals
+
+    def _component_gradients(
+        self, u, g: _SynthGrid, work: GridWorkspace | None = None
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivatives (d_1 u, d_2 u) on the grid, each of shape
         (..., 2, Q, Q): [i][..., d] = d_i u_d."""
         c = self._coeff_blocks(u)
-        d1 = g.cos.T @ (c * (np.pi * g.jcol[None, :, :])) @ g.sin
-        d2 = g.sin.T @ (c * (np.pi * g.jcol.T[None, :, :])) @ g.cos
-        d1 *= 2.0
-        d2 *= 2.0
+        d1 = self._synthesize(g.cos, c * (np.pi * g.jcol[None, :, :]), g.sin, g, work, "d1")
+        d2 = self._synthesize(g.sin, c * (np.pi * g.jcol.T[None, :, :]), g.cos, g, work, "d2")
         return d1, d2
 
     def synthesize(self, u: VelocityField, points) -> np.ndarray:

@@ -9,7 +9,8 @@ from acflow.config import (
     parse_pressure_modes,
     parse_velocity_modes,
 )
-from acflow.spaces import ConfigurationError
+from acflow.integrator import State
+from acflow.spaces import ConfigurationError, PressureField, VelocityField
 
 
 def test_defaults_fill_minimal_file(tmp_path):
@@ -151,6 +152,47 @@ def test_sweep_subcommand_small(tmp_path):
     lines = (out / "sweep_eps.csv").read_text().splitlines()
     assert lines[1].startswith("eps,")
     assert len(lines) == 4  # header comment + columns + 2 eps rows
+
+
+def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
+    # captured while the sweep runs path 0 in its block, as a solo run has them
+    from acflow import build_spaces
+    from acflow.eps_limit import DEFAULT_SWEEP_FORCE_MODES
+    from acflow.forcing import DeterministicForce, default_noise
+    from acflow.integrator import (
+        GalerkinIntegrator,
+        SolverConfig,
+        project_initial,
+        read_snapshot,
+        write_snapshot,
+    )
+
+    out = tmp_path / "s"
+    rc = main(
+        ["sweep-eps", "--quiet", "--out", str(out), "--workers", "2",
+         "--set", "solver.horizon=0.02", "--set", "solver.n_modes=4",
+         "--set", "sweep.eps_values=0.1,0.001", "--paths", "5",
+         "--set", "sweep.snapshot_times=0,0.0104,0.02"]
+    )
+    assert rc in (0, 1)
+    sp = build_spaces(4)
+    force = DeterministicForce(sp.velocity_from_modes(DEFAULT_SWEEP_FORCE_MODES).coeffs)
+    manifest = json.loads((out / "manifest.json").read_text())
+    for eps in (0.1, 0.001):
+        cfg = SolverConfig(n_modes=4, horizon=0.02, eps=eps)
+        integ = GalerkinIntegrator(sp, cfg, force=force, noise=default_noise(sp))
+        states = {}
+
+        def keep(m, b):
+            states[m] = State(VelocityField(b.u[0], 4), PressureField(b.p[0], 4), b.t)
+
+        integ.run_path(project_initial(sp, None, None), 0, observe=keep)
+        for t, m in (("0", 0), ("0.0104", 10), ("0.02", 20)):
+            name = f"sweep_eps{eps:g}_t{t}.bin"
+            digest = read_snapshot(out / name)[1]
+            write_snapshot(tmp_path / "want.bin", states[m], digest)
+            assert (out / name).read_bytes() == (tmp_path / "want.bin").read_bytes()
+            assert name in manifest["outputs"]
 
 
 def test_unknown_subcommand_exits_2():

@@ -5,7 +5,6 @@ from acflow import build_spaces
 from acflow.diagnostics import (
     MomentConfig,
     UniquenessWeight,
-    divergence_norm_series,
     mc_energy_bound,
     mc_moment_bound,
     pathwise_uniqueness_check,
@@ -134,8 +133,7 @@ def test_divergence_series_zero_field(spaces4):
 
     integ = GalerkinIntegrator(spaces4, cfg, include_convection=False)
     rec = integ.run_path(project_initial(spaces4, None, None))
-    series = divergence_norm_series(rec)
-    assert np.all(series == 0.0)
+    assert np.all(rec.l2_div_u == 0.0)
 
 
 def test_simulate_paths_worker_invariance(small_setup):

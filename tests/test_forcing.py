@@ -7,28 +7,28 @@ from acflow.forcing import (
     empty_noise,
     noise_contribution,
     noise_from_modes,
+    philox_keys,
     sample_increment,
-    trace_covariance,
 )
 
 
 def test_trace_examples(spaces3):
-    assert trace_covariance(empty_noise(spaces3)) == 0.0
+    assert empty_noise(spaces3).trace == 0.0
 
     g = noise_from_modes(spaces3, [(1, 1, 1, 0.5)])
-    assert trace_covariance(g) == pytest.approx(0.25, abs=1e-15)
+    assert g.trace == pytest.approx(0.25, abs=1e-15)
 
     g2 = noise_from_modes(
         spaces3, [(1, 1, 1, np.sqrt(0.1)), (2, 1, 2, np.sqrt(0.2))]
     )
-    assert trace_covariance(g2) == pytest.approx(0.3, abs=1e-14)
+    assert g2.trace == pytest.approx(0.3, abs=1e-14)
 
 
 def test_default_noise_normalisation(spaces8):
     g = default_noise(spaces8, trace=0.01, n_terms=8)
     assert g.n_terms == 8
     assert g.n_terms <= spaces8.n_velocity
-    assert trace_covariance(g) == pytest.approx(0.01, rel=1e-12)
+    assert g.trace == pytest.approx(0.01, rel=1e-12)
 
 
 def test_increment_determinism(spaces3):
@@ -110,7 +110,7 @@ def test_contribution_moments(spaces3):
         sq[path] = float(np.dot(contrib, contrib))
         mean += contrib
     mean /= n
-    expected = trace_covariance(g) * dt
+    expected = g.trace * dt
     se = sq.std(ddof=1) / np.sqrt(n)
     assert abs(sq.mean() - expected) <= 3.0 * se
     assert np.abs(mean).max() <= 3.0 * np.sqrt(dt * g.modes.max() ** 2 / n) + 1e-6
@@ -136,3 +136,21 @@ def test_increments_match_numpy_seed_sequence_streams(spaces3):
                 want = np.sqrt(1e-3) * normal(5)
                 assert row.tobytes() == want.tobytes()
                 assert sample_increment(g, 1e-3, (seed, path, step)).dw.tobytes() == want.tobytes()
+
+
+def test_key_table_matches_numpy_seed_sequence_keys(spaces3):
+    # words past 32 bits in seed and path, and one- and two-word steps in one
+    # table; a block's draws from table keys equal its derived draws
+    paths = [0, 5, 2**32 - 1, 2**32, 2**40 + 7]
+    steps = [0, 1, 499, 2**32 - 1, 2**32, 2**33 + 1]
+    g = default_noise(spaces3, n_terms=3)
+    for seed in (0, 12345, 2**32 + 9, 2**64 - 1):
+        table = philox_keys(seed, paths, steps)
+        assert table.shape == (len(steps), len(paths), 2) and table.dtype == np.uint64
+        for i, step in enumerate(steps):
+            for j, path in enumerate(paths):
+                seq = np.random.SeedSequence(seed, spawn_key=(path, step))
+                want = np.random.Philox(seq).state["state"]["key"]
+                assert table[i, j].tobytes() == want.tobytes()
+            drawn = sample_increment(g, 1e-3, (seed, paths, step), keys=table[i])
+            assert drawn.dw.tobytes() == sample_increment(g, 1e-3, (seed, paths, step)).dw.tobytes()

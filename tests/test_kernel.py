@@ -19,7 +19,8 @@ from acflow.integrator import (
     State,
     project_initial,
 )
-from acflow.spaces import PressureField, VelocityField
+from acflow.operators import bhat_operator, run_inequality_suite
+from acflow.spaces import GridWorkspace, PressureField, VelocityField
 
 SERIES = ("times", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
 
@@ -122,9 +123,10 @@ def _noisy_forced(n_modes):
 @pytest.mark.parametrize("n_modes", [4, 8])
 def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
     integ, initial = _noisy_forced(n_modes)
-    n_paths = 9
+    size = integrator.BLOCK_PATHS
+    n_paths = size + 1  # at BLOCK_PATHS: two blocks of different sizes
     want = [reference_path(integ, initial, i) for i in range(n_paths)]
-    for block, workers in ((1, 1), (7, 1), (n_paths, 1), (n_paths, 3)):
+    for block, workers in ((1, 1), (7, 1), (size, 1), (size + 1, 1), (size, 3)):
         monkeypatch.setattr(integrator, "BLOCK_PATHS", block)
         recs = integ.run_paths(initial, range(n_paths), workers, keep_history=True)
         for rec, ref in zip(recs, want):
@@ -197,8 +199,8 @@ def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
 def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
     real = integrator.sample_increment
 
-    def kick_path_2(noise, dt, key):
-        inc = real(noise, dt, key)
+    def kick_path_2(noise, dt, key, **kwargs):
+        inc = real(noise, dt, key, **kwargs)
         kick = np.where(np.asarray(key[1]) == 2, 1e10, 1.0)
         return replace(inc, dw=inc.dw * kick[..., None])
 
@@ -210,3 +212,68 @@ def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
     )
     rep = epsilon_sweep(spaces4, plan, workers=2)
     assert [r.excluded_paths for r in rep.rows] == [1, 1]
+
+
+def test_workspace_results_do_not_alias_later_calls(spaces4):
+    # results handed out by a call on a workspace stay put when the next call
+    # on the same workspace reuses its arrays for other data
+    rng = np.random.default_rng(5)
+    first, second = rng.standard_normal((2, 3, spaces4.n_velocity))
+    work = GridWorkspace()
+    pairs = bhat_operator(spaces4, first, work=work).pairings
+    l4 = spaces4.l4_norm(first, work=work)
+    kept = pairs.tobytes(), l4.tobytes()
+    fresh = bhat_operator(spaces4, first).pairings, spaces4.l4_norm(first)
+    assert kept == tuple(a.tobytes() for a in fresh)
+    bhat_operator(spaces4, second[:2], work=work)
+    spaces4.l4_norm(second, work=work)
+    assert (pairs.tobytes(), l4.tobytes()) == kept
+    # and grid values held for ``first`` are not handed out for other rows
+    again = bhat_operator(spaces4, first.copy(), work=work).pairings
+    assert again.tobytes() == kept[0]
+
+
+def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
+    integ, initial = _noisy_forced(4)
+    sp = integ.spaces
+    suite = run_inequality_suite(6, 3, cutoffs=(2, 4))[0]
+    solo = integ.run_paths(initial, range(5), keep_history=True)
+    rng = np.random.default_rng(8)
+    suites = []
+
+    def interleave(m, block):
+        # other operator work on the same spaces between the block's steps
+        other = rng.standard_normal((4, sp.n_velocity))
+        bhat_operator(sp, other, integ.quad_order)
+        sp.l4_norm(other, integ.quad_order)
+        if m % 5 == 0:
+            suites.append(run_inequality_suite(6, 3, cutoffs=(2, 4))[0])
+
+    mixed = integ.run_paths(initial, range(5), keep_history=True, observe=interleave)
+    assert len(suites) == 4 and all(rows == suite for rows in suites)
+    for a, b in zip(solo, mixed):
+        for name in SERIES + ("coeff_history",):
+            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+
+
+def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
+    # rows 0 and 2 blow up at different steps; the rows left run on leading
+    # slices of the block's workspace and must equal their solo runs
+    cfg = SolverConfig(n_modes=4, dt=0.05, horizon=1.0, nu=1e-3, eps=1e-2, seed=5)
+    integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
+    quiet = project_initial(spaces4, "smooth", "low_mode")
+    inits = [
+        project_initial(spaces4, [(1, 1, 1, 30.0), (2, 3, 2, -30.0)], None),
+        quiet,
+        project_initial(spaces4, [(1, 1, 1, 100.0), (2, 3, 2, -100.0)], None),
+        quiet,
+        project_initial(spaces4, None, None),
+    ]
+    rows = integ.run_path(inits, range(5), keep_history=True)
+    assert [(r.path, r.step) for r in rows[0:3:2]] == [(0, 4), (2, 3)]
+    for i in (1, 3, 4):
+        solo = integ.run_path(inits[i], path_index=i, keep_history=True)
+        for name in SERIES + ("coeff_history",):
+            assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
+        for name in ("residual", "martingale_increment", "convection_pairing"):
+            assert _bits(getattr(rows[i].ledger, name)) == _bits(getattr(solo.ledger, name))
