@@ -4,10 +4,10 @@ Subcommands: run, verify, mc-energy, mc-moment, uniqueness, sweep-eps.
 Exit status 0 means all assertions passed, 1 means an assertion failed (the
 CSV/JSON evidence is still written) or a path diverged (reported with its
 path and step on stderr), 2 means a configuration or IO error.
-Outputs are byte-identical across reruns and worker counts for identical
-manifest inputs at a fixed BLAS thread count (``OPENBLAS_NUM_THREADS``): the
-manifest does not record it, and stepping outputs at N >= 8 differ between
-one and two BLAS threads.
+Outputs are byte-identical across reruns, worker counts and BLAS thread
+counts (``OPENBLAS_NUM_THREADS``) for identical manifest inputs: the implicit
+matrix's Cholesky factor, the one product whose rounding followed the thread
+count, is built with scipy's OpenBLAS at one thread.
 """
 
 from __future__ import annotations

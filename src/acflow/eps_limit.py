@@ -1,43 +1,35 @@
-"""Vanishing-compressibility sweep against an incompressible reference.
+"""Vanishing-compressibility sweep against the incompressible reference.
 
-The reference dynamics is the same semi-implicit scheme with the pressure
-eliminated: initial datum, convection term, force and noise contributions are
-passed through the discrete divergence-free projection every step, so the
-reference trajectory carries no divergence at all.
+The incompressible reference is the solution of the same Galerkin system
+with the constraint Div u = 0 in place of the pressure equation, so it lives
+in the kernel of the divergence constraint G D (G the pressure Gram, D the
+divergence coefficient map).  On this sine/trig basis pair D is diagonal with
+entries j pi and k pi, none zero, and G is symmetric positive definite, so
+the kernel is ker(D) = {0}: the only divergence-free velocity field at any
+finite cutoff is zero, and so is the reference trajectory, whatever the
+initial datum, force and noise.  It is returned exactly, without stepping.
 
-The projection is the orthogonal projector onto the kernel of the divergence
-constraint (assembled through the pressure Gram), computed from an SVD with a
-relative rank threshold.  On this sine/trig basis pair the constraint map is
-square and invertible, so the kernel is trivial: the only exactly
-divergence-free velocity field at any finite cutoff is zero, and the
-projector annihilates every field.  The sweep therefore certifies the
-vanishing-epsilon trend directly: the divergence content and the distance to
-the (zero-content) incompressible reference must both shrink as epsilon does,
-and the rescaled pressure sqrt(eps) p must stay bounded by the energy budget.
+The sweep's distance to the reference is therefore |u_eps|^2 itself: at a
+fixed cutoff the criterion certifies u_eps -> 0 as eps -> 0, a locking
+effect of the discrete constraint, rather than convergence to a non-zero
+incompressible flow (Temam, Navier-Stokes Equations, 1977, ch. III, compares
+u_eps with a divergence-free solution; here that solution is 0).  Alongside
+it the divergence content must shrink strictly and the rescaled pressure
+sqrt(eps) p must stay bounded by the energy budget.
 """
 
 from __future__ import annotations
 
 import logging
-import threading
-from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
 from scipy.integrate import trapezoid
 
 from .diagnostics import energy_bound_rhs
-from .forcing import (
-    DeterministicForce,
-    NoiseModel,
-    default_noise,
-    empty_noise,
-    noise_contribution,
-    sample_increment,
-)
+from .forcing import DeterministicForce, NoiseModel, default_noise
 from .integrator import (
-    ENERGY_CAP,
     DivergedPathError,
     EnergyLedger,
     GalerkinIntegrator,
@@ -46,32 +38,22 @@ from .integrator import (
     State,
     project_initial,
 )
-from .spaces import ConfigurationError, SpectralSpaces, VelocityField, h10_norm, l2_norm
+from .spaces import ConfigurationError, SpectralSpaces, VelocityField
 
 logger = logging.getLogger(__name__)
 
-_PROJECTOR_CACHE: dict[tuple[int, float], np.ndarray] = {}
-_PROJECTOR_LOCK = threading.Lock()
 
-
-def leray_projector(spaces: SpectralSpaces, threshold: float = 1e-12) -> np.ndarray:
+def leray_projector(spaces: SpectralSpaces) -> np.ndarray:
     """Orthogonal projector onto the divergence-free subspace.
 
-    The constraint matrix is the divergence coefficient map composed with the
-    pressure Gram; right singular directions with singular value below
-    threshold * sigma_max span the kernel.  Rank deficiency is handled by the
-    threshold; with a full-rank constraint the projector is exactly zero.
+    The constraint G D has the kernel of the diagonal map D, since G is
+    symmetric positive definite: the coordinates where ``div_diagonal`` is
+    zero.  The projector is the diagonal indicator of those coordinates,
+    exact at every cutoff (an SVD rank threshold mistakes the Gram's
+    ill-conditioning for a kernel from N = 10 on); on this basis pair it is
+    the zero matrix.
     """
-    key = (spaces.n_modes, float(threshold))
-    with _PROJECTOR_LOCK:
-        cached = _PROJECTOR_CACHE.get(key)
-        if cached is None:
-            constraint = spaces.gram.matrix * spaces.div_diagonal[None, :]
-            _, s, vt = np.linalg.svd(constraint)
-            null_rows = vt[s <= threshold * s[0]] if s.size else vt
-            cached = null_rows.T @ null_rows
-            _PROJECTOR_CACHE[key] = cached
-    return cached
+    return np.diag((spaces.div_diagonal == 0).astype(float))
 
 
 def leray_project(spaces: SpectralSpaces, u: VelocityField) -> VelocityField:
@@ -92,94 +74,30 @@ def run_incompressible_reference(
 ) -> PathRecord:
     """Reference trajectory of the incompressible system on the same basis.
 
-    Same implicit Stokes treatment and explicit convection as the coupled
-    scheme, with the pressure eliminated: every forcing contribution is
-    projected divergence-free, and the post-solve state is projected again
-    since the Stokes solve need not commute with the projection.
+    The divergence-free subspace is trivial here, so initial datum, force,
+    noise and convection all project to zero and the trajectory is exactly
+    u = 0 at every step, for every path: it is returned as such, a zero
+    ledger included.  A basis with a non-trivial divergence-free subspace
+    would need a projected solver and is refused.
     """
-    proj = leray_projector(spaces)
-    force = force or DeterministicForce(np.zeros(spaces.n_velocity))
-    noise = noise if noise is not None else empty_noise(spaces)
-    proj_force = DeterministicForce(proj @ force.coeffs)
-    proj_noise = NoiseModel(noise.modes @ proj.T) if noise.n_terms else noise
-    if initial is None:
-        initial = project_initial(spaces, None, None)
-
-    integ = GalerkinIntegrator(
-        spaces, config, force=proj_force, noise=proj_noise,
-        include_convection=include_convection,
-    )
-    stokes_diag = 1.0 / (1.0 + config.dt * config.nu * spaces.stiffness)
-
-    n_steps = config.n_steps
-    dt = config.dt
-    u = proj @ initial.u.coeffs
-
-    times = np.zeros(n_steps + 1)
-    l2_u = np.zeros(n_steps + 1)
-    h1_u = np.zeros(n_steps + 1)
-    l4_u = np.zeros(n_steps + 1)
-    l2_div = np.zeros(n_steps + 1)
-    residual = np.zeros(n_steps + 1)
-    history = np.zeros((n_steps + 1, spaces.n_velocity)) if keep_history else None
-    ledger_rows = []
-
-    quad = integ.quad_order
-
-    def record(m, uc, res):
-        f = VelocityField(uc, spaces.n_modes)
-        times[m] = m * dt
-        l2_u[m] = l2_norm(f)
-        h1_u[m] = h10_norm(f)
-        l4_u[m] = spaces.l4_norm(f, quad)
-        l2_div[m] = spaces.divergence_l2(f)
-        residual[m] = res
-        if history is not None:
-            history[m] = uc
-
-    record(0, u, 0.0)
-    for m in range(1, n_steps + 1):
-        inc = sample_increment(proj_noise, dt, (config.seed, path_index, m - 1))
-        xi = noise_contribution(proj_noise, inc)
-        u_field = VelocityField(u, spaces.n_modes)
-        bhat = integ._convection_dual(u_field)
-        rhs = u + proj @ (-dt * bhat + dt * proj_force.coeffs + xi)
-        u_new = proj @ (stokes_diag * rhs)
-
-        new_field = VelocityField(u_new, spaces.n_modes)
-        energy_new = l2_norm(new_field) ** 2
-        dissipation = 2.0 * config.nu * h10_norm(new_field) ** 2 * dt
-        work = 2.0 * float(np.dot(proj_force.coeffs, u_new)) * dt
-        ito = proj_noise.trace * dt
-        martingale = 2.0 * float(np.dot(xi, u))
-        res = (
-            (energy_new - float(np.dot(u, u)))
-            + dissipation - work - ito - martingale
+    if config.n_modes != spaces.n_modes:
+        raise ConfigurationError("config cutoff does not match the space")
+    if leray_projector(spaces).any():
+        raise ConfigurationError(
+            f"the divergence-free subspace at cutoff {spaces.n_modes} is not "
+            "trivial; the incompressible reference has no solver for it"
         )
-        change = energy_new - float(np.dot(u, u))
-        ledger_rows.append((m * dt, energy_new, change, dissipation, work, ito, martingale, res, 0))
-        u = u_new
-        record(m, u, res)
-        if l2_u[m] ** 2 > ENERGY_CAP or not np.isfinite(l2_u[m]):
-            raise DivergedPathError(m, l2_u[m] ** 2, path_index)
-
-    final = State(
-        u=VelocityField(u, spaces.n_modes), p=spaces.zero_pressure(), t=times[-1]
-    )
+    n_steps = config.n_steps
+    times = np.arange(n_steps + 1) * config.dt
+    terms = (np.zeros(n_steps) for _ in fields(EnergyLedger)[1:])
     return PathRecord(
         times=times,
-        l2_u=l2_u,
-        h1_u=h1_u,
-        l4_u=l4_u,
-        l2_p=np.zeros(n_steps + 1),
-        l2_div_u=l2_div,
-        energy=l2_u**2,
-        residual=residual,
-        ledger=EnergyLedger(*np.array(ledger_rows).T),
-        final_state=final,
+        **{name: np.zeros(n_steps + 1) for name in PathRecord.SERIES},
+        ledger=EnergyLedger(times[1:], *terms),
+        final_state=State(spaces.zero_velocity(), spaces.zero_pressure(), times[-1]),
         seed=config.seed,
         path_index=path_index,
-        coeff_history=history,
+        coeff_history=np.zeros((n_steps + 1, spaces.n_velocity)) if keep_history else None,
     )
 
 
@@ -260,8 +178,14 @@ def epsilon_sweep(
     workers: int = 1,
     observe=None,
 ) -> ConvergenceReport:
-    """Run the perturbed family over decreasing eps against the shared-noise
-    incompressible reference and collect the convergence statistics.
+    """Run the perturbed family over decreasing eps against the incompressible
+    reference and collect the convergence statistics.
+
+    The reference is computed once for the sweep; it is the zero trajectory
+    (see the module docstring), so the gap statistic sup_t E|u_eps - u_0|^2
+    is sup_t E|u_eps|^2, summed over the coefficient history row by row, and
+    its decrease shows u_eps -> 0, a locking effect of the discrete
+    constraint, not convergence to a non-zero incompressible flow.
     ``observe(eps, m, block)`` sees path 0's block after each step m."""
     noise = default_noise(spaces, trace=plan.noise_trace)
     force = DeterministicForce(
@@ -269,23 +193,11 @@ def epsilon_sweep(
     )
     initial = project_initial(spaces, plan.initial_u, plan.initial_p)
     base = replace(plan.base, n_modes=spaces.n_modes)
-
-    ref_cfg = replace(base, eps=plan.eps_values[0])
-    ref_records: dict[int, PathRecord] = {}
-
-    def run_reference(i: int):
-        return i, run_incompressible_reference(
-            spaces, ref_cfg, force, noise, initial, path_index=i, keep_history=True
-        )
-
+    reference = run_incompressible_reference(
+        spaces, replace(base, eps=plan.eps_values[0]), force, noise, initial,
+        keep_history=True,
+    ).coeff_history
     indices = range(plan.n_paths)
-    if workers <= 1:
-        results = [run_reference(i) for i in indices]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as ex:
-            results = list(ex.map(run_reference, indices))
-    for i, rec in results:
-        ref_records[i] = rec
 
     rows: list[SweepRow] = []
     pressure_bound = None
@@ -301,7 +213,7 @@ def epsilon_sweep(
                 logger.warning("path %d diverged at step %d for eps=%g; excluded", i, rec.step, eps)
                 continue
             div2.append(rec.l2_div_u**2)
-            gap = rec.coeff_history - ref_records[i].coeff_history
+            gap = rec.coeff_history - reference
             diff2.append(np.sum(gap * gap, axis=1))
             press.append(trapezoid(eps * rec.l2_p**2, rec.times))
         if not div2:

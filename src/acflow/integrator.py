@@ -18,6 +18,10 @@ remaining discretisation error.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import glob
+import os
 import struct
 import threading
 from concurrent.futures import ThreadPoolExecutor
@@ -185,6 +189,41 @@ _RUN_ARRAYS = tuple(dict.fromkeys(PathRecord.SERIES + _LEDGER_TERMS))
 
 _FACTOR_CACHE: dict[tuple, tuple] = {}
 _FACTOR_LOCK = threading.Lock()
+@functools.cache
+def _scipy_openblas():
+    """The OpenBLAS bundled with scipy's wheels (``scipy.libs``), or None
+    when scipy links another BLAS; looked up on the first factorisation."""
+    import scipy
+
+    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+        try:
+            lib = ctypes.CDLL(path)
+        except OSError:
+            continue
+        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads") for op in ("get", "set")):
+            lib.scipy_openblas_get_num_threads.argtypes = []
+            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads.restype = None
+            return lib
+    return None
+
+
+def _one_thread_cho_factor(m: np.ndarray):
+    """cho_factor with scipy's OpenBLAS held at one thread: its blocked
+    factorisation rounds differently at two threads, and every step's solve
+    reads the factor, so output bytes would otherwise follow the thread
+    count.  The previous count is restored afterwards."""
+    lib = _scipy_openblas()
+    if lib is None:
+        return cho_factor(m)
+    threads = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        return cho_factor(m)
+    finally:
+        lib.scipy_openblas_set_num_threads(threads)
 
 
 def _implicit_factor(spaces: SpectralSpaces, nu: float, eps: float, dt: float):
@@ -198,7 +237,7 @@ def _implicit_factor(spaces: SpectralSpaces, nu: float, eps: float, dt: float):
                 + (dt * dt / eps) * spaces.grad_div
             )
             try:
-                cached = cho_factor(m)
+                cached = _one_thread_cho_factor(m)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise ConfigurationError(
                     "implicit system matrix is not positive definite; "

@@ -1,7 +1,12 @@
+import hashlib
 import json
+import os
+import subprocess
+import sys
 
 import pytest
 
+import acflow
 from acflow.cli import main
 from acflow.config import (
     DEFAULTS,
@@ -114,6 +119,26 @@ def test_mc_energy_worker_count_does_not_change_bytes(tmp_path):
     assert main(args + ["--out", str(out2), "--workers", "4"]) == 0
     assert _read(out1 / "mc_energy.csv") == _read(out2 / "mc_energy.csv")
     assert _read(out1 / "mc_energy.json") == _read(out2 / "mc_energy.json")
+
+
+def test_blas_thread_count_does_not_change_bytes(tmp_path):
+    # the implicit factor is built with scipy's OpenBLAS at one thread, so a
+    # stepping command writes the same bytes at any OPENBLAS_NUM_THREADS
+    src = os.path.dirname(os.path.dirname(acflow.__file__))
+    digests = {}
+    for threads in ("1", "2"):
+        out = tmp_path / f"t{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+        subprocess.run(
+            [sys.executable, "-m", "acflow.cli", "mc-energy", "--quiet", "--paths", "4",
+             "--set", "solver.horizon=0.1", "--out", str(out)],
+            env=env, check=False, timeout=300,
+        )
+        digests[threads] = {
+            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+        }
+    assert "mc_energy.csv" in digests["1"]
+    assert digests["1"] == digests["2"]
 
 
 def test_verify_subcommand(tmp_path):

@@ -1,7 +1,10 @@
+import copy
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from acflow import l2_norm
+from acflow import build_spaces, l2_norm
 from acflow.eps_limit import (
     EpsSweepPlan,
     epsilon_sweep,
@@ -9,8 +12,8 @@ from acflow.eps_limit import (
     leray_projector,
     run_incompressible_reference,
 )
-from acflow.forcing import default_noise
-from acflow.integrator import SolverConfig, project_initial
+from acflow.forcing import DeterministicForce, default_noise
+from acflow.integrator import GalerkinIntegrator, SolverConfig, project_initial
 from acflow.operators import sample_field
 from acflow.spaces import ConfigurationError
 
@@ -155,3 +158,63 @@ def test_sweep_noise_coupling_uses_shared_increments(spaces4):
     ]
     sup = max(np.mean([r.l2_u**2 for r in recs], axis=0).max() for _ in (0,))
     assert rep.rows[0].diff_sup == pytest.approx(sup, rel=1e-12)
+
+
+@pytest.mark.parametrize("n", range(2, 13))
+def test_projector_is_exactly_zero_at_every_cutoff(n):
+    # the constraint's smallest singular value falls below 1e-12 of its
+    # largest from N = 10 on (the Gram's conditioning, not a kernel): the
+    # projector must still be the exact zero matrix
+    p = leray_projector(build_spaces(n))
+    assert p.shape == (2 * n * n, 2 * n * n)
+    assert not p.any()
+
+
+def test_reference_is_the_zero_trajectory(spaces4):
+    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=5)
+    noise = default_noise(spaces4, n_terms=4)
+    force = DeterministicForce(spaces4.velocity_from_modes([(1, 1, 1, 0.4)]).coeffs)
+    initial = project_initial(spaces4, "smooth", "low_mode")
+    rec = run_incompressible_reference(
+        spaces4, cfg, force, noise, initial, path_index=3, keep_history=True
+    )
+    assert rec.coeff_history.shape == (cfg.n_steps + 1, spaces4.n_velocity)
+    assert not rec.coeff_history.any()
+    assert not rec.final_state.u.coeffs.any() and not rec.final_state.p.coeffs.any()
+    for name in rec.SERIES:
+        assert not getattr(rec, name).any()
+    assert np.array_equal(rec.times, np.arange(cfg.n_steps + 1) * cfg.dt)
+    assert np.array_equal(rec.ledger.t, rec.times[1:])
+    assert not rec.ledger.residual.any() and not rec.ledger.ito_increment.any()
+    assert rec.path_index == 3 and rec.seed == 5
+
+
+def test_reference_refuses_a_nontrivial_kernel(spaces4):
+    # a zero divergence coefficient leaves a divergence-free mode, which
+    # would need a projected solver
+    sp = copy.copy(spaces4)
+    sp.div_diagonal = spaces4.div_diagonal.copy()
+    sp.div_diagonal[0] = 0.0
+    assert leray_projector(sp)[0, 0] == 1.0
+    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01)
+    with pytest.raises(ConfigurationError, match="not trivial"):
+        run_incompressible_reference(sp, cfg)
+
+
+def test_sweep_gap_is_the_coupled_energy_at_n10():
+    # at N = 10 the gap to the exact zero reference is the row sum of the
+    # squared coupled coefficients, bit for bit
+    spaces = build_spaces(10)
+    plan = EpsSweepPlan(
+        eps_values=(1e-1, 1e-3),
+        base=SolverConfig(n_modes=10, dt=1e-3, horizon=0.01, seed=21),
+        n_paths=4,
+    )
+    rep = epsilon_sweep(spaces, plan)
+    force = DeterministicForce(spaces.velocity_from_modes(plan.force_modes).coeffs)
+    noise = default_noise(spaces, trace=plan.noise_trace)
+    for row in rep.rows:
+        integ = GalerkinIntegrator(spaces, replace(plan.base, eps=row.eps), force, noise)
+        recs = integ.run_paths(project_initial(spaces, None, None), range(4), keep_history=True)
+        gaps = np.mean([np.sum(r.coeff_history * r.coeff_history, axis=1) for r in recs], axis=0)
+        assert row.diff_sup == gaps.max()

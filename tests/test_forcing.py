@@ -53,13 +53,17 @@ def test_increment_rejects_bad_dt(spaces3):
         sample_increment(g, 0.0, (0, 0, 0))
 
 
+def _block_draw(g, dt, seed, n):
+    # step 0 of paths 0..n-1 as one block: the rows equal n single draws
+    paths = range(n)
+    return sample_increment(g, dt, (seed, paths, 0), keys=philox_keys(seed, paths, [0])[0])
+
+
 def test_increment_variance_matches_dt(spaces3):
     g = default_noise(spaces3, trace=0.01, n_terms=4)
     dt = 2e-3
     n = 100_000
-    draws = np.empty((n, g.n_terms))
-    for path in range(n):
-        draws[path] = sample_increment(g, dt, (1234, path, 0)).dw
+    draws = _block_draw(g, dt, 1234, n).dw
     var = draws.var(axis=0, ddof=1)
     se = dt * np.sqrt(2.0 / (n - 1))
     assert np.all(np.abs(var - dt) <= 3.0 * se)
@@ -103,13 +107,9 @@ def test_contribution_moments(spaces3):
     g = default_noise(spaces3, trace=0.01, n_terms=4)
     dt = 1e-2
     n = 100_000
-    sq = np.empty(n)
-    mean = np.zeros(spaces3.n_velocity)
-    for path in range(n):
-        contrib = noise_contribution(g, sample_increment(g, dt, (777, path, 0)))
-        sq[path] = float(np.dot(contrib, contrib))
-        mean += contrib
-    mean /= n
+    contrib = noise_contribution(g, _block_draw(g, dt, 777, n))
+    sq = np.einsum("ij,ij->i", contrib, contrib)
+    mean = contrib.sum(axis=0) / n
     expected = g.trace * dt
     se = sq.std(ddof=1) / np.sqrt(n)
     assert abs(sq.mean() - expected) <= 3.0 * se

@@ -255,3 +255,20 @@ def test_factorization_cache_shared(spaces4):
     assert a._factor is b._factor
     c = GalerkinIntegrator(spaces4, replace(cfg, eps=0.05))
     assert c._factor is not a._factor
+
+
+def test_implicit_factor_restores_the_blas_thread_count(spaces4):
+    # the factor is built at one scipy OpenBLAS thread; the caller's count
+    # comes back afterwards
+    from acflow import integrator
+
+    lib = integrator._scipy_openblas()
+    if lib is None:
+        pytest.skip("scipy does not bundle its own OpenBLAS here")
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(2)
+    try:
+        integrator._implicit_factor(spaces4, 0.37, 0.01, 1e-3)  # a key no other test uses
+        assert lib.scipy_openblas_get_num_threads() == 2
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
