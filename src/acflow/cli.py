@@ -6,8 +6,8 @@ CSV/JSON evidence is still written) or a path diverged (reported with its
 path and step on stderr), 2 means a configuration or IO error.
 Outputs are byte-identical across reruns, worker counts and BLAS thread
 counts (``OPENBLAS_NUM_THREADS``) for identical manifest inputs: the implicit
-matrix's Cholesky factor, the one product whose rounding followed the thread
-count, is built with scipy's OpenBLAS at one thread.
+matrix's inverse, the one product whose rounding followed the thread count,
+is built with scipy's OpenBLAS at one thread.
 """
 
 from __future__ import annotations

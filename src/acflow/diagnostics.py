@@ -271,7 +271,7 @@ def pathwise_uniqueness_check(
         if len(block.rows) == 2:
             du = block.u[0] - block.u[1]
             dp = block.p[0] - block.p[1]
-            pr2 = max(float(dp @ (spaces.gram.matrix @ dp)), 0.0)
+            pr2 = max(float(dp @ spaces.gram_product(dp)), 0.0)
             diff[m] = float(np.dot(du, du)) + config.eps * pr2
 
     pair = integ.run_path([init_a, init_b], [path_index] * 2, observe=diff_energy)

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import threading
 from dataclasses import dataclass, field
-from functools import lru_cache
 from itertools import permutations
 from operator import index
 
@@ -117,7 +116,7 @@ def sample_increment(
         raise ValueError("seed, path and step must be nonnegative")
     rows = np.zeros((len(paths), noise.n_terms))
     if noise.n_terms and keys is None:
-        keys = [_philox_key(seed, p, step) for p in paths]
+        keys = philox_keys(seed, paths, [step])[0]
     for row, key in zip(rows, keys if noise.n_terms else ()):
         key = np.asarray(key, dtype=np.uint64)
         _STREAM.bits.state = {**_FRESH_PHILOX, "state": {"counter": _ZERO4, "key": key}}
@@ -136,9 +135,10 @@ class _Stream(threading.local):
 
 # Philox keys as numpy's SeedSequence derives them: hashmix and mix the seed
 # words (padded to four), then the spawn key (path, step), into a pool of four
-# 32-bit words; the part fixed by (seed, path) is kept per path.  The same
-# functions run on Python ints or, for a table of keys, on uint64 arrays of
-# 32-bit words (products of two words fit, differences wrap mod 2^64).
+# 32-bit words.  The seed's part of the pool is hashed once, on Python ints;
+# the path and step words are mixed in on uint64 arrays of 32-bit words, a
+# key per entry (products of two words fit, differences wrap mod 2^64).  The
+# hash constants depend only on how many words were mixed, never on them.
 _STREAM = _Stream()
 _MASK32 = 0xFFFFFFFF
 _ZERO4 = np.zeros(4, dtype=np.uint64)
@@ -162,29 +162,28 @@ def _mix(pool: list[int], dst: int, word: int, const: int) -> int:
     return const
 
 
-@lru_cache(maxsize=4096)
-def _path_pool(seed: int, path: int) -> tuple[tuple[int, ...], int]:
+def _mixed(pool, const, words) -> tuple[tuple, int]:
+    """The pool after mixing in each word, and the hash constant after it."""
+    pool = list(pool)
+    for word in words:
+        for dst in range(4):
+            const = _mix(pool, dst, word, const)
+    return tuple(pool), const
+
+
+def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
     words, pool, const = _words(seed), [], 0x43B0D7E5
     for word in (words + [0, 0, 0])[:4]:
         hashed, const = _hashmix(word, const)
         pool.append(hashed)
     for src, dst in permutations(range(4), 2):
         const = _mix(pool, dst, pool[src], const)
-    for word in words[4:] + _words(path):
-        for dst in range(4):
-            const = _mix(pool, dst, word, const)
-    return tuple(pool), const
-
-
-def _philox_key(seed: int, path: int, step: int) -> list[int]:
-    return _spawned_key(*_path_pool(seed, path), _words(step))
+    return _mixed(pool, const, words[4:])
 
 
 def _spawned_key(pool, const, step_words) -> list:
-    pool = list(pool)
-    for word in step_words:
-        for dst in range(4):
-            const = _mix(pool, dst, word, const)
+    """The Philox key, as its (low, high) words, after the step words."""
+    pool, const = _mixed(pool, const, step_words)
     state, const = [], 0x8B51F9DD
     for word in pool:
         hashed, const = _hashmix(word, const, 0x58F38DED)
@@ -192,22 +191,32 @@ def _spawned_key(pool, const, step_words) -> list:
     return [state[0] | state[1] << 32, state[2] | state[3] << 32]
 
 
-def philox_keys(seed: int, paths, steps) -> np.ndarray:
-    """Philox keys of ``SeedSequence(seed, spawn_key=(path, step))`` for every
-    step and path, shape (len(steps), len(paths), 2), in uint64 arithmetic:
-    the table form of the key each :func:`sample_increment` row derives."""
-    seed, paths = index(seed), [index(p) for p in paths]
-    steps = np.asarray(steps, dtype=np.uint64).reshape(-1, 1)
-    pools = [_path_pool(seed, p) for p in paths]
-    pool = [np.array([pl[i] for pl, _ in pools], dtype=np.uint64) for i in range(4)]
-    const = np.array([c for _, c in pools], dtype=np.uint64)
-    keys = np.empty((len(steps), len(paths), 2), dtype=np.uint64)
-    two_words = (steps > _MASK32)[:, 0]
+def _word_groups(values: np.ndarray):
+    """(rows, words) for the uint64 values of each word count: one 32-bit
+    word below 2^32, two from there on, low word first."""
+    two_words = values > _MASK32
     for n_words, rows in ((1, ~two_words), (2, two_words)):
         if rows.any():
             shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)
-            words = [steps[rows] >> s & np.uint64(_MASK32) for s in shifts]
-            keys[rows] = np.stack(_spawned_key(pool, const, words), axis=-1)
+            yield rows, [values[rows] >> s & np.uint64(_MASK32) for s in shifts]
+
+
+def philox_keys(seed: int, paths, steps) -> np.ndarray:
+    """Philox keys of ``SeedSequence(seed, spawn_key=(path, step))`` for every
+    step and path, shape (len(steps), len(paths), 2), in uint64 arithmetic;
+    :func:`sample_increment` takes its rows' keys from here."""
+    seed_pool, seed_const = _seed_pool(index(seed))
+    paths = np.array([index(p) for p in paths], dtype=np.uint64)
+    pool = np.empty((4, len(paths)), dtype=np.uint64)
+    const = np.empty(len(paths), dtype=np.uint64)
+    for rows, words in _word_groups(paths):
+        start = [np.full(np.count_nonzero(rows), word, dtype=np.uint64) for word in seed_pool]
+        pool[:, rows], const[rows] = _mixed(start, seed_const, words)
+    steps = np.asarray(steps, dtype=np.uint64).reshape(-1)
+    keys = np.empty((len(steps), len(paths), 2), dtype=np.uint64)
+    for rows, words in _word_groups(steps):
+        words = [w[:, None] for w in words]
+        keys[rows] = np.stack(_spawned_key(list(pool), const, words), axis=-1)
     return keys
 
 

@@ -187,8 +187,10 @@ _LEDGER_TERMS = tuple(f.name for f in fields(EnergyLedger))[1:]
 _RUN_ARRAYS = tuple(dict.fromkeys(PathRecord.SERIES + _LEDGER_TERMS))
 
 
-_FACTOR_CACHE: dict[tuple, tuple] = {}
-_FACTOR_LOCK = threading.Lock()
+_INVERSE_CACHE: dict[tuple, np.ndarray] = {}
+_INVERSE_LOCK = threading.Lock()
+
+
 @functools.cache
 def _scipy_openblas():
     """The OpenBLAS bundled with scipy's wheels (``scipy.libs``), or None
@@ -210,26 +212,29 @@ def _scipy_openblas():
     return None
 
 
-def _one_thread_cho_factor(m: np.ndarray):
-    """cho_factor with scipy's OpenBLAS held at one thread: its blocked
-    factorisation rounds differently at two threads, and every step's solve
-    reads the factor, so output bytes would otherwise follow the thread
-    count.  The previous count is restored afterwards."""
+def _one_thread_inverse(m: np.ndarray) -> np.ndarray:
+    """M^-1 as cho_solve(cho_factor(M), I), with scipy's OpenBLAS held at one
+    thread: its blocked factorisation rounds differently at two threads, and
+    every step reads the inverse, so output bytes would otherwise follow the
+    thread count.  The previous count is restored afterwards."""
     lib = _scipy_openblas()
     if lib is None:
-        return cho_factor(m)
+        return cho_solve(cho_factor(m), np.eye(len(m)))
     threads = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(1)
     try:
-        return cho_factor(m)
+        return cho_solve(cho_factor(m), np.eye(len(m)))
     finally:
         lib.scipy_openblas_set_num_threads(threads)
 
 
-def _implicit_factor(spaces: SpectralSpaces, nu: float, eps: float, dt: float):
+def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
+    """Cached inverse of the implicit matrix M = I + dt nu A + (dt^2/eps) D G D.
+    M is SPD and well conditioned (cond(M) about 1.1 to 24 over the shipped
+    cutoffs and eps), so a step's solve is one product with M^-1."""
     key = (spaces.n_modes, float(nu), float(eps), float(dt))
-    with _FACTOR_LOCK:
-        cached = _FACTOR_CACHE.get(key)
+    with _INVERSE_LOCK:
+        cached = _INVERSE_CACHE.get(key)
         if cached is None:
             m = (
                 np.eye(spaces.n_velocity)
@@ -237,13 +242,13 @@ def _implicit_factor(spaces: SpectralSpaces, nu: float, eps: float, dt: float):
                 + (dt * dt / eps) * spaces.grad_div
             )
             try:
-                cached = _one_thread_cho_factor(m)
+                cached = _one_thread_inverse(m)
             except np.linalg.LinAlgError as exc:  # pragma: no cover
                 raise ConfigurationError(
                     "implicit system matrix is not positive definite; "
                     "configuration is corrupt"
                 ) from exc
-            _FACTOR_CACHE[key] = cached
+            _INVERSE_CACHE[key] = cached
     return cached
 
 
@@ -325,7 +330,7 @@ class GalerkinIntegrator:
         self.noise = noise if noise is not None else empty_noise(spaces)
         self.include_convection = include_convection
         self.quad_order = config.quad_order or spaces.default_quad_order
-        self._factor = _implicit_factor(spaces, config.nu, config.eps, config.dt)
+        self._inverse = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
 
     # -- one step of a block of paths -------------------------------------------
 
@@ -363,7 +368,7 @@ class GalerkinIntegrator:
         grad_dual_m = -sp.div_diagonal * state.gram_p  # sp.gradient_dual(p_m), from G p
 
         rhs = u_m - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
-        u_p = cho_solve(self._factor, rhs.T, check_finite=False).T
+        u_p = np.matmul(self._inverse, rhs[..., None])[..., 0]  # a gemv per row
         p_p = p_m - (dt / cfg.eps) * (sp.div_diagonal * u_p)
         new = self._block(u_p, p_p, state.t + dt, state.rows)
 

@@ -12,7 +12,8 @@ trigonometric families
 
 which together contain the divergence of every velocity field exactly.  The
 two pressure families are not mutually orthogonal, so pressure inner products
-go through an explicit Gram matrix carried by :class:`SpectralSpaces`.
+go through their Gram matrix, which :class:`SpectralSpaces` applies in
+Kronecker form (:meth:`SpectralSpaces.gram_product`).
 """
 
 from __future__ import annotations
@@ -77,10 +78,10 @@ class PressureField:
 
 @dataclass(frozen=True)
 class PressureGram:
-    """Gram matrix of the pressure basis with its Cholesky factor."""
+    """Dense Gram matrix of the pressure basis; per-step products go through
+    :meth:`SpectralSpaces.gram_product` instead."""
 
     matrix: np.ndarray
-    cholesky_factor: np.ndarray
 
 
 def velocity_indices(n_modes: int) -> list[VelocityIndex]:
@@ -237,17 +238,12 @@ class SpectralSpaces:
             [(np.pi * jj).ravel(), (np.pi * kk).ravel()]
         )
 
+        # Off-diagonal Gram blocks kron(2C, 2C^T) and its transpose, as the
+        # factor pair L = (2C, 2C^T) of gram_product
+        c = 2.0 * _cos_sin_integrals(self.n_modes)
+        self._gram_factors = np.stack([c, c.T])
         gram = self._assemble_gram()
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError as exc:
-            raise ConfigurationError(
-                f"pressure Gram is numerically indefinite at cutoff "
-                f"{self.n_modes} (smallest eigenvalue "
-                f"{np.linalg.eigvalsh(gram)[0]:.1e}); the two pressure families "
-                f"lose linear independence in double precision"
-            ) from exc
-        self.gram = PressureGram(matrix=gram, cholesky_factor=chol)
+        self.gram = PressureGram(matrix=gram)
 
         # grad-div coupling K = D^T G D, symmetric positive definite
         self.grad_div = (
@@ -261,9 +257,8 @@ class SpectralSpaces:
 
     def _assemble_gram(self) -> np.ndarray:
         n = self.n_modes
-        c = _cos_sin_integrals(n)
         # <psi_cs(j,k), psi_sc(j',k')> = 4 * C[j,j'] * C[k',k]
-        cross = np.kron(2.0 * c, 2.0 * c.T)
+        cross = np.kron(*self._gram_factors)
         gram = np.eye(2 * n * n)
         gram[: n * n, n * n :] = cross
         gram[n * n :, : n * n] = cross.T
@@ -333,12 +328,20 @@ class SpectralSpaces:
 
     # -- norms and pairings ------------------------------------------------------
 
+    def gram_product(self, p, out: np.ndarray | None = None) -> np.ndarray:
+        """G p for a coefficient vector or rows of them, into ``out`` when
+        given.  With P the (..., 2, N, N) coefficient blocks and L the factor
+        pair (2C, 2C^T), G p = p + L swap(P) L: two stacked N x N matmuls, a
+        BLAS call per matrix, so O(N^3) per row against the dense O(N^4)."""
+        c = _coeffs(p)
+        blocks = self._coeff_blocks(c)[..., ::-1, :, :]
+        cross = np.matmul(np.matmul(self._gram_factors, blocks), self._gram_factors)
+        return np.add(c, cross.reshape(c.shape), out=out)
+
     def pressure_l2(self, p, gram_out: np.ndarray | None = None) -> float | np.ndarray:
         """L2 norm through the Gram; G p goes to ``gram_out`` when given."""
         c = _coeffs(p)
-        q = np.matmul(
-            self.gram.matrix, c[..., None], out=None if gram_out is None else gram_out[..., None]
-        )[..., 0]
+        q = self.gram_product(c, out=gram_out)
         return _per_row(np.sqrt(np.maximum(_rowdot(c, q), 0.0)))
 
     def l4_norm(
@@ -384,11 +387,13 @@ class SpectralSpaces:
         Computed through the duality <grad p, w> = -<p, Div w>; the pressure
         field itself is never differentiated.
         """
-        return -self.div_diagonal * (self.gram.matrix @ _coeffs(p)[..., None])[..., 0]
+        return -self.div_diagonal * self.gram_product(p)
 
     # -- synthesis ----------------------------------------------------------------
 
     def _coeff_blocks(self, u) -> np.ndarray:
+        """Coefficients as (..., 2, N, N) blocks: velocity components, or the
+        cs and sc pressure families."""
         n = self.n_modes
         c = _coeffs(u)
         return c.reshape(c.shape[:-1] + (2, n, n))

@@ -122,23 +122,28 @@ def test_mc_energy_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
-    # the implicit factor is built with scipy's OpenBLAS at one thread, so a
-    # stepping command writes the same bytes at any OPENBLAS_NUM_THREADS
+    # the implicit inverse is built with scipy's OpenBLAS at one thread, so a
+    # stepping command writes the same bytes at any OPENBLAS_NUM_THREADS; the
+    # N=12 run is the large-n shape, a 288 x 288 inverse and its gemv per step
     src = os.path.dirname(os.path.dirname(acflow.__file__))
-    digests = {}
-    for threads in ("1", "2"):
-        out = tmp_path / f"t{threads}"
-        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
-        subprocess.run(
-            [sys.executable, "-m", "acflow.cli", "mc-energy", "--quiet", "--paths", "4",
-             "--set", "solver.horizon=0.1", "--out", str(out)],
-            env=env, check=False, timeout=300,
-        )
-        digests[threads] = {
-            f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
-        }
-    assert "mc_energy.csv" in digests["1"]
-    assert digests["1"] == digests["2"]
+    commands = {
+        "mc_energy.csv": ("mc-energy", "--paths", "4", "--set", "solver.horizon=0.1"),
+        "run.csv": ("run", "--set", "solver.n_modes=12", "--set", "solver.horizon=0.05"),
+    }
+    for output, argv in commands.items():
+        digests = {}
+        for threads in ("1", "2"):
+            out = tmp_path / f"{argv[0]}-t{threads}"
+            env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=src)
+            subprocess.run(
+                [sys.executable, "-m", "acflow.cli", *argv, "--quiet", "--out", str(out)],
+                env=env, check=False, timeout=300,
+            )
+            digests[threads] = {
+                f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in out.iterdir()
+            }
+        assert output in digests["1"]
+        assert digests["1"] == digests["2"], argv[0]
 
 
 def test_verify_subcommand(tmp_path):

@@ -3,7 +3,8 @@ import pytest
 from scipy.linalg import expm
 
 from acflow import build_spaces
-from acflow.forcing import default_noise
+from acflow import integrator
+from acflow.forcing import DeterministicForce, default_noise, noise_contribution, sample_increment
 from acflow.integrator import (
     DivergedPathError,
     GalerkinIntegrator,
@@ -14,6 +15,7 @@ from acflow.integrator import (
     read_snapshot,
     write_snapshot,
 )
+from acflow.operators import bhat_operator
 from acflow.spaces import ConfigurationError, VelocityField
 from dataclasses import replace
 
@@ -252,23 +254,62 @@ def test_factorization_cache_shared(spaces4):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01)
     a = GalerkinIntegrator(spaces4, cfg)
     b = GalerkinIntegrator(spaces4, cfg)
-    assert a._factor is b._factor
+    assert a._inverse is b._inverse
     c = GalerkinIntegrator(spaces4, replace(cfg, eps=0.05))
-    assert c._factor is not a._factor
+    assert c._inverse is not a._inverse
 
 
 def test_implicit_factor_restores_the_blas_thread_count(spaces4):
-    # the factor is built at one scipy OpenBLAS thread; the caller's count
-    # comes back afterwards
-    from acflow import integrator
-
+    # the implicit inverse is built at one scipy OpenBLAS thread; the
+    # caller's count comes back afterwards
     lib = integrator._scipy_openblas()
     if lib is None:
         pytest.skip("scipy does not bundle its own OpenBLAS here")
     before = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(2)
     try:
-        integrator._implicit_factor(spaces4, 0.37, 0.01, 1e-3)  # a key no other test uses
+        integrator._implicit_inverse(spaces4, 0.37, 0.01, 1e-3)  # a key no other test uses
         assert lib.scipy_openblas_get_num_threads() == 2
     finally:
         lib.scipy_openblas_set_num_threads(before)
+
+
+@pytest.mark.parametrize("n_modes", [8, 12])
+@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
+def test_implicit_inverse_solves_the_implicit_system(n_modes, eps):
+    # the shipped eps values; cond(M) stays below 25 here, so the product
+    # with the precomputed inverse solves M x = r to round-off
+    sp = build_spaces(n_modes)
+    dt, nu = 1e-3, 0.1
+    m = np.eye(sp.n_velocity) + dt * nu * np.diag(sp.stiffness) + (dt * dt / eps) * sp.grad_div
+    r = np.random.default_rng(n_modes).standard_normal((6, sp.n_velocity))
+    x = np.matmul(integrator._implicit_inverse(sp, nu, eps, dt), r[..., None])[..., 0]
+    assert np.abs(x @ m.T - r).max() <= 1e-13 * np.abs(r).max()
+
+
+def test_cutoff_16_path_closes_its_discrete_energy_identity():
+    # past the old N=13 ceiling: the trajectory stays finite, and each step's
+    # ledger residual equals the scheme's exact energy identity
+    #   -|du|^2 - eps |dp|_G^2 - 2 dt (B(u_m), u_m+1) + 2 (xi, du) - Tr dt
+    # up to round-off
+    sp = build_spaces(16)
+    cfg = SolverConfig(n_modes=16, dt=1e-3, horizon=0.02, eps=1e-2, seed=3)
+    noise = default_noise(sp, trace=0.05)
+    force = DeterministicForce(sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
+    integ = GalerkinIntegrator(sp, cfg, force=force, noise=noise)
+    states = []
+    rec = integ.run_path(
+        project_initial(sp, "smooth", "low_mode"), 0,
+        observe=lambda m, block: states.append((block.u[0].copy(), block.p[0].copy())),
+    )
+    assert len(states) == cfg.n_steps + 1
+    assert all(np.isfinite(getattr(rec, name)).all() for name in rec.SERIES)
+    for m, ((u0, p0), (u1, p1)) in enumerate(zip(states, states[1:])):
+        bhat = bhat_operator(sp, u0[None], integ.quad_order).pairings[0]
+        xi = noise_contribution(noise, sample_increment(noise, cfg.dt, (cfg.seed, 0, m)))
+        du, dp = u1 - u0, p1 - p0
+        identity = (
+            -(du @ du) - cfg.eps * (dp @ sp.gram_product(dp)) - 2 * cfg.dt * (bhat @ u1)
+            + 2 * (xi @ du) - noise.trace * cfg.dt
+        )
+        assert abs(rec.ledger.residual[m] - identity) <= 1e-13 * rec.energy.max()
