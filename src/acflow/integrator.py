@@ -212,18 +212,26 @@ def _scipy_openblas():
     return None
 
 
+def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
+    """cho_solve(cho_factor(M), I) with M in Fortran order: the factor
+    overwrites M and the solve overwrites a Fortran-order identity, so two
+    matrices of M's size are held at once, not four."""
+    factor = cho_factor(m, overwrite_a=True, check_finite=False)
+    return cho_solve(factor, np.eye(len(m), order="F"), overwrite_b=True, check_finite=False)
+
+
 def _one_thread_inverse(m: np.ndarray) -> np.ndarray:
-    """M^-1 as cho_solve(cho_factor(M), I), with scipy's OpenBLAS held at one
-    thread: its blocked factorisation rounds differently at two threads, and
-    every step reads the inverse, so output bytes would otherwise follow the
-    thread count.  The previous count is restored afterwards."""
+    """M^-1 by _cholesky_inverse, with scipy's OpenBLAS held at one thread:
+    its blocked factorisation rounds differently at two threads, and every
+    step reads the inverse, so output bytes would otherwise follow the thread
+    count.  The previous count is restored afterwards."""
     lib = _scipy_openblas()
     if lib is None:
-        return cho_solve(cho_factor(m), np.eye(len(m)))
+        return _cholesky_inverse(m)
     threads = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(1)
     try:
-        return cho_solve(cho_factor(m), np.eye(len(m)))
+        return _cholesky_inverse(m)
     finally:
         lib.scipy_openblas_set_num_threads(threads)
 
@@ -236,11 +244,10 @@ def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) 
     with _INVERSE_LOCK:
         cached = _INVERSE_CACHE.get(key)
         if cached is None:
-            m = (
-                np.eye(spaces.n_velocity)
-                + dt * nu * np.diag(spaces.stiffness)
-                + (dt * dt / eps) * spaces.grad_div
-            )
+            # Fortran order, so the factorisation can overwrite it
+            m = np.zeros((spaces.n_velocity,) * 2, order="F")
+            np.fill_diagonal(m, 1.0 + dt * nu * spaces.stiffness)
+            m += (dt * dt / eps) * spaces.grad_div
             try:
                 cached = _one_thread_inverse(m)
             except np.linalg.LinAlgError as exc:  # pragma: no cover

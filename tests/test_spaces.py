@@ -194,6 +194,22 @@ def test_gradient_pairing_of_divergence_matches_operator_column(spaces3):
 
 
 def test_gradient_divergence_duality_is_exact(spaces3, rng):
+    from acflow.spaces import PressureField
+
+    p = PressureField(rng.standard_normal(spaces3.n_pressure), spaces3.n_modes)
+    grad = spaces3.gradient_dual(p)
+    g_p = spaces3.gram_product(p)
+    # <grad p, e_i> = -<p, Div e_i> on every basis function, with the pressure
+    # pairing <p, q> = (G p) . q: Div e_i is one scaled pressure mode, so each
+    # side is one rounded product and the two agree bit for bit
+    for e_i in np.eye(spaces3.n_velocity):
+        w = VelocityField(e_i, spaces3.n_modes)
+        grad_pair = float(np.dot(grad, w.coeffs))
+        div_pair = float(np.dot(g_p, spaces3.divergence(w).coeffs))
+        assert grad_pair == -div_pair
+
+
+def test_gradient_divergence_duality_holds_to_round_off(spaces3, rng):
     p_coeffs = rng.standard_normal(spaces3.n_pressure)
     from acflow.spaces import PressureField
 
@@ -201,8 +217,9 @@ def test_gradient_divergence_duality_is_exact(spaces3, rng):
     w = sample_field(spaces3, rng)
     grad_pair = float(np.dot(spaces3.gradient_dual(p), w.coeffs))
     div_pair = float(np.dot(p.coeffs, spaces3.gram.matrix @ spaces3.divergence(w).coeffs))
-    # <grad p, w> = -<p, Div w>; the two sides sum in different orders, so
-    # they agree to round-off, not bit for bit
+    # <grad p, w> = -<p, Div w> for a general w, with Div w paired through the
+    # dense Gram; the two sides sum in different orders, so they agree to
+    # round-off, not bit for bit
     assert abs(grad_pair + div_pair) <= 1e-14 * abs(grad_pair)
 
 
