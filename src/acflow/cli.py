@@ -7,7 +7,10 @@ path and step on stderr), 2 means a configuration or IO error.
 Outputs are byte-identical across reruns, worker counts and BLAS thread
 counts (``OPENBLAS_NUM_THREADS``) for identical manifest inputs: the implicit
 matrix's inverse, the one product whose rounding followed the thread count,
-is built with scipy's OpenBLAS at one thread.
+is built by LAPACK on scipy's bundled OpenBLAS, through ctypes and at one
+thread.  Importing this module and running a command load numpy and the
+standard library only; scipy.linalg is imported only when scipy links
+another BLAS.
 """
 
 from __future__ import annotations

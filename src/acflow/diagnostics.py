@@ -20,11 +20,22 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.integrate import cumulative_trapezoid
 
 from .forcing import DeterministicForce, NoiseModel, sample_increment  # noqa: F401 (benchmark patch site)
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, completed
 from .spaces import ConfigurationError, SpectralSpaces, VelocityField, l2_norm
+
+
+def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
+    """Trapezoid rule for samples y on the grid x, summed as
+    scipy.integrate.trapezoid sums it, so the same bits."""
+    return np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+
+
+def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Running trapezoid integral from x[0], starting at 0; after the 0 the
+    same bits as scipy.integrate.cumulative_trapezoid."""
+    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
 
 
 @dataclass(frozen=True)
@@ -120,7 +131,7 @@ def _weighted_dissipation_series(
     integrand = (
         moment_p * nu * record.h1_u**2 * record.l2_u ** (moment_p - 2.0) * weight
     )
-    return np.concatenate([[0.0], cumulative_trapezoid(integrand, record.times)])
+    return cumulative_trapezoid(integrand, record.times)
 
 
 def mc_energy_bound(
@@ -187,7 +198,7 @@ def energy_bound_rhs(
         l2_norm(initial.u) ** 2 + config.eps * spaces.pressure_l2(initial.p) ** 2
     )
     source = (f_sq / delta + trace) * np.exp(-delta * times)
-    return initial_energy + np.concatenate([[0.0], cumulative_trapezoid(source, times)])
+    return initial_energy + cumulative_trapezoid(source, times)
 
 
 def mc_moment_bound(
@@ -234,7 +245,7 @@ def mc_moment_bound(
         l2_norm(initial.u) ** p + config.eps * spaces.pressure_l2(initial.p) ** p
     )
     source = (f_p + trace ** (p / 2.0)) * weight
-    denominator = float(np.concatenate([[0.0], cumulative_trapezoid(source, times)])[-1])
+    denominator = float(cumulative_trapezoid(source, times)[-1])
 
     implied = (lhs - initial_term) / denominator if denominator > 0 else None
     return MomentBoundReport(
@@ -278,7 +289,7 @@ def pathwise_uniqueness_check(
     times, l4_a = completed(pair)[0].times, pair[0].l4_u
 
     rate = 27.0 / config.nu**3
-    r = np.concatenate([[0.0], cumulative_trapezoid(rate * l4_a**4, times)])
+    r = cumulative_trapezoid(rate * l4_a**4, times)
     weighted = diff * np.exp(-r)
     increases = np.diff(weighted)
     max_increase = float(increases.max()) if increases.size else 0.0

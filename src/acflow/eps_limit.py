@@ -25,9 +25,8 @@ from dataclasses import dataclass, field, fields, replace
 from functools import partial
 
 import numpy as np
-from scipy.integrate import trapezoid
 
-from .diagnostics import energy_bound_rhs
+from .diagnostics import energy_bound_rhs, trapezoid
 from .forcing import DeterministicForce, NoiseModel, default_noise
 from .integrator import (
     DivergedPathError,

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import importlib.util
 import os
 import struct
 import threading
@@ -28,7 +29,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from .forcing import (
     DeterministicForce,
@@ -191,49 +191,117 @@ _INVERSE_CACHE: dict[tuple, np.ndarray] = {}
 _INVERSE_LOCK = threading.Lock()
 
 
+# what _cholesky_inverse calls in scipy's bundled OpenBLAS
+_OPENBLAS_SYMBOLS = (
+    "scipy_openblas_get_num_threads",
+    "scipy_openblas_set_num_threads",
+    "scipy_dpotrf_",
+    "scipy_dpotrs_",
+)
+
+
 @functools.cache
 def _scipy_openblas():
-    """The OpenBLAS bundled with scipy's wheels (``scipy.libs``), or None
-    when scipy links another BLAS; looked up on the first factorisation."""
-    import scipy
-
-    libs = os.path.join(os.path.dirname(scipy.__file__), os.pardir, "scipy.libs")
+    """The OpenBLAS bundled with scipy's wheels (``scipy.libs``), its thread
+    count and LAPACK Cholesky routines typed for ``ctypes``, or None when
+    scipy links another BLAS.  Found without importing scipy."""
+    spec = importlib.util.find_spec("scipy")
+    if spec is None or not spec.submodule_search_locations:
+        return None
+    libs = os.path.join(spec.submodule_search_locations[0], os.pardir, "scipy.libs")
     for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
-        if all(hasattr(lib, f"scipy_openblas_{op}_num_threads") for op in ("get", "set")):
+        if all(hasattr(lib, name) for name in _OPENBLAS_SYMBOLS):
             lib.scipy_openblas_get_num_threads.argtypes = []
             lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
             lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
             lib.scipy_openblas_set_num_threads.restype = None
+            # Fortran calling convention: integers by reference, then the
+            # length of the character argument uplo by value
+            ref = ctypes.POINTER(ctypes.c_int)
+            mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
+            lib.scipy_dpotrf_.argtypes = [ctypes.c_char_p, ref, mat, ref, ref, ctypes.c_size_t]
+            lib.scipy_dpotrs_.argtypes = [
+                ctypes.c_char_p, ref, ref, mat, ref, mat, ref, ref, ctypes.c_size_t
+            ]
+            lib.scipy_dpotrf_.restype = lib.scipy_dpotrs_.restype = None
             return lib
     return None
 
 
+def _check_info(routine: str, info: ctypes.c_int) -> None:
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info.value}")
+
+
+def _cho_factor(a: np.ndarray) -> np.ndarray:
+    """a = U^T U: U over the upper triangle of the square Fortran-order SPD
+    a, by LAPACK dpotrf (uplo 'U'), the call behind scipy.linalg.cho_factor;
+    a positive info means a leading minor is not positive."""
+    if a.shape != (len(a), len(a)):
+        raise ValueError(f"cannot factor a {a.shape} matrix")
+    n, info = ctypes.c_int(len(a)), ctypes.c_int()
+    _scipy_openblas().scipy_dpotrf_(b"U", n, a, n, info, 1)
+    _check_info("dpotrf", info)
+    return a
+
+
+def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """x with U^T U x = b over the Fortran-order b, for the factor of
+    _cho_factor: LAPACK dpotrs, the call behind scipy.linalg.cho_solve."""
+    if len(b) != len(factor):
+        raise ValueError(f"{b.shape} right-hand sides for a {factor.shape} factor")
+    n, nrhs, info = ctypes.c_int(len(factor)), ctypes.c_int(b.shape[1]), ctypes.c_int()
+    _scipy_openblas().scipy_dpotrs_(b"U", n, nrhs, factor, n, b, n, info, 1)
+    _check_info("dpotrs", info)
+    return b
+
+
 def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
-    """cho_solve(cho_factor(M), I) with M in Fortran order: the factor
-    overwrites M and the solve overwrites a Fortran-order identity, so two
-    matrices of M's size are held at once, not four."""
-    factor = cho_factor(m, overwrite_a=True, check_finite=False)
-    return cho_solve(factor, np.eye(len(m), order="F"), overwrite_b=True, check_finite=False)
-
-
-def _one_thread_inverse(m: np.ndarray) -> np.ndarray:
-    """M^-1 by _cholesky_inverse, with scipy's OpenBLAS held at one thread:
-    its blocked factorisation rounds differently at two threads, and every
-    step reads the inverse, so output bytes would otherwise follow the thread
-    count.  The previous count is restored afterwards."""
+    """M^-1 = cho_solve(cho_factor(M), I) for the Fortran-order M: the factor
+    overwrites M and the solve a Fortran-order identity, so two matrices of
+    M's size are held at once.  Scipy's bundled OpenBLAS runs it held at one
+    thread: its blocked factorisation rounds differently at two threads, and
+    every step reads the inverse, so output bytes would otherwise follow the
+    thread count.  The previous count is restored afterwards.  With a scipy
+    that links another BLAS, scipy.linalg builds it as is."""
     lib = _scipy_openblas()
     if lib is None:
-        return _cholesky_inverse(m)
+        from scipy import linalg
+
+        factor = linalg.cho_factor(m, overwrite_a=True, check_finite=False)
+        eye = np.eye(len(m), order="F")
+        return linalg.cho_solve(factor, eye, overwrite_b=True, check_finite=False)
     threads = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(1)
     try:
-        return _cholesky_inverse(m)
+        return cho_solve(_cho_factor(m), np.eye(len(m), order="F"))
     finally:
         lib.scipy_openblas_set_num_threads(threads)
+
+
+def _implicit_matrix(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
+    """M = I + dt nu A + (dt^2/eps) K in Fortran order, with the grad-div
+    coupling K = D G D formed block by block: G is the identity on its
+    diagonal blocks and kron(2C, 2C^T) and its transpose off them, so no
+    dense Gram is needed.  Each entry is rounded as (I + dt nu A) +
+    (dt^2/eps) (d_i G_ij d_j)."""
+    n2, d, s = spaces.n_modes**2, spaces.div_diagonal, dt * dt / eps
+    m = np.zeros((spaces.n_velocity,) * 2, order="F")
+    np.fill_diagonal(m, (1.0 + dt * nu * spaces.stiffness) + s * (d * d))
+    cross = spaces.gram_cross_block()
+    for rows, cols, block in (
+        (slice(None, n2), slice(n2, None), cross),
+        (slice(n2, None), slice(None, n2), cross.T),
+    ):
+        k = d[rows, None] * block
+        k *= d[None, cols]
+        k *= s
+        m[rows, cols] += k
+    return m
 
 
 def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
@@ -244,13 +312,9 @@ def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) 
     with _INVERSE_LOCK:
         cached = _INVERSE_CACHE.get(key)
         if cached is None:
-            # Fortran order, so the factorisation can overwrite it
-            m = np.zeros((spaces.n_velocity,) * 2, order="F")
-            np.fill_diagonal(m, 1.0 + dt * nu * spaces.stiffness)
-            m += (dt * dt / eps) * spaces.grad_div
             try:
-                cached = _one_thread_inverse(m)
-            except np.linalg.LinAlgError as exc:  # pragma: no cover
+                cached = _cholesky_inverse(_implicit_matrix(spaces, nu, eps, dt))
+            except np.linalg.LinAlgError as exc:
                 raise ConfigurationError(
                     "implicit system matrix is not positive definite; "
                     "configuration is corrupt"

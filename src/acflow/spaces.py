@@ -76,14 +76,6 @@ class PressureField:
             )
 
 
-@dataclass(frozen=True)
-class PressureGram:
-    """Dense Gram matrix of the pressure basis; per-step products go through
-    :meth:`SpectralSpaces.gram_product` instead."""
-
-    matrix: np.ndarray
-
-
 def velocity_indices(n_modes: int) -> list[VelocityIndex]:
     """Deterministic velocity enumeration: d, then j, then k, row-major."""
     return [
@@ -239,30 +231,20 @@ class SpectralSpaces:
         )
 
         # Off-diagonal Gram blocks kron(2C, 2C^T) and its transpose, as the
-        # factor pair L = (2C, 2C^T) of gram_product
+        # factor pair L = (2C, 2C^T) of gram_product; no dense Gram is kept
         c = 2.0 * _cos_sin_integrals(self.n_modes)
         self._gram_factors = np.stack([c, c.T])
-        gram = self._assemble_gram()
-        self.gram = PressureGram(matrix=gram)
-
-        # grad-div coupling K = D^T G D, symmetric positive definite
-        self.grad_div = (
-            self.div_diagonal[:, None] * gram * self.div_diagonal[None, :]
-        )
 
         self._grids: dict[int, _SynthGrid] = {}
         self._grid_lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------------
 
-    def _assemble_gram(self) -> np.ndarray:
-        n = self.n_modes
-        # <psi_cs(j,k), psi_sc(j',k')> = 4 * C[j,j'] * C[k',k]
-        cross = np.kron(*self._gram_factors)
-        gram = np.eye(2 * n * n)
-        gram[: n * n, n * n :] = cross
-        gram[n * n :, : n * n] = cross.T
-        return gram
+    def gram_cross_block(self) -> np.ndarray:
+        """The (cs, sc) block of the pressure Gram, kron(2C, 2C^T), dense:
+        <psi_cs(j,k), psi_sc(j',k')> = 4 C[j,j'] C[k',k].  The (sc, cs)
+        block is its transpose and both diagonal blocks are the identity."""
+        return np.kron(*self._gram_factors)
 
     def grid(self, order: int) -> _SynthGrid:
         with self._grid_lock:
@@ -440,10 +422,11 @@ class SpectralSpaces:
 
 
 def build_spaces(n_modes: int) -> SpectralSpaces:
-    """Construct the velocity/pressure enumerations and the pressure Gram.
+    """Construct the velocity/pressure enumerations and the pressure Gram's
+    Kronecker factors.
 
-    The returned object carries ``velocity_enumeration``,
-    ``pressure_enumeration`` and ``gram`` together with the coefficient-space
-    operators built on them.
+    The returned object carries ``velocity_enumeration`` and
+    ``pressure_enumeration`` together with the coefficient-space operators
+    built on them.
     """
     return SpectralSpaces(n_modes)

@@ -24,6 +24,33 @@ def spaces8():
     return build_spaces(8)
 
 
+def _dense_gram(spaces):
+    n2 = spaces.n_modes**2
+    cross = spaces.gram_cross_block()
+    gram = np.eye(spaces.n_pressure)
+    gram[:n2, n2:] = cross
+    gram[n2:, :n2] = cross.T
+    return gram
+
+
+def _dense_grad_div(spaces):
+    d = spaces.div_diagonal
+    return d[:, None] * _dense_gram(spaces) * d[None, :]
+
+
+@pytest.fixture(scope="session")
+def dense_gram():
+    """Function of the spaces giving the pressure Gram as a dense matrix,
+    which the program itself never forms."""
+    return _dense_gram
+
+
+@pytest.fixture(scope="session")
+def dense_grad_div():
+    """Function of the spaces giving the dense grad-div coupling D G D."""
+    return _dense_grad_div
+
+
 @pytest.fixture()
 def rng():
     return np.random.default_rng(20240517)

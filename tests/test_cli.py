@@ -146,6 +146,31 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
         assert digests["1"] == digests["2"], argv[0]
 
 
+def test_import_and_run_load_no_scipy(tmp_path):
+    # numpy and the standard library only: the implicit inverse goes through
+    # LAPACK on scipy's bundled OpenBLAS, found without importing scipy
+    from acflow import integrator
+
+    if integrator._scipy_openblas() is None:
+        pytest.skip("scipy does not bundle its own OpenBLAS here; the inverse imports scipy.linalg")
+    src = os.path.dirname(os.path.dirname(acflow.__file__))
+    code = (
+        "import sys\n"
+        "def scipy_modules():\n"
+        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import acflow.cli\n"
+        "print(scipy_modules())\n"
+        "rc = acflow.cli.main(['run', '--quiet', '--set', 'solver.n_modes=4',\n"
+        "                      '--set', 'solver.horizon=0.01', '--out', sys.argv[1]])\n"
+        "print(rc, scipy_modules())\n"
+    )
+    out = subprocess.run(
+        [sys.executable, "-c", code, str(tmp_path / "r")],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    )
+    assert out.stdout.splitlines() == ["[]", "0 []"], out.stderr
+
+
 def test_verify_subcommand(tmp_path):
     out = tmp_path / "v"
     rc = main(["verify", "--samples", "12", "--seed", "42", "--out", str(out), "--quiet"])

@@ -5,15 +5,31 @@ from acflow import build_spaces
 from acflow.diagnostics import (
     MomentConfig,
     UniquenessWeight,
+    cumulative_trapezoid,
     mc_energy_bound,
     mc_moment_bound,
     pathwise_uniqueness_check,
     perturbed_state,
     simulate_paths,
+    trapezoid,
 )
 from acflow.forcing import DeterministicForce, default_noise
 from acflow.integrator import SolverConfig, project_initial
 from acflow.spaces import ConfigurationError
+
+
+def test_trapezoid_helpers_match_scipy_bit_for_bit():
+    # the numpy helpers keep scipy.integrate off the import path; they sum
+    # in scipy's order, so every result has scipy's bits
+    from scipy import integrate
+
+    rng = np.random.default_rng(11)
+    for n in range(2, 1002):
+        x = np.cumsum(rng.exponential(size=n)) * 10.0 ** rng.uniform(-4, 1)
+        y = rng.standard_normal(n) * 10.0 ** rng.uniform(-6, 6)
+        assert trapezoid(y, x).tobytes() == integrate.trapezoid(y, x).tobytes()
+        expected = np.concatenate([[0.0], integrate.cumulative_trapezoid(y, x)])
+        assert cumulative_trapezoid(y, x).tobytes() == expected.tobytes()
 
 
 def test_moment_config_validation():

@@ -43,11 +43,10 @@ def test_zero_data_stays_zero(spaces4):
     assert np.all(rec.final_state.p.coeffs == 0.0)
 
 
-def _linear_flow_matrix(spaces, cfg):
+def _linear_flow_matrix(spaces, cfg, G):
     n = spaces.n_velocity
     S = np.diag(spaces.stiffness)
     D = np.diag(spaces.div_diagonal)
-    G = spaces.gram.matrix
     return np.block(
         [
             [-cfg.nu * S, D.T @ G],
@@ -56,7 +55,7 @@ def _linear_flow_matrix(spaces, cfg):
     )
 
 
-def test_linear_decay_matches_matrix_exponential_first_order():
+def test_linear_decay_matches_matrix_exponential_first_order(dense_gram):
     # coupled single-mode system at cutoff 1: the 2x2 velocity/pressure pair
     sp = build_spaces(1)
     errors = {}
@@ -65,7 +64,7 @@ def test_linear_decay_matches_matrix_exponential_first_order():
         integ = GalerkinIntegrator(sp, cfg, include_convection=False)
         state = project_initial(sp, [(1, 1, 1, 1.0)], None)
         rec = integ.run_path(state)
-        A = _linear_flow_matrix(sp, cfg)
+        A = _linear_flow_matrix(sp, cfg, dense_gram(sp))
         z0 = np.concatenate([state.u.coeffs, state.p.coeffs])
         zT = expm(A * cfg.horizon) @ z0
         errors[dt] = abs(rec.l2_u[-1] - np.linalg.norm(zT[: sp.n_velocity]))
@@ -73,14 +72,14 @@ def test_linear_decay_matches_matrix_exponential_first_order():
     assert 1.6 <= errors[1e-3] / errors[5e-4] <= 2.4
 
 
-def test_linear_flow_matches_full_system_exponential(spaces3):
+def test_linear_flow_matches_full_system_exponential(spaces3, dense_gram):
     cfg = SolverConfig(n_modes=3, dt=2e-4, horizon=0.02, nu=0.2, eps=0.05)
     integ = GalerkinIntegrator(spaces3, cfg, include_convection=False)
     state = project_initial(
         spaces3, [(1, 1, 1, 0.7), (2, 2, 2, -0.4)], [("cs", 1, 1, 0.3)]
     )
     rec = integ.run_path(state)
-    A = _linear_flow_matrix(spaces3, cfg)
+    A = _linear_flow_matrix(spaces3, cfg, dense_gram(spaces3))
     z0 = np.concatenate([state.u.coeffs, state.p.coeffs])
     zT = expm(A * cfg.horizon) @ z0
     exact = np.linalg.norm(zT[: spaces3.n_velocity])
@@ -122,7 +121,7 @@ def test_ledger_residual_recomputable_from_entry(spaces4):
     assert np.array_equal(rec.ledger.residual, rec.ledger.recomputed_residual())
 
 
-def test_pressure_work_identity(spaces4):
+def test_pressure_work_identity(spaces4, dense_gram):
     # the gradient pairing against the midpoint pressure equals the discrete
     # pressure-energy rate exactly; against the endpoint it differs by O(dt)
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01, eps=0.05)
@@ -132,25 +131,26 @@ def test_pressure_work_identity(spaces4):
 
     noise = empty_noise(spaces4)
     sp = spaces4
+    G = dense_gram(sp)
     for m in range(5):
         inc = sample_increment(noise, cfg.dt, (cfg.seed, 0, m))
         new_state, _ = integ.step(state, inc)
         u_new = new_state.u.coeffs
         p_old, p_new = state.p.coeffs, new_state.p.coeffs
-        grad_mid = -sp.div_diagonal * (sp.gram.matrix @ (0.5 * (p_old + p_new)))
+        grad_mid = -sp.div_diagonal * (G @ (0.5 * (p_old + p_new)))
         pairing_mid = float(np.dot(grad_mid, u_new))
         rate = (
             0.5
             * cfg.eps
-            * (float(p_new @ (sp.gram.matrix @ p_new)) - float(p_old @ (sp.gram.matrix @ p_old)))
+            * (float(p_new @ (G @ p_new)) - float(p_old @ (G @ p_old)))
             / cfg.dt
         )
         assert pairing_mid == pytest.approx(rate, rel=1e-10, abs=1e-13)
 
-        grad_end = -sp.div_diagonal * (sp.gram.matrix @ p_new)
+        grad_end = -sp.div_diagonal * (G @ p_new)
         pairing_end = float(np.dot(grad_end, u_new))
         div_u = sp.div_diagonal * u_new
-        gap = (cfg.dt / (2.0 * cfg.eps)) * float(div_u @ (sp.gram.matrix @ div_u))
+        gap = (cfg.dt / (2.0 * cfg.eps)) * float(div_u @ (G @ div_u))
         assert pairing_end - rate == pytest.approx(gap, rel=1e-9, abs=1e-12)
         state = new_state
 
@@ -259,12 +259,20 @@ def test_factorization_cache_shared(spaces4):
     assert c._inverse is not a._inverse
 
 
-def test_implicit_factor_restores_the_blas_thread_count(spaces4):
-    # the implicit inverse is built at one scipy OpenBLAS thread; the
-    # caller's count comes back afterwards
+SHIPPED_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
+
+
+def _openblas_or_skip():
     lib = integrator._scipy_openblas()
     if lib is None:
         pytest.skip("scipy does not bundle its own OpenBLAS here")
+    return lib
+
+
+def test_implicit_factor_restores_the_blas_thread_count(spaces4):
+    # the implicit inverse is built at one scipy OpenBLAS thread; the
+    # caller's count comes back afterwards
+    lib = _openblas_or_skip()
     before = lib.scipy_openblas_get_num_threads()
     lib.scipy_openblas_set_num_threads(2)
     try:
@@ -274,14 +282,83 @@ def test_implicit_factor_restores_the_blas_thread_count(spaces4):
         lib.scipy_openblas_set_num_threads(before)
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 5, 8, 13])
+def test_implicit_matrix_matches_the_dense_assembly(n_modes, dense_grad_div):
+    # built block by block from the Gram's Kronecker factors, M has the bits
+    # (signed zeros included) of I + dt nu A + (dt^2/eps) K with K formed
+    # from the dense Gram
+    sp = build_spaces(n_modes)
+    dt, nu = 1e-3, 0.1
+    for eps in SHIPPED_EPS:
+        dense = np.zeros((sp.n_velocity,) * 2, order="F")
+        np.fill_diagonal(dense, 1.0 + dt * nu * sp.stiffness)
+        dense += (dt * dt / eps) * dense_grad_div(sp)
+        m = integrator._implicit_matrix(sp, nu, eps, dt)
+        assert m.flags.f_contiguous
+        assert m.tobytes() == dense.tobytes()
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_lapack_inverse_matches_scipy_cho_solve_bit_for_bit(threads):
+    # dpotrf/dpotrs through ctypes are the routines scipy.linalg's
+    # cho_factor/cho_solve call, so at one thread the inverse has the same
+    # bits; the caller's thread count does not move them
+    from scipy.linalg import cho_factor, cho_solve
+
+    lib = _openblas_or_skip()
+    before = lib.scipy_openblas_get_num_threads()
+    try:
+        for n_modes in (4, 8, 12, 16):
+            sp = build_spaces(n_modes)
+            for eps in SHIPPED_EPS:
+                m = integrator._implicit_matrix(sp, 0.1, eps, 1e-3)
+                lib.scipy_openblas_set_num_threads(1)
+                expected = cho_solve(cho_factor(m), np.eye(len(m)))
+                lib.scipy_openblas_set_num_threads(threads)
+                got = integrator._cholesky_inverse(m.copy(order="F"))
+                assert lib.scipy_openblas_get_num_threads() == threads
+                assert got.tobytes() == expected.tobytes(), (n_modes, eps)
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+
+
+def test_scipy_fallback_gives_the_same_inverse(monkeypatch):
+    # without scipy's bundled OpenBLAS the inverse comes from scipy.linalg;
+    # at one thread its bytes equal the LAPACK path's
+    lib = _openblas_or_skip()
+    before = lib.scipy_openblas_get_num_threads()
+    lib.scipy_openblas_set_num_threads(1)
+    try:
+        for n_modes in (4, 12):
+            sp = build_spaces(n_modes)
+            m = integrator._implicit_matrix(sp, 0.1, 1e-3, 1e-3)
+            direct = integrator._cholesky_inverse(m.copy(order="F"))
+            with monkeypatch.context() as patch:
+                patch.setattr(integrator, "_scipy_openblas", lambda: None)
+                fallback = integrator._cholesky_inverse(m.copy(order="F"))
+            assert fallback.tobytes() == direct.tobytes()
+    finally:
+        lib.scipy_openblas_set_num_threads(before)
+
+
+@pytest.mark.parametrize("library", ["lapack", "fallback"])
+def test_indefinite_implicit_matrix_is_a_configuration_error(spaces4, library, monkeypatch):
+    # a negative viscosity makes diagonal entries of M negative
+    if library == "fallback":
+        monkeypatch.setattr(integrator, "_scipy_openblas", lambda: None)
+    with pytest.raises(ConfigurationError, match="not positive definite"):
+        integrator._implicit_inverse(spaces4, -50.0, 0.1, 1e-3)
+    assert (4, -50.0, 0.1, 1e-3) not in integrator._INVERSE_CACHE
+
+
 @pytest.mark.parametrize("n_modes", [8, 12])
-@pytest.mark.parametrize("eps", [1e-1, 1e-2, 1e-3, 1e-4])
-def test_implicit_inverse_solves_the_implicit_system(n_modes, eps):
+@pytest.mark.parametrize("eps", SHIPPED_EPS)
+def test_implicit_inverse_solves_the_implicit_system(n_modes, eps, dense_grad_div):
     # the shipped eps values; cond(M) stays below 25 here, so the product
     # with the precomputed inverse solves M x = r to round-off
     sp = build_spaces(n_modes)
     dt, nu = 1e-3, 0.1
-    m = np.eye(sp.n_velocity) + dt * nu * np.diag(sp.stiffness) + (dt * dt / eps) * sp.grad_div
+    m = np.eye(sp.n_velocity) + dt * nu * np.diag(sp.stiffness) + (dt * dt / eps) * dense_grad_div(sp)
     r = np.random.default_rng(n_modes).standard_normal((6, sp.n_velocity))
     x = np.matmul(integrator._implicit_inverse(sp, nu, eps, dt), r[..., None])[..., 0]
     assert np.abs(x @ m.T - r).max() <= 1e-13 * np.abs(r).max()
