@@ -29,11 +29,12 @@ class DeterministicForce:
 
 @dataclass(frozen=True)
 class WienerIncrement:
-    """One step of Wiener increments together with its provenance triple."""
+    """Wiener increments of one step, or of several along a leading axis,
+    together with their provenance triple."""
 
     dw: np.ndarray
     dt: float
-    seed_path: tuple[int, int, int]  # (seed, path index, step index)
+    seed_path: tuple  # (seed, path index or indices, step index or indices)
 
 
 @dataclass(frozen=True)
@@ -101,27 +102,36 @@ def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8)
 
 
 def sample_increment(
-    noise: NoiseModel, dt: float, seed_path: tuple[int, int, int], keys=None
+    noise: NoiseModel, dt: float, seed_path: tuple, keys=None
 ) -> WienerIncrement:
     """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step): the normals
     of ``Philox(SeedSequence(seed, spawn_key=(path, step)))``.  A sequence of
-    paths gives ``dw`` a row per path, each the draw of its own key.
-    ``keys``, the rows' Philox keys as :func:`philox_keys` gives them for this
-    seed and step, saves deriving them here."""
+    paths gives ``dw`` a row per path, each the draw of its own key, and a
+    sequence of steps a leading step axis before the paths'.  ``keys``, the
+    Philox keys as :func:`philox_keys` gives them for this seed, these steps
+    and these paths (without the step axis for one step), saves deriving
+    them here."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     seed, path, step = seed_path
-    seed, step, paths = index(seed), index(step), np.atleast_1d(path).tolist()
-    if min(seed, step, *paths) < 0:
+    seed, paths, steps = index(seed), np.atleast_1d(path).tolist(), np.atleast_1d(step).tolist()
+    if min(seed, *steps, *paths) < 0:
         raise ValueError("seed, path and step must be nonnegative")
-    rows = np.zeros((len(paths), noise.n_terms))
-    if noise.n_terms and keys is None:
-        keys = philox_keys(seed, paths, [step])[0]
-    for row, key in zip(rows, keys if noise.n_terms else ()):
-        key = np.asarray(key, dtype=np.uint64)
-        _STREAM.bits.state = {**_FRESH_PHILOX, "state": {"counter": _ZERO4, "key": key}}
-        row[:] = _STREAM.normal(noise.n_terms)
-    dw = np.sqrt(dt) * (rows if np.ndim(path) else rows[0])
+    rows = np.zeros((len(steps), len(paths), noise.n_terms))
+    if noise.n_terms:
+        if keys is None:
+            keys = philox_keys(seed, paths, steps)
+        # one state dict for every re-key, its words Python ints: the
+        # setter reads them one by one, and numpy scalars cost more
+        state = {**_FRESH_PHILOX, "state": {"counter": [0] * 4, "key": None}}
+        keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+        for row, key in zip(rows.reshape(-1, noise.n_terms), keys):
+            state["state"]["key"] = key.tolist()
+            _STREAM.bits.state = state
+            _STREAM.normal(out=row)
+    rows *= np.sqrt(dt)
+    rows = rows if np.ndim(step) else rows[0]
+    dw = rows if np.ndim(path) else rows[..., 0, :]
     return WienerIncrement(dw, dt, (seed, path, step))
 
 
@@ -141,8 +151,7 @@ class _Stream(threading.local):
 # hash constants depend only on how many words were mixed, never on them.
 _STREAM = _Stream()
 _MASK32 = 0xFFFFFFFF
-_ZERO4 = np.zeros(4, dtype=np.uint64)
-_FRESH_PHILOX = dict(bit_generator="Philox", buffer=_ZERO4, buffer_pos=4, has_uint32=0, uinteger=0)
+_FRESH_PHILOX = dict(bit_generator="Philox", buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
 
 
 def _words(n: int) -> list[int]:

@@ -33,6 +33,7 @@ import numpy as np
 from .forcing import (
     DeterministicForce,
     NoiseModel,
+    WienerIncrement,
     empty_noise,
     noise_contribution,
     philox_keys,
@@ -56,6 +57,10 @@ ENERGY_CAP = 1e12
 # per path-step over 12, 20, 50 and 200 paths (table in CHANGES.md); with the
 # block's grid arrays in its GridWorkspace, no block size page-faults per step.
 BLOCK_PATHS = 20
+# Bytes of Wiener increments a block draws at once: run_path draws its rows'
+# noise for as many steps as fit, a sample_increment call per chunk, so a
+# model of up to 2N^2 terms still holds little of it.
+NOISE_CHUNK_BYTES = 1 << 20
 
 
 class DivergedPathError(RuntimeError):
@@ -466,7 +471,9 @@ class GalerkinIntegrator:
         index and so its noise), and returns per row the record or the
         DivergedPathError that stopped that row alone.  ``observe(m, block)``
         sees the rows still running after each step m (and m = 0).  The
-        block's grid workspace and noise keys live as long as this call.
+        block's grid workspace and noise keys live as long as this call; its
+        increments are drawn by one sample_increment call per chunk of steps
+        (NOISE_CHUNK_BYTES), for the rows running at the chunk's start.
         """
         cfg = self.config
         single = isinstance(path_index, (int, np.integer))
@@ -479,10 +486,12 @@ class GalerkinIntegrator:
         runs = {name: np.zeros((cfg.n_steps + 1, len(paths))) for name in _RUN_ARRAYS}
         history = np.zeros((len(paths),) + times.shape + u0.shape[1:]) if keep_history else None
         errors = {}
-        # l4_norm leaves the grid values of each new u in the workspace, where
-        # the next step's convection finds them
+        # l4_norm leaves the grid values of each new u and their squares in
+        # the workspace, where the next step's convection finds them
         work = GridWorkspace()
         keys = philox_keys(cfg.seed, paths, range(cfg.n_steps))
+        chunk = max(1, NOISE_CHUNK_BYTES // max(1, 8 * len(paths) * self.noise.n_terms))
+        drawn = range(0)  # steps whose increments dw holds, for the rows drawn_rows
 
         def record(m, blk, ledger=None):
             times[m] = blk.t
@@ -501,8 +510,15 @@ class GalerkinIntegrator:
         for m in range(1, cfg.n_steps + 1):
             if not len(block.rows):
                 break
-            seed_path = (cfg.seed, paths[block.rows], m - 1)
-            inc = sample_increment(self.noise, cfg.dt, seed_path, keys=keys[m - 1, block.rows])
+            if m - 1 not in drawn:
+                drawn, drawn_rows = range(m - 1, min(m - 1 + chunk, cfg.n_steps)), block.rows
+                seed_path = (cfg.seed, paths[drawn_rows], drawn)
+                chunk_keys = keys[drawn.start : drawn.stop, drawn_rows]
+                dw = sample_increment(self.noise, cfg.dt, seed_path, keys=chunk_keys).dw
+            step_dw = dw[m - 1 - drawn.start]
+            if len(block.rows) < len(drawn_rows):
+                step_dw = step_dw[np.searchsorted(drawn_rows, block.rows)]
+            inc = WienerIncrement(step_dw, cfg.dt, (cfg.seed, paths[block.rows], m - 1))
             block, ledger = self.step(block, inc, work)
             record(m, block, ledger)
             blown = ~(block.energy <= ENERGY_CAP)
@@ -598,19 +614,36 @@ def write_snapshot(path, state: State, manifest_digest: str = "0" * 64) -> None:
         fh.write(p.tobytes())
 
 
+def _read_field(fh, size: int, field: str) -> bytes:
+    data = fh.read(size)
+    if len(data) < size:
+        raise ConfigurationError(
+            f"truncated snapshot: {field} needs {size} bytes, {len(data)} left"
+        )
+    return data
+
+
 def read_snapshot(path) -> tuple[State, str]:
+    """The state and manifest digest of a write_snapshot file; a short field,
+    trailing bytes or a bad header raise ConfigurationError naming them."""
     with open(path, "rb") as fh:
-        magic = fh.read(4)
+        magic = _read_field(fh, 4, "magic")
         if magic != SNAPSHOT_MAGIC:
             raise ConfigurationError(f"not a snapshot file: bad magic {magic!r}")
-        (version,) = struct.unpack("<I", fh.read(4))
+        (version,) = struct.unpack("<I", _read_field(fh, 4, "version"))
         if version != SNAPSHOT_VERSION:
             raise ConfigurationError(f"unsupported snapshot version {version}")
-        digest = fh.read(64).decode("ascii")
-        n, nu_len, np_len = struct.unpack("<III", fh.read(12))
-        (t,) = struct.unpack("<d", fh.read(8))
-        u = np.frombuffer(fh.read(8 * nu_len), dtype="<f8").copy()
-        p = np.frombuffer(fh.read(8 * np_len), dtype="<f8").copy()
+        try:
+            digest = _read_field(fh, 64, "digest").decode("ascii")
+        except UnicodeDecodeError:
+            raise ConfigurationError("snapshot digest is not ASCII") from None
+        n, nu_len, np_len = struct.unpack("<III", _read_field(fh, 12, "counts"))
+        (t,) = struct.unpack("<d", _read_field(fh, 8, "time"))
+        u = np.frombuffer(_read_field(fh, 8 * nu_len, "velocity"), dtype="<f8").copy()
+        p = np.frombuffer(_read_field(fh, 8 * np_len, "pressure"), dtype="<f8").copy()
+        extra = len(fh.read())
+        if extra:
+            raise ConfigurationError(f"snapshot has {extra} trailing bytes after the pressure")
     state = State(u=VelocityField(u, n), p=PressureField(p, n), t=t)
     return state, digest
 

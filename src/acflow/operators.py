@@ -66,15 +66,19 @@ class _ConvectionArrays:
     a:   0.5 * w2d * ((u . grad) v)_d               -> pairs with w_d
     b1:  0.5 * w2d * u_1 v_d                        -> pairs with d_1 w_d
     b2:  0.5 * w2d * u_2 v_d                        -> pairs with d_2 w_d
+
+    With v = u, b1 and b2 are the overlapping views [0:2] and [1:3] of the
+    three weighted product planes u1 u1, u1 u2, u2 u2 (spaces'
+    ``_product_planes``); a workspace that holds the squares from the L4
+    norm of the same rows leaves only u1 u2 to form.
     """
 
     def __init__(self, spaces: SpectralSpaces, u, v, quad_order, work: GridWorkspace | None = None):
         g = spaces.grid(quad_order)
         uv = spaces._component_values(u, g, work)
-        vv = uv if v is u else spaces._component_values(v, g)
         d1v, d2v = spaces._component_gradients(v, g, work)
         u1, u2 = uv[..., 0:1, :, :], uv[..., 1:2, :, :]
-        weight = 0.5 * g.w2d
+        weight = g.half_w2d
         # in place, so that a step allocates no grid temporaries; rounds as
         # weight * (u1 * d1v + u2 * d2v) etc. would
         d1v *= u1
@@ -82,10 +86,16 @@ class _ConvectionArrays:
         d1v += d2v  # ((u . grad) v)_d
         d1v *= weight
         self.a = d1v
-        self.b1 = np.multiply(u1, vv, out=_buffer(work, "products", vv.shape))
-        self.b1 *= weight
-        self.b2 = np.multiply(u2, vv, out=d2v)
-        self.b2 *= weight
+        if v is u:
+            planes = spaces._product_planes(u, g, work, cross=True)
+            planes *= weight
+            self.b1, self.b2 = planes[..., 0:2, :, :], planes[..., 1:3, :, :]
+        else:
+            vv = spaces._component_values(v, g)
+            self.b1 = u1 * vv
+            self.b1 *= weight
+            self.b2 = np.multiply(u2, vv, out=d2v)
+            self.b2 *= weight
         self.grid = g
 
 
@@ -138,13 +148,14 @@ def bhat_operator(
     n = spaces.n_modes
     jpi = np.pi * np.arange(1, n + 1, dtype=float)
 
-    def adjoint(left, grid_array, right):
+    def adjoint(left, grid_array, right2):
         half = _buffer(work, "half_adjoint", grid_array.shape[:-2] + (n, g.order))
-        return 2.0 * (np.matmul(left, grid_array, out=half) @ right)
+        return np.matmul(left, grid_array, out=half) @ right2
 
-    t1 = adjoint(g.sin, arrays.a, g.sin.T)
-    t2 = adjoint(g.cos, arrays.b1, g.sin.T) * jpi[:, None]
-    t3 = adjoint(g.sin, arrays.b2, g.cos.T) * jpi[None, :]
+    # the doubled tables carry the basis' factor 2, as in the synthesis
+    t1 = adjoint(g.sin, arrays.a, g.sin2.T)
+    t2 = adjoint(g.cos, arrays.b1, g.sin2.T) * jpi[:, None]
+    t3 = adjoint(g.sin, arrays.b2, g.cos2.T) * jpi[None, :]
     pair = t1 - t2 - t3
     return DualVector(pair.reshape(pair.shape[:-3] + (-1,)), spaces.n_modes)
 

@@ -173,8 +173,14 @@ class _SynthGrid:
         # tables indexed [mode, node]
         self.sin = np.sin(np.outer(j, np.pi * self.x))
         self.cos = np.cos(np.outer(j, np.pi * self.x))
+        # doubled tables, the right factor of every transform: they carry the
+        # basis' factor 2, and scaling by 2 is exact, so x @ (2 t) has the
+        # bits of 2 (x @ t)
+        self.sin2 = 2.0 * self.sin
+        self.cos2 = 2.0 * self.cos
         self.jcol = j[:, None]
         self.w2d = np.outer(self.w, self.w)
+        self.half_w2d = 0.5 * self.w2d  # the convection's grid weight
 
 
 class GridWorkspace:
@@ -183,11 +189,15 @@ class GridWorkspace:
     every step.  Owned by the block, never shared between threads; a block
     that lost rows uses leading slices.  The grid values of the coefficient
     rows last synthesised are kept for a later call on the same array, which
-    must not have changed in between."""
+    must not have changed in between.  So are the squares u1 u1 and u2 u2 of
+    those values once the L4 norm has formed them: they sit in two of the
+    three product planes (u1 u1, u1 u2, u2 u2) that the next convection of
+    the same rows completes and weights, and are dropped with the values."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
         self.held = None  # (coefficient rows, grid, their values on the grid)
+        self.squares_held = False  # the "planes" array holds their squares
 
     def array(self, name: str, shape: tuple) -> np.ndarray:
         """Uninitialised (shape[0], ...) leading slice of the named array; its
@@ -330,7 +340,8 @@ class SpectralSpaces:
         self, u, quad_order: int | None = None, work: GridWorkspace | None = None
     ) -> float | np.ndarray:
         """L4 norm of the vector field by tensor Gauss-Legendre quadrature;
-        with a workspace, the grid values of u stay held in it."""
+        with a workspace, the grid values of u and their squares stay held
+        in it."""
         if quad_order is None:
             quad_order = self.default_quad_order
         if quad_order < 4 * self.n_modes:
@@ -338,10 +349,9 @@ class SpectralSpaces:
                 f"quad_order {quad_order} too small; need at least {4 * self.n_modes}"
             )
         g = self.grid(quad_order)
-        vals = self._component_values(u, g, work)
-        vals = np.multiply(vals, vals, out=_buffer(work, "products", vals.shape))
-        mag2 = vals[..., 0, :, :]
-        mag2 += vals[..., 1, :, :]
+        planes = self._product_planes(u, g, work)
+        mag2 = _buffer(work, "mag2", planes.shape[:-3] + planes.shape[-2:])
+        np.add(planes[..., 0, :, :], planes[..., 2, :, :], out=mag2)
         mag2 *= mag2
         mag2 *= g.w2d
         return scalar_pow(np.sum(mag2, axis=(-2, -1)), 0.25)
@@ -380,14 +390,13 @@ class SpectralSpaces:
         c = _coeffs(u)
         return c.reshape(c.shape[:-1] + (2, n, n))
 
-    def _synthesize(self, left, c, right, g: _SynthGrid, work, name) -> np.ndarray:
-        """2 * left.T @ c @ right over the coefficient blocks c, into the
-        workspace's ``name`` array when one is given."""
+    def _synthesize(self, left, c, right2, g: _SynthGrid, work, name) -> np.ndarray:
+        """left.T @ c @ right2 over the coefficient blocks c, into the
+        workspace's ``name`` array when one is given; ``right2`` is a doubled
+        table of the grid, so the basis' factor 2 costs no pass."""
         rows = c.shape[:-2]
         half = np.matmul(left.T, c, out=_buffer(work, "half", rows + (g.order, self.n_modes)))
-        vals = np.matmul(half, right, out=_buffer(work, name, rows + (g.order, g.order)))
-        vals *= 2.0
-        return vals
+        return np.matmul(half, right2, out=_buffer(work, name, rows + (g.order, g.order)))
 
     def _component_values(self, u, g: _SynthGrid, work: GridWorkspace | None = None) -> np.ndarray:
         """Values of both components on the tensor grid, shape (..., 2, Q, Q).
@@ -395,10 +404,26 @@ class SpectralSpaces:
         held = None if work is None else work.held
         if held is not None and held[0] is u and held[1] is g:
             return held[2]
-        vals = self._synthesize(g.sin, self._coeff_blocks(u), g.sin, g, work, "values")
+        vals = self._synthesize(g.sin, self._coeff_blocks(u), g.sin2, g, work, "values")
         if work is not None:
-            work.held = (u, g, vals)
+            work.held, work.squares_held = (u, g, vals), False
         return vals
+
+    def _product_planes(self, u, g: _SynthGrid, work: GridWorkspace | None = None, cross=False):
+        """Pointwise products of the grid values of u in (..., 3, Q, Q)
+        planes u1 u1, u1 u2, u2 u2, the middle one formed only with
+        ``cross``.  A workspace holds the squares with the values, and hands
+        them back for the same rows; with ``cross`` the planes are the
+        caller's to overwrite, and no longer held."""
+        vals = self._component_values(u, g, work)
+        planes = _buffer(work, "planes", vals.shape[:-3] + (3,) + vals.shape[-2:])
+        if work is None or not work.squares_held:
+            np.multiply(vals, vals, out=planes[..., ::2, :, :])
+        if cross:  # u2 u1 is u1 u2 bit for bit
+            np.multiply(vals[..., 0, :, :], vals[..., 1, :, :], out=planes[..., 1, :, :])
+        if work is not None:
+            work.squares_held = not cross
+        return planes
 
     def _component_gradients(
         self, u, g: _SynthGrid, work: GridWorkspace | None = None
@@ -406,8 +431,8 @@ class SpectralSpaces:
         """Partial derivatives (d_1 u, d_2 u) on the grid, each of shape
         (..., 2, Q, Q): [i][..., d] = d_i u_d."""
         c = self._coeff_blocks(u)
-        d1 = self._synthesize(g.cos, c * (np.pi * g.jcol[None, :, :]), g.sin, g, work, "d1")
-        d2 = self._synthesize(g.sin, c * (np.pi * g.jcol.T[None, :, :]), g.cos, g, work, "d2")
+        d1 = self._synthesize(g.cos, c * (np.pi * g.jcol[None, :, :]), g.sin2, g, work, "d1")
+        d2 = self._synthesize(g.sin, c * (np.pi * g.jcol.T[None, :, :]), g.cos2, g, work, "d2")
         return d1, d2
 
     def synthesize(self, u: VelocityField, points) -> np.ndarray:

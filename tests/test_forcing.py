@@ -154,3 +154,25 @@ def test_key_table_matches_numpy_seed_sequence_keys(spaces3):
                 assert table[i, j].tobytes() == want.tobytes()
             drawn = sample_increment(g, 1e-3, (seed, paths, step), keys=table[i])
             assert drawn.dw.tobytes() == sample_increment(g, 1e-3, (seed, paths, step)).dw.tobytes()
+
+
+@pytest.mark.parametrize("paths", [[4], [0, 3, 3], [5, 1, 1, 2, 7] * 4])
+def test_multi_step_draw_equals_per_step_draws(spaces3, paths):
+    # blocks of 1, 3 and 20 rows, rows sharing a path index among them
+    g = default_noise(spaces3, n_terms=5)
+    steps = range(6, 17)
+    table = philox_keys(99, paths, steps)
+    block = sample_increment(g, 2e-3, (99, paths, steps), keys=table)
+    assert block.dw.shape == (len(steps), len(paths), 5)
+    assert block.dw.tobytes() == sample_increment(g, 2e-3, (99, paths, steps)).dw.tobytes()
+    for i, step in enumerate(steps):
+        single = sample_increment(g, 2e-3, (99, paths, step), keys=table[i]).dw
+        assert block.dw[i].tobytes() == single.tobytes()
+    one_path = sample_increment(g, 2e-3, (99, paths[0], steps)).dw
+    assert one_path.tobytes() == block.dw[:, 0].tobytes()
+
+
+def test_multi_step_draw_of_empty_noise(spaces3):
+    inc = sample_increment(empty_noise(spaces3), 1e-3, (1, [0, 2], range(4)))
+    assert inc.dw.shape == (4, 2, 0)
+    assert noise_contribution(empty_noise(spaces3), inc).shape == (4, 2, spaces3.n_velocity)

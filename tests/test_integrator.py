@@ -250,6 +250,30 @@ def test_snapshot_rejects_bad_magic(tmp_path):
         read_snapshot(path)
 
 
+def test_snapshot_rejects_short_fields_and_trailing_bytes(tmp_path, spaces4):
+    state = project_initial(spaces4, "smooth", "low_mode")
+    path = tmp_path / "state.bin"
+    write_snapshot(path, state, "cd" * 32)
+    data = path.read_bytes()
+    nv, n_p = spaces4.n_velocity, spaces4.n_pressure
+    fields = [("magic", 4), ("version", 4), ("digest", 64), ("counts", 12), ("time", 8),
+              ("velocity", 8 * nv), ("pressure", 8 * n_p)]
+    start = 0
+    for field, size in fields:
+        # a cut at the field's start, and one inside it
+        for cut in (start, start + 3):
+            path.write_bytes(data[:cut])
+            with pytest.raises(ConfigurationError, match=f"truncated snapshot: {field}"):
+                read_snapshot(path)
+        start += size
+    assert start == len(data)
+    path.write_bytes(data + b"\x00")
+    with pytest.raises(ConfigurationError, match="1 trailing bytes"):
+        read_snapshot(path)
+    path.write_bytes(data)
+    assert read_snapshot(path)[1] == "cd" * 32
+
+
 def test_factorization_cache_shared(spaces4):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01)
     a = GalerkinIntegrator(spaces4, cfg)

@@ -236,6 +236,59 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
     # and grid values held for ``first`` are not handed out for other rows
     again = bhat_operator(spaces4, first.copy(), work=work).pairings
     assert again.tobytes() == kept[0]
+    # nor the squares l4_norm left in the product planes: for other rows of
+    # the same shape, for the rows a PathBlock.take leaves, and for the same
+    # rows once a convection has weighted the planes
+    a, b = rng.standard_normal((2, 3, spaces4.n_velocity))
+    for l4_rows, bhat_rows in ((a, b), (a, a[[0, 2]]), (a, a)):
+        spaces4.l4_norm(l4_rows, work=work)
+        got = bhat_operator(spaces4, bhat_rows, work=work).pairings
+        assert got.tobytes() == bhat_operator(spaces4, bhat_rows).pairings.tobytes()
+        assert spaces4.l4_norm(bhat_rows, work=work).tobytes() == spaces4.l4_norm(bhat_rows).tobytes()
+
+
+@pytest.mark.parametrize("n_modes", [8, 12, 16])
+@pytest.mark.parametrize("n_rows", [1, 20])
+def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
+    # the doubled tables and the shared product planes give the bits of the
+    # plain 2 * (...) transforms and four products, with and without the
+    # squares that an L4 norm leaves in a workspace
+    sp = build_spaces(n_modes)
+    q = sp.default_quad_order
+    rows = np.random.default_rng(n_modes).standard_normal((n_rows, sp.n_velocity))
+    want = np.stack([_bhat(sp, row, q) for row in rows])
+    work = GridWorkspace()
+    assert bhat_operator(sp, rows, work=work).pairings.tobytes() == want.tobytes()
+    sp.l4_norm(rows, work=work)
+    assert bhat_operator(sp, rows, work=work).pairings.tobytes() == want.tobytes()
+    assert bhat_operator(sp, rows).pairings.tobytes() == want.tobytes()
+    g = sp.grid(q)
+    vals = np.stack([2.0 * (g.sin.T @ row.reshape(2, n_modes, n_modes) @ g.sin) for row in rows])
+    assert sp._component_values(rows, g).tobytes() == vals.tobytes()
+
+
+def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
+    # K = 2N^2 noise terms: a block of 20 rows draws 51 steps a chunk, so 120
+    # steps take three sample_increment calls, one-step chunks 120
+    cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.12, seed=3)
+    noise = default_noise(spaces8, trace=0.05, n_terms=spaces8.n_velocity)
+    integ = GalerkinIntegrator(spaces8, cfg, noise=noise)
+    initial = project_initial(spaces8, "smooth", "low_mode")
+    real, calls = integrator.sample_increment, []
+
+    def counted(*args, **kwargs):
+        calls.append(args[2][2])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(integrator, "sample_increment", counted)
+    chunked = integ.run_path(initial, range(20))
+    assert [(s.start, s.stop) for s in calls] == [(0, 51), (51, 102), (102, 120)]
+    monkeypatch.setattr(integrator, "NOISE_CHUNK_BYTES", 1)
+    stepped = integ.run_path(initial, range(20))
+    assert len(calls) == 3 + 120
+    for a, b in zip(chunked, stepped):
+        for name in SERIES:
+            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
 
 
 def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
@@ -282,3 +335,25 @@ def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
             assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
         for name in ("residual", "martingale_increment", "convection_pairing"):
             assert _bits(getattr(rows[i].ledger, name)) == _bits(getattr(solo.ledger, name))
+
+
+def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):
+    # the data of test_block_shrunk_by_divergence_matches_solo_runs, drawn
+    # two steps a chunk: rows 2 and 0 blow up inside and at the end of one
+    cfg = SolverConfig(n_modes=4, dt=0.05, horizon=0.5, nu=1e-3, eps=1e-2, seed=5)
+    integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
+    monkeypatch.setattr(integrator, "NOISE_CHUNK_BYTES", 2 * 8 * 5 * integ.noise.n_terms)
+    quiet = project_initial(spaces4, "smooth", "low_mode")
+    inits = [
+        project_initial(spaces4, [(1, 1, 1, 30.0), (2, 3, 2, -30.0)], None),
+        quiet,
+        project_initial(spaces4, [(1, 1, 1, 100.0), (2, 3, 2, -100.0)], None),
+        quiet,
+        project_initial(spaces4, None, None),
+    ]
+    rows = integ.run_path(inits, [0, 1, 2, 1, 4])
+    assert [(r.path, r.step) for r in rows[0:3:2]] == [(0, 4), (2, 3)]
+    for i, path in ((1, 1), (3, 1), (4, 4)):
+        solo = integ.run_path(inits[i], path_index=path)
+        for name in SERIES:
+            assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
