@@ -7,10 +7,10 @@ path and step on stderr), 2 means a configuration or IO error.
 Outputs are byte-identical across reruns, worker counts and BLAS thread
 counts (``OPENBLAS_NUM_THREADS``) for identical manifest inputs: the implicit
 matrix's inverse, the one product whose rounding followed the thread count,
-is built by LAPACK on scipy's bundled OpenBLAS, through ctypes and at one
+is built by LAPACK on numpy's bundled OpenBLAS, through ctypes and at one
 thread.  Importing this module and running a command load numpy and the
-standard library only; scipy.linalg is imported only when scipy links
-another BLAS.
+standard library only.  With a numpy that links another BLAS, numpy.linalg
+builds the inverse at that BLAS's thread count.
 """
 
 from __future__ import annotations
@@ -28,6 +28,7 @@ from .config import (
     build_initial,
     build_noise,
     load_config,
+    parse_value,
     parse_velocity_modes,
     write_csv,
     write_json_report,
@@ -274,10 +275,10 @@ def _cmd_mc_moment(args) -> int:
 def _cmd_uniqueness(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, init_a = _problem(setup)
-    raw_mode = [t.strip() for t in setup.get("uniqueness.perturb_mode").split(",")]
+    raw_mode = setup.get("uniqueness.perturb_mode").split(",")
     if len(raw_mode) != 3:
         raise ConfigurationError("uniqueness.perturb_mode must be 'j,k,d'")
-    mode = tuple(int(v) for v in raw_mode)
+    mode = tuple(parse_value("uniqueness.perturb_mode", int, v) for v in raw_mode)
     amp = setup.get_float("uniqueness.perturb_amplitude")
     c_check = setup.get_float("uniqueness.c_check")
     init_b = perturbed_state(spaces, init_a, mode, amp)
@@ -319,12 +320,10 @@ def _cmd_sweep(args) -> int:
     )
     # states of path 0 at the grid times nearest the requested ones, captured
     # while the sweep runs it
-    snap_raw = setup.get("sweep.snapshot_times").strip()
     cfg = plan.base
     wanted = {
-        min(max(int(round(float(tok) / cfg.dt)), 0), cfg.n_steps): float(tok)
-        for tok in snap_raw.split(",")
-        if tok.strip()
+        min(max(int(round(t / cfg.dt)), 0), cfg.n_steps): t
+        for t in setup.float_list("sweep.snapshot_times")
     }
     snapshots = {eps: [] for eps in plan.eps_values}
 

@@ -79,14 +79,23 @@ class RunSetup:
         return self.values[key]
 
     def get_float(self, key: str) -> float:
-        return float(self.values[key])
+        return parse_value(key, float, self.values[key])
 
     def get_int(self, key: str) -> int:
-        return int(self.values[key])
+        return parse_value(key, int, self.values[key])
 
     def float_list(self, key: str) -> list[float]:
         raw = self.values[key]
-        return [float(tok) for tok in raw.split(",") if tok.strip()]
+        return [parse_value(key, float, tok) for tok in raw.split(",") if tok.strip()]
+
+
+def parse_value(key: str, typ: type, raw: str):
+    """``typ(raw)``; a malformed value is a ConfigurationError naming the key."""
+    try:
+        return typ(raw)
+    except ValueError:
+        kind = "an integer" if typ is int else "a number"
+        raise ConfigurationError(f"{key} must be {kind}, got {raw!r}") from None
 
 
 def parse_velocity_modes(raw: str) -> list[tuple[int, int, int, float]]:
@@ -179,12 +188,7 @@ def _materialise_solver(values: dict[str, str]) -> SolverConfig:
         if key == "quad_order" and raw.strip() == "":
             kwargs[key] = None
             continue
-        try:
-            kwargs[key] = typ(raw)
-        except ValueError as exc:
-            raise ConfigurationError(
-                f"solver.{key} must be a {typ.__name__}, got {raw!r}"
-            ) from exc
+        kwargs[key] = parse_value(f"solver.{key}", typ, raw)
     return SolverConfig(**kwargs)
 
 

@@ -21,7 +21,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forcing import DeterministicForce, NoiseModel, sample_increment  # noqa: F401 (benchmark patch site)
+from .forcing import DeterministicForce, NoiseModel
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, completed
 from .spaces import ConfigurationError, SpectralSpaces, VelocityField, l2_norm
 

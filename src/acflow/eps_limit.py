@@ -37,7 +37,7 @@ from .integrator import (
     State,
     project_initial,
 )
-from .spaces import ConfigurationError, SpectralSpaces, VelocityField
+from .spaces import ConfigurationError, SpectralSpaces
 
 logger = logging.getLogger(__name__)
 
@@ -53,12 +53,6 @@ def leray_projector(spaces: SpectralSpaces) -> np.ndarray:
     the zero matrix.
     """
     return np.diag((spaces.div_diagonal == 0).astype(float))
-
-
-def leray_project(spaces: SpectralSpaces, u: VelocityField) -> VelocityField:
-    """Project a velocity field onto the divergence-free subspace."""
-    p = leray_projector(spaces)
-    return VelocityField(p @ u.coeffs, spaces.n_modes)
 
 
 def run_incompressible_reference(
@@ -128,6 +122,8 @@ class EpsSweepPlan:
             raise ConfigurationError("eps values must be strictly decreasing")
         if self.n_paths < 1:
             raise ConfigurationError("sweep needs at least one path")
+        if self.noise_trace < 0:
+            raise ConfigurationError("sweep.noise_trace must be nonnegative")
 
 
 @dataclass

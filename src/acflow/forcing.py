@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .spaces import SpectralSpaces
+from .spaces import ConfigurationError, SpectralSpaces
 
 
 @dataclass(frozen=True)
@@ -93,7 +93,7 @@ def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8)
         ]
     )
     if trace < 0:
-        raise ValueError("noise trace must be nonnegative")
+        raise ConfigurationError(f"noise.trace must be nonnegative, got {trace!r}")
     amps = np.sqrt(trace * weights / np.sum(weights))
     rows = np.zeros((len(chosen), spaces.n_velocity))
     for row, (i, a) in enumerate(zip(chosen, amps)):
@@ -101,16 +101,12 @@ def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8)
     return NoiseModel(rows)
 
 
-def sample_increment(
-    noise: NoiseModel, dt: float, seed_path: tuple, keys=None
-) -> WienerIncrement:
+def sample_increment(noise: NoiseModel, dt: float, seed_path: tuple) -> WienerIncrement:
     """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step): the normals
     of ``Philox(SeedSequence(seed, spawn_key=(path, step)))``.  A sequence of
     paths gives ``dw`` a row per path, each the draw of its own key, and a
-    sequence of steps a leading step axis before the paths'.  ``keys``, the
-    Philox keys as :func:`philox_keys` gives them for this seed, these steps
-    and these paths (without the step axis for one step), saves deriving
-    them here."""
+    sequence of steps a leading step axis before the paths'.  The keys of
+    just these steps and paths are derived, by one :func:`philox_keys` call."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     seed, path, step = seed_path
@@ -119,12 +115,10 @@ def sample_increment(
         raise ValueError("seed, path and step must be nonnegative")
     rows = np.zeros((len(steps), len(paths), noise.n_terms))
     if noise.n_terms:
-        if keys is None:
-            keys = philox_keys(seed, paths, steps)
         # one state dict for every re-key, its words Python ints: the
         # setter reads them one by one, and numpy scalars cost more
         state = {**_FRESH_PHILOX, "state": {"counter": [0] * 4, "key": None}}
-        keys = np.asarray(keys, dtype=np.uint64).reshape(-1, 2)
+        keys = philox_keys(seed, paths, steps).reshape(-1, 2)
         for row, key in zip(rows.reshape(-1, noise.n_terms), keys):
             state["state"]["key"] = key.tolist()
             _STREAM.bits.state = state

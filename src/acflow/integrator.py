@@ -21,10 +21,8 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
-import importlib.util
 import os
 import struct
-import threading
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, fields, replace
 
@@ -36,7 +34,6 @@ from .forcing import (
     WienerIncrement,
     empty_noise,
     noise_contribution,
-    philox_keys,
     sample_increment,
 )
 from .spaces import (
@@ -132,15 +129,6 @@ class EnergyLedger:
     residual: np.ndarray
     convection_pairing: np.ndarray  # (B(u_m), u_m), zero up to round-off
 
-    def recomputed_residual(self) -> np.ndarray:
-        return (
-            self.energy_change
-            + self.dissipation_increment
-            - self.work_increment
-            - self.ito_increment
-            - self.martingale_increment
-        )
-
 
 @dataclass(frozen=True)
 class PathBlock:
@@ -192,52 +180,48 @@ _LEDGER_TERMS = tuple(f.name for f in fields(EnergyLedger))[1:]
 _RUN_ARRAYS = tuple(dict.fromkeys(PathRecord.SERIES + _LEDGER_TERMS))
 
 
-_INVERSE_CACHE: dict[tuple, np.ndarray] = {}
-_INVERSE_LOCK = threading.Lock()
-
-
-# what _cholesky_inverse calls in scipy's bundled OpenBLAS
+# what _cholesky_inverse calls in numpy's bundled OpenBLAS, built with 64-bit
+# LAPACK integers and the scipy_ symbol prefix and 64_ suffix
 _OPENBLAS_SYMBOLS = (
-    "scipy_openblas_get_num_threads",
-    "scipy_openblas_set_num_threads",
-    "scipy_dpotrf_",
-    "scipy_dpotrs_",
+    "scipy_openblas_get_num_threads64_",
+    "scipy_openblas_set_num_threads64_",
+    "scipy_dpotrf_64_",
+    "scipy_dpotrs_64_",
 )
 
 
 @functools.cache
-def _scipy_openblas():
-    """The OpenBLAS bundled with scipy's wheels (``scipy.libs``), its thread
-    count and LAPACK Cholesky routines typed for ``ctypes``, or None when
-    scipy links another BLAS.  Found without importing scipy."""
-    spec = importlib.util.find_spec("scipy")
-    if spec is None or not spec.submodule_search_locations:
-        return None
-    libs = os.path.join(spec.submodule_search_locations[0], os.pardir, "scipy.libs")
-    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so"))):
+def _numpy_openblas():
+    """The OpenBLAS bundled with numpy's wheels (``numpy.libs``), the library
+    numpy's own products already run on, with its thread count and LAPACK
+    Cholesky routines typed for ``ctypes``; None when numpy links another
+    BLAS."""
+    libs = os.path.join(os.path.dirname(np.__file__), os.pardir, "numpy.libs")
+    for path in sorted(glob.glob(os.path.join(libs, "libscipy_openblas64_*.so"))):
         try:
             lib = ctypes.CDLL(path)
         except OSError:
             continue
         if all(hasattr(lib, name) for name in _OPENBLAS_SYMBOLS):
-            lib.scipy_openblas_get_num_threads.argtypes = []
-            lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
-            lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
-            lib.scipy_openblas_set_num_threads.restype = None
-            # Fortran calling convention: integers by reference, then the
-            # length of the character argument uplo by value
-            ref = ctypes.POINTER(ctypes.c_int)
+            # the thread calls take and return a C int; LAPACK's integers
+            # are 64-bit, passed by reference (Fortran calling convention),
+            # then the length of the character argument uplo by value
+            lib.scipy_openblas_get_num_threads64_.argtypes = []
+            lib.scipy_openblas_get_num_threads64_.restype = ctypes.c_int
+            lib.scipy_openblas_set_num_threads64_.argtypes = [ctypes.c_int]
+            lib.scipy_openblas_set_num_threads64_.restype = None
+            ref = ctypes.POINTER(ctypes.c_int64)
             mat = np.ctypeslib.ndpointer(np.float64, ndim=2, flags="F_CONTIGUOUS")
-            lib.scipy_dpotrf_.argtypes = [ctypes.c_char_p, ref, mat, ref, ref, ctypes.c_size_t]
-            lib.scipy_dpotrs_.argtypes = [
+            lib.scipy_dpotrf_64_.argtypes = [ctypes.c_char_p, ref, mat, ref, ref, ctypes.c_size_t]
+            lib.scipy_dpotrs_64_.argtypes = [
                 ctypes.c_char_p, ref, ref, mat, ref, mat, ref, ref, ctypes.c_size_t
             ]
-            lib.scipy_dpotrf_.restype = lib.scipy_dpotrs_.restype = None
+            lib.scipy_dpotrf_64_.restype = lib.scipy_dpotrs_64_.restype = None
             return lib
     return None
 
 
-def _check_info(routine: str, info: ctypes.c_int) -> None:
+def _check_info(routine: str, info: ctypes.c_int64) -> None:
     if info.value != 0:
         raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info.value}")
 
@@ -248,8 +232,8 @@ def _cho_factor(a: np.ndarray) -> np.ndarray:
     a positive info means a leading minor is not positive."""
     if a.shape != (len(a), len(a)):
         raise ValueError(f"cannot factor a {a.shape} matrix")
-    n, info = ctypes.c_int(len(a)), ctypes.c_int()
-    _scipy_openblas().scipy_dpotrf_(b"U", n, a, n, info, 1)
+    n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
+    _numpy_openblas().scipy_dpotrf_64_(b"U", n, a, n, info, 1)
     _check_info("dpotrf", info)
     return a
 
@@ -259,8 +243,8 @@ def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
     _cho_factor: LAPACK dpotrs, the call behind scipy.linalg.cho_solve."""
     if len(b) != len(factor):
         raise ValueError(f"{b.shape} right-hand sides for a {factor.shape} factor")
-    n, nrhs, info = ctypes.c_int(len(factor)), ctypes.c_int(b.shape[1]), ctypes.c_int()
-    _scipy_openblas().scipy_dpotrs_(b"U", n, nrhs, factor, n, b, n, info, 1)
+    n, nrhs, info = ctypes.c_int64(len(factor)), ctypes.c_int64(b.shape[1]), ctypes.c_int64()
+    _numpy_openblas().scipy_dpotrs_64_(b"U", n, nrhs, factor, n, b, n, info, 1)
     _check_info("dpotrs", info)
     return b
 
@@ -268,24 +252,22 @@ def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
 def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
     """M^-1 = cho_solve(cho_factor(M), I) for the Fortran-order M: the factor
     overwrites M and the solve a Fortran-order identity, so two matrices of
-    M's size are held at once.  Scipy's bundled OpenBLAS runs it held at one
+    M's size are held at once.  Numpy's bundled OpenBLAS runs it held at one
     thread: its blocked factorisation rounds differently at two threads, and
     every step reads the inverse, so output bytes would otherwise follow the
-    thread count.  The previous count is restored afterwards.  With a scipy
-    that links another BLAS, scipy.linalg builds it as is."""
-    lib = _scipy_openblas()
+    thread count.  The previous count is restored afterwards.  With a numpy
+    that links another BLAS, numpy.linalg builds it from the Cholesky factor
+    L as L^-T L^-1, at whatever thread count that BLAS runs."""
+    lib = _numpy_openblas()
     if lib is None:
-        from scipy import linalg
-
-        factor = linalg.cho_factor(m, overwrite_a=True, check_finite=False)
-        eye = np.eye(len(m), order="F")
-        return linalg.cho_solve(factor, eye, overwrite_b=True, check_finite=False)
-    threads = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
+        l_inv = np.linalg.inv(np.linalg.cholesky(m))
+        return l_inv.T @ l_inv
+    threads = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(1)
     try:
         return cho_solve(_cho_factor(m), np.eye(len(m), order="F"))
     finally:
-        lib.scipy_openblas_set_num_threads(threads)
+        lib.scipy_openblas_set_num_threads64_(threads)
 
 
 def _implicit_matrix(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
@@ -310,22 +292,15 @@ def _implicit_matrix(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -
 
 
 def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
-    """Cached inverse of the implicit matrix M = I + dt nu A + (dt^2/eps) D G D.
+    """Inverse of the implicit matrix M = I + dt nu A + (dt^2/eps) D G D.
     M is SPD and well conditioned (cond(M) about 1.1 to 24 over the shipped
     cutoffs and eps), so a step's solve is one product with M^-1."""
-    key = (spaces.n_modes, float(nu), float(eps), float(dt))
-    with _INVERSE_LOCK:
-        cached = _INVERSE_CACHE.get(key)
-        if cached is None:
-            try:
-                cached = _cholesky_inverse(_implicit_matrix(spaces, nu, eps, dt))
-            except np.linalg.LinAlgError as exc:
-                raise ConfigurationError(
-                    "implicit system matrix is not positive definite; "
-                    "configuration is corrupt"
-                ) from exc
-            _INVERSE_CACHE[key] = cached
-    return cached
+    try:
+        return _cholesky_inverse(_implicit_matrix(spaces, nu, eps, dt))
+    except np.linalg.LinAlgError as exc:
+        raise ConfigurationError(
+            "implicit system matrix is not positive definite; configuration is corrupt"
+        ) from exc
 
 
 def project_initial(spaces: SpectralSpaces, u_spec, p_spec) -> State:
@@ -424,19 +399,12 @@ class GalerkinIntegrator:
 
         return bhat_operator(self.spaces, u, self.quad_order, work=work).pairings
 
-    def step(self, state, inc, work: GridWorkspace | None = None):
+    def step(self, state: PathBlock, inc: WienerIncrement, work: GridWorkspace | None = None):
         """One semi-implicit step of every path of a PathBlock, given the
         WienerIncrement with a row per path; returns the new block and the
         step's EnergyLedger, an entry per path.  Grid arrays go to ``work``,
-        the block's GridWorkspace, when given.  A State steps as a block of
-        one and comes back as a State."""
+        the block's GridWorkspace, when given."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
-        if isinstance(state, State):
-            u, p = state.u.coeffs[None], state.p.coeffs[None]
-            block = self._block(u, p, state.t, np.zeros(1, int))
-            new, ledger = self.step(block, replace(inc, dw=inc.dw[None]))
-            u, p = VelocityField(new.u[0], cfg.n_modes), PressureField(new.p[0], cfg.n_modes)
-            return State(u, p, new.t), ledger
         u_m, p_m = state.u, state.p
 
         bhat = self._convection_dual(u_m, work)
@@ -471,8 +439,8 @@ class GalerkinIntegrator:
         index and so its noise), and returns per row the record or the
         DivergedPathError that stopped that row alone.  ``observe(m, block)``
         sees the rows still running after each step m (and m = 0).  The
-        block's grid workspace and noise keys live as long as this call; its
-        increments are drawn by one sample_increment call per chunk of steps
+        block's grid workspace lives as long as this call; its increments are
+        drawn by one sample_increment call per chunk of steps
         (NOISE_CHUNK_BYTES), for the rows running at the chunk's start.
         """
         cfg = self.config
@@ -489,7 +457,6 @@ class GalerkinIntegrator:
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection finds them
         work = GridWorkspace()
-        keys = philox_keys(cfg.seed, paths, range(cfg.n_steps))
         chunk = max(1, NOISE_CHUNK_BYTES // max(1, 8 * len(paths) * self.noise.n_terms))
         drawn = range(0)  # steps whose increments dw holds, for the rows drawn_rows
 
@@ -512,9 +479,7 @@ class GalerkinIntegrator:
                 break
             if m - 1 not in drawn:
                 drawn, drawn_rows = range(m - 1, min(m - 1 + chunk, cfg.n_steps)), block.rows
-                seed_path = (cfg.seed, paths[drawn_rows], drawn)
-                chunk_keys = keys[drawn.start : drawn.stop, drawn_rows]
-                dw = sample_increment(self.noise, cfg.dt, seed_path, keys=chunk_keys).dw
+                dw = sample_increment(self.noise, cfg.dt, (cfg.seed, paths[drawn_rows], drawn)).dw
             step_dw = dw[m - 1 - drawn.start]
             if len(block.rows) < len(drawn_rows):
                 step_dw = step_dw[np.searchsorted(drawn_rows, block.rows)]

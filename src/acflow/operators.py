@@ -21,7 +21,6 @@ from .spaces import (
     SpectralSpaces,
     VelocityField,
     _buffer,
-    _stiffness_diagonal,
     h10_norm,
     l2_norm,
 )
@@ -34,9 +33,6 @@ class DualVector:
     pairings: np.ndarray
     n_modes: int
 
-    def pair(self, u: VelocityField) -> float:
-        return float(np.dot(self.pairings, u.coeffs))
-
 
 @dataclass(frozen=True)
 class MonotonicityReport:
@@ -47,16 +43,6 @@ class MonotonicityReport:
     rhs: float
     r: float
     in_ball: bool
-
-    def recomputed_margin(self) -> float:
-        return self.stokes_term + self.convection_term + self.ball_term - self.rhs
-
-
-def stokes_apply(u: VelocityField, nu: float) -> DualVector:
-    """Viscous Stokes pairing; diagonal on the sine basis."""
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-    return DualVector(nu * _stiffness_diagonal(u.n_modes) * u.coeffs, u.n_modes)
 
 
 class _ConvectionArrays:
@@ -273,33 +259,6 @@ def monotonicity_margin(
         r=r,
         in_ball=in_ball,
     )
-
-
-def check_ibp_identity(
-    spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
-    w: VelocityField,
-    quad_order: int | None = None,
-) -> float:
-    """Residual of the integration-by-parts identity
-    <(u.grad)v, w> + <(Div u) w, v> + <(u.grad)w, v> = 0."""
-    if quad_order is None:
-        quad_order = spaces.default_quad_order
-    g = spaces.grid(quad_order)
-    uu = spaces._component_values(u, g)
-    vv = spaces._component_values(v, g)
-    ww = spaces._component_values(w, g)
-    gv = spaces._component_gradients(v, g)
-    gw = spaces._component_gradients(w, g)
-    gu = spaces._component_gradients(u, g)
-    div_u = gu[0][0] + gu[1][1]
-    adv_v = uu[0] * gv[0] + uu[1] * gv[1]
-    adv_w = uu[0] * gw[0] + uu[1] * gw[1]
-    t1 = float(np.sum((adv_v[0] * ww[0] + adv_v[1] * ww[1]) * g.w2d))
-    t2 = float(np.sum(div_u * (ww[0] * vv[0] + ww[1] * vv[1]) * g.w2d))
-    t3 = float(np.sum((adv_w[0] * vv[0] + adv_w[1] * vv[1]) * g.w2d))
-    return t1 + t2 + t3
 
 
 # -- randomized inequality suite -------------------------------------------------

@@ -435,16 +435,6 @@ class SpectralSpaces:
         d2 = self._synthesize(g.sin, c * (np.pi * g.jcol.T[None, :, :]), g.cos2, g, work, "d2")
         return d1, d2
 
-    def synthesize(self, u: VelocityField, points) -> np.ndarray:
-        """Pointwise values of the field at (x, y) points in [0, 1]^2."""
-        pts = np.atleast_2d(np.asarray(points, dtype=float))
-        j = np.arange(1, self.n_modes + 1, dtype=float)
-        sx = np.sin(np.outer(j, np.pi * pts[:, 0]))
-        sy = np.sin(np.outer(j, np.pi * pts[:, 1]))
-        c = self._coeff_blocks(u)
-        vals = 2.0 * np.einsum("jm,djk,km->md", sx, c, sy)
-        return vals
-
 
 def build_spaces(n_modes: int) -> SpectralSpaces:
     """Construct the velocity/pressure enumerations and the pressure Gram's

@@ -2,6 +2,8 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces
+from acflow.operators import DualVector
+from acflow.spaces import _stiffness_diagonal
 
 
 @pytest.fixture(scope="session")
@@ -49,6 +51,20 @@ def dense_gram():
 def dense_grad_div():
     """Function of the spaces giving the dense grad-div coupling D G D."""
     return _dense_grad_div
+
+
+def _stokes_apply(u, nu):
+    """Viscous Stokes pairing; diagonal on the sine basis."""
+    if nu <= 0:
+        raise ValueError("viscosity must be positive")
+    return DualVector(nu * _stiffness_diagonal(u.n_modes) * u.coeffs, u.n_modes)
+
+
+@pytest.fixture(scope="session")
+def stokes_apply():
+    """Function of a field and a viscosity giving the Stokes pairings as a
+    DualVector, which the program itself never forms."""
+    return _stokes_apply
 
 
 @pytest.fixture()

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .spaces import (
+from acflow.spaces import (
     PressureField,
     VelocityField,
     gauss_rule_01,

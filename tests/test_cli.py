@@ -122,7 +122,7 @@ def test_mc_energy_worker_count_does_not_change_bytes(tmp_path):
 
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
-    # the implicit inverse is built with scipy's OpenBLAS at one thread, so a
+    # the implicit inverse is built with numpy's OpenBLAS at one thread, so a
     # stepping command writes the same bytes at any OPENBLAS_NUM_THREADS; the
     # N=12 run is the large-n shape, a 288 x 288 inverse and its gemv per step
     src = os.path.dirname(os.path.dirname(acflow.__file__))
@@ -146,29 +146,51 @@ def test_blas_thread_count_does_not_change_bytes(tmp_path):
         assert digests["1"] == digests["2"], argv[0]
 
 
-def test_import_and_run_load_no_scipy(tmp_path):
-    # numpy and the standard library only: the implicit inverse goes through
-    # LAPACK on scipy's bundled OpenBLAS, found without importing scipy
-    from acflow import integrator
+def _digests(out):
+    return {f.name: hashlib.sha256(f.read_bytes()).hexdigest() for f in sorted(out.iterdir())}
 
-    if integrator._scipy_openblas() is None:
-        pytest.skip("scipy does not bundle its own OpenBLAS here; the inverse imports scipy.linalg")
-    src = os.path.dirname(os.path.dirname(acflow.__file__))
+
+def test_import_and_run_load_no_scipy(tmp_path):
+    # numpy and the standard library only: in a process where scipy cannot
+    # be imported, the stepping commands write the bytes of an unblocked run,
+    # and scipy's copy of OpenBLAS (libscipy_openblas-*.so) is never mapped
+    commands = {
+        "run": ["run", "--set", "solver.n_modes=4"],
+        "mc-energy": ["mc-energy", "--paths", "4"],
+    }
     code = (
-        "import sys\n"
-        "def scipy_modules():\n"
-        "    return sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "import json, os, sys\n"
+        "class NoScipy:\n"
+        "    def find_spec(self, name, path=None, target=None):\n"
+        "        if name.split('.')[0] == 'scipy':\n"
+        "            raise ModuleNotFoundError(f'No module named {name!r}', name=name)\n"
+        "sys.meta_path.insert(0, NoScipy())\n"
         "import acflow.cli\n"
-        "print(scipy_modules())\n"
-        "rc = acflow.cli.main(['run', '--quiet', '--set', 'solver.n_modes=4',\n"
-        "                      '--set', 'solver.horizon=0.01', '--out', sys.argv[1]])\n"
-        "print(rc, scipy_modules())\n"
+        "commands, out = json.loads(sys.argv[1]), sys.argv[2]\n"
+        "rcs = [acflow.cli.main(argv + ['--quiet', '--set', 'solver.horizon=0.1',\n"
+        "                               '--out', os.path.join(out, name)])\n"
+        "       for name, argv in commands.items()]\n"
+        "with open('/proc/self/maps') as fh:\n"
+        "    libs = {line.split()[-1] for line in fh if 'openblas' in line}\n"
+        "scipy = sorted(m for m in sys.modules if m.split('.')[0] == 'scipy')\n"
+        "print(json.dumps({'rcs': rcs, 'libs': sorted(libs), 'scipy': scipy}))\n"
     )
-    out = subprocess.run(
-        [sys.executable, "-c", code, str(tmp_path / "r")],
-        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=120,
+    src = os.path.dirname(os.path.dirname(acflow.__file__))
+    blocked = tmp_path / "blocked"
+    proc = subprocess.run(
+        [sys.executable, "-c", code, json.dumps(commands), str(blocked)],
+        env=dict(os.environ, PYTHONPATH=src), capture_output=True, text=True, timeout=300,
     )
-    assert out.stdout.splitlines() == ["[]", "0 []"], out.stderr
+    assert proc.returncode == 0, proc.stderr
+    seen = json.loads(proc.stdout.splitlines()[-1])
+    assert seen["rcs"] == [0, 0] and seen["scipy"] == [], seen
+    assert not [lib for lib in seen["libs"] if "libscipy_openblas-" in os.path.basename(lib)]
+    assert len(seen["libs"]) <= 1, seen["libs"]  # numpy's own OpenBLAS, if it bundles one
+    for name, argv in commands.items():
+        out = tmp_path / "unblocked" / name
+        argv = argv + ["--quiet", "--set", "solver.horizon=0.1", "--out", str(out)]
+        assert main(argv) == 0
+        assert _digests(blocked / name) == _digests(out), name
 
 
 def test_verify_subcommand(tmp_path):
@@ -257,6 +279,26 @@ def test_unknown_subcommand_exits_2():
 def test_config_error_exits_2(tmp_path):
     rc = main(["run", "--set", "solver.dt=0", "--quiet", "--out", str(tmp_path)])
     assert rc == 2
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("mc-energy", "monte_carlo.paths=abc"),
+        ("mc-energy", "monte_carlo.deltas=x"),
+        ("sweep-eps", "sweep.snapshot_times=abc"),
+        ("uniqueness", "uniqueness.perturb_mode=a,b,c"),
+        ("run", "noise.trace=-1"),
+        ("sweep-eps", "sweep.noise_trace=-1"),
+        ("run", "solver.n_modes=x"),
+    ],
+)
+def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):
+    rc = main([command, "--set", override, "--quiet", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert override.split("=")[0] in err
+    assert "Traceback" not in err
 
 
 def test_mc_moment_subcommand(tmp_path):

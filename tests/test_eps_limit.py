@@ -8,14 +8,13 @@ from acflow import build_spaces, l2_norm
 from acflow.eps_limit import (
     EpsSweepPlan,
     epsilon_sweep,
-    leray_project,
     leray_projector,
     run_incompressible_reference,
 )
 from acflow.forcing import DeterministicForce, default_noise
 from acflow.integrator import GalerkinIntegrator, SolverConfig, project_initial
 from acflow.operators import sample_field
-from acflow.spaces import ConfigurationError
+from acflow.spaces import ConfigurationError, SpectralSpaces, VelocityField
 
 
 def test_plan_validation():
@@ -50,6 +49,12 @@ def test_projector_kills_discrete_gradients(spaces4, rng, dense_gram):
     c = rng.standard_normal(spaces4.n_pressure)
     grad = (dense_gram(spaces4) * spaces4.div_diagonal[None, :]).T @ c
     assert np.linalg.norm(p @ grad) <= 1e-10 * max(np.linalg.norm(grad), 1.0)
+
+
+def leray_project(spaces: SpectralSpaces, u: VelocityField) -> VelocityField:
+    """Project a velocity field onto the divergence-free subspace."""
+    p = leray_projector(spaces)
+    return VelocityField(p @ u.coeffs, spaces.n_modes)
 
 
 def test_projected_field_is_divergence_free_and_idempotent(spaces4, rng):

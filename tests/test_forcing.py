@@ -56,7 +56,7 @@ def test_increment_rejects_bad_dt(spaces3):
 def _block_draw(g, dt, seed, n):
     # step 0 of paths 0..n-1 as one block: the rows equal n single draws
     paths = range(n)
-    return sample_increment(g, dt, (seed, paths, 0), keys=philox_keys(seed, paths, [0])[0])
+    return sample_increment(g, dt, (seed, paths, 0))
 
 
 def test_increment_variance_matches_dt(spaces3):
@@ -140,10 +140,9 @@ def test_increments_match_numpy_seed_sequence_streams(spaces3):
 
 def test_key_table_matches_numpy_seed_sequence_keys(spaces3):
     # words past 32 bits in seed and path, and one- and two-word steps in one
-    # table; a block's draws from table keys equal its derived draws
+    # table
     paths = [0, 5, 2**32 - 1, 2**32, 2**40 + 7]
     steps = [0, 1, 499, 2**32 - 1, 2**32, 2**33 + 1]
-    g = default_noise(spaces3, n_terms=3)
     for seed in (0, 12345, 2**32 + 9, 2**64 - 1):
         table = philox_keys(seed, paths, steps)
         assert table.shape == (len(steps), len(paths), 2) and table.dtype == np.uint64
@@ -152,8 +151,6 @@ def test_key_table_matches_numpy_seed_sequence_keys(spaces3):
                 seq = np.random.SeedSequence(seed, spawn_key=(path, step))
                 want = np.random.Philox(seq).state["state"]["key"]
                 assert table[i, j].tobytes() == want.tobytes()
-            drawn = sample_increment(g, 1e-3, (seed, paths, step), keys=table[i])
-            assert drawn.dw.tobytes() == sample_increment(g, 1e-3, (seed, paths, step)).dw.tobytes()
 
 
 @pytest.mark.parametrize("paths", [[4], [0, 3, 3], [5, 1, 1, 2, 7] * 4])
@@ -161,12 +158,10 @@ def test_multi_step_draw_equals_per_step_draws(spaces3, paths):
     # blocks of 1, 3 and 20 rows, rows sharing a path index among them
     g = default_noise(spaces3, n_terms=5)
     steps = range(6, 17)
-    table = philox_keys(99, paths, steps)
-    block = sample_increment(g, 2e-3, (99, paths, steps), keys=table)
+    block = sample_increment(g, 2e-3, (99, paths, steps))
     assert block.dw.shape == (len(steps), len(paths), 5)
-    assert block.dw.tobytes() == sample_increment(g, 2e-3, (99, paths, steps)).dw.tobytes()
     for i, step in enumerate(steps):
-        single = sample_increment(g, 2e-3, (99, paths, step), keys=table[i]).dw
+        single = sample_increment(g, 2e-3, (99, paths, step)).dw
         assert block.dw[i].tobytes() == single.tobytes()
     one_path = sample_increment(g, 2e-3, (99, paths[0], steps)).dw
     assert one_path.tobytes() == block.dw[:, 0].tobytes()

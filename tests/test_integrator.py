@@ -1,3 +1,9 @@
+import ctypes
+import gc
+import glob
+import os
+import weakref
+
 import numpy as np
 import pytest
 from scipy.linalg import expm
@@ -118,7 +124,15 @@ def test_ledger_residual_recomputable_from_entry(spaces4):
     integ = GalerkinIntegrator(spaces4, cfg, noise=noise)
     rec = integ.run_path(project_initial(spaces4, "smooth", None))
     assert len(rec.ledger.residual) == cfg.n_steps
-    assert np.array_equal(rec.ledger.residual, rec.ledger.recomputed_residual())
+    led = rec.ledger
+    recomputed = (
+        led.energy_change
+        + led.dissipation_increment
+        - led.work_increment
+        - led.ito_increment
+        - led.martingale_increment
+    )
+    assert np.array_equal(led.residual, recomputed)
 
 
 def test_pressure_work_identity(spaces4, dense_gram):
@@ -132,11 +146,13 @@ def test_pressure_work_identity(spaces4, dense_gram):
     noise = empty_noise(spaces4)
     sp = spaces4
     G = dense_gram(sp)
+    # a block of one row: path 0
+    block = integ._block(state.u.coeffs[None], state.p.coeffs[None], state.t, np.zeros(1, int))
     for m in range(5):
-        inc = sample_increment(noise, cfg.dt, (cfg.seed, 0, m))
-        new_state, _ = integ.step(state, inc)
-        u_new = new_state.u.coeffs
-        p_old, p_new = state.p.coeffs, new_state.p.coeffs
+        inc = sample_increment(noise, cfg.dt, (cfg.seed, [0], m))
+        new_block, _ = integ.step(block, inc)
+        u_new = new_block.u[0]
+        p_old, p_new = block.p[0], new_block.p[0]
         grad_mid = -sp.div_diagonal * (G @ (0.5 * (p_old + p_new)))
         pairing_mid = float(np.dot(grad_mid, u_new))
         rate = (
@@ -152,7 +168,7 @@ def test_pressure_work_identity(spaces4, dense_gram):
         div_u = sp.div_diagonal * u_new
         gap = (cfg.dt / (2.0 * cfg.eps)) * float(div_u @ (G @ div_u))
         assert pairing_end - rate == pytest.approx(gap, rel=1e-9, abs=1e-12)
-        state = new_state
+        block = new_block
 
 
 def test_run_path_single_step_record(spaces4):
@@ -274,36 +290,36 @@ def test_snapshot_rejects_short_fields_and_trailing_bytes(tmp_path, spaces4):
     assert read_snapshot(path)[1] == "cd" * 32
 
 
-def test_factorization_cache_shared(spaces4):
-    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01)
-    a = GalerkinIntegrator(spaces4, cfg)
-    b = GalerkinIntegrator(spaces4, cfg)
-    assert a._inverse is b._inverse
-    c = GalerkinIntegrator(spaces4, replace(cfg, eps=0.05))
-    assert c._inverse is not a._inverse
-
-
 SHIPPED_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
 
 
 def _openblas_or_skip():
-    lib = integrator._scipy_openblas()
+    lib = integrator._numpy_openblas()
     if lib is None:
-        pytest.skip("scipy does not bundle its own OpenBLAS here")
+        pytest.skip("numpy does not bundle its own OpenBLAS here")
     return lib
 
 
+def test_integrator_frees_its_inverse_with_it(spaces4):
+    # each integrator builds its own inverse, and nothing else holds it
+    integ = GalerkinIntegrator(spaces4, SolverConfig(n_modes=4, dt=1e-3, horizon=0.01))
+    inverse = weakref.ref(integ._inverse)
+    del integ
+    gc.collect()
+    assert inverse() is None
+
+
 def test_implicit_factor_restores_the_blas_thread_count(spaces4):
-    # the implicit inverse is built at one scipy OpenBLAS thread; the
+    # the implicit inverse is built at one thread of numpy's OpenBLAS; the
     # caller's count comes back afterwards
     lib = _openblas_or_skip()
-    before = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(2)
+    before = lib.scipy_openblas_get_num_threads64_()
+    lib.scipy_openblas_set_num_threads64_(2)
     try:
-        integrator._implicit_inverse(spaces4, 0.37, 0.01, 1e-3)  # a key no other test uses
-        assert lib.scipy_openblas_get_num_threads() == 2
+        integrator._implicit_inverse(spaces4, 0.37, 0.01, 1e-3)
+        assert lib.scipy_openblas_get_num_threads64_() == 2
     finally:
-        lib.scipy_openblas_set_num_threads(before)
+        lib.scipy_openblas_set_num_threads64_(before)
 
 
 @pytest.mark.parametrize("n_modes", [1, 2, 5, 8, 13])
@@ -322,70 +338,79 @@ def test_implicit_matrix_matches_the_dense_assembly(n_modes, dense_grad_div):
         assert m.tobytes() == dense.tobytes()
 
 
+def _scipy_openblas():
+    """The OpenBLAS that scipy.linalg runs on when scipy's wheel bundles its
+    own (``scipy.libs``), with its C thread-count calls typed."""
+    import scipy.linalg  # noqa: F401 (loads the library)
+
+    libs = os.path.join(os.path.dirname(scipy.linalg.__file__), os.pardir, os.pardir, "scipy.libs")
+    paths = sorted(glob.glob(os.path.join(libs, "libscipy_openblas*.so")))
+    if not paths:
+        pytest.skip("scipy does not bundle its own OpenBLAS here")
+    lib = ctypes.CDLL(paths[0])
+    lib.scipy_openblas_get_num_threads.restype = ctypes.c_int
+    lib.scipy_openblas_set_num_threads.argtypes = [ctypes.c_int]
+    return lib
+
+
 @pytest.mark.parametrize("threads", [1, 2])
 def test_lapack_inverse_matches_scipy_cho_solve_bit_for_bit(threads):
     # dpotrf/dpotrs through ctypes are the routines scipy.linalg's
-    # cho_factor/cho_solve call, so at one thread the inverse has the same
-    # bits; the caller's thread count does not move them
+    # cho_factor/cho_solve call, and numpy's OpenBLAS is the same release as
+    # scipy's, so at one thread of each the inverse has the same bits; the
+    # caller's thread count does not move them
     from scipy.linalg import cho_factor, cho_solve
 
-    lib = _openblas_or_skip()
-    before = lib.scipy_openblas_get_num_threads()
+    lib, scipy_lib = _openblas_or_skip(), _scipy_openblas()
+    before = lib.scipy_openblas_get_num_threads64_()
+    scipy_before = scipy_lib.scipy_openblas_get_num_threads()
+    scipy_lib.scipy_openblas_set_num_threads(1)
+    lib.scipy_openblas_set_num_threads64_(threads)
     try:
         for n_modes in (4, 8, 12, 16):
             sp = build_spaces(n_modes)
             for eps in SHIPPED_EPS:
                 m = integrator._implicit_matrix(sp, 0.1, eps, 1e-3)
-                lib.scipy_openblas_set_num_threads(1)
                 expected = cho_solve(cho_factor(m), np.eye(len(m)))
-                lib.scipy_openblas_set_num_threads(threads)
                 got = integrator._cholesky_inverse(m.copy(order="F"))
-                assert lib.scipy_openblas_get_num_threads() == threads
+                assert lib.scipy_openblas_get_num_threads64_() == threads
                 assert got.tobytes() == expected.tobytes(), (n_modes, eps)
     finally:
-        lib.scipy_openblas_set_num_threads(before)
+        lib.scipy_openblas_set_num_threads64_(before)
+        scipy_lib.scipy_openblas_set_num_threads(scipy_before)
 
 
-def test_scipy_fallback_gives_the_same_inverse(monkeypatch):
-    # without scipy's bundled OpenBLAS the inverse comes from scipy.linalg;
-    # at one thread its bytes equal the LAPACK path's
-    lib = _openblas_or_skip()
-    before = lib.scipy_openblas_get_num_threads()
-    lib.scipy_openblas_set_num_threads(1)
-    try:
-        for n_modes in (4, 12):
-            sp = build_spaces(n_modes)
-            m = integrator._implicit_matrix(sp, 0.1, 1e-3, 1e-3)
-            direct = integrator._cholesky_inverse(m.copy(order="F"))
-            with monkeypatch.context() as patch:
-                patch.setattr(integrator, "_scipy_openblas", lambda: None)
-                fallback = integrator._cholesky_inverse(m.copy(order="F"))
-            assert fallback.tobytes() == direct.tobytes()
-    finally:
-        lib.scipy_openblas_set_num_threads(before)
+def _without_numpy_openblas(monkeypatch):
+    # as with a numpy that links another BLAS: numpy.linalg builds the inverse
+    monkeypatch.setattr(integrator, "_numpy_openblas", lambda: None)
 
 
 @pytest.mark.parametrize("library", ["lapack", "fallback"])
 def test_indefinite_implicit_matrix_is_a_configuration_error(spaces4, library, monkeypatch):
     # a negative viscosity makes diagonal entries of M negative
     if library == "fallback":
-        monkeypatch.setattr(integrator, "_scipy_openblas", lambda: None)
+        _without_numpy_openblas(monkeypatch)
     with pytest.raises(ConfigurationError, match="not positive definite"):
         integrator._implicit_inverse(spaces4, -50.0, 0.1, 1e-3)
-    assert (4, -50.0, 0.1, 1e-3) not in integrator._INVERSE_CACHE
 
 
 @pytest.mark.parametrize("n_modes", [8, 12])
 @pytest.mark.parametrize("eps", SHIPPED_EPS)
-def test_implicit_inverse_solves_the_implicit_system(n_modes, eps, dense_grad_div):
+def test_implicit_inverse_solves_the_implicit_system(n_modes, eps, dense_grad_div, monkeypatch):
     # the shipped eps values; cond(M) stays below 25 here, so the product
-    # with the precomputed inverse solves M x = r to round-off
+    # with the precomputed inverse solves M x = r to round-off, whichever
+    # library built it
     sp = build_spaces(n_modes)
     dt, nu = 1e-3, 0.1
     m = np.eye(sp.n_velocity) + dt * nu * np.diag(sp.stiffness) + (dt * dt / eps) * dense_grad_div(sp)
     r = np.random.default_rng(n_modes).standard_normal((6, sp.n_velocity))
-    x = np.matmul(integrator._implicit_inverse(sp, nu, eps, dt), r[..., None])[..., 0]
-    assert np.abs(x @ m.T - r).max() <= 1e-13 * np.abs(r).max()
+    for library in ("lapack", "fallback"):
+        with monkeypatch.context() as patch:
+            if library == "fallback":
+                _without_numpy_openblas(patch)
+            inverse = integrator._implicit_inverse(sp, nu, eps, dt)
+        x = np.matmul(inverse, r[..., None])[..., 0]
+        assert np.abs(x @ m.T - r).max() <= 1e-13 * np.abs(r).max(), library
 
 
 def test_cutoff_16_path_closes_its_discrete_energy_identity():

@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces
-from acflow import integrator
+from acflow import forcing, integrator
 from acflow.eps_limit import EpsSweepPlan, epsilon_sweep
 from acflow.forcing import DeterministicForce, default_noise
 from acflow.integrator import (
@@ -289,6 +289,23 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
     for a, b in zip(chunked, stepped):
         for name in SERIES:
             assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+
+
+def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
+    # the 120-step, 51-step-chunk set-up above: each chunk's draw derives the
+    # Philox keys of its own steps, and no call derives the whole horizon's
+    cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.12, seed=3)
+    noise = default_noise(spaces8, trace=0.05, n_terms=spaces8.n_velocity)
+    integ = GalerkinIntegrator(spaces8, cfg, noise=noise)
+    real, spans = forcing.philox_keys, []
+
+    def counted(seed, paths, steps):
+        spans.append((steps[0], steps[-1] + 1))
+        return real(seed, paths, steps)
+
+    monkeypatch.setattr(forcing, "philox_keys", counted)
+    integ.run_path(project_initial(spaces8, "smooth", "low_mode"), range(20))
+    assert spans == [(0, 51), (51, 102), (102, 120)]
 
 
 def test_inequality_suite_interleaved_with_stepping_keeps_bytes():

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from acflow import oracle as orc
+import oracle as orc
 from acflow.operators import sample_field
 
 
