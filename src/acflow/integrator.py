@@ -101,6 +101,11 @@ class SolverConfig:
             raise ConfigurationError("moment_p must be at least 2")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigurationError("seed must fit in 64 bits")
+        if self.quad_order is not None and self.quad_order < 4 * self.n_modes:
+            raise ConfigurationError(
+                f"solver.quad_order {self.quad_order} too small; "
+                f"need at least 4 n_modes = {4 * self.n_modes}"
+            )
 
     @property
     def n_steps(self) -> int:
@@ -380,7 +385,9 @@ class GalerkinIntegrator:
         self.force = force or DeterministicForce(np.zeros(spaces.n_velocity))
         self.noise = noise if noise is not None else empty_noise(spaces)
         self.include_convection = include_convection
-        self.quad_order = config.quad_order or spaces.default_quad_order
+        self.quad_order = (
+            spaces.default_quad_order if config.quad_order is None else config.quad_order
+        )
         self._inverse = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
 
     # -- one step of a block of paths -------------------------------------------

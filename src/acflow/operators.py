@@ -49,14 +49,16 @@ class _ConvectionArrays:
     """Grid-sampled data for b(u, v, .) shared across pairings, with a
     leading path axis when u and v are blocks of coefficient rows.
 
-    a:   0.5 * w2d * ((u . grad) v)_d               -> pairs with w_d
-    b1:  0.5 * w2d * u_1 v_d                        -> pairs with d_1 w_d
-    b2:  0.5 * w2d * u_2 v_d                        -> pairs with d_2 w_d
+    a:   ((u . grad) v)_d                           -> pairs with w_d
+    b1:  u_1 v_d                                    -> pairs with d_1 w_d
+    b2:  u_2 v_d                                    -> pairs with d_2 w_d
 
-    With v = u, b1 and b2 are the overlapping views [0:2] and [1:3] of the
-    three weighted product planes u1 u1, u1 u2, u2 u2 (spaces'
-    ``_product_planes``); a workspace that holds the squares from the L4
-    norm of the same rows leaves only u1 u2 to form.
+    Unweighted: the quadrature weight 0.5 w_x w_y is left to the pairing,
+    which takes it from the grid's weighted adjoint tables.  With v = u, b1
+    and b2 are the overlapping views [0:2] and [1:3] of the three product
+    planes u1 u1, u1 u2, u2 u2 (spaces' ``_product_planes``), read only; a
+    workspace that holds the squares from the L4 norm of the same rows
+    leaves only u1 u2 to form, and still holds them afterwards.
     """
 
     def __init__(self, spaces: SpectralSpaces, u, v, quad_order, work: GridWorkspace | None = None):
@@ -64,33 +66,29 @@ class _ConvectionArrays:
         uv = spaces._component_values(u, g, work)
         d1v, d2v = spaces._component_gradients(v, g, work)
         u1, u2 = uv[..., 0:1, :, :], uv[..., 1:2, :, :]
-        weight = g.half_w2d
         # in place, so that a step allocates no grid temporaries; rounds as
-        # weight * (u1 * d1v + u2 * d2v) etc. would
+        # u1 * d1v + u2 * d2v would
         d1v *= u1
         d2v *= u2
         d1v += d2v  # ((u . grad) v)_d
-        d1v *= weight
         self.a = d1v
         if v is u:
             planes = spaces._product_planes(u, g, work, cross=True)
-            planes *= weight
             self.b1, self.b2 = planes[..., 0:2, :, :], planes[..., 1:3, :, :]
         else:
             vv = spaces._component_values(v, g)
             self.b1 = u1 * vv
-            self.b1 *= weight
             self.b2 = np.multiply(u2, vv, out=d2v)
-            self.b2 *= weight
         self.grid = g
 
 
 def _pair_convection(arrays: _ConvectionArrays, w_vals, w_grads) -> float:
+    weight = 0.5 * arrays.grid.w2d
     total = 0.0
     for d in range(2):
-        total += float(np.sum(arrays.a[d] * w_vals[d]))
-        total -= float(np.sum(arrays.b1[d] * w_grads[0][d]))
-        total -= float(np.sum(arrays.b2[d] * w_grads[1][d]))
+        total += float(np.sum(arrays.a[d] * w_vals[d] * weight))
+        total -= float(np.sum(arrays.b1[d] * w_grads[0][d] * weight))
+        total -= float(np.sum(arrays.b2[d] * w_grads[1][d] * weight))
     return total
 
 
@@ -131,18 +129,19 @@ def bhat_operator(
         quad_order = spaces.default_quad_order
     arrays = _ConvectionArrays(spaces, u, u, quad_order, work)
     g = arrays.grid
+    rows = arrays.a.shape[:-2]
     n = spaces.n_modes
-    jpi = np.pi * np.arange(1, n + 1, dtype=float)
 
-    def adjoint(left, grid_array, right2):
-        half = _buffer(work, "half_adjoint", grid_array.shape[:-2] + (n, g.order))
-        return np.matmul(left, grid_array, out=half) @ right2
+    def half(name):
+        return _buffer(work, name, rows + (n, g.order))
 
-    # the doubled tables carry the basis' factor 2, as in the synthesis
-    t1 = adjoint(g.sin, arrays.a, g.sin2.T)
-    t2 = adjoint(g.cos, arrays.b1, g.sin2.T) * jpi[:, None]
-    t3 = adjoint(g.sin, arrays.b2, g.cos2.T) * jpi[None, :]
-    pair = t1 - t2 - t3
+    # pair = (S a - D b1) S^T - (S b2) D^T with the weighted tables S = sin_w,
+    # D = dcos_w: five stacked matmuls, a BLAS call per row matrix
+    left = np.matmul(g.sin_w, arrays.a, out=half("adjoint_a"))
+    left -= np.matmul(g.dcos_w, arrays.b1, out=half("adjoint_b"))
+    pair = left @ g.sin_w.T
+    right = np.matmul(g.sin_w, arrays.b2, out=half("adjoint_b"))
+    pair -= np.matmul(right, g.dcos_w.T, out=_buffer(work, "adjoint_n", rows + (n, n)))
     return DualVector(pair.reshape(pair.shape[:-3] + (-1,)), spaces.n_modes)
 
 

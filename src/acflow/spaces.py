@@ -164,23 +164,30 @@ def _cos_sin_integrals(n_modes: int) -> np.ndarray:
 
 
 class _SynthGrid:
-    """Tensor Gauss-Legendre grid with cached 1-D basis value tables."""
+    """Tensor Gauss-Legendre grid with cached 1-D tables, indexed [mode,
+    node], that carry every per-grid constant of the transforms:
+
+    sin, dcos     left factors of a synthesis: values and y-derivatives,
+                  and x-derivatives, with their j pi;
+    sin2, dcos2   right factors of a synthesis: the basis' factor 2, and
+                  j pi for a y-derivative (2 dcos, exact);
+    sin_w, dcos_w the adjoint's factors sin w and j pi cos w: the
+                  convection's weight 0.5 w_x w_y times the basis' 2 is
+                  w_x w_y, one w on each side.
+
+    Scaling by 2 is exact, so x @ (2 t) has the bits of 2 (x @ t)."""
 
     def __init__(self, n_modes: int, order: int):
         self.order = order
         self.x, self.w = gauss_rule_01(order)
         j = np.arange(1, n_modes + 1, dtype=float)
-        # tables indexed [mode, node]
         self.sin = np.sin(np.outer(j, np.pi * self.x))
-        self.cos = np.cos(np.outer(j, np.pi * self.x))
-        # doubled tables, the right factor of every transform: they carry the
-        # basis' factor 2, and scaling by 2 is exact, so x @ (2 t) has the
-        # bits of 2 (x @ t)
+        self.dcos = (np.pi * j)[:, None] * np.cos(np.outer(j, np.pi * self.x))
         self.sin2 = 2.0 * self.sin
-        self.cos2 = 2.0 * self.cos
-        self.jcol = j[:, None]
+        self.dcos2 = 2.0 * self.dcos
+        self.sin_w = self.sin * self.w
+        self.dcos_w = self.dcos * self.w
         self.w2d = np.outer(self.w, self.w)
-        self.half_w2d = 0.5 * self.w2d  # the convection's grid weight
 
 
 class GridWorkspace:
@@ -190,9 +197,9 @@ class GridWorkspace:
     that lost rows uses leading slices.  The grid values of the coefficient
     rows last synthesised are kept for a later call on the same array, which
     must not have changed in between.  So are the squares u1 u1 and u2 u2 of
-    those values once the L4 norm has formed them: they sit in two of the
-    three product planes (u1 u1, u1 u2, u2 u2) that the next convection of
-    the same rows completes and weights, and are dropped with the values."""
+    those values once the L4 norm or a convection has formed them: they sit
+    in two of the three product planes (u1 u1, u1 u2, u2 u2), which no
+    caller writes to, and are dropped with the values."""
 
     def __init__(self):
         self._arrays: dict[str, np.ndarray] = {}
@@ -392,8 +399,9 @@ class SpectralSpaces:
 
     def _synthesize(self, left, c, right2, g: _SynthGrid, work, name) -> np.ndarray:
         """left.T @ c @ right2 over the coefficient blocks c, into the
-        workspace's ``name`` array when one is given; ``right2`` is a doubled
-        table of the grid, so the basis' factor 2 costs no pass."""
+        workspace's ``name`` array when one is given; ``left`` and
+        ``right2`` are tables of the grid, so the basis' factor 2 and the
+        derivative factors cost no pass."""
         rows = c.shape[:-2]
         half = np.matmul(left.T, c, out=_buffer(work, "half", rows + (g.order, self.n_modes)))
         return np.matmul(half, right2, out=_buffer(work, name, rows + (g.order, g.order)))
@@ -413,8 +421,7 @@ class SpectralSpaces:
         """Pointwise products of the grid values of u in (..., 3, Q, Q)
         planes u1 u1, u1 u2, u2 u2, the middle one formed only with
         ``cross``.  A workspace holds the squares with the values, and hands
-        them back for the same rows; with ``cross`` the planes are the
-        caller's to overwrite, and no longer held."""
+        them back for the same rows; callers only read the planes."""
         vals = self._component_values(u, g, work)
         planes = _buffer(work, "planes", vals.shape[:-3] + (3,) + vals.shape[-2:])
         if work is None or not work.squares_held:
@@ -422,7 +429,7 @@ class SpectralSpaces:
         if cross:  # u2 u1 is u1 u2 bit for bit
             np.multiply(vals[..., 0, :, :], vals[..., 1, :, :], out=planes[..., 1, :, :])
         if work is not None:
-            work.squares_held = not cross
+            work.squares_held = True
         return planes
 
     def _component_gradients(
@@ -431,8 +438,8 @@ class SpectralSpaces:
         """Partial derivatives (d_1 u, d_2 u) on the grid, each of shape
         (..., 2, Q, Q): [i][..., d] = d_i u_d."""
         c = self._coeff_blocks(u)
-        d1 = self._synthesize(g.cos, c * (np.pi * g.jcol[None, :, :]), g.sin2, g, work, "d1")
-        d2 = self._synthesize(g.sin, c * (np.pi * g.jcol.T[None, :, :]), g.cos2, g, work, "d2")
+        d1 = self._synthesize(g.dcos, c, g.sin2, g, work, "d1")
+        d2 = self._synthesize(g.sin, c, g.dcos2, g, work, "d2")
         return d1, d2
 
 

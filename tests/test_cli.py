@@ -291,6 +291,9 @@ def test_config_error_exits_2(tmp_path):
         ("run", "noise.trace=-1"),
         ("sweep-eps", "sweep.noise_trace=-1"),
         ("run", "solver.n_modes=x"),
+        ("run", "solver.quad_order=0"),
+        ("run", "solver.quad_order=10"),
+        ("run", "solver.quad_order=-3"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):

@@ -25,24 +25,46 @@ SERIES = ("times", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residu
 
 
 def _bhat(sp, u, quad_order):
-    """Convection pairings of one field, component by component."""
+    """Convection pairings of one field, component by component, with the
+    quadrature weights and derivative factors taken from the grid's tables."""
     g = sp.grid(quad_order)
     n = sp.n_modes
     c = u.reshape(2, n, n)
     uv = 2.0 * (g.sin.T @ c @ g.sin)
-    cj = c * (np.pi * g.jcol[None, :, :])
-    ck = c * (np.pi * g.jcol.T[None, :, :])
-    gv = np.stack([2.0 * (g.cos.T @ cj @ g.sin), 2.0 * (g.sin.T @ ck @ g.cos)])
+    gv = np.stack([2.0 * (g.dcos.T @ c @ g.sin), 2.0 * (g.sin.T @ c @ g.dcos)])
+    adv = uv[0] * gv[0] + uv[1] * gv[1]
+    b1 = uv[0] * uv
+    b2 = uv[1] * uv
+    pair = np.zeros((2, n, n))
+    for d in range(2):
+        left = g.sin_w @ adv[d] - g.dcos_w @ b1[d]
+        pair[d] = left @ g.sin_w.T - (g.sin_w @ b2[d]) @ g.dcos_w.T
+    return pair.reshape(-1)
+
+
+def _bhat_unfolded(sp, u, quad_order):
+    """Convection pairings of one field as computed before the constants
+    moved into the tables: scaled coefficients, weighted grid arrays, six
+    adjoint products and scaled results."""
+    g = sp.grid(quad_order)
+    n = sp.n_modes
+    j = np.arange(1, n + 1, dtype=float)
+    sin, cos = np.sin(np.outer(j, np.pi * g.x)), np.cos(np.outer(j, np.pi * g.x))
+    c = u.reshape(2, n, n)
+    uv = 2.0 * (sin.T @ c @ sin)
+    cj = c * (np.pi * j[:, None])
+    ck = c * (np.pi * j[None, :])
+    gv = np.stack([2.0 * (cos.T @ cj @ sin), 2.0 * (sin.T @ ck @ cos)])
     adv = uv[0] * gv[0] + uv[1] * gv[1]
     a = 0.5 * g.w2d * adv
     b1 = 0.5 * g.w2d * (uv[0] * uv)
     b2 = 0.5 * g.w2d * (uv[1] * uv)
-    jpi = np.pi * np.arange(1, n + 1, dtype=float)
+    jpi = np.pi * j
     pair = np.zeros((2, n, n))
     for d in range(2):
-        t1 = 2.0 * (g.sin @ a[d] @ g.sin.T)
-        t2 = 2.0 * (g.cos @ b1[d] @ g.sin.T) * jpi[:, None]
-        t3 = 2.0 * (g.sin @ b2[d] @ g.cos.T) * jpi[None, :]
+        t1 = 2.0 * (sin @ a[d] @ sin.T)
+        t2 = 2.0 * (cos @ b1[d] @ sin.T) * jpi[:, None]
+        t3 = 2.0 * (sin @ b2[d] @ cos.T) * jpi[None, :]
         pair[d] = t1 - t2 - t3
     return pair.reshape(-1)
 
@@ -238,7 +260,7 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
     assert again.tobytes() == kept[0]
     # nor the squares l4_norm left in the product planes: for other rows of
     # the same shape, for the rows a PathBlock.take leaves, and for the same
-    # rows once a convection has weighted the planes
+    # rows once a convection has read the planes
     a, b = rng.standard_normal((2, 3, spaces4.n_velocity))
     for l4_rows, bhat_rows in ((a, b), (a, a[[0, 2]]), (a, a)):
         spaces4.l4_norm(l4_rows, work=work)
@@ -265,6 +287,36 @@ def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
     g = sp.grid(q)
     vals = np.stack([2.0 * (g.sin.T @ row.reshape(2, n_modes, n_modes) @ g.sin) for row in rows])
     assert sp._component_values(rows, g).tobytes() == vals.tobytes()
+
+
+@pytest.mark.parametrize("n_modes", [2, 8, 12, 16, 32])
+def test_folded_constants_change_the_pairings_at_round_off_only(n_modes):
+    # folding the weights and derivative factors into the tables reorders
+    # the products, so the pairings move at round-off, and the null pairing
+    # <B(u), u> = 0 still holds to round-off
+    sp = build_spaces(n_modes)
+    q = sp.default_quad_order
+    rows = np.random.default_rng(n_modes).standard_normal((20, sp.n_velocity))
+    got = bhat_operator(sp, rows).pairings
+    want = np.stack([_bhat_unfolded(sp, row, q) for row in rows])
+    scale = np.max(np.abs(want))
+    assert np.max(np.abs(got - want)) <= 1e-14 * scale
+    assert np.max(np.abs(np.sum(got * rows, axis=1))) <= 1e-13 * scale
+
+
+def test_held_squares_survive_a_convection(spaces8):
+    # the convection only reads the product planes, so the squares the L4
+    # norm left there serve the next L4 norm of the same rows too
+    rows = np.random.default_rng(3).standard_normal((5, spaces8.n_velocity))
+    work = GridWorkspace()
+    first = spaces8.l4_norm(rows, work=work)
+    pairs = bhat_operator(spaces8, rows, work=work).pairings
+    assert work.squares_held
+    second = spaces8.l4_norm(rows, work=work)
+    assert work.squares_held
+    fresh = spaces8.l4_norm(rows)
+    assert first.tobytes() == fresh.tobytes() == second.tobytes()
+    assert pairs.tobytes() == bhat_operator(spaces8, rows).pairings.tobytes()
 
 
 def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
