@@ -14,7 +14,7 @@ from .spaces import (
     h10_norm,
     l2_norm,
 )
-from .forcing import DeterministicForce, NoiseModel, WienerIncrement
+from .forcing import DeterministicForce, NoiseModel
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
 
 __all__ = [
@@ -28,7 +28,6 @@ __all__ = [
     "SpectralSpaces",
     "State",
     "VelocityField",
-    "WienerIncrement",
     "build_spaces",
     "h10_norm",
     "l2_norm",

@@ -47,6 +47,17 @@ from .operators import run_inequality_suite
 from .spaces import ConfigurationError, PressureField, VelocityField, build_spaces
 
 
+def _positive_int(raw: str) -> int:
+    """An argparse type: a positive integer, else a usage error (exit 2)
+    that names the flag."""
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
+
+
 def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--config", metavar="PATH", help="INI config file")
     parser.add_argument(
@@ -62,7 +73,8 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--out", metavar="DIR", default=".", help="output directory")
     parser.add_argument("--quiet", action="store_true", help="suppress progress lines")
     parser.add_argument(
-        "--workers", type=int, default=1, help="contiguous path blocks, one thread each"
+        "--workers", type=_positive_int, default=1,
+        help="contiguous parts of the paths, one thread each",
     )
     parser.add_argument(
         "--stamp",
@@ -86,7 +98,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("verify", help="randomized operator-inequality suite")
     _add_common(p)
-    p.add_argument("--samples", type=int, default=1000, help="random field samples")
+    p.add_argument("--samples", type=_positive_int, default=1000, help="random field samples")
 
     p = sub.add_parser("mc-energy", help="Monte Carlo weighted energy bound")
     _add_common(p)
@@ -153,7 +165,9 @@ def _cmd_run(args) -> int:
     record = integ.run_path(initial, path_index=0)
     _write(args, manifest, "run.csv", record.CSV_COLUMNS, record.csv_rows())
     snap_path = os.path.join(args.out, "run_final.bin")
-    write_snapshot(snap_path, record.final_state, digest)
+    n = spaces.n_modes
+    final = State(VelocityField(record.u, n), PressureField(record.p, n), record.times[-1])
+    write_snapshot(snap_path, final, digest)
     manifest.outputs["run_final.bin"] = _file_sha(snap_path)
     if not args.quiet:
         print(
@@ -195,6 +209,8 @@ def _cmd_mc_energy(args) -> int:
     n_paths = setup.get_int("monte_carlo.paths")
     z = setup.get_float("monte_carlo.confidence_z")
     deltas = setup.float_list("monte_carlo.deltas")
+    if not deltas:
+        raise ConfigurationError("monte_carlo.deltas must list at least one weight rate")
     records = simulate_paths(
         spaces, setup.solver, force, noise, initial, n_paths, workers=args.workers
     )
@@ -241,7 +257,7 @@ def _cmd_mc_moment(args) -> int:
     )
     full = mc_moment_bound(spaces, cfg, mc, force, noise, initial, records=records)
     half = mc_moment_bound(
-        spaces, cfg, mc, force, noise, initial, records=records[: n_paths // 2]
+        spaces, cfg, mc, force, noise, initial, records=records.take(slice(n_paths // 2))
     )
     ok = full.implied_constant is not None and np.isfinite(full.implied_constant)
     spread = None
@@ -313,7 +329,7 @@ def _cmd_sweep(args) -> int:
         eps_values=tuple(setup.float_list("sweep.eps_values")),
         base=setup.solver,
         n_paths=setup.get_int("sweep.paths"),
-        force_modes=tuple(parse_velocity_modes(setup.get("sweep.force_modes"))),
+        force_modes=tuple(parse_velocity_modes("sweep.force_modes", setup.get("sweep.force_modes"))),
         noise_trace=setup.get_float("sweep.noise_trace"),
         initial_u=None,
         initial_p=None,
@@ -321,10 +337,16 @@ def _cmd_sweep(args) -> int:
     # states of path 0 at the grid times nearest the requested ones, captured
     # while the sweep runs it
     cfg = plan.base
-    wanted = {
-        min(max(int(round(t / cfg.dt)), 0), cfg.n_steps): t
-        for t in setup.float_list("sweep.snapshot_times")
-    }
+    wanted = {}
+    for t in setup.float_list("sweep.snapshot_times"):
+        m = int(round(t / cfg.dt))
+        if not 0 <= t <= cfg.horizon:
+            raise ConfigurationError(f"sweep.snapshot_times: {t:g} lies outside [0, {cfg.horizon:g}]")
+        if m in wanted:
+            raise ConfigurationError(
+                f"sweep.snapshot_times: {wanted[m]:g} and {t:g} fall on the same step {m}"
+            )
+        wanted[m] = t
     snapshots = {eps: [] for eps in plan.eps_values}
 
     def capture(eps, m, block):

@@ -98,8 +98,9 @@ def parse_value(key: str, typ: type, raw: str):
         raise ConfigurationError(f"{key} must be {kind}, got {raw!r}") from None
 
 
-def parse_velocity_modes(raw: str) -> list[tuple[int, int, int, float]]:
-    """Parse 'j,k,d,amp; j,k,d,amp; ...' mode entry lists."""
+def parse_velocity_modes(key: str, raw: str) -> list[tuple[int, int, int, float]]:
+    """Parse 'j,k,d,amp; j,k,d,amp; ...' mode entry lists, the value of
+    ``key``; a malformed entry is a ConfigurationError naming the key."""
     entries = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -108,15 +109,16 @@ def parse_velocity_modes(raw: str) -> list[tuple[int, int, int, float]]:
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 4:
             raise ConfigurationError(
-                f"velocity mode entry {chunk!r} must be 'j,k,d,amplitude'"
+                f"{key}: velocity mode entry {chunk!r} must be 'j,k,d,amplitude'"
             )
-        j, k, d = int(parts[0]), int(parts[1]), int(parts[2])
-        entries.append((j, k, d, float(parts[3])))
+        j, k, d = (parse_value(key, int, v) for v in parts[:3])
+        entries.append((j, k, d, parse_value(key, float, parts[3])))
     return entries
 
 
-def parse_pressure_modes(raw: str) -> list[tuple[str, int, int, float]]:
-    """Parse 'family,j,k,amp; ...' with family cs or sc."""
+def parse_pressure_modes(key: str, raw: str) -> list[tuple[str, int, int, float]]:
+    """Parse 'family,j,k,amp; ...' with family cs or sc, the value of
+    ``key``; a malformed entry is a ConfigurationError naming the key."""
     entries = []
     for chunk in raw.split(";"):
         chunk = chunk.strip()
@@ -125,9 +127,10 @@ def parse_pressure_modes(raw: str) -> list[tuple[str, int, int, float]]:
         parts = [p.strip() for p in chunk.split(",")]
         if len(parts) != 4:
             raise ConfigurationError(
-                f"pressure mode entry {chunk!r} must be 'family,j,k,amplitude'"
+                f"{key}: pressure mode entry {chunk!r} must be 'family,j,k,amplitude'"
             )
-        entries.append((parts[0], int(parts[1]), int(parts[2]), float(parts[3])))
+        j, k = (parse_value(key, int, v) for v in parts[1:3])
+        entries.append((parts[0], j, k, parse_value(key, float, parts[3])))
     return entries
 
 
@@ -196,7 +199,7 @@ def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
     modes = setup.get("force.modes").strip()
     preset = setup.get("force.preset").strip()
     if modes:
-        entries = parse_velocity_modes(modes)
+        entries = parse_velocity_modes("force.modes", modes)
     elif preset == "zero":
         entries = []
     else:
@@ -207,7 +210,7 @@ def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
 def build_noise(setup: RunSetup, spaces: SpectralSpaces) -> NoiseModel:
     modes = setup.get("noise.modes").strip()
     if modes:
-        return noise_from_modes(spaces, parse_velocity_modes(modes))
+        return noise_from_modes(spaces, parse_velocity_modes("noise.modes", modes))
     preset = setup.get("noise.preset").strip()
     if preset == "default":
         return default_noise(
@@ -222,9 +225,9 @@ def build_noise(setup: RunSetup, spaces: SpectralSpaces) -> NoiseModel:
 
 def build_initial(setup: RunSetup, spaces: SpectralSpaces) -> State:
     u_modes = setup.get("initial_u.modes").strip()
-    u_spec = parse_velocity_modes(u_modes) if u_modes else setup.get("initial_u.preset")
+    u_spec = parse_velocity_modes("initial_u.modes", u_modes) if u_modes else setup.get("initial_u.preset")
     p_modes = setup.get("initial_p.modes").strip()
-    p_spec = parse_pressure_modes(p_modes) if p_modes else setup.get("initial_p.preset")
+    p_spec = parse_pressure_modes("initial_p.modes", p_modes) if p_modes else setup.get("initial_p.preset")
     return project_initial(spaces, u_spec, p_spec)
 
 

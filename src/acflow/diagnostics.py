@@ -12,7 +12,8 @@ Three checks are driven from simulated path ensembles:
   exp[-(27/nu^3) int ||u||_L4^4], must not increase beyond scheme error.
 
 Monte Carlo paths are independent and advance in blocks that may run
-concurrently; reductions go in path-index order, whatever the scheduling.
+concurrently, each writing its own rows of one PathRecord; the checks reduce
+its arrays over the row axis, in path-index order, whatever the scheduling.
 """
 
 from __future__ import annotations
@@ -22,20 +23,22 @@ from dataclasses import dataclass
 import numpy as np
 
 from .forcing import DeterministicForce, NoiseModel
-from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, completed
+from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
 from .spaces import ConfigurationError, SpectralSpaces, VelocityField, l2_norm
 
 
-def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64:
-    """Trapezoid rule for samples y on the grid x, summed as
-    scipy.integrate.trapezoid sums it, so the same bits."""
-    return np.sum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)
+def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
+    """Trapezoid rule along the last axis of y for samples on the grid x,
+    summed as scipy.integrate.trapezoid sums it, so the same bits."""
+    return np.sum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
 
 
 def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Running trapezoid integral from x[0], starting at 0; after the 0 the
-    same bits as scipy.integrate.cumulative_trapezoid."""
-    return np.concatenate([[0.0], np.cumsum(np.diff(x) * (y[1:] + y[:-1]) / 2.0)])
+    """Running trapezoid integral from x[0] along the last axis of y,
+    starting at 0; after the 0 the same bits as
+    scipy.integrate.cumulative_trapezoid."""
+    steps = np.cumsum(np.diff(x) * (y[..., 1:] + y[..., :-1]) / 2.0, axis=-1)
+    return np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1)
 
 
 @dataclass(frozen=True)
@@ -115,18 +118,22 @@ def simulate_paths(
     initial: State,
     n_paths: int,
     workers: int = 1,
-    keep_history: bool = False,
-) -> list[PathRecord]:
-    """Run n_paths independent trajectories in ``workers`` contiguous path
-    blocks; deterministic in path order.  A blow-up raises DivergedPathError."""
+) -> PathRecord:
+    """Run n_paths independent trajectories, a row each, in ``workers``
+    contiguous parts; deterministic in path order.  A blow-up raises the
+    first DivergedPathError."""
     integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
-    return completed(integ.run_paths(initial, range(n_paths), workers, keep_history))
+    record = integ.run_path(initial, range(n_paths), workers=workers)
+    if record.diverged:
+        raise record.diverged[0]
+    return record
 
 
 def _weighted_dissipation_series(
     record: PathRecord, delta: float, nu: float, moment_p: float
 ) -> np.ndarray:
-    """Cumulative p nu int ||u||^2 |u|^{p-2} e^{-delta s} ds on the grid."""
+    """Cumulative p nu int ||u||^2 |u|^{p-2} e^{-delta s} ds on the grid,
+    a row per path."""
     weight = np.exp(-delta * record.times)
     integrand = (
         moment_p * nu * record.h1_u**2 * record.l2_u ** (moment_p - 2.0) * weight
@@ -141,7 +148,7 @@ def mc_energy_bound(
     force: DeterministicForce | None,
     noise: NoiseModel | None,
     initial: State,
-    records: list[PathRecord] | None = None,
+    records: PathRecord | None = None,
     workers: int = 1,
 ) -> EnergyBoundReport:
     """Monte Carlo check of the weighted energy bound at every grid time."""
@@ -150,20 +157,13 @@ def mc_energy_bound(
         records = simulate_paths(
             spaces, config, force, noise, initial, mc.n_paths, workers=workers
         )
-    delta = mc.delta
-    times = records[0].times
-    weight = np.exp(-delta * times)
-
-    per_path = np.zeros((len(records), len(times)))
-    dissipations = np.zeros(len(records))
-    for i, rec in enumerate(records):
-        energy = rec.l2_u**2 + config.eps * rec.l2_p**2
-        diss = _weighted_dissipation_series(rec, delta, config.nu, 2.0)
-        per_path[i] = energy * weight + diss
-        dissipations[i] = diss[-1]
+    delta, times, n_paths = mc.delta, records.times, len(records.paths)
+    energy = records.l2_u**2 + config.eps * records.l2_p**2
+    diss = _weighted_dissipation_series(records, delta, config.nu, 2.0)
+    per_path = energy * np.exp(-delta * times) + diss
 
     lhs = per_path.mean(axis=0)
-    se = per_path.std(axis=0, ddof=1) / np.sqrt(len(records)) if len(records) > 1 else np.zeros_like(lhs)
+    se = per_path.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(lhs)
     rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
 
     passed = bool(np.all(lhs <= rhs + mc.confidence_z * se + 1e-14))
@@ -174,9 +174,9 @@ def mc_energy_bound(
         rhs=rhs,
         se=se,
         confidence_z=mc.confidence_z,
-        n_paths=len(records),
+        n_paths=n_paths,
         passed=passed,
-        dissipation_term=float(dissipations.mean()),
+        dissipation_term=float(diss[:, -1].mean()),
     )
 
 
@@ -208,7 +208,7 @@ def mc_moment_bound(
     force: DeterministicForce | None,
     noise: NoiseModel | None,
     initial: State,
-    records: list[PathRecord] | None = None,
+    records: PathRecord | None = None,
     workers: int = 1,
 ) -> MomentBoundReport:
     """Monte Carlo evaluation of the p-th moment bound.
@@ -223,21 +223,14 @@ def mc_moment_bound(
         records = simulate_paths(
             spaces, config, force, noise, initial, mc.n_paths, workers=workers
         )
-    p = mc.moment_p
-    delta = mc.delta
-    times = records[0].times
+    p, delta, times, n_paths = mc.moment_p, mc.delta, records.times, len(records.paths)
     weight = np.exp(-delta * times)
-
-    per_path = np.zeros(len(records))
-    dissipations = np.zeros(len(records))
-    for i, rec in enumerate(records):
-        sup_term = np.max((rec.l2_u**p + config.eps * rec.l2_p**p) * weight)
-        diss = _weighted_dissipation_series(rec, delta, config.nu, p)[-1]
-        per_path[i] = sup_term + diss
-        dissipations[i] = diss
+    sup_term = np.max((records.l2_u**p + config.eps * records.l2_p**p) * weight, axis=-1)
+    diss = _weighted_dissipation_series(records, delta, config.nu, p)[:, -1]
+    per_path = sup_term + diss
 
     lhs = float(per_path.mean())
-    lhs_se = float(per_path.std(ddof=1) / np.sqrt(len(records)))
+    lhs_se = float(per_path.std(ddof=1) / np.sqrt(n_paths))
 
     trace = noise.trace if noise is not None else 0.0
     f_p = force.l2_norm() ** p
@@ -251,13 +244,13 @@ def mc_moment_bound(
     return MomentBoundReport(
         moment_p=p,
         delta=delta,
-        n_paths=len(records),
+        n_paths=n_paths,
         lhs=lhs,
         lhs_se=lhs_se,
         initial_term=initial_term,
         denominator=denominator,
         implied_constant=implied,
-        dissipation_term=float(dissipations.mean()),
+        dissipation_term=float(diss.mean()),
         per_path=per_path,
     )
 
@@ -286,7 +279,9 @@ def pathwise_uniqueness_check(
             diff[m] = float(np.dot(du, du)) + config.eps * pr2
 
     pair = integ.run_path([init_a, init_b], [path_index] * 2, observe=diff_energy)
-    times, l4_a = completed(pair)[0].times, pair[0].l4_u
+    if pair.diverged:
+        raise pair.diverged[0]
+    times, l4_a = pair.times, pair.l4_u[0]
 
     rate = 27.0 / config.nu**3
     r = cumulative_trapezoid(rate * l4_a**4, times)

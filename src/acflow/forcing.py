@@ -28,16 +28,6 @@ class DeterministicForce:
 
 
 @dataclass(frozen=True)
-class WienerIncrement:
-    """Wiener increments of one step, or of several along a leading axis,
-    together with their provenance triple."""
-
-    dw: np.ndarray
-    dt: float
-    seed_path: tuple  # (seed, path index or indices, step index or indices)
-
-
-@dataclass(frozen=True)
 class NoiseModel:
     """Finite family of velocity-space noise modes g_k."""
 
@@ -74,6 +64,8 @@ def noise_from_modes(spaces: SpectralSpaces, entries) -> NoiseModel:
 def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8) -> NoiseModel:
     """Lowest-mode noise with |g_k|^2 proportional to (j^2+k^2)^-2,
     normalised to the requested covariance trace."""
+    if n_terms < 0:
+        raise ConfigurationError(f"noise.n_terms must be nonnegative, got {n_terms!r}")
     order = sorted(
         range(spaces.n_velocity),
         key=lambda i: (
@@ -101,10 +93,10 @@ def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8)
     return NoiseModel(rows)
 
 
-def sample_increment(noise: NoiseModel, dt: float, seed_path: tuple) -> WienerIncrement:
+def sample_increment(noise: NoiseModel, dt: float, seed_path: tuple) -> np.ndarray:
     """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step): the normals
     of ``Philox(SeedSequence(seed, spawn_key=(path, step)))``.  A sequence of
-    paths gives ``dw`` a row per path, each the draw of its own key, and a
+    paths gives the draw a row per path, each the draw of its own key, and a
     sequence of steps a leading step axis before the paths'.  The keys of
     just these steps and paths are derived, by one :func:`philox_keys` call."""
     if dt <= 0:
@@ -125,8 +117,7 @@ def sample_increment(noise: NoiseModel, dt: float, seed_path: tuple) -> WienerIn
             _STREAM.normal(out=row)
     rows *= np.sqrt(dt)
     rows = rows if np.ndim(step) else rows[0]
-    dw = rows if np.ndim(path) else rows[..., 0, :]
-    return WienerIncrement(dw, dt, (seed, path, step))
+    return rows if np.ndim(path) else rows[..., 0, :]
 
 
 class _Stream(threading.local):
@@ -223,10 +214,9 @@ def philox_keys(seed: int, paths, steps) -> np.ndarray:
     return keys
 
 
-def noise_contribution(noise: NoiseModel, inc: WienerIncrement) -> np.ndarray:
-    """Coefficient increment sum_k g_k dW_k; an increment with one row of dW
-    per path gives one row per path, each bit-identical to its own call."""
-    dw = inc.dw
+def noise_contribution(noise: NoiseModel, dw: np.ndarray) -> np.ndarray:
+    """Coefficient increment sum_k g_k dW_k; increments with one row of dW
+    per path give one row per path, each bit-identical to its own call."""
     if dw.shape[-1] != noise.n_terms:
         raise ValueError(
             f"increment has {dw.shape[-1]} terms, noise model has {noise.n_terms}"

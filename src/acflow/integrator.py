@@ -31,7 +31,6 @@ import numpy as np
 from .forcing import (
     DeterministicForce,
     NoiseModel,
-    WienerIncrement,
     empty_noise,
     noise_contribution,
     sample_increment,
@@ -61,13 +60,15 @@ NOISE_CHUNK_BYTES = 1 << 20
 
 
 class DivergedPathError(RuntimeError):
-    """Numerical blow-up of one path, with its path index and step."""
+    """Numerical blow-up of one path, with its path index, step and row in
+    the PathRecord that holds it."""
 
-    def __init__(self, step: int, energy: float, path: int = 0):
+    def __init__(self, step: int, energy: float, path: int = 0, row: int = 0):
         super().__init__(f"path {path} diverged at step {step}: energy {energy:.3e} exceeded cap")
         self.step = step
         self.energy = energy
         self.path = path
+        self.row = row
 
 
 @dataclass(frozen=True)
@@ -121,8 +122,9 @@ class State:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Energy balance terms as arrays: one entry per step of a path, or, as
-    returned by one step call, one entry per path of the block."""
+    """Energy balance terms as arrays: in a PathRecord an entry per row and
+    step, or, as returned by one step call, one entry per path of the
+    block."""
 
     t: np.ndarray
     energy: np.ndarray
@@ -157,24 +159,59 @@ class PathBlock:
 
 @dataclass
 class PathRecord:
-    """Per-step time series of one realised trajectory."""
+    """Per-step time series of the rows of one run_path call: every array
+    but ``times`` has a leading row axis, which ``take`` selects from; an
+    int takes one path's 1-D record.  A row that blew up has its
+    DivergedPathError in ``diverged``, and its series stop at that step."""
 
-    times: np.ndarray
-    l2_u: np.ndarray
+    times: np.ndarray  # (n_steps + 1,)
+    l2_u: np.ndarray  # (rows, n_steps + 1), as are the other SERIES
     h1_u: np.ndarray
     l4_u: np.ndarray
     l2_p: np.ndarray
     l2_div_u: np.ndarray
     energy: np.ndarray
     residual: np.ndarray
-    ledger: EnergyLedger
-    final_state: State
-    seed: int
-    path_index: int
-    coeff_history: np.ndarray | None = None  # (n_steps + 1, n_velocity) if kept
+    ledger: EnergyLedger  # terms (rows, n_steps)
+    u: np.ndarray  # last velocity coefficients, (rows, n_velocity)
+    p: np.ndarray  # last pressure coefficients, (rows, n_pressure)
+    paths: np.ndarray  # path index of each row
+    diverged: list  # DivergedPathError of each blown-up row, in row order
 
     SERIES = ("l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
     CSV_COLUMNS = ("t",) + SERIES
+
+    @classmethod
+    def zeros(cls, times: np.ndarray, paths, n_velocity: int, n_pressure: int) -> "PathRecord":
+        """Zero arrays with a row per entry of ``paths``; the ledger's terms
+        are the steps from 1 on of (rows, n_steps + 1) arrays, so its energy
+        and residual share the series' memory."""
+        shape = (len(paths), len(times))
+        runs = {name: np.zeros(shape) for name in _RUN_ARRAYS}
+        return cls(
+            times,
+            **{name: runs[name] for name in cls.SERIES},
+            ledger=EnergyLedger(times[1:], **{name: runs[name][:, 1:] for name in _LEDGER_TERMS}),
+            u=np.zeros((len(paths), n_velocity)),
+            p=np.zeros((len(paths), n_pressure)),
+            paths=np.asarray(paths),
+            diverged=[],
+        )
+
+    def take(self, rows) -> "PathRecord":
+        """The rows an int, slice, mask or index array selects, with their
+        DivergedPathErrors renumbered to the new rows."""
+        kept = np.atleast_1d(np.arange(len(self.paths))[rows]).tolist()
+        return replace(
+            self,
+            **{name: getattr(self, name)[rows] for name in ("u", "p", "paths") + self.SERIES},
+            ledger=replace(self.ledger, **{name: getattr(self.ledger, name)[rows] for name in _LEDGER_TERMS}),
+            diverged=[
+                DivergedPathError(e.step, e.energy, e.path, kept.index(e.row))
+                for e in self.diverged
+                if e.row in kept
+            ],
+        )
 
     def csv_rows(self):
         return zip(self.times, *(getattr(self, name) for name in self.SERIES))
@@ -406,16 +443,16 @@ class GalerkinIntegrator:
 
         return bhat_operator(self.spaces, u, self.quad_order, work=work).pairings
 
-    def step(self, state: PathBlock, inc: WienerIncrement, work: GridWorkspace | None = None):
-        """One semi-implicit step of every path of a PathBlock, given the
-        WienerIncrement with a row per path; returns the new block and the
+    def step(self, state: PathBlock, dw: np.ndarray, work: GridWorkspace | None = None):
+        """One semi-implicit step of every path of a PathBlock, given its
+        Wiener increments dw, a row per path; returns the new block and the
         step's EnergyLedger, an entry per path.  Grid arrays go to ``work``,
         the block's GridWorkspace, when given."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
         u_m, p_m = state.u, state.p
 
         bhat = self._convection_dual(u_m, work)
-        xi = noise_contribution(self.noise, inc)
+        xi = noise_contribution(self.noise, dw)
         grad_dual_m = -sp.div_diagonal * state.gram_p  # sp.gradient_dual(p_m), from G p
 
         rhs = u_m - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
@@ -436,49 +473,71 @@ class GalerkinIntegrator:
 
     # -- whole paths ---------------------------------------------------------------
 
-    def run_path(self, initial, path_index=0, keep_history=False, observe=None):
+    def run_path(self, initial, path_index=0, observe=None, workers=1):
         """Integrate from 0 to the horizon; bit-reproducible from
-        (seed, path index).
+        (seed, path index), whatever the blocks, threads and noise chunks.
 
-        An int ``path_index`` runs one path: it returns its PathRecord or
-        raises DivergedPathError.  A sequence of indices runs one block, a row
-        per entry (``initial`` is a State, or one per row; rows may share an
-        index and so its noise), and returns per row the record or the
-        DivergedPathError that stopped that row alone.  ``observe(m, block)``
-        sees the rows still running after each step m (and m = 0).  The
-        block's grid workspace lives as long as this call; its increments are
-        drawn by one sample_increment call per chunk of steps
-        (NOISE_CHUNK_BYTES), for the rows running at the chunk's start.
+        An int ``path_index`` runs one path: it returns its 1-D PathRecord
+        or raises DivergedPathError.  A sequence of indices runs a row per
+        entry (``initial`` is a State, or one per row; rows may share an
+        index and so its noise) and returns one PathRecord of every row,
+        blown-up rows included.  The rows are split into ``workers``
+        contiguous parts on a thread each and run in blocks of at most
+        BLOCK_PATHS rows, each writing its own rows of the record.
+        ``observe(m, block)`` sees the running rows of row 0's block after
+        each step m (and m = 0).
         """
-        cfg = self.config
+        cfg, sp = self.config, self.spaces
         single = isinstance(path_index, (int, np.integer))
         paths = np.atleast_1d(np.asarray(path_index, dtype=int))
         inits = [initial] * len(paths) if isinstance(initial, State) else list(initial)
-        u0 = np.array([s.u.coeffs for s in inits])
-        p0 = np.array([s.p.coeffs for s in inits])
-        block = self._block(u0, p0, inits[0].t, np.arange(len(paths)))
-        times = np.zeros(cfg.n_steps + 1)
-        runs = {name: np.zeros((cfg.n_steps + 1, len(paths))) for name in _RUN_ARRAYS}
-        history = np.zeros((len(paths),) + times.shape + u0.shape[1:]) if keep_history else None
-        errors = {}
+        record = PathRecord.zeros(np.zeros(cfg.n_steps + 1), paths, sp.n_velocity, sp.n_pressure)
+        for r, state in enumerate(inits):
+            record.u[r], record.p[r] = state.u.coeffs, state.p.coeffs
+
+        def run_part(part, hook):
+            for i, rows in enumerate(np.array_split(part, -(-len(part) // BLOCK_PATHS))):
+                self._run_block(record, rows, inits[0].t, hook if i == 0 else None)
+
+        parts = [p for p in np.array_split(np.arange(len(paths)), workers) if len(p)]
+        hooks = [observe] + [None] * (len(parts) - 1)
+        if len(parts) > 1:
+            with ThreadPoolExecutor(max_workers=len(parts)) as ex:
+                list(ex.map(run_part, parts, hooks))
+        else:
+            list(map(run_part, parts, hooks))
+        record.diverged.sort(key=lambda e: e.row)
+        if not single:
+            return record
+        if record.diverged:
+            raise record.diverged[0]
+        return record.take(0)
+
+    def _run_block(self, record: PathRecord, rows: np.ndarray, t0: float, observe=None) -> None:
+        """Step the rows ``rows`` of ``record`` together from the coefficients
+        in its ``u`` and ``p`` at time t0, writing their series, ledger terms
+        and last coefficients in place.  The block's grid workspace lives as
+        long as this call; its increments are drawn by one sample_increment
+        call per chunk of steps (NOISE_CHUNK_BYTES), for the rows running at
+        the chunk's start."""
+        cfg = self.config
+        block = self._block(record.u[rows], record.p[rows], t0, rows)
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection finds them
         work = GridWorkspace()
-        chunk = max(1, NOISE_CHUNK_BYTES // max(1, 8 * len(paths) * self.noise.n_terms))
+        chunk = max(1, NOISE_CHUNK_BYTES // max(1, 8 * len(rows) * self.noise.n_terms))
         drawn = range(0)  # steps whose increments dw holds, for the rows drawn_rows
 
-        def record(m, blk, ledger=None):
-            times[m] = blk.t
+        def write(m, blk, ledger=None):
+            record.times[m] = blk.t
             for name in ("l2_u", "h1_u", "l2_p", "energy"):
-                runs[name][m, blk.rows] = getattr(blk, name)
-            runs["l4_u"][m, blk.rows] = self.spaces.l4_norm(blk.u, self.quad_order, work=work)
-            runs["l2_div_u"][m, blk.rows] = self.spaces.divergence_l2(blk.u)
+                getattr(record, name)[blk.rows, m] = getattr(blk, name)
+            record.l4_u[blk.rows, m] = self.spaces.l4_norm(blk.u, self.quad_order, work=work)
+            record.l2_div_u[blk.rows, m] = self.spaces.divergence_l2(blk.u)
             for name in _LEDGER_TERMS if ledger is not None else ():
-                runs[name][m, blk.rows] = getattr(ledger, name)
-            if history is not None:
-                history[blk.rows, m] = blk.u
+                getattr(record.ledger, name)[blk.rows, m - 1] = getattr(ledger, name)
 
-        record(0, block)
+        write(0, block)
         if observe is not None:
             observe(0, block)
         for m in range(1, cfg.n_steps + 1):
@@ -486,65 +545,24 @@ class GalerkinIntegrator:
                 break
             if m - 1 not in drawn:
                 drawn, drawn_rows = range(m - 1, min(m - 1 + chunk, cfg.n_steps)), block.rows
-                dw = sample_increment(self.noise, cfg.dt, (cfg.seed, paths[drawn_rows], drawn)).dw
+                dw = sample_increment(self.noise, cfg.dt, (cfg.seed, record.paths[drawn_rows], drawn))
             step_dw = dw[m - 1 - drawn.start]
             if len(block.rows) < len(drawn_rows):
                 step_dw = step_dw[np.searchsorted(drawn_rows, block.rows)]
-            inc = WienerIncrement(step_dw, cfg.dt, (cfg.seed, paths[block.rows], m - 1))
-            block, ledger = self.step(block, inc, work)
-            record(m, block, ledger)
+            block, ledger = self.step(block, step_dw, work)
+            write(m, block, ledger)
             blown = ~(block.energy <= ENERGY_CAP)
-            for r, e in zip(block.rows[blown], block.energy[blown]):
-                errors[r] = DivergedPathError(m, float(e), int(paths[r]))
-            block = block.take(~blown) if blown.any() else block
+            if blown.any():
+                gone = block.rows[blown]
+                record.u[gone], record.p[gone] = block.u[blown], block.p[blown]
+                record.diverged.extend(
+                    DivergedPathError(m, float(e), int(record.paths[r]), int(r))
+                    for r, e in zip(gone, block.energy[blown])
+                )
+                block = block.take(~blown)
             if observe is not None:
                 observe(m, block)
-
-        runs = {name: np.ascontiguousarray(a.T) for name, a in runs.items()}
-        out, n = [errors.get(r) for r in range(len(paths))], cfg.n_modes
-        for r, u, p in zip(block.rows.tolist(), block.u, block.p):
-            out[r] = PathRecord(
-                times=times,
-                **{name: runs[name][r] for name in PathRecord.SERIES},
-                ledger=EnergyLedger(
-                    times[1:], **{name: runs[name][r, 1:] for name in _LEDGER_TERMS}
-                ),
-                final_state=State(VelocityField(u, n), PressureField(p, n), block.t),
-                seed=cfg.seed,
-                path_index=int(paths[r]),
-                coeff_history=None if history is None else history[r],
-            )
-        return completed(out)[0] if single else out
-
-    def run_paths(
-        self, initial: State, path_indices, workers: int = 1, keep_history=False, observe=None
-    ):
-        """run_path over many paths, split into ``workers`` contiguous parts on
-        a thread each, run in blocks of at most BLOCK_PATHS; per path, in
-        order, the record or DivergedPathError, whatever the split.
-        ``observe`` goes to the block of the first path, which is its row 0."""
-        paths = np.asarray(list(path_indices), dtype=int)
-
-        def run_part(part, hook):
-            blocks = np.array_split(part, -(-len(part) // BLOCK_PATHS))
-            hooks = [hook] + [None] * (len(blocks) - 1)
-            runs = (self.run_path(initial, b, keep_history, h) for b, h in zip(blocks, hooks))
-            return [rec for recs in runs for rec in recs]
-
-        parts = [p for p in np.array_split(paths, max(1, workers)) if len(p)]
-        hooks = [observe] + [None] * (len(parts) - 1)
-        if len(parts) <= 1:
-            return [rec for p, h in zip(parts, hooks) for rec in run_part(p, h)]
-        with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-            return [rec for recs in ex.map(run_part, parts, hooks) for rec in recs]
-
-
-def completed(results: list) -> list[PathRecord]:
-    """Block results as records; raises the first row's DivergedPathError."""
-    for rec in results:
-        if isinstance(rec, DivergedPathError):
-            raise rec
-    return results
+        record.u[block.rows], record.p[block.rows] = block.u, block.p
 
 
 def energy_residual(
@@ -629,7 +647,6 @@ __all__ = [
     "PathRecord",
     "SolverConfig",
     "State",
-    "completed",
     "energy_residual",
     "project_initial",
     "read_snapshot",

@@ -215,7 +215,7 @@ def test_criterion_6_moment_estimate(spaces8, energy_ensemble):
     mc4 = MomentConfig(moment_p=4.0, delta=1.0, n_paths=200, confidence_z=3.0)
     full = mc_moment_bound(spaces8, cfg, mc4, None, noise, initial, records=records)
     half = mc_moment_bound(
-        spaces8, cfg, mc4, None, noise, initial, records=records[:100]
+        spaces8, cfg, mc4, None, noise, initial, records=records.take(slice(100))
     )
     finite = (
         full.implied_constant is not None

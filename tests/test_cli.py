@@ -57,12 +57,12 @@ def test_unknown_section_and_key(tmp_path):
 
 
 def test_mode_entry_parsing():
-    entries = parse_velocity_modes("1,2,1,0.5; 3,1,2,-0.25")
+    entries = parse_velocity_modes("force.modes", "1,2,1,0.5; 3,1,2,-0.25")
     assert entries == [(1, 2, 1, 0.5), (3, 1, 2, -0.25)]
-    assert parse_velocity_modes("") == []
-    with pytest.raises(ConfigurationError):
-        parse_velocity_modes("1,2,0.5")
-    p = parse_pressure_modes("cs,1,2,0.5; sc,2,2,1.0")
+    assert parse_velocity_modes("force.modes", "") == []
+    with pytest.raises(ConfigurationError, match="force.modes"):
+        parse_velocity_modes("force.modes", "1,2,0.5")
+    p = parse_pressure_modes("initial_p.modes", "cs,1,2,0.5; sc,2,2,1.0")
     assert p == [("cs", 1, 2, 0.5), ("sc", 2, 2, 1.0)]
 
 
@@ -109,16 +109,18 @@ def test_run_twice_is_byte_identical(tmp_path):
 
 
 def test_mc_energy_worker_count_does_not_change_bytes(tmp_path):
-    args = [
-        "mc-energy", "--quiet",
-        "--set", "solver.horizon=0.02", "--set", "solver.n_modes=4",
-        "--paths", "6",
-    ]
-    out1, out2 = tmp_path / "w1", tmp_path / "w4"
-    assert main(args + ["--out", str(out1), "--workers", "1"]) == 0
-    assert main(args + ["--out", str(out2), "--workers", "4"]) == 0
-    assert _read(out1 / "mc_energy.csv") == _read(out2 / "mc_energy.csv")
-    assert _read(out1 / "mc_energy.json") == _read(out2 / "mc_energy.json")
+    # run_path splits every ensemble into threads, the sweep's too
+    common = ["--quiet", "--set", "solver.horizon=0.02", "--set", "solver.n_modes=4", "--paths", "6"]
+    cases = (
+        ("mc-energy", "mc_energy", []),
+        ("sweep-eps", "sweep_eps", ["--set", "sweep.eps_values=0.1,0.001"]),
+    )
+    for command, stem, extra in cases:
+        out1, out2 = tmp_path / command / "w1", tmp_path / command / "w4"
+        assert main([command, *common, *extra, "--out", str(out1), "--workers", "1"]) == 0
+        assert main([command, *common, *extra, "--out", str(out2), "--workers", "4"]) == 0
+        assert _read(out1 / f"{stem}.csv") == _read(out2 / f"{stem}.csv")
+        assert _read(out1 / f"{stem}.json") == _read(out2 / f"{stem}.json")
 
 
 def test_blas_thread_count_does_not_change_bytes(tmp_path):
@@ -294,6 +296,16 @@ def test_config_error_exits_2(tmp_path):
         ("run", "solver.quad_order=0"),
         ("run", "solver.quad_order=10"),
         ("run", "solver.quad_order=-3"),
+        ("run", "force.modes=a,1,1,0.4"),
+        ("run", "noise.modes=1,1,1,x"),
+        ("run", "initial_u.modes=1,1,1"),
+        ("run", "initial_p.modes=cs,x,1,0.4"),
+        ("sweep-eps", "sweep.force_modes=1,1,y,0.4"),
+        ("run", "noise.n_terms=-2"),
+        ("mc-energy", "monte_carlo.deltas="),
+        ("sweep-eps", "sweep.snapshot_times=-0.5"),
+        ("sweep-eps", "sweep.snapshot_times=0.2,7"),
+        ("sweep-eps", "sweep.snapshot_times=0.0101,0.0104"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):
@@ -302,6 +314,24 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command
     assert rc == 2
     assert override.split("=")[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [
+        ("verify", "--samples", "-3"),
+        ("verify", "--samples", "0"),
+        ("mc-energy", "--workers", "-3"),
+        ("sweep-eps", "--workers", "two"),
+    ],
+)
+def test_malformed_flag_exits_2_naming_the_flag(tmp_path, capsys, command, flag, value):
+    rc = main([command, flag, value, "--quiet", "--out", str(tmp_path)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert flag in err
+    assert "Traceback" not in err
+    assert not any(tmp_path.iterdir())
 
 
 def test_mc_moment_subcommand(tmp_path):

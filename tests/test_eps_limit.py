@@ -1,4 +1,5 @@
 import copy
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -95,7 +96,7 @@ def test_reference_matches_projected_linear_flow(spaces4):
     p = leray_projector(spaces4)
     a = p @ np.diag(-cfg.nu * spaces4.stiffness) @ p
     exact = expm(a * cfg.horizon) @ (p @ initial.u.coeffs)
-    assert np.linalg.norm(rec.final_state.u.coeffs - exact) <= 50 * cfg.dt + 1e-12
+    assert np.linalg.norm(rec.u - exact) <= 50 * cfg.dt + 1e-12
 
 
 def test_reference_reproducible(spaces4):
@@ -180,18 +181,15 @@ def test_reference_is_the_zero_trajectory(spaces4):
     noise = default_noise(spaces4, n_terms=4)
     force = DeterministicForce(spaces4.velocity_from_modes([(1, 1, 1, 0.4)]).coeffs)
     initial = project_initial(spaces4, "smooth", "low_mode")
-    rec = run_incompressible_reference(
-        spaces4, cfg, force, noise, initial, path_index=3, keep_history=True
-    )
-    assert rec.coeff_history.shape == (cfg.n_steps + 1, spaces4.n_velocity)
-    assert not rec.coeff_history.any()
-    assert not rec.final_state.u.coeffs.any() and not rec.final_state.p.coeffs.any()
+    rec = run_incompressible_reference(spaces4, cfg, force, noise, initial, path_index=3)
+    assert rec.u.shape == (spaces4.n_velocity,) and rec.p.shape == (spaces4.n_pressure,)
+    assert not rec.u.any() and not rec.p.any()
     for name in rec.SERIES:
         assert not getattr(rec, name).any()
     assert np.array_equal(rec.times, np.arange(cfg.n_steps + 1) * cfg.dt)
     assert np.array_equal(rec.ledger.t, rec.times[1:])
     assert not rec.ledger.residual.any() and not rec.ledger.ito_increment.any()
-    assert rec.path_index == 3 and rec.seed == 5
+    assert rec.paths == 3 and rec.diverged == []
 
 
 def test_reference_refuses_a_nontrivial_kernel(spaces4):
@@ -207,8 +205,8 @@ def test_reference_refuses_a_nontrivial_kernel(spaces4):
 
 
 def test_sweep_gap_is_the_coupled_energy_at_n10():
-    # at N = 10 the gap to the exact zero reference is the row sum of the
-    # squared coupled coefficients, bit for bit
+    # at N = 10 the gap to the exact zero reference is the squared L2 norm
+    # the coupled records hold, bit for bit
     spaces = build_spaces(10)
     plan = EpsSweepPlan(
         eps_values=(1e-1, 1e-3),
@@ -220,6 +218,21 @@ def test_sweep_gap_is_the_coupled_energy_at_n10():
     noise = default_noise(spaces, trace=plan.noise_trace)
     for row in rep.rows:
         integ = GalerkinIntegrator(spaces, replace(plan.base, eps=row.eps), force, noise)
-        recs = integ.run_paths(project_initial(spaces, None, None), range(4), keep_history=True)
-        gaps = np.mean([np.sum(r.coeff_history * r.coeff_history, axis=1) for r in recs], axis=0)
-        assert row.diff_sup == gaps.max()
+        recs = integ.run_path(project_initial(spaces, None, None), range(4))
+        assert row.diff_sup == np.mean(recs.l2_u**2, axis=0).max()
+
+
+def test_one_eps_sweep_holds_no_coefficient_histories():
+    # the 20 x 501 x 128 coefficient histories of this sweep took 9.8 MiB
+    # alone; the gap is read off the records' l2_u instead
+    plan = EpsSweepPlan(
+        eps_values=(1e-2,), base=SolverConfig(n_modes=8, horizon=0.5), n_paths=20
+    )
+    spaces = build_spaces(8)
+    tracemalloc.start()
+    try:
+        epsilon_sweep(spaces, plan)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 9.8 * 2**20

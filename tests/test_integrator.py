@@ -45,8 +45,8 @@ def test_zero_data_stays_zero(spaces4):
     rec = integ.run_path(project_initial(spaces4, None, None))
     assert np.all(rec.energy == 0.0)
     assert np.all(rec.residual == 0.0)
-    assert np.all(rec.final_state.u.coeffs == 0.0)
-    assert np.all(rec.final_state.p.coeffs == 0.0)
+    assert np.all(rec.u == 0.0)
+    assert np.all(rec.p == 0.0)
 
 
 def _linear_flow_matrix(spaces, cfg, G):
@@ -149,8 +149,8 @@ def test_pressure_work_identity(spaces4, dense_gram):
     # a block of one row: path 0
     block = integ._block(state.u.coeffs[None], state.p.coeffs[None], state.t, np.zeros(1, int))
     for m in range(5):
-        inc = sample_increment(noise, cfg.dt, (cfg.seed, [0], m))
-        new_block, _ = integ.step(block, inc)
+        dw = sample_increment(noise, cfg.dt, (cfg.seed, [0], m))
+        new_block, _ = integ.step(block, dw)
         u_new = new_block.u[0]
         p_old, p_new = block.p[0], new_block.p[0]
         grad_mid = -sp.div_diagonal * (G @ (0.5 * (p_old + p_new)))
@@ -189,7 +189,7 @@ def test_run_path_reproducible(spaces4):
         project_initial(spaces4, "smooth", None), path_index=2
     )
     assert np.array_equal(r1.energy, r2.energy)
-    assert np.array_equal(r1.final_state.u.coeffs, r2.final_state.u.coeffs)
+    assert np.array_equal(r1.u, r2.u)
     assert np.array_equal(r1.residual, r2.residual)
 
 

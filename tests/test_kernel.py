@@ -92,7 +92,6 @@ def reference_path(integ, initial, path_index):
 
     n_steps = cfg.n_steps
     out = {name: np.zeros(n_steps + 1) for name in SERIES}
-    out["coeff_history"] = np.zeros((n_steps + 1, sp.n_velocity))
     terms = ("dissipation", "work", "martingale", "convection_pairing")
     out.update({name: np.zeros(n_steps) for name in terms})
 
@@ -105,7 +104,7 @@ def reference_path(integ, initial, path_index):
         out["l2_div_u"][m] = pressure_l2(sp.div_diagonal * u)
         out["energy"][m] = out["l2_u"][m] ** 2 + eps * out["l2_p"][m] ** 2
         out["residual"][m] = res
-        out["coeff_history"][m] = u
+        out["u"] = u
 
     u, p, t = initial.u.coeffs, initial.p.coeffs, initial.t
     record(0, u, p, t, 0.0)
@@ -155,9 +154,10 @@ def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
     want = [reference_path(integ, initial, i) for i in range(n_paths)]
     for block, workers in ((1, 1), (7, 1), (size, 1), (size + 1, 1), (size, 3)):
         monkeypatch.setattr(integrator, "BLOCK_PATHS", block)
-        recs = integ.run_paths(initial, range(n_paths), workers, keep_history=True)
-        for rec, ref in zip(recs, want):
-            for name in SERIES + ("coeff_history",):
+        recs = integ.run_path(initial, range(n_paths), workers=workers)
+        for i, ref in enumerate(want):
+            rec = recs.take(i)
+            for name in SERIES + ("u",):
                 assert _bits(getattr(rec, name)) == _bits(ref[name]), (block, name)
             led = rec.ledger
             assert _bits(led.dissipation_increment) == _bits(ref["dissipation"])
@@ -165,7 +165,6 @@ def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
             assert _bits(led.martingale_increment) == _bits(ref["martingale"])
             assert _bits(led.convection_pairing) == _bits(ref["convection_pairing"])
             assert _bits(led.residual) == _bits(ref["residual"][1:])
-            assert _bits(rec.final_state.u.coeffs) == _bits(ref["coeff_history"][-1])
 
 
 def test_threaded_parts_match_serial_under_preemption():
@@ -176,14 +175,13 @@ def test_threaded_parts_match_serial_under_preemption():
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
     try:  # threaded parts first, then the serial run
-        threaded = integ.run_paths(initial, range(12), workers=6)
+        threaded = integ.run_path(initial, range(12), workers=6)
     finally:
         sys.setswitchinterval(interval)
-    serial = integ.run_paths(initial, range(12), workers=1)
-    assert [rec.path_index for rec in threaded] == list(range(12))
-    for a, b in zip(serial, threaded):
-        assert _bits(a.energy) == _bits(b.energy)
-        assert _bits(a.final_state.u.coeffs) == _bits(b.final_state.u.coeffs)
+    serial = integ.run_path(initial, range(12), workers=1)
+    assert threaded.paths.tolist() == list(range(12))
+    assert _bits(serial.energy) == _bits(threaded.energy)
+    assert _bits(serial.u) == _bits(threaded.u)
 
 
 def test_many_rows_match_scalar_arithmetic(spaces2):
@@ -197,8 +195,8 @@ def test_many_rows_match_scalar_arithmetic(spaces2):
         for _ in range(3000)
     ]
     rows = integ.run_path(inits, range(len(inits)))
-    for i, (rec, init) in enumerate(zip(rows, inits)):
-        ref = reference_path(integ, init, i)
+    for i, init in enumerate(inits):
+        rec, ref = rows.take(i), reference_path(integ, init, i)
         for name in ("l2_u", "h1_u", "l4_u", "l2_p", "energy", "residual"):
             assert _bits(getattr(rec, name)) == _bits(ref[name]), (i, name)
         assert _bits(rec.ledger.dissipation_increment) == _bits(ref["dissipation"])
@@ -215,21 +213,19 @@ def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
 
     with pytest.raises(DivergedPathError) as solo_error:
         integ.run_path(huge, path_index=1)
-    assert isinstance(rows[1], DivergedPathError)
-    assert (rows[1].path, rows[1].step) == (1, solo_error.value.step)
+    assert [(e.row, e.path, e.step) for e in rows.diverged] == [(1, 1, solo_error.value.step)]
     for i in (0, 2, 3):
         solo = integ.run_path(inits[i], path_index=i)
         for name in SERIES:
-            assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
+            assert _bits(getattr(rows.take(i), name)) == _bits(getattr(solo, name)), (i, name)
 
 
 def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
     real = integrator.sample_increment
 
     def kick_path_2(noise, dt, key, **kwargs):
-        inc = real(noise, dt, key, **kwargs)
         kick = np.where(np.asarray(key[1]) == 2, 1e10, 1.0)
-        return replace(inc, dw=inc.dw * kick[..., None])
+        return real(noise, dt, key, **kwargs) * kick[..., None]
 
     monkeypatch.setattr(integrator, "sample_increment", kick_path_2)
     plan = EpsSweepPlan(
@@ -338,9 +334,8 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
     monkeypatch.setattr(integrator, "NOISE_CHUNK_BYTES", 1)
     stepped = integ.run_path(initial, range(20))
     assert len(calls) == 3 + 120
-    for a, b in zip(chunked, stepped):
-        for name in SERIES:
-            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    for name in SERIES:
+        assert _bits(getattr(chunked, name)) == _bits(getattr(stepped, name)), name
 
 
 def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
@@ -364,7 +359,7 @@ def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
     integ, initial = _noisy_forced(4)
     sp = integ.spaces
     suite = run_inequality_suite(6, 3, cutoffs=(2, 4))[0]
-    solo = integ.run_paths(initial, range(5), keep_history=True)
+    solo = integ.run_path(initial, range(5))
     rng = np.random.default_rng(8)
     suites = []
 
@@ -376,11 +371,10 @@ def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
         if m % 5 == 0:
             suites.append(run_inequality_suite(6, 3, cutoffs=(2, 4))[0])
 
-    mixed = integ.run_paths(initial, range(5), keep_history=True, observe=interleave)
+    mixed = integ.run_path(initial, range(5), observe=interleave)
     assert len(suites) == 4 and all(rows == suite for rows in suites)
-    for a, b in zip(solo, mixed):
-        for name in SERIES + ("coeff_history",):
-            assert _bits(getattr(a, name)) == _bits(getattr(b, name)), name
+    for name in SERIES + ("u",):
+        assert _bits(getattr(solo, name)) == _bits(getattr(mixed, name)), name
 
 
 def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
@@ -396,14 +390,14 @@ def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
         quiet,
         project_initial(spaces4, None, None),
     ]
-    rows = integ.run_path(inits, range(5), keep_history=True)
-    assert [(r.path, r.step) for r in rows[0:3:2]] == [(0, 4), (2, 3)]
+    rows = integ.run_path(inits, range(5))
+    assert [(e.path, e.step) for e in rows.diverged] == [(0, 4), (2, 3)]
     for i in (1, 3, 4):
-        solo = integ.run_path(inits[i], path_index=i, keep_history=True)
-        for name in SERIES + ("coeff_history",):
-            assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
+        solo, row = integ.run_path(inits[i], path_index=i), rows.take(i)
+        for name in SERIES + ("u",):
+            assert _bits(getattr(row, name)) == _bits(getattr(solo, name)), (i, name)
         for name in ("residual", "martingale_increment", "convection_pairing"):
-            assert _bits(getattr(rows[i].ledger, name)) == _bits(getattr(solo.ledger, name))
+            assert _bits(getattr(row.ledger, name)) == _bits(getattr(solo.ledger, name))
 
 
 def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):
@@ -421,8 +415,8 @@ def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):
         project_initial(spaces4, None, None),
     ]
     rows = integ.run_path(inits, [0, 1, 2, 1, 4])
-    assert [(r.path, r.step) for r in rows[0:3:2]] == [(0, 4), (2, 3)]
+    assert [(e.path, e.step) for e in rows.diverged] == [(0, 4), (2, 3)]
     for i, path in ((1, 1), (3, 1), (4, 4)):
         solo = integ.run_path(inits[i], path_index=path)
         for name in SERIES:
-            assert _bits(getattr(rows[i], name)) == _bits(getattr(solo, name)), (i, name)
+            assert _bits(getattr(rows.take(i), name)) == _bits(getattr(solo, name)), (i, name)
