@@ -211,16 +211,14 @@ def _cmd_mc_energy(args) -> int:
     deltas = setup.float_list("monte_carlo.deltas")
     if not deltas:
         raise ConfigurationError("monte_carlo.deltas must list at least one weight rate")
+    checks = [MomentConfig(moment_p=2.0, delta=d, n_paths=n_paths, confidence_z=z) for d in deltas]
     records = simulate_paths(
         spaces, setup.solver, force, noise, initial, n_paths, workers=args.workers
     )
     all_pass = True
     csv_rows = []
     margins = {}
-    for delta in deltas:
-        mc = MomentConfig(
-            moment_p=2.0, delta=delta, n_paths=n_paths, confidence_z=z
-        )
+    for delta, mc in zip(deltas, checks):
         rep = mc_energy_bound(
             spaces, setup.solver, mc, force, noise, initial, records=records
         )
@@ -249,11 +247,13 @@ def _cmd_mc_moment(args) -> int:
     z = setup.get_float("monte_carlo.confidence_z")
     tol = setup.get_float("monte_carlo.moment_stability_tol")
     cfg = setup.solver
-    records = simulate_paths(
-        spaces, cfg, force, noise, initial, n_paths, workers=args.workers
-    )
+    if n_paths < 4:  # the half ensemble's standard error needs two paths
+        raise ConfigurationError(f"monte_carlo.paths must be at least 4 for mc-moment, got {n_paths}")
     mc = MomentConfig(
         moment_p=cfg.moment_p, delta=cfg.delta, n_paths=n_paths, confidence_z=z
+    )
+    records = simulate_paths(
+        spaces, cfg, force, noise, initial, n_paths, workers=args.workers
     )
     full = mc_moment_bound(spaces, cfg, mc, force, noise, initial, records=records)
     half = mc_moment_bound(

@@ -269,6 +269,8 @@ class RunManifest:
 
 def format_number(x) -> str:
     """Shortest round-trip decimal form, fixed across platforms."""
+    if type(x) is float:  # most cells: PathRecord.csv_rows hands out Python floats
+        return repr(x)
     if isinstance(x, str):
         return x
     if isinstance(x, (bool, np.bool_)):
@@ -280,14 +282,25 @@ def format_number(x) -> str:
 
 def write_csv(path, columns, rows, digest: str) -> str:
     """Write a CSV with the manifest digest comment header, LF endings and
-    shortest round-trip numerics.  Returns the file's sha256."""
-    lines = [f"# manifest={digest}", ",".join(columns)]
-    for row in rows:
-        lines.append(",".join(format_number(v) for v in row))
-    data = ("\n".join(lines) + "\n").encode("utf-8")
+    shortest round-trip numerics, a block of lines at a time, so that the
+    text of a long table is never held whole.  Returns the file's sha256."""
+    sha = hashlib.sha256()
     with open(path, "wb") as fh:
-        fh.write(data)
-    return hashlib.sha256(data).hexdigest()
+
+        def flush(lines):
+            data = ("\n".join(lines) + "\n").encode("utf-8")
+            sha.update(data)
+            fh.write(data)
+
+        lines = [f"# manifest={digest}", ",".join(columns)]
+        for row in rows:
+            lines.append(",".join(map(format_number, row)))
+            if len(lines) == 1024:
+                flush(lines)
+                lines = []
+        if lines:
+            flush(lines)
+    return sha.hexdigest()
 
 
 def write_json_report(path, obj: dict, digest: str) -> str:

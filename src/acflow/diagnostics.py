@@ -54,7 +54,7 @@ class MomentConfig:
         if self.delta <= 0:
             raise ConfigurationError("delta must be positive")
         if self.n_paths < 2:
-            raise ConfigurationError("need at least 2 Monte Carlo paths")
+            raise ConfigurationError(f"monte_carlo.paths must be at least 2, got {self.n_paths}")
 
 
 @dataclass(frozen=True)

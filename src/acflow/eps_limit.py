@@ -103,7 +103,7 @@ class EpsSweepPlan:
         ):
             raise ConfigurationError("eps values must be strictly decreasing")
         if self.n_paths < 1:
-            raise ConfigurationError("sweep needs at least one path")
+            raise ConfigurationError(f"sweep.paths must be at least 1, got {self.n_paths}")
         if self.noise_trace < 0:
             raise ConfigurationError("sweep.noise_trace must be nonnegative")
 

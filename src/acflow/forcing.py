@@ -7,6 +7,7 @@ Monte Carlo scheduling or parallelism cannot change results.
 
 from __future__ import annotations
 
+import functools
 import threading
 from dataclasses import dataclass, field
 from itertools import permutations
@@ -130,20 +131,23 @@ class _Stream(threading.local):
 
 # Philox keys as numpy's SeedSequence derives them: hashmix and mix the seed
 # words (padded to four), then the spawn key (path, step), into a pool of four
-# 32-bit words.  The seed's part of the pool is hashed once, on Python ints;
-# the path and step words are mixed in on uint64 arrays of 32-bit words, a
-# key per entry (products of two words fit, differences wrap mod 2^64).  The
-# hash constants depend only on how many words were mixed, never on them.
+# 32-bit words.  The seed's part of the pool is hashed once per seed, on
+# Python ints; the path and step words are mixed in on uint64 arrays of
+# 32-bit words, a key per entry (products of two words fit, differences wrap
+# mod 2^64).  The hash constants depend only on how many words were mixed,
+# never on them, and a word updates each pool word from that pool word and
+# its own hash alone, so its four updates are one pass over a (4, ...) array.
 _STREAM = _Stream()
 _MASK32 = 0xFFFFFFFF
 _FRESH_PHILOX = dict(bit_generator="Philox", buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
+_MIX_MULT, _POOL_MULT, _WORD_MULT = 0x931E8875, 0xCA01F9DD, 0x4973F715
 
 
 def _words(n: int) -> list[int]:
     return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
 
 
-def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple[int, int]:
+def _hashmix(value: int, const: int, mult: int = _MIX_MULT) -> tuple[int, int]:
     after = const * mult & _MASK32
     value = (value ^ const) * after & _MASK32
     return value ^ value >> 16, after
@@ -151,44 +155,59 @@ def _hashmix(value: int, const: int, mult: int = 0x931E8875) -> tuple[int, int]:
 
 def _mix(pool: list[int], dst: int, word: int, const: int) -> int:
     hashed, const = _hashmix(word, const)
-    mixed = (0xCA01F9DD * pool[dst] - 0x4973F715 * hashed) & _MASK32
+    mixed = (_POOL_MULT * pool[dst] - _WORD_MULT * hashed) & _MASK32
     pool[dst] = mixed ^ mixed >> 16
     return const
 
 
-def _mixed(pool, const, words) -> tuple[tuple, int]:
-    """The pool after mixing in each word, and the hash constant after it."""
-    pool = list(pool)
-    for word in words:
-        for dst in range(4):
-            const = _mix(pool, dst, word, const)
-    return tuple(pool), const
-
-
-def _seed_pool(seed: int) -> tuple[tuple[int, ...], int]:
+@functools.cache
+def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
+    """The pool after the seed's words, a (4, 1) uint64 array, and the hash
+    constant after it."""
     words, pool, const = _words(seed), [], 0x43B0D7E5
     for word in (words + [0, 0, 0])[:4]:
         hashed, const = _hashmix(word, const)
         pool.append(hashed)
     for src, dst in permutations(range(4), 2):
         const = _mix(pool, dst, pool[src], const)
-    return _mixed(pool, const, words[4:])
+    for word in words[4:]:
+        for dst in range(4):
+            const = _mix(pool, dst, word, const)
+    pool = np.array(pool, dtype=np.uint64)[:, None]
+    pool.flags.writeable = False
+    return pool, const
 
 
-def _spawned_key(pool, const, step_words) -> list:
-    """The Philox key, as its (low, high) words, after the step words."""
-    pool, const = _mixed(pool, const, step_words)
-    state, const = [], 0x8B51F9DD
-    for word in pool:
-        hashed, const = _hashmix(word, const, 0x58F38DED)
-        state.append(hashed)
-    return [state[0] | state[1] << 32, state[2] | state[3] << 32]
+def _hashed(values: np.ndarray, const: int, mult: int = _MIX_MULT) -> tuple[np.ndarray, int]:
+    """_hashmix of ``values`` under four successive hash constants, stacked
+    on a new leading axis, and the constant after them."""
+    consts = [const]
+    for _ in range(4):
+        consts.append(consts[-1] * mult & _MASK32)
+    c = np.array(consts, dtype=np.uint64).reshape((5,) + (1,) * (np.ndim(values) - 1))
+    hashed = (values ^ c[:4]) * c[1:] & _MASK32
+    hashed ^= hashed >> 16
+    return hashed, consts[4]
+
+
+def _mixed(pool: np.ndarray, const: int, words) -> tuple[np.ndarray, int]:
+    """The (4, ...) pool after mixing in each word, an array broadcasting
+    against the pool's trailing axes, and the hash constant after it."""
+    for word in words:
+        hashed, const = _hashed(word[None], const)
+        pool = (_POOL_MULT * pool - _WORD_MULT * hashed) & _MASK32
+        pool ^= pool >> 16
+    return pool, const
 
 
 def _word_groups(values: np.ndarray):
     """(rows, words) for the uint64 values of each word count: one 32-bit
-    word below 2^32, two from there on, low word first."""
+    word below 2^32, two from there on, low word first.  Values that all
+    have one word are one group, and its rows a slice."""
     two_words = values > _MASK32
+    if not two_words.any():
+        yield slice(None), [values]
+        return
     for n_words, rows in ((1, ~two_words), (2, two_words)):
         if rows.any():
             shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)
@@ -201,16 +220,17 @@ def philox_keys(seed: int, paths, steps) -> np.ndarray:
     :func:`sample_increment` takes its rows' keys from here."""
     seed_pool, seed_const = _seed_pool(index(seed))
     paths = np.array([index(p) for p in paths], dtype=np.uint64)
-    pool = np.empty((4, len(paths)), dtype=np.uint64)
-    const = np.empty(len(paths), dtype=np.uint64)
-    for rows, words in _word_groups(paths):
-        start = [np.full(np.count_nonzero(rows), word, dtype=np.uint64) for word in seed_pool]
-        pool[:, rows], const[rows] = _mixed(start, seed_const, words)
     steps = np.asarray(steps, dtype=np.uint64).reshape(-1)
     keys = np.empty((len(steps), len(paths), 2), dtype=np.uint64)
-    for rows, words in _word_groups(steps):
-        words = [w[:, None] for w in words]
-        keys[rows] = np.stack(_spawned_key(list(pool), const, words), axis=-1)
+    for path_rows, path_words in _word_groups(paths):
+        pool, path_const = _mixed(seed_pool, seed_const, path_words)
+        for step_rows, step_words in _word_groups(steps):
+            spawned, _ = _mixed(pool[:, None, :], path_const, [w[:, None] for w in step_words])
+            state = _hashed(spawned, 0x8B51F9DD, 0x58F38DED)[0]
+            rows = (step_rows, path_rows)
+            if not any(isinstance(r, slice) for r in rows):  # two masks
+                rows = np.ix_(*rows)
+            keys[rows] = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
     return keys
 
 

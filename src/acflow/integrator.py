@@ -28,6 +28,7 @@ from dataclasses import dataclass, fields, replace
 
 import numpy as np
 
+from . import operators
 from .forcing import (
     DeterministicForce,
     NoiseModel,
@@ -53,10 +54,13 @@ ENERGY_CAP = 1e12
 # per path-step over 12, 20, 50 and 200 paths (table in CHANGES.md); with the
 # block's grid arrays in its GridWorkspace, no block size page-faults per step.
 BLOCK_PATHS = 20
-# Bytes of Wiener increments a block draws at once: run_path draws its rows'
-# noise for as many steps as fit, a sample_increment call per chunk, so a
-# model of up to 2N^2 terms still holds little of it.
-NOISE_CHUNK_BYTES = 1 << 20
+# Bytes a block holds for one chunk of steps: the Wiener increments, and per
+# step the noise sums, velocities and convection pairings from which the
+# chunk's recorded series and ledger terms are computed once it ends, with
+# the three velocity-sized temporaries of those products.  A sample_increment
+# call draws a chunk's increments; the budget bounds a chunk's memory
+# whatever the rows and cutoff.
+CHUNK_BYTES = 1 << 19
 
 
 class DivergedPathError(RuntimeError):
@@ -122,9 +126,8 @@ class State:
 
 @dataclass(frozen=True)
 class EnergyLedger:
-    """Energy balance terms as arrays: in a PathRecord an entry per row and
-    step, or, as returned by one step call, one entry per path of the
-    block."""
+    """Energy balance terms of a PathRecord as arrays, an entry per row and
+    step."""
 
     t: np.ndarray
     energy: np.ndarray
@@ -139,18 +142,14 @@ class EnergyLedger:
 
 @dataclass(frozen=True)
 class PathBlock:
-    """States of M paths at one time, a row each, with the norms the ledger
-    reads; ``rows`` are their positions in the batch given to run_path."""
+    """States of M paths at one time, a row each, as a step reads them;
+    ``rows`` are their positions in the batch given to run_path."""
 
     u: np.ndarray  # (M, n_velocity)
     p: np.ndarray  # (M, n_pressure)
     t: float
     rows: np.ndarray
-    l2_u: np.ndarray
-    h1_u: np.ndarray
-    l2_p: np.ndarray
-    energy: np.ndarray  # |u|^2 + eps |p|^2
-    gram_p: np.ndarray  # G p, the product behind l2_p and the next step's grad p
+    gram_p: np.ndarray  # G p, the product behind |p| and the next step's grad p
 
     def take(self, keep: np.ndarray) -> "PathBlock":
         rows = {f.name: getattr(self, f.name)[keep] for f in fields(self) if f.name != "t"}
@@ -214,7 +213,12 @@ class PathRecord:
         )
 
     def csv_rows(self):
-        return zip(self.times, *(getattr(self, name) for name in self.SERIES))
+        """The CSV_COLUMNS rows of a one-path record, as lists of Python
+        floats, converted a block of rows at a time so that no table of
+        float objects is held."""
+        columns = [self.times] + [getattr(self, name) for name in self.SERIES]
+        for start in range(0, len(self.times), 256):
+            yield from np.column_stack([c[start : start + 256] for c in columns]).tolist()
 
 
 _LEDGER_TERMS = tuple(f.name for f in fields(EnergyLedger))[1:]
@@ -429,53 +433,40 @@ class GalerkinIntegrator:
 
     # -- one step of a block of paths -------------------------------------------
 
-    def _block(self, u, p, t, rows) -> PathBlock:
+    def _state(self, u, p, t, rows) -> tuple[PathBlock, tuple]:
+        """The PathBlock of the rows (u, p) at time t, and their norms |u| and
+        |p| and energies |u|^2 + eps |p|^2 (a list), an entry per row."""
         gram_p = np.empty_like(p)
         l2_u, l2_p = l2_norm(u), self.spaces.pressure_l2(p, gram_out=gram_p)
         eps = self.config.eps
         energy = [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
-        return PathBlock(u, p, t, rows, l2_u, h10_norm(u), l2_p, np.array(energy), gram_p)
+        return PathBlock(u, p, t, rows, gram_p), (l2_u, l2_p, energy)
 
     def _convection_dual(self, u, work: GridWorkspace | None = None) -> np.ndarray:
         if not self.include_convection:
             return np.zeros(self.spaces.n_velocity)
-        from .operators import bhat_operator
+        return operators.bhat_operator(self.spaces, u, self.quad_order, work=work).pairings
 
-        return bhat_operator(self.spaces, u, self.quad_order, work=work).pairings
-
-    def step(self, state: PathBlock, dw: np.ndarray, work: GridWorkspace | None = None):
-        """One semi-implicit step of every path of a PathBlock, given its
-        Wiener increments dw, a row per path; returns the new block and the
-        step's EnergyLedger, an entry per path.  Grid arrays go to ``work``,
-        the block's GridWorkspace, when given."""
+    def step(self, state: PathBlock, xi: np.ndarray, work: GridWorkspace | None = None):
+        """One semi-implicit step of every path of a PathBlock, given its noise
+        sums xi = sum_k g_k dW_k, a row per path.  Returns the new block, the
+        convection pairings (B(u_m), e_i) of the step and the new block's
+        norms as ``_state`` gives them.  Grid arrays go to ``work``, the
+        block's GridWorkspace, when given."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
-        u_m, p_m = state.u, state.p
-
-        bhat = self._convection_dual(u_m, work)
-        xi = noise_contribution(self.noise, dw)
+        bhat = self._convection_dual(state.u, work)
         grad_dual_m = -sp.div_diagonal * state.gram_p  # sp.gradient_dual(p_m), from G p
-
-        rhs = u_m - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
-        u_p = np.matmul(self._inverse, rhs[..., None])[..., 0]  # a gemv per row
-        p_p = p_m - (dt / cfg.eps) * (sp.div_diagonal * u_p)
-        new = self._block(u_p, p_p, state.t + dt, state.rows)
-
-        change = new.energy - state.energy
-        dissipation = 2.0 * cfg.nu * scalar_pow(new.h1_u, 2) * dt
-        work = 2.0 * _rowdot(self.force.coeffs, u_p) * dt
-        ito = np.full(len(u_p), self.noise.trace * dt)
-        martingale = 2.0 * _rowdot(xi, u_m)
-        residual = change + dissipation - work - ito - martingale
-        return new, EnergyLedger(
-            np.full(len(u_p), new.t), new.energy, change, dissipation, work, ito,
-            martingale, residual, _rowdot(bhat, u_m),
-        )
+        rhs = state.u - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
+        u = np.matmul(self._inverse, rhs[..., None])[..., 0]  # a gemv per row
+        p = state.p - (dt / cfg.eps) * (sp.div_diagonal * u)
+        new, norms = self._state(u, p, state.t + dt, state.rows)
+        return new, bhat, norms
 
     # -- whole paths ---------------------------------------------------------------
 
     def run_path(self, initial, path_index=0, observe=None, workers=1):
         """Integrate from 0 to the horizon; bit-reproducible from
-        (seed, path index), whatever the blocks, threads and noise chunks.
+        (seed, path index), whatever the blocks, threads and chunks of steps.
 
         An int ``path_index`` runs one path: it returns its 1-D PathRecord
         or raises DivergedPathError.  A sequence of indices runs a row per
@@ -517,52 +508,104 @@ class GalerkinIntegrator:
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at time t0, writing their series, ledger terms
         and last coefficients in place.  The block's grid workspace lives as
-        long as this call; its increments are drawn by one sample_increment
-        call per chunk of steps (NOISE_CHUNK_BYTES), for the rows running at
-        the chunk's start."""
-        cfg = self.config
-        block = self._block(record.u[rows], record.p[rows], t0, rows)
+        long as this call.  Steps run in chunks of CHUNK_BYTES: a chunk draws
+        its increments by one sample_increment call and forms their noise
+        sums by one noise_contribution call, each step keeps its velocity,
+        convection pairings and norms, and the chunk's series and ledger
+        terms are then computed and written at once.  A row that blows up
+        ends its chunk early, and the next chunk starts without it."""
+        cfg, sp = self.config, self.spaces
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection finds them
         work = GridWorkspace()
-        chunk = max(1, NOISE_CHUNK_BYTES // max(1, 8 * len(rows) * self.noise.n_terms))
-        drawn = range(0)  # steps whose increments dw holds, for the rows drawn_rows
-
-        def write(m, blk, ledger=None):
-            record.times[m] = blk.t
-            for name in ("l2_u", "h1_u", "l2_p", "energy"):
-                getattr(record, name)[blk.rows, m] = getattr(blk, name)
-            record.l4_u[blk.rows, m] = self.spaces.l4_norm(blk.u, self.quad_order, work=work)
-            record.l2_div_u[blk.rows, m] = self.spaces.divergence_l2(blk.u)
-            for name in _LEDGER_TERMS if ledger is not None else ():
-                getattr(record.ledger, name)[blk.rows, m - 1] = getattr(ledger, name)
-
-        write(0, block)
+        block, (l2_u, l2_p, energy) = self._state(record.u[rows], record.p[rows], t0, rows)
+        size = CHUNK_BYTES // (8 * len(rows) * (6 * sp.n_velocity + self.noise.n_terms + 4))
+        size = max(1, min(size, cfg.n_steps))
+        # a step's velocity and pairings, and |u|, |p|, energy and L4 norm
+        us = np.empty((size + 1, len(rows), sp.n_velocity))
+        bhats = np.empty((size, len(rows), sp.n_velocity))
+        norms = np.empty((4, size + 1, len(rows)))
+        norms[:, 0] = l2_u, l2_p, energy, sp.l4_norm(block.u, self.quad_order, work=work)
+        times = [t0]  # a chunk's times, from the state it starts at
         if observe is not None:
             observe(0, block)
-        for m in range(1, cfg.n_steps + 1):
-            if not len(block.rows):
-                break
-            if m - 1 not in drawn:
-                drawn, drawn_rows = range(m - 1, min(m - 1 + chunk, cfg.n_steps)), block.rows
-                dw = sample_increment(self.noise, cfg.dt, (cfg.seed, record.paths[drawn_rows], drawn))
-            step_dw = dw[m - 1 - drawn.start]
-            if len(block.rows) < len(drawn_rows):
-                step_dw = step_dw[np.searchsorted(drawn_rows, block.rows)]
-            block, ledger = self.step(block, step_dw, work)
-            write(m, block, ledger)
-            blown = ~(block.energy <= ENERGY_CAP)
+        m0 = 0  # the step each chunk starts at
+        while m0 < cfg.n_steps and len(block.rows):
+            n = len(block.rows)
+            u, bhat, norm = us[:, :n], bhats[:, :n], norms[:, :, :n]
+            u[0] = block.u
+            steps = range(m0, min(m0 + size, cfg.n_steps))
+            dw = sample_increment(self.noise, cfg.dt, (cfg.seed, record.paths[block.rows], steps))
+            xis = noise_contribution(self.noise, dw)
+            chunk_rows = block.rows
+            for k, xi in enumerate(xis, 1):
+                block, pairings, (l2_u, l2_p, energy) = self.step(block, xi, work)
+                u[k], bhat[k - 1] = block.u, pairings
+                norm[:, k] = l2_u, l2_p, energy, sp.l4_norm(block.u, self.quad_order, work=work)
+                times.append(block.t)
+                if not all(e <= ENERGY_CAP for e in energy):
+                    break
+                if observe is not None:
+                    observe(m0 + k, block)
+            self._write_chunk(record, chunk_rows, m0, k, times, u, bhat, xis, norm)
+            m0 += k
+            times = times[-1:]
+            norm[:, 0] = norm[:, k]
+            blown = ~(norm[2, k] <= ENERGY_CAP)
             if blown.any():
                 gone = block.rows[blown]
                 record.u[gone], record.p[gone] = block.u[blown], block.p[blown]
                 record.diverged.extend(
-                    DivergedPathError(m, float(e), int(record.paths[r]), int(r))
-                    for r, e in zip(gone, block.energy[blown])
+                    DivergedPathError(m0, float(e), int(record.paths[r]), int(r))
+                    for r, e in zip(gone, norm[2, k][blown])
                 )
                 block = block.take(~blown)
-            if observe is not None:
-                observe(m, block)
+                norms[:, 0, : len(block.rows)] = norm[:, 0][:, ~blown]
+                if observe is not None:
+                    observe(m0, block)
         record.u[block.rows], record.p[block.rows] = block.u, block.p
+
+    def _write_chunk(self, record, rows, m0, n, times, u, bhat, xi, norms) -> None:
+        """Write the states and steps of a chunk of the rows ``rows`` that
+        started at step m0 and ran n steps: ``u`` and ``norms`` hold the
+        states m0..m0+n, ``bhat`` and ``xi`` the steps.  State m0 was
+        written by the chunk before, except at step 0.  Stacked (steps, rows)
+        products make a BLAS call per row and step, so each value has the
+        bits of its own row's computation."""
+        cfg, sp, dt = self.config, self.spaces, self.config.dt
+        first = 0 if m0 == 0 else 1
+        states = slice(first, n + 1)
+        h1_u = h10_norm(u[states])
+        series = {
+            "l2_u": norms[0, states],
+            "l2_p": norms[1, states],
+            "energy": norms[2, states],
+            "l4_u": norms[3, states],
+            "h1_u": h1_u,
+            "l2_div_u": sp.divergence_l2(u[states]),
+        }
+        cols = slice(m0 + first, m0 + n + 1)
+        record.times[cols] = times[first:]
+        for name, values in series.items():
+            getattr(record, name)[rows, cols] = values.T
+
+        u_m, u_p, energy = u[:n], u[1 : n + 1], norms[2, : n + 1]
+        change = energy[1:] - energy[:-1]
+        dissipation = 2.0 * cfg.nu * scalar_pow(h1_u[1 - first :], 2) * dt
+        work = 2.0 * _rowdot(self.force.coeffs, u_p) * dt
+        ito = np.full(change.shape, self.noise.trace * dt)
+        martingale = 2.0 * _rowdot(xi[:n], u_m)
+        terms = {
+            "energy_change": change,
+            "dissipation_increment": dissipation,
+            "work_increment": work,
+            "ito_increment": ito,
+            "martingale_increment": martingale,
+            "residual": change + dissipation - work - ito - martingale,
+            "convection_pairing": _rowdot(bhat[:n], u_m),
+        }
+        for name, values in terms.items():
+            getattr(record.ledger, name)[rows, m0 : m0 + n] = values.T
 
 
 def energy_residual(

@@ -119,7 +119,8 @@ def scalar_pow(values: np.ndarray, exponent: float):
     it; array ``**`` and np.power round differently (x ** 2 is x * x)."""
     if np.ndim(values) == 0:
         return float(values) ** exponent
-    return np.array([v**exponent for v in values.tolist()])
+    flat = [v**exponent for v in np.ravel(values).tolist()]
+    return np.array(flat).reshape(np.shape(values))
 
 
 def l2_norm(u) -> float | np.ndarray:

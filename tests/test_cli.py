@@ -306,6 +306,9 @@ def test_config_error_exits_2(tmp_path):
         ("sweep-eps", "sweep.snapshot_times=-0.5"),
         ("sweep-eps", "sweep.snapshot_times=0.2,7"),
         ("sweep-eps", "sweep.snapshot_times=0.0101,0.0104"),
+        ("mc-energy", "monte_carlo.paths=1"),
+        ("mc-moment", "monte_carlo.paths=3"),
+        ("sweep-eps", "sweep.paths=0"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):

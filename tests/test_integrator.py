@@ -141,18 +141,13 @@ def test_pressure_work_identity(spaces4, dense_gram):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01, eps=0.05)
     integ = GalerkinIntegrator(spaces4, cfg)
     state = project_initial(spaces4, "smooth", [("cs", 1, 1, 0.4)])
-    from acflow.forcing import empty_noise, sample_increment
-
-    noise = empty_noise(spaces4)
     sp = spaces4
     G = dense_gram(sp)
-    # a block of one row: path 0
-    block = integ._block(state.u.coeffs[None], state.p.coeffs[None], state.t, np.zeros(1, int))
-    for m in range(5):
-        dw = sample_increment(noise, cfg.dt, (cfg.seed, [0], m))
-        new_block, _ = integ.step(block, dw)
-        u_new = new_block.u[0]
-        p_old, p_new = block.p[0], new_block.p[0]
+    # the states of path 0 after every step, as an observe hook sees them
+    states = []
+    integ.run_path(state, 0, observe=lambda m, block: states.append((block.u[0], block.p[0])))
+    assert len(states) == cfg.n_steps + 1
+    for (_, p_old), (u_new, p_new) in zip(states, states[1:]):
         grad_mid = -sp.div_diagonal * (G @ (0.5 * (p_old + p_new)))
         pairing_mid = float(np.dot(grad_mid, u_new))
         rate = (
@@ -168,7 +163,6 @@ def test_pressure_work_identity(spaces4, dense_gram):
         div_u = sp.div_diagonal * u_new
         gap = (cfg.dt / (2.0 * cfg.eps)) * float(div_u @ (G @ div_u))
         assert pairing_end - rate == pytest.approx(gap, rel=1e-9, abs=1e-12)
-        block = new_block
 
 
 def test_run_path_single_step_record(spaces4):

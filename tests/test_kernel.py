@@ -315,9 +315,17 @@ def test_held_squares_survive_a_convection(spaces8):
     assert pairs.tobytes() == bhat_operator(spaces8, rows).pairings.tobytes()
 
 
+def _chunk_bytes(integ, n_rows, steps):
+    """A CHUNK_BYTES that gives a block of n_rows rows chunks of ``steps``
+    steps: per row and step, the increments, six velocity-sized arrays
+    (velocity, noise sum, convection pairings and three temporaries) and
+    four norms."""
+    return steps * 8 * n_rows * (6 * integ.spaces.n_velocity + integ.noise.n_terms + 4)
+
+
 def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
-    # K = 2N^2 noise terms: a block of 20 rows draws 51 steps a chunk, so 120
-    # steps take three sample_increment calls, one-step chunks 120
+    # K = 2N^2 noise terms: a block of 20 rows runs 3 steps a chunk, so 120
+    # steps take 40 sample_increment calls, one-step chunks 120
     cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.12, seed=3)
     noise = default_noise(spaces8, trace=0.05, n_terms=spaces8.n_velocity)
     integ = GalerkinIntegrator(spaces8, cfg, noise=noise)
@@ -330,16 +338,16 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
 
     monkeypatch.setattr(integrator, "sample_increment", counted)
     chunked = integ.run_path(initial, range(20))
-    assert [(s.start, s.stop) for s in calls] == [(0, 51), (51, 102), (102, 120)]
-    monkeypatch.setattr(integrator, "NOISE_CHUNK_BYTES", 1)
+    assert [(s.start, s.stop) for s in calls] == [(m, m + 3) for m in range(0, 120, 3)]
+    monkeypatch.setattr(integrator, "CHUNK_BYTES", 1)
     stepped = integ.run_path(initial, range(20))
-    assert len(calls) == 3 + 120
+    assert len(calls) == 40 + 120
     for name in SERIES:
         assert _bits(getattr(chunked, name)) == _bits(getattr(stepped, name)), name
 
 
 def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
-    # the 120-step, 51-step-chunk set-up above: each chunk's draw derives the
+    # the 120-step, 3-step-chunk set-up above: each chunk's draw derives the
     # Philox keys of its own steps, and no call derives the whole horizon's
     cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.12, seed=3)
     noise = default_noise(spaces8, trace=0.05, n_terms=spaces8.n_velocity)
@@ -352,7 +360,86 @@ def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
 
     monkeypatch.setattr(forcing, "philox_keys", counted)
     integ.run_path(project_initial(spaces8, "smooth", "low_mode"), range(20))
-    assert spans == [(0, 51), (51, 102), (102, 120)]
+    assert spans == [(m, m + 3) for m in range(0, 120, 3)]
+
+
+def _whole_record(rec):
+    """Every array of a PathRecord, the ledger's terms included, and its
+    DivergedPathErrors as (path, step, row)."""
+    arrays = {name: _bits(getattr(rec, name)) for name in SERIES + ("u", "p", "paths")}
+    arrays.update({f"ledger.{name}": _bits(v) for name, v in vars(rec.ledger).items()})
+    return arrays, [(e.path, e.step, e.row, e.energy) for e in rec.diverged]
+
+
+def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, observe=None):
+    """run_path with chunks of ``steps`` steps for a block of n_rows rows, and
+    the spans its sample_increment calls drew."""
+    real, spans = integrator.sample_increment, []
+
+    def counted(*args, **kwargs):
+        spans.append((args[2][2].start, args[2][2].stop))
+        return real(*args, **kwargs)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(integrator, "sample_increment", counted)
+        if steps is not None:
+            patch.setattr(integrator, "CHUNK_BYTES", _chunk_bytes(integ, n_rows, steps))
+        return integ.run_path(inits, paths, observe=observe), spans
+
+
+@pytest.mark.parametrize("steps", [1, 3, 7])
+def test_chunk_boundaries_do_not_change_a_block(steps, monkeypatch):
+    # a 5-row block over 15 steps: chunks of 1, 3 and 7 steps (the last of
+    # them cut short by the horizon) against the default chunking, one chunk
+    integ, initial = _noisy_forced(4)
+    default, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, None)
+    assert spans == [(0, 15)]
+    rec, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, steps)
+    assert spans == [(m, min(m + steps, 15)) for m in range(0, 15, steps)]
+    assert _whole_record(rec) == _whole_record(default)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 7])
+def test_chunk_boundaries_do_not_change_a_blow_up(spaces2, steps, monkeypatch):
+    # the data of test_blown_up_row_leaves_the_other_rows_untouched: row 1
+    # blows up at step 1, the first of a chunk of 3, 7 or (by default) 50
+    # steps, which ends there; the next chunk starts at the blow-up
+    cfg = SolverConfig(n_modes=2, dt=0.9, horizon=45.0, nu=1e-3, eps=1e-3)
+    integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
+    huge = project_initial(spaces2, [(1, 1, 1, 3e5), (2, 2, 2, -2e5)], None)
+    quiet = project_initial(spaces2, [(1, 1, 1, 1e-3)], None)
+    inits = [quiet, huge, quiet, project_initial(spaces2, None, None)]
+    default, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, None)
+    assert [(e.path, e.step, e.row) for e in default.diverged] == [(1, 1, 1)]
+    assert spans == [(0, 50), (1, 50)]
+    rec, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, steps)
+    assert spans[:2] == [(0, steps), (1, 1 + steps)]
+    assert _whole_record(rec) == _whole_record(default)
+
+
+@pytest.mark.parametrize("steps", [1, 3, 7])
+def test_chunk_boundaries_do_not_change_what_observe_sees(spaces4, steps, monkeypatch):
+    # the hook sees every step's states, rows and time, the same under any
+    # chunking, and they stay as they were seen: row 2 blows up at step 3
+    cfg = SolverConfig(n_modes=4, dt=0.05, horizon=0.5, nu=1e-3, eps=1e-2, seed=5)
+    integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
+    quiet = project_initial(spaces4, "smooth", "low_mode")
+    inits = [quiet, quiet, project_initial(spaces4, [(1, 1, 1, 100.0), (2, 3, 2, -100.0)], None)]
+
+    def run(chunk):
+        seen = []
+
+        def observe(m, block):
+            seen.append((m, block.t, block.rows.tolist(), block.u, block.p))
+
+        rec, _ = _run_chunked(monkeypatch, integ, inits, range(3), 3, chunk, observe)
+        kept = [(m, t, rows, _bits(u), _bits(p)) for m, t, rows, u, p in seen]
+        return _whole_record(rec), kept
+
+    default, seen = run(None)
+    assert [m for m, *_ in seen] == list(range(cfg.n_steps + 1))
+    assert [rows for _, _, rows, _, _ in seen[2:5]] == [[0, 1, 2], [0, 1], [0, 1]]
+    assert run(steps) == (default, seen)
 
 
 def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
@@ -405,7 +492,7 @@ def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):
     # two steps a chunk: rows 2 and 0 blow up inside and at the end of one
     cfg = SolverConfig(n_modes=4, dt=0.05, horizon=0.5, nu=1e-3, eps=1e-2, seed=5)
     integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
-    monkeypatch.setattr(integrator, "NOISE_CHUNK_BYTES", 2 * 8 * 5 * integ.noise.n_terms)
+    monkeypatch.setattr(integrator, "CHUNK_BYTES", _chunk_bytes(integ, 5, 2))
     quiet = project_initial(spaces4, "smooth", "low_mode")
     inits = [
         project_initial(spaces4, [(1, 1, 1, 30.0), (2, 3, 2, -30.0)], None),
