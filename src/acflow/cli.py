@@ -149,6 +149,14 @@ def _problem(setup) -> tuple:
     return spaces, force, noise, build_initial(setup, spaces)
 
 
+def _nonnegative(setup, key: str) -> float:
+    """The float value of ``key``, a ConfigurationError naming it if negative."""
+    value = setup.get_float(key)
+    if value < 0:
+        raise ConfigurationError(f"{key} must be nonnegative, got {value:g}")
+    return value
+
+
 def _write(args, manifest: RunManifest, name: str, *content) -> None:
     """Write one output, a CSV from (columns, rows) or a JSON report from a
     summary, and record its hash in the manifest."""
@@ -207,11 +215,13 @@ def _cmd_mc_energy(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, initial = _problem(setup)
     n_paths = setup.get_int("monte_carlo.paths")
-    z = setup.get_float("monte_carlo.confidence_z")
+    if n_paths < 2:  # the standard error needs two paths
+        raise ConfigurationError(f"monte_carlo.paths must be at least 2, got {n_paths}")
+    z = _nonnegative(setup, "monte_carlo.confidence_z")
     deltas = setup.float_list("monte_carlo.deltas")
-    if not deltas:
-        raise ConfigurationError("monte_carlo.deltas must list at least one weight rate")
-    checks = [MomentConfig(moment_p=2.0, delta=d, n_paths=n_paths, confidence_z=z) for d in deltas]
+    if not deltas or min(deltas) <= 0:
+        raise ConfigurationError(f"monte_carlo.deltas must list positive weight rates, got {deltas}")
+    checks = [MomentConfig(moment_p=2.0, delta=d, confidence_z=z) for d in deltas]
     records = simulate_paths(
         spaces, setup.solver, force, noise, initial, n_paths, workers=args.workers
     )
@@ -219,9 +229,7 @@ def _cmd_mc_energy(args) -> int:
     csv_rows = []
     margins = {}
     for delta, mc in zip(deltas, checks):
-        rep = mc_energy_bound(
-            spaces, setup.solver, mc, force, noise, initial, records=records
-        )
+        rep = mc_energy_bound(records, spaces, setup.solver, mc, force, noise, initial)
         all_pass = all_pass and rep.passed
         margins[str(delta)] = float(rep.margins().min())
         for i, t in enumerate(rep.times):
@@ -244,20 +252,20 @@ def _cmd_mc_moment(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, initial = _problem(setup)
     n_paths = setup.get_int("monte_carlo.paths")
-    z = setup.get_float("monte_carlo.confidence_z")
-    tol = setup.get_float("monte_carlo.moment_stability_tol")
+    z = _nonnegative(setup, "monte_carlo.confidence_z")
+    tol = _nonnegative(setup, "monte_carlo.moment_stability_tol")
     cfg = setup.solver
     if n_paths < 4:  # the half ensemble's standard error needs two paths
         raise ConfigurationError(f"monte_carlo.paths must be at least 4 for mc-moment, got {n_paths}")
-    mc = MomentConfig(
-        moment_p=cfg.moment_p, delta=cfg.delta, n_paths=n_paths, confidence_z=z
-    )
+    if cfg.delta <= 0:
+        raise ConfigurationError(f"solver.delta must be positive for mc-moment, got {cfg.delta:g}")
+    mc = MomentConfig(moment_p=cfg.moment_p, delta=cfg.delta, confidence_z=z)
     records = simulate_paths(
         spaces, cfg, force, noise, initial, n_paths, workers=args.workers
     )
-    full = mc_moment_bound(spaces, cfg, mc, force, noise, initial, records=records)
+    full = mc_moment_bound(records, spaces, cfg, mc, force, noise, initial)
     half = mc_moment_bound(
-        spaces, cfg, mc, force, noise, initial, records=records.take(slice(n_paths // 2))
+        records.take(slice(n_paths // 2)), spaces, cfg, mc, force, noise, initial
     )
     ok = full.implied_constant is not None and np.isfinite(full.implied_constant)
     spread = None
@@ -296,7 +304,7 @@ def _cmd_uniqueness(args) -> int:
         raise ConfigurationError("uniqueness.perturb_mode must be 'j,k,d'")
     mode = tuple(parse_value("uniqueness.perturb_mode", int, v) for v in raw_mode)
     amp = setup.get_float("uniqueness.perturb_amplitude")
-    c_check = setup.get_float("uniqueness.c_check")
+    c_check = _nonnegative(setup, "uniqueness.c_check")
     init_b = perturbed_state(spaces, init_a, mode, amp)
     rep = pathwise_uniqueness_check(
         spaces, setup.solver, force, noise, init_a, init_b, c_check=c_check
@@ -331,8 +339,6 @@ def _cmd_sweep(args) -> int:
         n_paths=setup.get_int("sweep.paths"),
         force_modes=tuple(parse_velocity_modes("sweep.force_modes", setup.get("sweep.force_modes"))),
         noise_trace=setup.get_float("sweep.noise_trace"),
-        initial_u=None,
-        initial_p=None,
     )
     # states of path 0 at the grid times nearest the requested ones, captured
     # while the sweep runs it

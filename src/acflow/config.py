@@ -11,6 +11,7 @@ from __future__ import annotations
 import configparser
 import hashlib
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -90,12 +91,16 @@ class RunSetup:
 
 
 def parse_value(key: str, typ: type, raw: str):
-    """``typ(raw)``; a malformed value is a ConfigurationError naming the key."""
+    """``typ(raw)``; a malformed value, or a float's nan or inf, is a
+    ConfigurationError naming the key."""
     try:
-        return typ(raw)
+        value = typ(raw)
     except ValueError:
-        kind = "an integer" if typ is int else "a number"
-        raise ConfigurationError(f"{key} must be {kind}, got {raw!r}") from None
+        value = None
+    if value is None or (typ is float and not math.isfinite(value)):
+        kind = "an integer" if typ is int else "a finite number"
+        raise ConfigurationError(f"{key} must be {kind}, got {raw!r}")
+    return value
 
 
 def parse_velocity_modes(key: str, raw: str) -> list[tuple[int, int, int, float]]:
@@ -112,6 +117,8 @@ def parse_velocity_modes(key: str, raw: str) -> list[tuple[int, int, int, float]
                 f"{key}: velocity mode entry {chunk!r} must be 'j,k,d,amplitude'"
             )
         j, k, d = (parse_value(key, int, v) for v in parts[:3])
+        if d not in (1, 2):
+            raise ConfigurationError(f"{key}: velocity component must be 1 or 2, got {d}")
         entries.append((j, k, d, parse_value(key, float, parts[3])))
     return entries
 
@@ -130,6 +137,8 @@ def parse_pressure_modes(key: str, raw: str) -> list[tuple[str, int, int, float]
                 f"{key}: pressure mode entry {chunk!r} must be 'family,j,k,amplitude'"
             )
         j, k = (parse_value(key, int, v) for v in parts[1:3])
+        if parts[0] not in ("cs", "sc"):
+            raise ConfigurationError(f"{key}: pressure family must be cs or sc, got {parts[0]!r}")
         entries.append((parts[0], j, k, parse_value(key, float, parts[3])))
     return entries
 

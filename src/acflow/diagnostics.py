@@ -45,7 +45,6 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
 class MomentConfig:
     moment_p: float = 4.0
     delta: float = 1.0
-    n_paths: int = 200
     confidence_z: float = 3.0
 
     def __post_init__(self):
@@ -53,8 +52,6 @@ class MomentConfig:
             raise ConfigurationError("moment exponent must be at least 2")
         if self.delta <= 0:
             raise ConfigurationError("delta must be positive")
-        if self.n_paths < 2:
-            raise ConfigurationError(f"monte_carlo.paths must be at least 2, got {self.n_paths}")
 
 
 @dataclass(frozen=True)
@@ -142,21 +139,17 @@ def _weighted_dissipation_series(
 
 
 def mc_energy_bound(
+    records: PathRecord,
     spaces: SpectralSpaces,
     config: SolverConfig,
     mc: MomentConfig,
     force: DeterministicForce | None,
     noise: NoiseModel | None,
     initial: State,
-    records: PathRecord | None = None,
-    workers: int = 1,
 ) -> EnergyBoundReport:
-    """Monte Carlo check of the weighted energy bound at every grid time."""
+    """Monte Carlo check of the weighted energy bound at every grid time,
+    over the paths of ``records`` simulated from this problem."""
     force = force or DeterministicForce(np.zeros(spaces.n_velocity))
-    if records is None:
-        records = simulate_paths(
-            spaces, config, force, noise, initial, mc.n_paths, workers=workers
-        )
     delta, times, n_paths = mc.delta, records.times, len(records.paths)
     energy = records.l2_u**2 + config.eps * records.l2_p**2
     diss = _weighted_dissipation_series(records, delta, config.nu, 2.0)
@@ -202,16 +195,16 @@ def energy_bound_rhs(
 
 
 def mc_moment_bound(
+    records: PathRecord,
     spaces: SpectralSpaces,
     config: SolverConfig,
     mc: MomentConfig,
     force: DeterministicForce | None,
     noise: NoiseModel | None,
     initial: State,
-    records: PathRecord | None = None,
-    workers: int = 1,
 ) -> MomentBoundReport:
-    """Monte Carlo evaluation of the p-th moment bound.
+    """Monte Carlo evaluation of the p-th moment bound over the paths of
+    ``records`` simulated from this problem.
 
     The bound's constant is not explicit, so the report carries the implied
     constant (lhs minus initial terms, divided by the forcing integral);
@@ -219,10 +212,6 @@ def mc_moment_bound(
     fixed threshold.
     """
     force = force or DeterministicForce(np.zeros(spaces.n_velocity))
-    if records is None:
-        records = simulate_paths(
-            spaces, config, force, noise, initial, mc.n_paths, workers=workers
-        )
     p, delta, times, n_paths = mc.moment_p, mc.delta, records.times, len(records.paths)
     weight = np.exp(-delta * times)
     sup_term = np.max((records.l2_u**p + config.eps * records.l2_p**p) * weight, axis=-1)
@@ -262,10 +251,9 @@ def pathwise_uniqueness_check(
     noise: NoiseModel | None,
     init_a: State,
     init_b: State,
-    path_index: int = 0,
     c_check: float = 1.0,
 ) -> UniquenessReport:
-    """Drive two trajectories with identical Wiener increments and track the
+    """Drive two trajectories with path 0's Wiener increments and track the
     weighted squared difference; additive noise cancels in the difference, so
     the weighted series must not increase beyond O(dt) scheme error."""
     integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
@@ -278,7 +266,7 @@ def pathwise_uniqueness_check(
             pr2 = max(float(dp @ spaces.gram_product(dp)), 0.0)
             diff[m] = float(np.dot(du, du)) + config.eps * pr2
 
-    pair = integ.run_path([init_a, init_b], [path_index] * 2, observe=diff_energy)
+    pair = integ.run_path([init_a, init_b], [0, 0], observe=diff_energy)
     if pair.diverged:
         raise pair.diverged[0]
     times, l4_a = pair.times, pair.l4_u[0]

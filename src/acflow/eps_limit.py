@@ -48,22 +48,15 @@ def leray_projector(spaces: SpectralSpaces) -> np.ndarray:
     return np.diag((spaces.div_diagonal == 0).astype(float))
 
 
-def run_incompressible_reference(
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    force: DeterministicForce | None = None,
-    noise: NoiseModel | None = None,
-    initial: State | None = None,
-    path_index: int = 0,
-    include_convection: bool = True,
-) -> PathRecord:
+def run_incompressible_reference(spaces: SpectralSpaces, config: SolverConfig) -> PathRecord:
     """Reference trajectory of the incompressible system on the same basis.
 
-    The divergence-free subspace is trivial here, so initial datum, force,
-    noise and convection all project to zero and the trajectory is exactly
-    u = 0 at every step, for every path: it is returned as such, a zero
-    ledger included.  A basis with a non-trivial divergence-free subspace
-    would need a projected solver and is refused.
+    The divergence-free subspace is trivial here, so every initial datum,
+    force, noise and the convection project to zero and the trajectory is
+    exactly u = 0 at every step, for every path: it is returned as such (the
+    one-path record of path 0), a zero ledger included.  A basis with a
+    non-trivial divergence-free subspace would need a projected solver and
+    is refused.
     """
     if config.n_modes != spaces.n_modes:
         raise ConfigurationError("config cutoff does not match the space")
@@ -73,7 +66,7 @@ def run_incompressible_reference(
             "trivial; the incompressible reference has no solver for it"
         )
     times = np.arange(config.n_steps + 1) * config.dt
-    return PathRecord.zeros(times, [path_index], spaces.n_velocity, spaces.n_pressure).take(0)
+    return PathRecord.zeros(times, [0], spaces.n_velocity, spaces.n_pressure).take(0)
 
 
 DEFAULT_SWEEP_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -82,26 +75,25 @@ DEFAULT_SWEEP_FORCE_MODES = ((1, 1, 1, 0.4), (2, 1, 2, 0.2))
 
 @dataclass(frozen=True)
 class EpsSweepPlan:
-    """Decreasing compressibility values with everything else held fixed."""
+    """Decreasing compressibility values with everything else held fixed;
+    every path starts at rest."""
 
     eps_values: tuple[float, ...] = DEFAULT_SWEEP_EPS
     base: SolverConfig = field(default_factory=SolverConfig)
     n_paths: int = 50
     force_modes: tuple = DEFAULT_SWEEP_FORCE_MODES
     noise_trace: float = 0.01
-    initial_u: object = None
-    initial_p: object = None
 
     def __post_init__(self):
         if len(self.eps_values) < 1:
-            raise ConfigurationError("sweep needs at least one eps value")
+            raise ConfigurationError("sweep.eps_values must list at least one eps")
         if any(e <= 0 for e in self.eps_values):
-            raise ConfigurationError("eps values must be positive")
+            raise ConfigurationError(f"sweep.eps_values must be positive, got {self.eps_values}")
         if any(
             self.eps_values[i + 1] >= self.eps_values[i]
             for i in range(len(self.eps_values) - 1)
         ):
-            raise ConfigurationError("eps values must be strictly decreasing")
+            raise ConfigurationError(f"sweep.eps_values must be strictly decreasing, got {self.eps_values}")
         if self.n_paths < 1:
             raise ConfigurationError(f"sweep.paths must be at least 1, got {self.n_paths}")
         if self.noise_trace < 0:
@@ -169,9 +161,9 @@ def epsilon_sweep(
     force = DeterministicForce(
         spaces.velocity_from_modes(plan.force_modes).coeffs
     )
-    initial = project_initial(spaces, plan.initial_u, plan.initial_p)
+    initial = project_initial(spaces, None, None)
     base = replace(plan.base, n_modes=spaces.n_modes)
-    run_incompressible_reference(spaces, replace(base, eps=plan.eps_values[0]), force, noise, initial)
+    run_incompressible_reference(spaces, replace(base, eps=plan.eps_values[0]))
 
     rows: list[SweepRow] = []
     pressure_bound = None

@@ -54,8 +54,8 @@ def noise_from_modes(spaces: SpectralSpaces, entries) -> NoiseModel:
         f = spaces.velocity_from_modes([(j, k, d, amp)])
         rows.append(f.coeffs)
     if len(rows) > spaces.n_velocity:
-        raise ValueError(
-            f"{len(rows)} noise terms exceed the {spaces.n_velocity}-dimensional space"
+        raise ConfigurationError(
+            f"noise.modes: {len(rows)} noise terms exceed the {spaces.n_velocity}-dimensional space"
         )
     if not rows:
         return empty_noise(spaces)

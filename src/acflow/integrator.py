@@ -37,6 +37,7 @@ from .forcing import (
     sample_increment,
 )
 from .spaces import (
+    HARD_MODE_CAP,
     ConfigurationError,
     GridWorkspace,
     PressureField,
@@ -46,7 +47,6 @@ from .spaces import (
     h10_norm,
     l2_norm,
     scalar_pow,
-    velocity_indices,
 )
 
 ENERGY_CAP = 1e12
@@ -89,23 +89,23 @@ class SolverConfig:
 
     def __post_init__(self):
         if self.nu <= 0:
-            raise ConfigurationError("nu must be positive")
+            raise ConfigurationError("solver.nu must be positive")
         if self.eps <= 0:
-            raise ConfigurationError("eps must be positive")
+            raise ConfigurationError("solver.eps must be positive")
         if self.delta < 0:
-            raise ConfigurationError("delta must be nonnegative")
-        if self.n_modes < 1:
-            raise ConfigurationError("n_modes must be positive")
+            raise ConfigurationError("solver.delta must be nonnegative")
+        if not 1 <= self.n_modes <= HARD_MODE_CAP:
+            raise ConfigurationError(f"solver.n_modes must lie in [1, {HARD_MODE_CAP}], got {self.n_modes}")
         if self.dt <= 0:
-            raise ConfigurationError("dt must be positive")
+            raise ConfigurationError("solver.dt must be positive")
         if self.horizon <= 0:
-            raise ConfigurationError("horizon must be positive")
+            raise ConfigurationError("solver.horizon must be positive")
         if self.dt > self.horizon:
-            raise ConfigurationError("dt must not exceed the horizon")
+            raise ConfigurationError("solver.dt must not exceed solver.horizon")
         if self.moment_p < 2:
-            raise ConfigurationError("moment_p must be at least 2")
+            raise ConfigurationError("solver.moment_p must be at least 2")
         if not (0 <= int(self.seed) < 2**64):
-            raise ConfigurationError("seed must fit in 64 bits")
+            raise ConfigurationError("solver.seed must fit in 64 bits")
         if self.quad_order is not None and self.quad_order < 4 * self.n_modes:
             raise ConfigurationError(
                 f"solver.quad_order {self.quad_order} too small; "
@@ -377,13 +377,6 @@ PRESSURE_PRESETS = {
 def _resolve_velocity_spec(spaces: SpectralSpaces, spec) -> VelocityField:
     if spec is None:
         return spaces.zero_velocity()
-    if isinstance(spec, VelocityField):
-        if spec.n_modes == spaces.n_modes:
-            return spec
-        modes = velocity_indices(spec.n_modes)
-        return spaces.velocity_from_modes(
-            (j, k, d, float(a)) for (j, k, d), a in zip(modes, spec.coeffs)
-        )
     if isinstance(spec, str):
         try:
             return spaces.velocity_from_modes(VELOCITY_PRESETS[spec])
@@ -395,10 +388,6 @@ def _resolve_velocity_spec(spaces: SpectralSpaces, spec) -> VelocityField:
 def _resolve_pressure_spec(spaces: SpectralSpaces, spec) -> PressureField:
     if spec is None:
         return spaces.zero_pressure()
-    if isinstance(spec, PressureField):
-        if spec.n_modes != spaces.n_modes:
-            raise ConfigurationError("pressure spec cutoff mismatch")
-        return spec
     if isinstance(spec, str):
         try:
             return spaces.pressure_from_modes(PRESSURE_PRESETS[spec])
@@ -445,7 +434,7 @@ class GalerkinIntegrator:
     def _convection_dual(self, u, work: GridWorkspace | None = None) -> np.ndarray:
         if not self.include_convection:
             return np.zeros(self.spaces.n_velocity)
-        return operators.bhat_operator(self.spaces, u, self.quad_order, work=work).pairings
+        return operators.bhat_operator(self.spaces, u, self.quad_order, work=work)
 
     def step(self, state: PathBlock, xi: np.ndarray, work: GridWorkspace | None = None):
         """One semi-implicit step of every path of a PathBlock, given its noise
@@ -608,21 +597,6 @@ class GalerkinIntegrator:
             getattr(record.ledger, name)[rows, m0 : m0 + n] = values.T
 
 
-def energy_residual(
-    ledger: EnergyLedger,
-    finer_ledger: EnergyLedger | None = None,
-) -> tuple[float, float | None]:
-    """Max absolute ledger residual, and the empirical order under
-    dt-halving when a run at half the step is supplied."""
-    max_abs = float(np.abs(ledger.residual).max(initial=0.0))
-    slope = None
-    if finer_ledger is not None:
-        finer = float(np.abs(finer_ledger.residual).max(initial=0.0))
-        if max_abs > 0 and finer > 0:
-            slope = float(np.log2(max_abs / finer))
-    return max_abs, slope
-
-
 # -- binary snapshots -------------------------------------------------------------
 
 SNAPSHOT_MAGIC = b"ACSN"
@@ -690,7 +664,6 @@ __all__ = [
     "PathRecord",
     "SolverConfig",
     "State",
-    "energy_residual",
     "project_initial",
     "read_snapshot",
     "write_snapshot",

@@ -27,14 +27,6 @@ from .spaces import (
 
 
 @dataclass(frozen=True)
-class DualVector:
-    """Pairings <F, e_i> against every velocity basis function."""
-
-    pairings: np.ndarray
-    n_modes: int
-
-
-@dataclass(frozen=True)
 class MonotonicityReport:
     margin: float
     stokes_term: float
@@ -97,14 +89,11 @@ def trilinear_bhat(
     u: VelocityField,
     v: VelocityField,
     w: VelocityField,
-    quad_order: int | None = None,
 ) -> float:
-    """Antisymmetrised convection form b(u, v, w)."""
+    """Antisymmetrised convection form b(u, v, w) on the default grid."""
     if not (u.n_modes == v.n_modes == w.n_modes == spaces.n_modes):
         raise ValueError("fields must share the space cutoff")
-    if quad_order is None:
-        quad_order = spaces.default_quad_order
-    arrays = _ConvectionArrays(spaces, u, v, quad_order)
+    arrays = _ConvectionArrays(spaces, u, v, spaces.default_quad_order)
     g = arrays.grid
     w_vals = spaces._component_values(w, g)
     w_grads = spaces._component_gradients(w, g)
@@ -113,9 +102,9 @@ def trilinear_bhat(
 
 def bhat_operator(
     spaces: SpectralSpaces, u, quad_order: int | None = None, work: GridWorkspace | None = None
-) -> DualVector:
-    """Pairings of the stabilised convection operator against every basis
-    function, from a single pseudo-spectral pass over u.
+) -> np.ndarray:
+    """Pairings (B(u), e_i) of the stabilised convection operator against
+    every basis function, from a single pseudo-spectral pass over u.
 
     ``u`` is a field or an (M, n_velocity) block of coefficient rows; a
     block gives one row of pairings per path, each bit-identical to the
@@ -142,21 +131,19 @@ def bhat_operator(
     pair = left @ g.sin_w.T
     right = np.matmul(g.sin_w, arrays.b2, out=half("adjoint_b"))
     pair -= np.matmul(right, g.dcos_w.T, out=_buffer(work, "adjoint_n", rows + (n, n)))
-    return DualVector(pair.reshape(pair.shape[:-3] + (-1,)), spaces.n_modes)
+    return pair.reshape(pair.shape[:-3] + (-1,))
 
 
 # -- inequality checks ---------------------------------------------------------
 
 
-def check_ladyzhenskaya(
-    spaces: SpectralSpaces, u: VelocityField, quad_order: int | None = None
-) -> list[tuple[float, float]]:
+def check_ladyzhenskaya(spaces: SpectralSpaces, u: VelocityField) -> list[tuple[float, float]]:
     """Per-component interpolation inequality
     ||phi||_L4^4 <= 2 ||phi||_L2^2 ||grad phi||_L2^2."""
     n = spaces.n_modes
     out = []
     for d in (1, 2):
-        lhs = spaces.component_l4_norm(u, d, quad_order) ** 4
+        lhs = spaces.component_l4_norm(u, d) ** 4
         block = u.coeffs.reshape(2, n, n)[d - 1].ravel()
         l2sq = float(np.dot(block, block))
         stiff = spaces.stiffness[: n * n]
@@ -169,13 +156,10 @@ def check_product_l1(
     spaces: SpectralSpaces,
     u: VelocityField,
     v: VelocityField,
-    quad_order: int | None = None,
 ) -> tuple[float, float]:
     """Product bound ||phi psi||_L2^2 <= ||phi d1 phi||_L1 ||psi d2 psi||_L1
     with phi the first component of u and psi the second component of v."""
-    if quad_order is None:
-        quad_order = spaces.default_quad_order
-    g = spaces.grid(quad_order)
+    g = spaces.grid(spaces.default_quad_order)
     phi = spaces._component_values(u, g)[0]
     psi = spaces._component_values(v, g)[1]
     d1phi = spaces._component_gradients(u, g)[0][0]
@@ -191,15 +175,14 @@ def check_convection_bound(
     spaces: SpectralSpaces,
     u: VelocityField,
     w: VelocityField,
-    quad_order: int | None = None,
 ) -> tuple[float, float]:
     """Convection bound |<B(u), w>| <= 2 ||u||^{3/2} |u|^{1/2} ||w||_L4."""
-    lhs = abs(trilinear_bhat(spaces, u, u, w, quad_order))
+    lhs = abs(trilinear_bhat(spaces, u, u, w))
     rhs = (
         2.0
         * h10_norm(u) ** 1.5
         * l2_norm(u) ** 0.5
-        * spaces.l4_norm(w, quad_order)
+        * spaces.l4_norm(w)
     )
     return lhs, rhs
 
@@ -209,20 +192,16 @@ def check_convection_difference(
     u: VelocityField,
     v: VelocityField,
     nu: float,
-    quad_order: int | None = None,
 ) -> tuple[float, float]:
     """Difference bound |<B(u) - B(v), u - v>| <=
     (nu/2) ||u-v||^2 + 27/(2 nu^3) |u-v|^2 ||v||_L4^4."""
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     w = VelocityField(u.coeffs - v.coeffs, u.n_modes)
-    lhs = abs(
-        trilinear_bhat(spaces, u, u, w, quad_order)
-        - trilinear_bhat(spaces, v, v, w, quad_order)
-    )
+    lhs = abs(trilinear_bhat(spaces, u, u, w) - trilinear_bhat(spaces, v, v, w))
     rhs = 0.5 * nu * h10_norm(w) ** 2 + (27.0 / (2.0 * nu**3)) * l2_norm(
         w
-    ) ** 2 * spaces.l4_norm(v, quad_order) ** 4
+    ) ** 2 * spaces.l4_norm(v) ** 4
     return lhs, rhs
 
 
@@ -232,7 +211,6 @@ def monotonicity_margin(
     v: VelocityField,
     nu: float,
     r: float,
-    quad_order: int | None = None,
 ) -> MonotonicityReport:
     """Local monotonicity of the Stokes-plus-convection operator on the
     L4 ball of radius r, tested with w = u - v."""
@@ -242,12 +220,10 @@ def monotonicity_margin(
         raise ValueError("ball radius must be nonnegative")
     w = VelocityField(u.coeffs - v.coeffs, u.n_modes)
     stokes_term = nu * h10_norm(w) ** 2
-    convection_term = trilinear_bhat(spaces, u, u, w, quad_order) - trilinear_bhat(
-        spaces, v, v, w, quad_order
-    )
+    convection_term = trilinear_bhat(spaces, u, u, w) - trilinear_bhat(spaces, v, v, w)
     ball_term = (27.0 * r**4 / (2.0 * nu**3)) * l2_norm(w) ** 2
     rhs = 0.5 * nu * h10_norm(w) ** 2
-    in_ball = spaces.l4_norm(v, quad_order) <= r
+    in_ball = spaces.l4_norm(v) <= r
     margin = stokes_term + convection_term + ball_term - rhs
     return MonotonicityReport(
         margin=margin,

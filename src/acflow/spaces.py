@@ -136,12 +136,8 @@ def h10_norm(u) -> float | np.ndarray:
     return _per_row(np.sqrt(_rowdot(stiffness, c * c)))
 
 
-def _stiffness_diagonal(n_modes: int) -> np.ndarray:
-    return _stiffness_diagonal_cached(int(n_modes))
-
-
 @lru_cache(maxsize=None)
-def _stiffness_diagonal_cached(n_modes: int) -> np.ndarray:
+def _stiffness_diagonal(n_modes: int) -> np.ndarray:
     j = np.arange(1, n_modes + 1, dtype=float)
     jj, kk = np.meshgrid(j, j, indexing="ij")
     lam = (np.pi**2) * (jj**2 + kk**2)
@@ -226,12 +222,12 @@ class SpectralSpaces:
     across concurrent path simulations.
     """
 
-    def __init__(self, n_modes: int, hard_cap: int = HARD_MODE_CAP):
+    def __init__(self, n_modes: int):
         if not isinstance(n_modes, (int, np.integer)) or n_modes < 1:
             raise ConfigurationError("mode cutoff must be a positive integer")
-        if n_modes > hard_cap:
+        if n_modes > HARD_MODE_CAP:
             raise ConfigurationError(
-                f"mode cutoff {n_modes} exceeds the hard cap {hard_cap}"
+                f"mode cutoff {n_modes} exceeds the hard cap {HARD_MODE_CAP}"
             )
         self.n_modes = int(n_modes)
         self.n_velocity = 2 * self.n_modes**2
@@ -364,13 +360,9 @@ class SpectralSpaces:
         mag2 *= g.w2d
         return scalar_pow(np.sum(mag2, axis=(-2, -1)), 0.25)
 
-    def component_l4_norm(
-        self, u: VelocityField, d: int, quad_order: int | None = None
-    ) -> float:
-        """L4 norm of a single scalar component."""
-        if quad_order is None:
-            quad_order = self.default_quad_order
-        g = self.grid(quad_order)
+    def component_l4_norm(self, u: VelocityField, d: int) -> float:
+        """L4 norm of a single scalar component on the default grid."""
+        g = self.grid(self.default_quad_order)
         vals = self._component_values(u, g)[d - 1]
         return float(np.sum(vals**4 * g.w2d) ** 0.25)
 

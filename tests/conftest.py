@@ -2,7 +2,6 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces
-from acflow.operators import DualVector
 from acflow.spaces import _stiffness_diagonal
 
 
@@ -57,13 +56,13 @@ def _stokes_apply(u, nu):
     """Viscous Stokes pairing; diagonal on the sine basis."""
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    return DualVector(nu * _stiffness_diagonal(u.n_modes) * u.coeffs, u.n_modes)
+    return nu * _stiffness_diagonal(u.n_modes) * u.coeffs
 
 
 @pytest.fixture(scope="session")
 def stokes_apply():
-    """Function of a field and a viscosity giving the Stokes pairings as a
-    DualVector, which the program itself never forms."""
+    """Function of a field and a viscosity giving its Stokes pairings, an
+    array the program itself never forms."""
     return _stokes_apply
 
 

@@ -123,7 +123,7 @@ def test_criterion_3_oracle_equivalence(stokes_apply):
                 rel(h10_norm(u), orc.oracle_h10(u, rule)),
                 rel(sp.l4_norm(u), orc.oracle_l4(u, rule)),
                 rel(
-                    float(np.dot(stokes_apply(u, 0.1).pairings, w.coeffs)),
+                    float(np.dot(stokes_apply(u, 0.1), w.coeffs)),
                     0.1 * orc.oracle_gradient_inner(u, w, rule),
                 ),
             ]
@@ -191,10 +191,8 @@ def test_criterion_5_energy_estimate(spaces8, energy_ensemble):
     worst_z = -np.inf
     ok = True
     for delta in (0.5, 1.0, 2.0):
-        mc = MomentConfig(moment_p=2.0, delta=delta, n_paths=200, confidence_z=3.0)
-        rep = mc_energy_bound(
-            spaces8, cfg, mc, None, noise, initial, records=records
-        )
+        mc = MomentConfig(moment_p=2.0, delta=delta, confidence_z=3.0)
+        rep = mc_energy_bound(records, spaces8, cfg, mc, None, noise, initial)
         ok = ok and rep.passed
         with np.errstate(invalid="ignore", divide="ignore"):
             z = np.where(rep.se > 0, (rep.lhs - rep.rhs) / rep.se, -np.inf)
@@ -212,11 +210,9 @@ def test_criterion_5_energy_estimate(spaces8, energy_ensemble):
 
 def test_criterion_6_moment_estimate(spaces8, energy_ensemble):
     cfg, noise, initial, records, _ = energy_ensemble
-    mc4 = MomentConfig(moment_p=4.0, delta=1.0, n_paths=200, confidence_z=3.0)
-    full = mc_moment_bound(spaces8, cfg, mc4, None, noise, initial, records=records)
-    half = mc_moment_bound(
-        spaces8, cfg, mc4, None, noise, initial, records=records.take(slice(100))
-    )
+    mc4 = MomentConfig(moment_p=4.0, delta=1.0, confidence_z=3.0)
+    full = mc_moment_bound(records, spaces8, cfg, mc4, None, noise, initial)
+    half = mc_moment_bound(records.take(slice(100)), spaces8, cfg, mc4, None, noise, initial)
     finite = (
         full.implied_constant is not None
         and np.isfinite(full.implied_constant)
@@ -229,9 +225,9 @@ def test_criterion_6_moment_estimate(spaces8, energy_ensemble):
         else np.inf
     )
 
-    mc2 = MomentConfig(moment_p=2.0, delta=1.0, n_paths=200, confidence_z=3.0)
-    m2 = mc_moment_bound(spaces8, cfg, mc2, None, noise, initial, records=records)
-    e2 = mc_energy_bound(spaces8, cfg, mc2, None, noise, initial, records=records)
+    mc2 = MomentConfig(moment_p=2.0, delta=1.0, confidence_z=3.0)
+    m2 = mc_moment_bound(records, spaces8, cfg, mc2, None, noise, initial)
+    e2 = mc_energy_bound(records, spaces8, cfg, mc2, None, noise, initial)
     consistent = (m2.dissipation_term == e2.dissipation_term) and (
         m2.lhs >= e2.lhs.max() - 1e-15
     )

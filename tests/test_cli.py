@@ -309,6 +309,25 @@ def test_config_error_exits_2(tmp_path):
         ("mc-energy", "monte_carlo.paths=1"),
         ("mc-moment", "monte_carlo.paths=3"),
         ("sweep-eps", "sweep.paths=0"),
+        ("run", "solver.dt=nan"),
+        ("run", "solver.horizon=inf"),
+        ("run", "solver.nu=nan"),
+        ("sweep-eps", "sweep.eps_values=nan"),
+        ("mc-energy", "monte_carlo.deltas=nan"),
+        pytest.param(
+            "run", "noise.modes=" + "; ".join(["1,1,1,0.1"] * 129), id="run-noise.modes=129 terms"
+        ),
+        ("mc-energy", "monte_carlo.deltas=0,1"),
+        ("mc-moment", "solver.delta=0"),
+        ("sweep-eps", "sweep.eps_values=0.1,0.2"),
+        ("sweep-eps", "sweep.eps_values="),
+        ("mc-energy", "monte_carlo.confidence_z=-1"),
+        ("mc-moment", "monte_carlo.moment_stability_tol=-0.1"),
+        ("uniqueness", "uniqueness.c_check=-1"),
+        ("run", "solver.dt=0"),
+        ("run", "solver.n_modes=65"),
+        ("run", "force.modes=1,1,3,0.4"),
+        ("run", "initial_p.modes=xx,1,1,0.4"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):

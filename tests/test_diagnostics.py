@@ -43,8 +43,6 @@ def test_moment_config_validation():
         MomentConfig(moment_p=1.5)
     with pytest.raises(ConfigurationError):
         MomentConfig(delta=0.0)
-    with pytest.raises(ConfigurationError):
-        MomentConfig(n_paths=1)
 
 
 def test_uniqueness_weight_invariants():
@@ -70,8 +68,9 @@ def test_energy_bound_deterministic_degenerate(spaces4):
     # right and the deterministic decay on the left
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.05)
     initial = project_initial(spaces4, "low_mode", None)
-    mc = MomentConfig(moment_p=2.0, delta=1.0, n_paths=2)
-    rep = mc_energy_bound(spaces4, cfg, mc, None, None, initial)
+    records = simulate_paths(spaces4, cfg, None, None, initial, 2)
+    mc = MomentConfig(moment_p=2.0, delta=1.0)
+    rep = mc_energy_bound(records, spaces4, cfg, mc, None, None, initial)
     assert np.all(rep.se == 0.0)
     assert np.allclose(rep.rhs, rep.rhs[0])
     assert rep.rhs[0] == pytest.approx(1.0, rel=1e-12)
@@ -82,18 +81,17 @@ def test_energy_bound_deterministic_degenerate(spaces4):
 def test_energy_bound_noise_driven(small_setup):
     spaces, cfg, noise, initial, records = small_setup
     for delta in (0.5, 1.0, 2.0):
-        mc = MomentConfig(moment_p=2.0, delta=delta, n_paths=len(records.paths))
-        rep = mc_energy_bound(
-            spaces, cfg, mc, None, noise, initial, records=records
-        )
+        mc = MomentConfig(moment_p=2.0, delta=delta)
+        rep = mc_energy_bound(records, spaces, cfg, mc, None, noise, initial)
         assert rep.passed, f"violation at delta={delta}"
 
 
 def test_moment_bound_degenerate_denominator(spaces4):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02)
     initial = project_initial(spaces4, "low_mode", None)
-    mc = MomentConfig(moment_p=4.0, delta=1.0, n_paths=2)
-    rep = mc_moment_bound(spaces4, cfg, mc, None, None, initial)
+    records = simulate_paths(spaces4, cfg, None, None, initial, 2)
+    mc = MomentConfig(moment_p=4.0, delta=1.0)
+    rep = mc_moment_bound(records, spaces4, cfg, mc, None, None, initial)
     assert rep.denominator == 0.0
     assert rep.implied_constant is None
     # sup term attains the initial value and the weighted dissipation is
@@ -103,8 +101,8 @@ def test_moment_bound_degenerate_denominator(spaces4):
 
 def test_moment_bound_implied_constant_finite(small_setup):
     spaces, cfg, noise, initial, records = small_setup
-    mc = MomentConfig(moment_p=4.0, delta=1.0, n_paths=len(records.paths))
-    rep = mc_moment_bound(spaces, cfg, mc, None, noise, initial, records=records)
+    mc = MomentConfig(moment_p=4.0, delta=1.0)
+    rep = mc_moment_bound(records, spaces, cfg, mc, None, noise, initial)
     assert rep.denominator > 0
     assert rep.implied_constant is not None and np.isfinite(rep.implied_constant)
     assert rep.implied_constant >= 0
@@ -112,9 +110,9 @@ def test_moment_bound_implied_constant_finite(small_setup):
 
 def test_moment_p2_matches_energy_dissipation_exactly(small_setup):
     spaces, cfg, noise, initial, records = small_setup
-    mc = MomentConfig(moment_p=2.0, delta=1.0, n_paths=len(records.paths))
-    e = mc_energy_bound(spaces, cfg, mc, None, noise, initial, records=records)
-    m = mc_moment_bound(spaces, cfg, mc, None, noise, initial, records=records)
+    mc = MomentConfig(moment_p=2.0, delta=1.0)
+    e = mc_energy_bound(records, spaces, cfg, mc, None, noise, initial)
+    m = mc_moment_bound(records, spaces, cfg, mc, None, noise, initial)
     assert m.dissipation_term == e.dissipation_term  # same code path, bitwise
     # the sup statistic dominates the fixed-time statistic everywhere
     assert m.lhs >= e.lhs.max() - 1e-15

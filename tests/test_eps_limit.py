@@ -73,41 +73,6 @@ def test_projector_fixes_divergence_free_fields(spaces4):
     assert np.array_equal(leray_project(spaces4, zero).coeffs, zero.coeffs)
 
 
-def test_reference_run_stays_divergence_free(spaces4):
-    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.05, seed=12)
-    noise = default_noise(spaces4, n_terms=4)
-    initial = project_initial(spaces4, "smooth", None)
-    rec = run_incompressible_reference(spaces4, cfg, None, noise, initial)
-    assert np.all(rec.l2_div_u <= 1e-9)
-    assert np.all(rec.l2_p == 0.0)
-
-
-def test_reference_matches_projected_linear_flow(spaces4):
-    # with convection disabled the reference is the implicit heat flow
-    # restricted to the projector range; on a trivial range it is the zero
-    # trajectory and the comparison still runs
-    from scipy.linalg import expm
-
-    cfg = SolverConfig(n_modes=4, dt=1e-4, horizon=0.01, seed=3)
-    initial = project_initial(spaces4, "low_mode", None)
-    rec = run_incompressible_reference(
-        spaces4, cfg, None, None, initial, include_convection=False
-    )
-    p = leray_projector(spaces4)
-    a = p @ np.diag(-cfg.nu * spaces4.stiffness) @ p
-    exact = expm(a * cfg.horizon) @ (p @ initial.u.coeffs)
-    assert np.linalg.norm(rec.u - exact) <= 50 * cfg.dt + 1e-12
-
-
-def test_reference_reproducible(spaces4):
-    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=12)
-    noise = default_noise(spaces4, n_terms=4)
-    initial = project_initial(spaces4, None, None)
-    a = run_incompressible_reference(spaces4, cfg, None, noise, initial, path_index=1)
-    b = run_incompressible_reference(spaces4, cfg, None, noise, initial, path_index=1)
-    assert np.array_equal(a.l2_u, b.l2_u)
-
-
 def test_single_eps_sweep_row(spaces4):
     plan = EpsSweepPlan(
         eps_values=(1e-2,),
@@ -177,11 +142,10 @@ def test_projector_is_exactly_zero_at_every_cutoff(n):
 
 
 def test_reference_is_the_zero_trajectory(spaces4):
+    # whatever the force, noise and initial datum of the coupled runs: the
+    # divergence-free subspace is trivial, so they all project to zero
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=5)
-    noise = default_noise(spaces4, n_terms=4)
-    force = DeterministicForce(spaces4.velocity_from_modes([(1, 1, 1, 0.4)]).coeffs)
-    initial = project_initial(spaces4, "smooth", "low_mode")
-    rec = run_incompressible_reference(spaces4, cfg, force, noise, initial, path_index=3)
+    rec = run_incompressible_reference(spaces4, cfg)
     assert rec.u.shape == (spaces4.n_velocity,) and rec.p.shape == (spaces4.n_pressure,)
     assert not rec.u.any() and not rec.p.any()
     for name in rec.SERIES:
@@ -189,7 +153,7 @@ def test_reference_is_the_zero_trajectory(spaces4):
     assert np.array_equal(rec.times, np.arange(cfg.n_steps + 1) * cfg.dt)
     assert np.array_equal(rec.ledger.t, rec.times[1:])
     assert not rec.ledger.residual.any() and not rec.ledger.ito_increment.any()
-    assert rec.paths == 3 and rec.diverged == []
+    assert rec.paths == 0 and rec.diverged == []
 
 
 def test_reference_refuses_a_nontrivial_kernel(spaces4):

@@ -16,7 +16,6 @@ from acflow.integrator import (
     GalerkinIntegrator,
     SolverConfig,
     State,
-    energy_residual,
     project_initial,
     read_snapshot,
     write_snapshot,
@@ -219,25 +218,6 @@ def test_project_initial_rejects_unknown_preset(spaces4):
         project_initial(spaces4, "vortex-soup", None)
 
 
-def test_energy_residual_zero_trajectory(spaces4):
-    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01)
-    integ = GalerkinIntegrator(spaces4, cfg)
-    rec = integ.run_path(project_initial(spaces4, None, None))
-    max_abs, slope = energy_residual(rec.ledger)
-    assert max_abs == 0.0 and slope is None
-
-
-def test_energy_residual_deterministic_slope(spaces4):
-    ledgers = {}
-    for dt in (2e-3, 1e-3):
-        cfg = SolverConfig(n_modes=4, dt=dt, horizon=0.1)
-        integ = GalerkinIntegrator(spaces4, cfg)
-        ledgers[dt] = integ.run_path(project_initial(spaces4, "smooth", None)).ledger
-    max_abs, slope = energy_residual(ledgers[2e-3], ledgers[1e-3])
-    assert max_abs > 0
-    assert 1.6 <= slope <= 2.4
-
-
 def test_snapshot_roundtrip(tmp_path, spaces4, rng):
     u = VelocityField(rng.standard_normal(spaces4.n_velocity), 4)
     from acflow.spaces import PressureField
@@ -425,7 +405,7 @@ def test_cutoff_16_path_closes_its_discrete_energy_identity():
     assert len(states) == cfg.n_steps + 1
     assert all(np.isfinite(getattr(rec, name)).all() for name in rec.SERIES)
     for m, ((u0, p0), (u1, p1)) in enumerate(zip(states, states[1:])):
-        bhat = bhat_operator(sp, u0[None], integ.quad_order).pairings[0]
+        bhat = bhat_operator(sp, u0[None], integ.quad_order)[0]
         xi = noise_contribution(noise, sample_increment(noise, cfg.dt, (cfg.seed, 0, m)))
         du, dp = u1 - u0, p1 - p0
         identity = (

@@ -243,16 +243,16 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
     rng = np.random.default_rng(5)
     first, second = rng.standard_normal((2, 3, spaces4.n_velocity))
     work = GridWorkspace()
-    pairs = bhat_operator(spaces4, first, work=work).pairings
+    pairs = bhat_operator(spaces4, first, work=work)
     l4 = spaces4.l4_norm(first, work=work)
     kept = pairs.tobytes(), l4.tobytes()
-    fresh = bhat_operator(spaces4, first).pairings, spaces4.l4_norm(first)
+    fresh = bhat_operator(spaces4, first), spaces4.l4_norm(first)
     assert kept == tuple(a.tobytes() for a in fresh)
     bhat_operator(spaces4, second[:2], work=work)
     spaces4.l4_norm(second, work=work)
     assert (pairs.tobytes(), l4.tobytes()) == kept
     # and grid values held for ``first`` are not handed out for other rows
-    again = bhat_operator(spaces4, first.copy(), work=work).pairings
+    again = bhat_operator(spaces4, first.copy(), work=work)
     assert again.tobytes() == kept[0]
     # nor the squares l4_norm left in the product planes: for other rows of
     # the same shape, for the rows a PathBlock.take leaves, and for the same
@@ -260,8 +260,8 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
     a, b = rng.standard_normal((2, 3, spaces4.n_velocity))
     for l4_rows, bhat_rows in ((a, b), (a, a[[0, 2]]), (a, a)):
         spaces4.l4_norm(l4_rows, work=work)
-        got = bhat_operator(spaces4, bhat_rows, work=work).pairings
-        assert got.tobytes() == bhat_operator(spaces4, bhat_rows).pairings.tobytes()
+        got = bhat_operator(spaces4, bhat_rows, work=work)
+        assert got.tobytes() == bhat_operator(spaces4, bhat_rows).tobytes()
         assert spaces4.l4_norm(bhat_rows, work=work).tobytes() == spaces4.l4_norm(bhat_rows).tobytes()
 
 
@@ -276,10 +276,10 @@ def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
     rows = np.random.default_rng(n_modes).standard_normal((n_rows, sp.n_velocity))
     want = np.stack([_bhat(sp, row, q) for row in rows])
     work = GridWorkspace()
-    assert bhat_operator(sp, rows, work=work).pairings.tobytes() == want.tobytes()
+    assert bhat_operator(sp, rows, work=work).tobytes() == want.tobytes()
     sp.l4_norm(rows, work=work)
-    assert bhat_operator(sp, rows, work=work).pairings.tobytes() == want.tobytes()
-    assert bhat_operator(sp, rows).pairings.tobytes() == want.tobytes()
+    assert bhat_operator(sp, rows, work=work).tobytes() == want.tobytes()
+    assert bhat_operator(sp, rows).tobytes() == want.tobytes()
     g = sp.grid(q)
     vals = np.stack([2.0 * (g.sin.T @ row.reshape(2, n_modes, n_modes) @ g.sin) for row in rows])
     assert sp._component_values(rows, g).tobytes() == vals.tobytes()
@@ -293,7 +293,7 @@ def test_folded_constants_change_the_pairings_at_round_off_only(n_modes):
     sp = build_spaces(n_modes)
     q = sp.default_quad_order
     rows = np.random.default_rng(n_modes).standard_normal((20, sp.n_velocity))
-    got = bhat_operator(sp, rows).pairings
+    got = bhat_operator(sp, rows)
     want = np.stack([_bhat_unfolded(sp, row, q) for row in rows])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
@@ -306,13 +306,13 @@ def test_held_squares_survive_a_convection(spaces8):
     rows = np.random.default_rng(3).standard_normal((5, spaces8.n_velocity))
     work = GridWorkspace()
     first = spaces8.l4_norm(rows, work=work)
-    pairs = bhat_operator(spaces8, rows, work=work).pairings
+    pairs = bhat_operator(spaces8, rows, work=work)
     assert work.squares_held
     second = spaces8.l4_norm(rows, work=work)
     assert work.squares_held
     fresh = spaces8.l4_norm(rows)
     assert first.tobytes() == fresh.tobytes() == second.tobytes()
-    assert pairs.tobytes() == bhat_operator(spaces8, rows).pairings.tobytes()
+    assert pairs.tobytes() == bhat_operator(spaces8, rows).tobytes()
 
 
 def _chunk_bytes(integ, n_rows, steps):
