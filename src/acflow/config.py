@@ -103,6 +103,13 @@ def parse_value(key: str, typ: type, raw: str):
     return value
 
 
+def _check_wavenumbers(key: str, j: int, k: int) -> None:
+    # a wavenumber above the cutoff is dropped later, as the L2 projection
+    # onto the span; one below 1 names no mode at all
+    if j < 1 or k < 1:
+        raise ConfigurationError(f"{key}: mode wavenumbers j, k must be at least 1, got ({j}, {k})")
+
+
 def parse_velocity_modes(key: str, raw: str) -> list[tuple[int, int, int, float]]:
     """Parse 'j,k,d,amp; j,k,d,amp; ...' mode entry lists, the value of
     ``key``; a malformed entry is a ConfigurationError naming the key."""
@@ -119,6 +126,7 @@ def parse_velocity_modes(key: str, raw: str) -> list[tuple[int, int, int, float]
         j, k, d = (parse_value(key, int, v) for v in parts[:3])
         if d not in (1, 2):
             raise ConfigurationError(f"{key}: velocity component must be 1 or 2, got {d}")
+        _check_wavenumbers(key, j, k)
         entries.append((j, k, d, parse_value(key, float, parts[3])))
     return entries
 
@@ -139,6 +147,7 @@ def parse_pressure_modes(key: str, raw: str) -> list[tuple[str, int, int, float]
         j, k = (parse_value(key, int, v) for v in parts[1:3])
         if parts[0] not in ("cs", "sc"):
             raise ConfigurationError(f"{key}: pressure family must be cs or sc, got {parts[0]!r}")
+        _check_wavenumbers(key, j, k)
         entries.append((parts[0], j, k, parse_value(key, float, parts[3])))
     return entries
 

@@ -45,7 +45,6 @@ from .spaces import (
     VelocityField,
     _rowdot,
     h10_norm,
-    l2_norm,
     scalar_pow,
 )
 
@@ -142,18 +141,14 @@ class EnergyLedger:
 
 @dataclass(frozen=True)
 class PathBlock:
-    """States of M paths at one time, a row each, as a step reads them;
-    ``rows`` are their positions in the batch given to run_path."""
+    """States of M paths at one time, a row each, as an ``observe`` hook of
+    run_path sees them; ``rows`` are their positions in the batch given to
+    run_path.  The arrays are the hook's own copies."""
 
     u: np.ndarray  # (M, n_velocity)
     p: np.ndarray  # (M, n_pressure)
     t: float
     rows: np.ndarray
-    gram_p: np.ndarray  # G p, the product behind |p| and the next step's grad p
-
-    def take(self, keep: np.ndarray) -> "PathBlock":
-        rows = {f.name: getattr(self, f.name)[keep] for f in fields(self) if f.name != "t"}
-        return replace(self, **rows)
 
 
 @dataclass
@@ -419,37 +414,39 @@ class GalerkinIntegrator:
             spaces.default_quad_order if config.quad_order is None else config.quad_order
         )
         self._inverse = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
+        # a step's constants: -D, dt f and dt / eps
+        self._neg_div = -spaces.div_diagonal
+        self._dt_force = config.dt * self.force.coeffs
+        self._dt_eps = config.dt / config.eps
 
     # -- one step of a block of paths -------------------------------------------
 
-    def _state(self, u, p, t, rows) -> tuple[PathBlock, tuple]:
-        """The PathBlock of the rows (u, p) at time t, and their norms |u| and
-        |p| and energies |u|^2 + eps |p|^2 (a list), an entry per row."""
-        gram_p = np.empty_like(p)
-        l2_u, l2_p = l2_norm(u), self.spaces.pressure_l2(p, gram_out=gram_p)
+    def _norms(self, u, p, gram_p) -> tuple:
+        """|u| and |p| of the rows (u, p), with G p into ``gram_p``, and their
+        energies |u|^2 + eps |p|^2 (a list), an entry per row."""
+        l2_u, l2_p = np.sqrt(_rowdot(u, u)), self.spaces.pressure_l2(p, gram_out=gram_p)
         eps = self.config.eps
-        energy = [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
-        return PathBlock(u, p, t, rows, gram_p), (l2_u, l2_p, energy)
+        return l2_u, l2_p, [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
 
-    def _convection_dual(self, u, work: GridWorkspace | None = None) -> np.ndarray:
-        if not self.include_convection:
-            return np.zeros(self.spaces.n_velocity)
-        return operators.bhat_operator(self.spaces, u, self.quad_order, work=work)
-
-    def step(self, state: PathBlock, xi: np.ndarray, work: GridWorkspace | None = None):
-        """One semi-implicit step of every path of a PathBlock, given its noise
-        sums xi = sum_k g_k dW_k, a row per path.  Returns the new block, the
-        convection pairings (B(u_m), e_i) of the step and the new block's
-        norms as ``_state`` gives them.  Grid arrays go to ``work``, the
-        block's GridWorkspace, when given."""
-        cfg, sp, dt = self.config, self.spaces, self.config.dt
-        bhat = self._convection_dual(state.u, work)
-        grad_dual_m = -sp.div_diagonal * state.gram_p  # sp.gradient_dual(p_m), from G p
-        rhs = state.u - dt * grad_dual_m - dt * bhat + dt * self.force.coeffs + xi
-        u = np.matmul(self._inverse, rhs[..., None])[..., 0]  # a gemv per row
-        p = state.p - (dt / cfg.eps) * (sp.div_diagonal * u)
-        new, norms = self._state(u, p, state.t + dt, state.rows)
-        return new, bhat, norms
+    def step(self, u, p, gram_p, xi, work: GridWorkspace, out: np.ndarray, pairs: np.ndarray):
+        """One semi-implicit step of a block of M paths, a row each: from the
+        velocities u, the pressures p with G p in ``gram_p`` and the noise
+        sums xi = sum_k g_k dW_k, writes the new velocities to ``out``, the
+        new pressures and their G p over p and ``gram_p``, and the
+        convection pairings (B(u), e_i) to ``pairs``; ``out`` must not
+        overlap u.  ``work`` is the block's GridWorkspace, holding the grid
+        values of u and their squares.  Returns the new rows' norms as
+        ``_norms`` gives them."""
+        sp, dt = self.spaces, self.config.dt
+        if self.include_convection:
+            operators.bhat_operator(sp, u, self.quad_order, work, out=pairs)
+        else:
+            pairs.fill(0.0)
+        # u - dt grad_dual(p) - dt B(u) + dt f + xi, with grad_dual(p) = -D G p
+        rhs = u - dt * (self._neg_div * gram_p) - dt * pairs + self._dt_force + xi
+        np.matmul(self._inverse, rhs[..., None], out=out[..., None])  # a gemv per row
+        p -= self._dt_eps * (sp.div_diagonal * out)
+        return self._norms(out, p, gram_p)
 
     # -- whole paths ---------------------------------------------------------------
 
@@ -496,63 +493,72 @@ class GalerkinIntegrator:
     def _run_block(self, record: PathRecord, rows: np.ndarray, t0: float, observe=None) -> None:
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at time t0, writing their series, ledger terms
-        and last coefficients in place.  The block's grid workspace lives as
-        long as this call.  Steps run in chunks of CHUNK_BYTES: a chunk draws
-        its increments by one sample_increment call and forms their noise
-        sums by one noise_contribution call, each step keeps its velocity,
-        convection pairings and norms, and the chunk's series and ledger
-        terms are then computed and written at once.  A row that blows up
-        ends its chunk early, and the next chunk starts without it."""
-        cfg, sp = self.config, self.spaces
-        # l4_norm leaves the grid values of each new u and their squares in
-        # the workspace, where the next step's convection finds them
-        work = GridWorkspace()
-        block, (l2_u, l2_p, energy) = self._state(record.u[rows], record.p[rows], t0, rows)
+        and last coefficients in place.  The block's buffers are allocated
+        once and live as long as this call: its GridWorkspace, its pressures
+        and their G p, and the chunk buffers.  Steps run in chunks of
+        CHUNK_BYTES: a chunk draws its increments by one sample_increment
+        call and forms their noise sums by one noise_contribution call, each
+        step writes its velocity, convection pairings and norms to the chunk
+        buffers, and the chunk's series and ledger terms are then computed
+        and written at once.  A row that blows up ends its chunk early, and
+        the next chunk starts without it, on buffers of the rows left."""
+        cfg, sp, dt = self.config, self.spaces, self.config.dt
+        grid = sp.grid(self.quad_order)
         size = CHUNK_BYTES // (8 * len(rows) * (6 * sp.n_velocity + self.noise.n_terms + 4))
         size = max(1, min(size, cfg.n_steps))
         # a step's velocity and pairings, and |u|, |p|, energy and L4 norm
         us = np.empty((size + 1, len(rows), sp.n_velocity))
         bhats = np.empty((size, len(rows), sp.n_velocity))
         norms = np.empty((4, size + 1, len(rows)))
-        norms[:, 0] = l2_u, l2_p, energy, sp.l4_norm(block.u, self.quad_order, work=work)
-        times = [t0]  # a chunk's times, from the state it starts at
+        u_now, p = record.u[rows], record.p[rows]
+        gram_p = np.empty_like(p)
+        # l4_norm leaves the grid values of each new u and their squares in
+        # the workspace, where the next step's convection reads them
+        work = GridWorkspace(grid, (len(rows),))
+        norms[:3, 0] = self._norms(u_now, p, gram_p)
+        norms[3, 0] = sp.l4_norm(u_now, self.quad_order, work=work)
+        t = t0
+        times = [t]  # a chunk's times, from the state it starts at
         if observe is not None:
-            observe(0, block)
+            observe(0, PathBlock(u_now.copy(), p.copy(), t, rows))
         m0 = 0  # the step each chunk starts at
-        while m0 < cfg.n_steps and len(block.rows):
-            n = len(block.rows)
+        while m0 < cfg.n_steps and len(rows):
+            n = len(rows)
             u, bhat, norm = us[:, :n], bhats[:, :n], norms[:, :, :n]
-            u[0] = block.u
+            u[0] = u_now
             steps = range(m0, min(m0 + size, cfg.n_steps))
-            dw = sample_increment(self.noise, cfg.dt, (cfg.seed, record.paths[block.rows], steps))
+            dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))
             xis = noise_contribution(self.noise, dw)
-            chunk_rows = block.rows
             for k, xi in enumerate(xis, 1):
-                block, pairings, (l2_u, l2_p, energy) = self.step(block, xi, work)
-                u[k], bhat[k - 1] = block.u, pairings
-                norm[:, k] = l2_u, l2_p, energy, sp.l4_norm(block.u, self.quad_order, work=work)
-                times.append(block.t)
-                if not all(e <= ENERGY_CAP for e in energy):
+                u_k = u[k]
+                norm[:3, k] = self.step(u[k - 1], p, gram_p, xi, work, u_k, bhat[k - 1])
+                norm[3, k] = sp.l4_norm(u_k, self.quad_order, work=work)
+                t = t + dt
+                times.append(t)
+                if not all(e <= ENERGY_CAP for e in norm[2, k].tolist()):
                     break
                 if observe is not None:
-                    observe(m0 + k, block)
-            self._write_chunk(record, chunk_rows, m0, k, times, u, bhat, xis, norm)
+                    observe(m0 + k, PathBlock(u_k.copy(), p.copy(), t, rows))
+            self._write_chunk(record, rows, m0, k, times, u, bhat, xis, norm)
             m0 += k
             times = times[-1:]
             norm[:, 0] = norm[:, k]
+            u_now = u[k]
             blown = ~(norm[2, k] <= ENERGY_CAP)
             if blown.any():
-                gone = block.rows[blown]
-                record.u[gone], record.p[gone] = block.u[blown], block.p[blown]
+                gone, keep = rows[blown], ~blown
+                record.u[gone], record.p[gone] = u_now[blown], p[blown]
                 record.diverged.extend(
                     DivergedPathError(m0, float(e), int(record.paths[r]), int(r))
                     for r, e in zip(gone, norm[2, k][blown])
                 )
-                block = block.take(~blown)
-                norms[:, 0, : len(block.rows)] = norm[:, 0][:, ~blown]
+                rows, u_now, p, gram_p = rows[keep], u_now[keep], p[keep], gram_p[keep]
+                norms[:, 0, : len(rows)] = norm[:, 0][:, keep]
+                work = GridWorkspace(grid, (len(rows),))
+                sp._grid_values(u_now, work)
                 if observe is not None:
-                    observe(m0, block)
-        record.u[block.rows], record.p[block.rows] = block.u, block.p
+                    observe(m0, PathBlock(u_now.copy(), p.copy(), t, rows))
+        record.u[rows], record.p[rows] = u_now, p
 
     def _write_chunk(self, record, rows, m0, n, times, u, bhat, xi, norms) -> None:
         """Write the states and steps of a chunk of the rows ``rows`` that

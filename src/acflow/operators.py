@@ -20,7 +20,7 @@ from .spaces import (
     GridWorkspace,
     SpectralSpaces,
     VelocityField,
-    _buffer,
+    _coeffs,
     h10_norm,
     l2_norm,
 )
@@ -37,101 +37,87 @@ class MonotonicityReport:
     in_ball: bool
 
 
-class _ConvectionArrays:
-    """Grid-sampled data for b(u, v, .) shared across pairings, with a
-    leading path axis when u and v are blocks of coefficient rows.
-
-    a:   ((u . grad) v)_d                           -> pairs with w_d
-    b1:  u_1 v_d                                    -> pairs with d_1 w_d
-    b2:  u_2 v_d                                    -> pairs with d_2 w_d
-
-    Unweighted: the quadrature weight 0.5 w_x w_y is left to the pairing,
-    which takes it from the grid's weighted adjoint tables.  With v = u, b1
-    and b2 are the overlapping views [0:2] and [1:3] of the three product
-    planes u1 u1, u1 u2, u2 u2 (spaces' ``_product_planes``), read only; a
-    workspace that holds the squares from the L4 norm of the same rows
-    leaves only u1 u2 to form, and still holds them afterwards.
-    """
-
-    def __init__(self, spaces: SpectralSpaces, u, v, quad_order, work: GridWorkspace | None = None):
-        g = spaces.grid(quad_order)
-        uv = spaces._component_values(u, g, work)
-        d1v, d2v = spaces._component_gradients(v, g, work)
-        u1, u2 = uv[..., 0:1, :, :], uv[..., 1:2, :, :]
-        # in place, so that a step allocates no grid temporaries; rounds as
-        # u1 * d1v + u2 * d2v would
-        d1v *= u1
-        d2v *= u2
-        d1v += d2v  # ((u . grad) v)_d
-        self.a = d1v
-        if v is u:
-            planes = spaces._product_planes(u, g, work, cross=True)
-            self.b1, self.b2 = planes[..., 0:2, :, :], planes[..., 1:3, :, :]
-        else:
-            vv = spaces._component_values(v, g)
-            self.b1 = u1 * vv
-            self.b2 = np.multiply(u2, vv, out=d2v)
-        self.grid = g
-
-
-def _pair_convection(arrays: _ConvectionArrays, w_vals, w_grads) -> float:
-    weight = 0.5 * arrays.grid.w2d
-    total = 0.0
-    for d in range(2):
-        total += float(np.sum(arrays.a[d] * w_vals[d] * weight))
-        total -= float(np.sum(arrays.b1[d] * w_grads[0][d] * weight))
-        total -= float(np.sum(arrays.b2[d] * w_grads[1][d] * weight))
-    return total
-
-
 def trilinear_bhat(
     spaces: SpectralSpaces,
     u: VelocityField,
     v: VelocityField,
     w: VelocityField,
 ) -> float:
-    """Antisymmetrised convection form b(u, v, w) on the default grid."""
+    """Antisymmetrised convection form b(u, v, w) on the default grid, from
+    the grid arrays
+
+    a:   ((u . grad) v)_d                           -> pairs with w_d
+    b1:  u_1 v_d                                    -> pairs with d_1 w_d
+    b2:  u_2 v_d                                    -> pairs with d_2 w_d
+
+    and the quadrature weight 0.5 w_x w_y."""
     if not (u.n_modes == v.n_modes == w.n_modes == spaces.n_modes):
         raise ValueError("fields must share the space cutoff")
-    arrays = _ConvectionArrays(spaces, u, v, spaces.default_quad_order)
-    g = arrays.grid
+    g = spaces.grid(spaces.default_quad_order)
+    uv, vv = spaces._component_values(u, g), spaces._component_values(v, g)
+    d1v, d2v = spaces._component_gradients(v, g)
+    u1, u2 = uv[0:1], uv[1:2]
+    # rounds as u1 * d1v + u2 * d2v would
+    d1v *= u1
+    d2v *= u2
+    a = np.add(d1v, d2v, out=d1v)
+    b1, b2 = u1 * vv, u2 * vv
     w_vals = spaces._component_values(w, g)
     w_grads = spaces._component_gradients(w, g)
-    return _pair_convection(arrays, w_vals, w_grads)
+    weight = 0.5 * g.w2d
+    total = 0.0
+    for d in range(2):
+        total += float(np.sum(a[d] * w_vals[d] * weight))
+        total -= float(np.sum(b1[d] * w_grads[0][d] * weight))
+        total -= float(np.sum(b2[d] * w_grads[1][d] * weight))
+    return total
 
 
 def bhat_operator(
-    spaces: SpectralSpaces, u, quad_order: int | None = None, work: GridWorkspace | None = None
+    spaces: SpectralSpaces,
+    u,
+    quad_order: int | None = None,
+    work: GridWorkspace | None = None,
+    out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairings (B(u), e_i) of the stabilised convection operator against
     every basis function, from a single pseudo-spectral pass over u.
 
     ``u`` is a field or an (M, n_velocity) block of coefficient rows; a
     block gives one row of pairings per path, each bit-identical to the
-    row's own call.  Grid arrays go to ``work`` when given (the pairings
-    never do), which also hands back grid values of u it already holds.
-    The adjoint transforms below contract the same grid arrays that
-    :func:`trilinear_bhat` pairs against a synthesised test field, so the
-    two agree to summation round-off.
+    row's own call.  ``work`` is the block's workspace, which must hold the
+    grid values of u and their squares, as ``spaces.l4_norm(u, work=work)``
+    leaves them; its grid then sets the quadrature, and the grid arrays go
+    to it.  The pairings go to ``out``, a C-contiguous array of u's shape,
+    when given.  The adjoint transforms below contract the grid arrays that
+    :func:`trilinear_bhat` pairs against a synthesised test field (with
+    v = u, u2 u1 is u1 u2 bit for bit), so the two agree to summation
+    round-off.
     """
-    if quad_order is None:
-        quad_order = spaces.default_quad_order
-    arrays = _ConvectionArrays(spaces, u, u, quad_order, work)
-    g = arrays.grid
-    rows = arrays.a.shape[:-2]
-    n = spaces.n_modes
-
-    def half(name):
-        return _buffer(work, name, rows + (n, g.order))
-
+    c = _coeffs(u)
+    if work is None:
+        if quad_order is None:
+            quad_order = spaces.default_quad_order
+        work = GridWorkspace(spaces.grid(quad_order), c.shape[:-1])
+        spaces._grid_values(c, work)
+    g, n = work.grid, spaces.n_modes
+    d1v, d2v = spaces._component_gradients(c, g, work)
+    # in place, rounding as u1 * d1v + u2 * d2v would
+    d1v *= work.u1
+    d2v *= work.u2
+    a = np.add(d1v, d2v, out=d1v)  # ((u . grad) u)_d
+    np.multiply(work.v1, work.v2, out=work.u1u2)
     # pair = (S a - D b1) S^T - (S b2) D^T with the weighted tables S = sin_w,
-    # D = dcos_w: five stacked matmuls, a BLAS call per row matrix
-    left = np.matmul(g.sin_w, arrays.a, out=half("adjoint_a"))
-    left -= np.matmul(g.dcos_w, arrays.b1, out=half("adjoint_b"))
-    pair = left @ g.sin_w.T
-    right = np.matmul(g.sin_w, arrays.b2, out=half("adjoint_b"))
-    pair -= np.matmul(right, g.dcos_w.T, out=_buffer(work, "adjoint_n", rows + (n, n)))
-    return pair.reshape(pair.shape[:-3] + (-1,))
+    # D = dcos_w and the overlapping planes b1 = u1 u, b2 = u2 u: five
+    # stacked matmuls, a BLAS call per row matrix
+    left = np.matmul(g.sin_w, a, out=work.adjoint_a)
+    left -= np.matmul(g.dcos_w, work.b1, out=work.adjoint_b)
+    if out is not None:
+        out = out.reshape(left.shape[:-1] + (n,))
+    pair = np.matmul(left, g.sin_w.T, out=out)
+    right = np.matmul(g.sin_w, work.b2, out=work.adjoint_b)
+    pair -= np.matmul(right, g.dcos_w.T, out=work.adjoint_n)
+    return pair.reshape(c.shape)
 
 
 # -- inequality checks ---------------------------------------------------------

@@ -117,10 +117,9 @@ def _per_row(values: np.ndarray):
 def scalar_pow(values: np.ndarray, exponent: float):
     """values ** exponent through C pow(), entry by entry, as a scalar takes
     it; array ``**`` and np.power round differently (x ** 2 is x * x)."""
-    if np.ndim(values) == 0:
+    if values.ndim == 0:
         return float(values) ** exponent
-    flat = [v**exponent for v in np.ravel(values).tolist()]
-    return np.array(flat).reshape(np.shape(values))
+    return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
 def l2_norm(u) -> float | np.ndarray:
@@ -188,32 +187,36 @@ class _SynthGrid:
 
 
 class GridWorkspace:
-    """Grid-sized arrays of one path block, allocated on first use and reused
-    by every later step: a block's fresh grid temporaries page-fault anew on
-    every step.  Owned by the block, never shared between threads; a block
-    that lost rows uses leading slices.  The grid values of the coefficient
-    rows last synthesised are kept for a later call on the same array, which
-    must not have changed in between.  So are the squares u1 u1 and u2 u2 of
-    those values once the L4 norm or a convection has formed them: they sit
-    in two of the three product planes (u1 u1, u1 u2, u2 u2), which no
-    caller writes to, and are dropped with the values."""
+    """Grid-sized arrays of a block of coefficient rows of leading shape
+    ``rows`` on one grid, allocated once: a block's fresh grid temporaries
+    page-fault anew on every step.  Owned by the block, never shared between
+    threads.  ``values`` holds the grid values of u (..., 2, Q, Q), and
+    ``planes`` their pointwise products u1 u1, u1 u2, u2 u2 (..., 3, Q, Q),
+    of which the L4 norm forms the squares ``planes[..., ::2]`` and the
+    convection the cross term; ``d1`` and ``d2`` hold the gradients,
+    ``half`` a synthesis' first product and ``adjoint_a``, ``adjoint_b``,
+    ``adjoint_n`` the adjoint transform's, and ``mag2`` |u|^4 w."""
 
-    def __init__(self):
-        self._arrays: dict[str, np.ndarray] = {}
-        self.held = None  # (coefficient rows, grid, their values on the grid)
-        self.squares_held = False  # the "planes" array holds their squares
-
-    def array(self, name: str, shape: tuple) -> np.ndarray:
-        """Uninitialised (shape[0], ...) leading slice of the named array; its
-        contents last until the next call for the same name."""
-        a = self._arrays.get(name)
-        if a is None or a.shape[1:] != shape[1:] or len(a) < shape[0]:
-            a = self._arrays[name] = np.empty(shape)
-        return a[: shape[0]]
-
-
-def _buffer(work: GridWorkspace | None, name: str, shape: tuple) -> np.ndarray:
-    return np.empty(shape) if work is None else work.array(name, shape)
+    def __init__(self, grid: _SynthGrid, rows: tuple):
+        q, n = grid.order, len(grid.sin)
+        self.grid = grid
+        self.values = np.empty(rows + (2, q, q))
+        self.planes = np.empty(rows + (3, q, q))
+        self.d1 = np.empty(rows + (2, q, q))
+        self.d2 = np.empty(rows + (2, q, q))
+        self.half = np.empty(rows + (2, q, n))
+        self.adjoint_a = np.empty(rows + (2, n, q))
+        self.adjoint_b = np.empty(rows + (2, n, q))
+        self.adjoint_n = np.empty(rows + (2, n, n))
+        self.mag2 = np.empty(rows + (q, q))
+        # the views a step reads, made once: the components, as planes and
+        # kept as an axis, the squares, and the overlapping pairs b1, b2 of
+        # the convection
+        self.v1, self.v2 = self.values[..., 0, :, :], self.values[..., 1, :, :]
+        self.u1, self.u2 = self.values[..., 0:1, :, :], self.values[..., 1:2, :, :]
+        self.u1u1, self.u1u2, self.u2u2 = (self.planes[..., i, :, :] for i in range(3))
+        self.squares = self.planes[..., ::2, :, :]
+        self.b1, self.b2 = self.planes[..., 0:2, :, :], self.planes[..., 1:3, :, :]
 
 
 class SpectralSpaces:
@@ -343,21 +346,22 @@ class SpectralSpaces:
     def l4_norm(
         self, u, quad_order: int | None = None, work: GridWorkspace | None = None
     ) -> float | np.ndarray:
-        """L4 norm of the vector field by tensor Gauss-Legendre quadrature;
-        with a workspace, the grid values of u and their squares stay held
-        in it."""
-        if quad_order is None:
-            quad_order = self.default_quad_order
-        if quad_order < 4 * self.n_modes:
-            raise ConfigurationError(
-                f"quad_order {quad_order} too small; need at least {4 * self.n_modes}"
-            )
-        g = self.grid(quad_order)
-        planes = self._product_planes(u, g, work)
-        mag2 = _buffer(work, "mag2", planes.shape[:-3] + planes.shape[-2:])
-        np.add(planes[..., 0, :, :], planes[..., 2, :, :], out=mag2)
+        """L4 norm of the vector field by tensor Gauss-Legendre quadrature.
+        With a block's workspace, on its grid, the grid values of u and their
+        squares stay in it for a convection of the same rows."""
+        c = _coeffs(u)
+        if work is None:
+            if quad_order is None:
+                quad_order = self.default_quad_order
+            if quad_order < 4 * self.n_modes:
+                raise ConfigurationError(
+                    f"quad_order {quad_order} too small; need at least {4 * self.n_modes}"
+                )
+            work = GridWorkspace(self.grid(quad_order), c.shape[:-1])
+        self._grid_values(c, work)
+        mag2 = np.add(work.u1u1, work.u2u2, out=work.mag2)
         mag2 *= mag2
-        mag2 *= g.w2d
+        mag2 *= work.grid.w2d
         return scalar_pow(np.sum(mag2, axis=(-2, -1)), 0.25)
 
     def component_l4_norm(self, u: VelocityField, d: int) -> float:
@@ -390,50 +394,36 @@ class SpectralSpaces:
         c = _coeffs(u)
         return c.reshape(c.shape[:-1] + (2, n, n))
 
-    def _synthesize(self, left, c, right2, g: _SynthGrid, work, name) -> np.ndarray:
-        """left.T @ c @ right2 over the coefficient blocks c, into the
-        workspace's ``name`` array when one is given; ``left`` and
+    def _synthesize(self, left, c, right2, out=None, half=None) -> np.ndarray:
+        """left.T @ c @ right2 over the coefficient blocks c, into ``out``,
+        with the first product into ``half``, when given; ``left`` and
         ``right2`` are tables of the grid, so the basis' factor 2 and the
         derivative factors cost no pass."""
-        rows = c.shape[:-2]
-        half = np.matmul(left.T, c, out=_buffer(work, "half", rows + (g.order, self.n_modes)))
-        return np.matmul(half, right2, out=_buffer(work, name, rows + (g.order, g.order)))
+        return np.matmul(np.matmul(left.T, c, out=half), right2, out=out)
 
-    def _component_values(self, u, g: _SynthGrid, work: GridWorkspace | None = None) -> np.ndarray:
-        """Values of both components on the tensor grid, shape (..., 2, Q, Q).
-        A workspace holds them, and hands them back for the same rows."""
-        held = None if work is None else work.held
-        if held is not None and held[0] is u and held[1] is g:
-            return held[2]
-        vals = self._synthesize(g.sin, self._coeff_blocks(u), g.sin2, g, work, "values")
-        if work is not None:
-            work.held, work.squares_held = (u, g, vals), False
-        return vals
+    def _component_values(self, u, g: _SynthGrid) -> np.ndarray:
+        """Values of both components on the tensor grid, shape (..., 2, Q, Q)."""
+        return self._synthesize(g.sin, self._coeff_blocks(u), g.sin2)
 
-    def _product_planes(self, u, g: _SynthGrid, work: GridWorkspace | None = None, cross=False):
-        """Pointwise products of the grid values of u in (..., 3, Q, Q)
-        planes u1 u1, u1 u2, u2 u2, the middle one formed only with
-        ``cross``.  A workspace holds the squares with the values, and hands
-        them back for the same rows; callers only read the planes."""
-        vals = self._component_values(u, g, work)
-        planes = _buffer(work, "planes", vals.shape[:-3] + (3,) + vals.shape[-2:])
-        if work is None or not work.squares_held:
-            np.multiply(vals, vals, out=planes[..., ::2, :, :])
-        if cross:  # u2 u1 is u1 u2 bit for bit
-            np.multiply(vals[..., 0, :, :], vals[..., 1, :, :], out=planes[..., 1, :, :])
-        if work is not None:
-            work.squares_held = True
-        return planes
+    def _grid_values(self, c: np.ndarray, work: GridWorkspace) -> None:
+        """The grid values of the coefficient rows c into ``work.values``,
+        and their squares u1 u1, u2 u2 into the product planes."""
+        g = work.grid
+        self._synthesize(g.sin, self._coeff_blocks(c), g.sin2, work.values, work.half)
+        np.multiply(work.values, work.values, out=work.squares)
 
     def _component_gradients(
         self, u, g: _SynthGrid, work: GridWorkspace | None = None
     ) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivatives (d_1 u, d_2 u) on the grid, each of shape
-        (..., 2, Q, Q): [i][..., d] = d_i u_d."""
+        (..., 2, Q, Q): [i][..., d] = d_i u_d; into ``work.d1`` and
+        ``work.d2`` when given."""
         c = self._coeff_blocks(u)
-        d1 = self._synthesize(g.dcos, c, g.sin2, g, work, "d1")
-        d2 = self._synthesize(g.sin, c, g.dcos2, g, work, "d2")
-        return d1, d2
+        d1, d2, half = (None,) * 3 if work is None else (work.d1, work.d2, work.half)
+        return (
+            self._synthesize(g.dcos, c, g.sin2, d1, half),
+            self._synthesize(g.sin, c, g.dcos2, d2, half),
+        )
 
 
 def build_spaces(n_modes: int) -> SpectralSpaces:

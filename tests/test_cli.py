@@ -328,6 +328,13 @@ def test_config_error_exits_2(tmp_path):
         ("run", "solver.n_modes=65"),
         ("run", "force.modes=1,1,3,0.4"),
         ("run", "initial_p.modes=xx,1,1,0.4"),
+        ("run", "force.modes=-3,1,1,0.4"),
+        ("run", "force.modes=1,0,2,0.4"),
+        ("run", "noise.modes=1,1,1,0.1; 2,-1,1,0.1"),
+        ("run", "initial_u.modes=0,1,1,1.0"),
+        ("run", "initial_p.modes=cs,1,0,0.5"),
+        ("run", "initial_p.modes=sc,-2,1,0.5"),
+        ("sweep-eps", "sweep.force_modes=1,1,1,0.4; 0,2,2,0.2"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):

@@ -146,7 +146,7 @@ def _noisy_forced(n_modes):
     return integ, project_initial(sp, "smooth", "low_mode")
 
 
-@pytest.mark.parametrize("n_modes", [4, 8])
+@pytest.mark.parametrize("n_modes", [4, 8, 12])
 def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
     integ, initial = _noisy_forced(n_modes)
     size = integrator.BLOCK_PATHS
@@ -238,51 +238,63 @@ def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
 
 
 def test_workspace_results_do_not_alias_later_calls(spaces4):
-    # results handed out by a call on a workspace stay put when the next call
-    # on the same workspace reuses its arrays for other data
+    # results handed out by a call on a block's buffers stay put when the
+    # next call on the same buffers writes other rows' data there
     rng = np.random.default_rng(5)
     first, second = rng.standard_normal((2, 3, spaces4.n_velocity))
-    work = GridWorkspace()
-    pairs = bhat_operator(spaces4, first, work=work)
+    grid = spaces4.grid(spaces4.default_quad_order)
+    work = GridWorkspace(grid, (3,))
     l4 = spaces4.l4_norm(first, work=work)
+    pairs = bhat_operator(spaces4, first, work=work)
+    out = np.empty_like(first)
+    bhat_operator(spaces4, first, work=work, out=out)
     kept = pairs.tobytes(), l4.tobytes()
     fresh = bhat_operator(spaces4, first), spaces4.l4_norm(first)
     assert kept == tuple(a.tobytes() for a in fresh)
-    bhat_operator(spaces4, second[:2], work=work)
+    assert out.tobytes() == kept[0]
     spaces4.l4_norm(second, work=work)
-    assert (pairs.tobytes(), l4.tobytes()) == kept
-    # and grid values held for ``first`` are not handed out for other rows
-    again = bhat_operator(spaces4, first.copy(), work=work)
-    assert again.tobytes() == kept[0]
-    # nor the squares l4_norm left in the product planes: for other rows of
-    # the same shape, for the rows a PathBlock.take leaves, and for the same
-    # rows once a convection has read the planes
+    bhat_operator(spaces4, second, work=work)
+    assert (pairs.tobytes(), l4.tobytes(), out.tobytes()) == kept + kept[:1]
+    # each step's L4 norm and convection on the same buffers, for other rows
+    # and for rows seen before, and on the buffers of the rows that a
+    # blow-up leaves, give the bits of fresh calls
     a, b = rng.standard_normal((2, 3, spaces4.n_velocity))
-    for l4_rows, bhat_rows in ((a, b), (a, a[[0, 2]]), (a, a)):
-        spaces4.l4_norm(l4_rows, work=work)
-        got = bhat_operator(spaces4, bhat_rows, work=work)
-        assert got.tobytes() == bhat_operator(spaces4, bhat_rows).tobytes()
-        assert spaces4.l4_norm(bhat_rows, work=work).tobytes() == spaces4.l4_norm(bhat_rows).tobytes()
+    for rows in (a, b, a):
+        assert spaces4.l4_norm(rows, work=work).tobytes() == spaces4.l4_norm(rows).tobytes()
+        got = bhat_operator(spaces4, rows, work=work)
+        assert got.tobytes() == bhat_operator(spaces4, rows).tobytes()
+    left = GridWorkspace(grid, (2,))
+    spaces4._grid_values(a[[0, 2]], left)
+    got = bhat_operator(spaces4, a[[0, 2]], work=left)
+    assert got.tobytes() == bhat_operator(spaces4, a[[0, 2]]).tobytes()
 
 
 @pytest.mark.parametrize("n_modes", [8, 12, 16])
 @pytest.mark.parametrize("n_rows", [1, 20])
 def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
     # the doubled tables and the shared product planes give the bits of the
-    # plain 2 * (...) transforms and four products, with and without the
-    # squares that an L4 norm leaves in a workspace
+    # plain 2 * (...) transforms and four products: on fresh arrays, and on
+    # a block's buffers filled by an L4 norm or by the synthesis alone, as a
+    # block that lost rows fills them
     sp = build_spaces(n_modes)
     q = sp.default_quad_order
+    g = sp.grid(q)
     rows = np.random.default_rng(n_modes).standard_normal((n_rows, sp.n_velocity))
     want = np.stack([_bhat(sp, row, q) for row in rows])
-    work = GridWorkspace()
-    assert bhat_operator(sp, rows, work=work).tobytes() == want.tobytes()
-    sp.l4_norm(rows, work=work)
-    assert bhat_operator(sp, rows, work=work).tobytes() == want.tobytes()
-    assert bhat_operator(sp, rows).tobytes() == want.tobytes()
-    g = sp.grid(q)
     vals = np.stack([2.0 * (g.sin.T @ row.reshape(2, n_modes, n_modes) @ g.sin) for row in rows])
+    assert bhat_operator(sp, rows).tobytes() == want.tobytes()
     assert sp._component_values(rows, g).tobytes() == vals.tobytes()
+    for by_l4_norm in (True, False):
+        work = GridWorkspace(g, (n_rows,))
+        if by_l4_norm:
+            sp.l4_norm(rows, work=work)
+        else:
+            sp._grid_values(rows, work)
+        assert work.values.tobytes() == vals.tobytes()
+        assert bhat_operator(sp, rows, work=work).tobytes() == want.tobytes()
+        out = np.empty_like(rows)
+        bhat_operator(sp, rows, work=work, out=out)
+        assert out.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_modes", [2, 8, 12, 16, 32])
@@ -301,18 +313,20 @@ def test_folded_constants_change_the_pairings_at_round_off_only(n_modes):
 
 
 def test_held_squares_survive_a_convection(spaces8):
-    # the convection only reads the product planes, so the squares the L4
-    # norm left there serve the next L4 norm of the same rows too
+    # the convection writes only the cross plane u1 u2, so the values and
+    # squares the L4 norm left in the buffers keep the bits of a fresh
+    # synthesis and serve a second convection of the same rows
     rows = np.random.default_rng(3).standard_normal((5, spaces8.n_velocity))
-    work = GridWorkspace()
+    g = spaces8.grid(spaces8.default_quad_order)
+    work = GridWorkspace(g, (5,))
     first = spaces8.l4_norm(rows, work=work)
     pairs = bhat_operator(spaces8, rows, work=work)
-    assert work.squares_held
-    second = spaces8.l4_norm(rows, work=work)
-    assert work.squares_held
-    fresh = spaces8.l4_norm(rows)
-    assert first.tobytes() == fresh.tobytes() == second.tobytes()
-    assert pairs.tobytes() == bhat_operator(spaces8, rows).tobytes()
+    vals = spaces8._component_values(rows, g)
+    assert work.values.tobytes() == vals.tobytes()
+    assert work.squares.tobytes() == (vals * vals).tobytes()
+    again = bhat_operator(spaces8, rows, work=work)
+    assert first.tobytes() == spaces8.l4_norm(rows).tobytes()
+    assert pairs.tobytes() == again.tobytes() == bhat_operator(spaces8, rows).tobytes()
 
 
 def _chunk_bytes(integ, n_rows, steps):

@@ -2,17 +2,19 @@
 
 Usage, from the repository root:
 
-    python3 tools/output_digests.py [--src DIR] > digests.txt
+    python3 tools/output_digests.py [--src DIR] [--workers W] > digests.txt
     python3 tools/output_digests.py --compare base.txt head.txt
 
 The first form runs each command of COMMANDS as a fresh process on the
-package under DIR (default: this checkout's ``src``), each into its own
-directory of a temporary directory, and prints one ``file sha256`` line per
-output file, its path relative to the temporary directory.  It exits 1 when
-a command exits with any status but 0, after printing what was written.  The
-outputs are meant to be byte-identical from one commit to the next unless a
-change says why not: run it on two checkouts with the same
-``OPENBLAS_NUM_THREADS`` and compare.
+package under DIR (default: this checkout's ``src``) with ``--workers W``
+(default 1), each into its own directory of a temporary directory, and
+prints one ``file sha256`` line per output file, its path relative to the
+temporary directory.  It exits 1 when a command exits with any status but 0,
+after printing what was written.  The outputs are meant to be byte-identical
+from one commit to the next unless a change says why not: run it on two
+checkouts with the same ``OPENBLAS_NUM_THREADS`` and compare.  They must not
+depend on the BLAS thread count or on W either: listings at different
+values must be equal.
 
 The second form prints a Markdown table of the files of two such listings,
 each marked same, changed, added or removed.
@@ -42,15 +44,19 @@ COMMANDS = (
 )
 
 
-def digests(src: Path) -> tuple[list[str], list[str]]:
-    """The ``file sha256`` lines of every command's outputs, and the
-    commands that exited with a status other than 0."""
+def digests(src: Path, workers: int = 1) -> tuple[list[str], list[str]]:
+    """The ``file sha256`` lines of every command's outputs, run with
+    ``--workers workers``, and the commands that exited with a status other
+    than 0."""
     env = dict(os.environ, PYTHONPATH=str(src))
     lines, failed = [], []
     with tempfile.TemporaryDirectory() as tmp:
         for name, argv in COMMANDS:
             out = Path(tmp) / name
-            cmd = [sys.executable, "-m", "acflow.cli", *argv, "--quiet", "--out", str(out)]
+            cmd = [
+                sys.executable, "-m", "acflow.cli", *argv,
+                "--workers", str(workers), "--quiet", "--out", str(out),
+            ]
             status = subprocess.run(cmd, env=env).returncode
             if status != 0:
                 failed.append(f"{name}: {' '.join(argv)} exited {status}")
@@ -84,12 +90,13 @@ def compare(base: str, head: str) -> str:
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding acflow")
+    parser.add_argument("--workers", type=int, default=1, help="worker threads of every command")
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), help="compare two listings")
     args = parser.parse_args(argv)
     if args.compare:
         sys.stdout.write(compare(*args.compare))
         return 0
-    lines, failed = digests(args.src.resolve())
+    lines, failed = digests(args.src.resolve(), args.workers)
     print("\n".join(lines))
     for line in failed:
         print(line, file=sys.stderr)
