@@ -16,7 +16,6 @@ builds the inverse at that BLAS's thread count.
 from __future__ import annotations
 
 import argparse
-import hashlib
 import os
 import sys
 
@@ -175,8 +174,7 @@ def _cmd_run(args) -> int:
     snap_path = os.path.join(args.out, "run_final.bin")
     n = spaces.n_modes
     final = State(VelocityField(record.u, n), PressureField(record.p, n), record.times[-1])
-    write_snapshot(snap_path, final, digest)
-    manifest.outputs["run_final.bin"] = _file_sha(snap_path)
+    manifest.outputs["run_final.bin"] = write_snapshot(snap_path, final, digest)
     if not args.quiet:
         print(
             f"ran {setup.solver.n_steps} steps to t={record.times[-1]:g}; "
@@ -365,8 +363,7 @@ def _cmd_sweep(args) -> int:
         for t_req, state in states:
             name = f"sweep_eps{eps:g}_t{t_req:g}.bin"
             path = os.path.join(args.out, name)
-            write_snapshot(path, state, digest)
-            manifest.outputs[name] = _file_sha(path)
+            manifest.outputs[name] = write_snapshot(path, state, digest)
 
     csv_rows = [
         (
@@ -440,11 +437,6 @@ def main(argv=None) -> int:
     except OSError as exc:
         print(f"io error: {exc}", file=sys.stderr)
         return 2
-
-
-def _file_sha(path: str) -> str:
-    with open(path, "rb") as fh:
-        return hashlib.sha256(fh.read()).hexdigest()
 
 
 if __name__ == "__main__":

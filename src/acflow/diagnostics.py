@@ -121,8 +121,7 @@ def simulate_paths(
     first DivergedPathError."""
     integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
     record = integ.run_path(initial, range(n_paths), workers=workers)
-    if record.diverged:
-        raise record.diverged[0]
+    record.raise_diverged()
     return record
 
 
@@ -267,8 +266,7 @@ def pathwise_uniqueness_check(
             diff[m] = float(np.dot(du, du)) + config.eps * pr2
 
     pair = integ.run_path([init_a, init_b], [0, 0], observe=diff_energy)
-    if pair.diverged:
-        raise pair.diverged[0]
+    pair.raise_diverged()
     times, l4_a = pair.times, pair.l4_u[0]
 
     rate = 27.0 / config.nu**3

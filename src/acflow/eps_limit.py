@@ -172,12 +172,13 @@ def epsilon_sweep(
         integ = GalerkinIntegrator(spaces, cfg, force=force, noise=noise)
         hook = None if observe is None else partial(observe, eps)
         coupled = integ.run_path(initial, range(plan.n_paths), hook, workers)
-        for err in coupled.diverged:
-            logger.warning("path %d diverged at step %d for eps=%g; excluded", err.path, err.step, eps)
-        excluded = len(coupled.diverged)
+        blown = coupled.diverged_at >= 0
+        for path, step in zip(coupled.paths[blown].tolist(), coupled.diverged_at[blown].tolist()):
+            logger.warning("path %d diverged at step %d for eps=%g; excluded", path, step, eps)
+        excluded = int(blown.sum())
         if excluded == plan.n_paths:
-            raise coupled.diverged[0]
-        kept = coupled.take(np.isin(np.arange(plan.n_paths), [e.row for e in coupled.diverged], invert=True))
+            coupled.raise_diverged()
+        kept = coupled.take(~blown)
         div2, diff2 = kept.l2_div_u**2, kept.l2_u**2
         press = trapezoid(eps * kept.l2_p**2, kept.times)
 

@@ -21,6 +21,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import glob
+import hashlib
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -63,15 +64,13 @@ CHUNK_BYTES = 1 << 19
 
 
 class DivergedPathError(RuntimeError):
-    """Numerical blow-up of one path, with its path index, step and row in
-    the PathRecord that holds it."""
+    """Numerical blow-up of one path, with its path index and step."""
 
-    def __init__(self, step: int, energy: float, path: int = 0, row: int = 0):
+    def __init__(self, step: int, energy: float, path: int = 0):
         super().__init__(f"path {path} diverged at step {step}: energy {energy:.3e} exceeded cap")
         self.step = step
         self.energy = energy
         self.path = path
-        self.row = row
 
 
 @dataclass(frozen=True)
@@ -155,8 +154,8 @@ class PathBlock:
 class PathRecord:
     """Per-step time series of the rows of one run_path call: every array
     but ``times`` has a leading row axis, which ``take`` selects from; an
-    int takes one path's 1-D record.  A row that blew up has its
-    DivergedPathError in ``diverged``, and its series stop at that step."""
+    int takes one path's 1-D record.  A row that blew up has the step in
+    ``diverged_at`` (-1 for the other rows), and its series stop there."""
 
     times: np.ndarray  # (n_steps + 1,)
     l2_u: np.ndarray  # (rows, n_steps + 1), as are the other SERIES
@@ -170,7 +169,7 @@ class PathRecord:
     u: np.ndarray  # last velocity coefficients, (rows, n_velocity)
     p: np.ndarray  # last pressure coefficients, (rows, n_pressure)
     paths: np.ndarray  # path index of each row
-    diverged: list  # DivergedPathError of each blown-up row, in row order
+    diverged_at: np.ndarray  # step at which each row blew up, or -1
 
     SERIES = ("l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
     CSV_COLUMNS = ("t",) + SERIES
@@ -189,23 +188,24 @@ class PathRecord:
             u=np.zeros((len(paths), n_velocity)),
             p=np.zeros((len(paths), n_pressure)),
             paths=np.asarray(paths),
-            diverged=[],
+            diverged_at=np.full(len(paths), -1),
         )
 
     def take(self, rows) -> "PathRecord":
-        """The rows an int, slice, mask or index array selects, with their
-        DivergedPathErrors renumbered to the new rows."""
-        kept = np.atleast_1d(np.arange(len(self.paths))[rows]).tolist()
+        """The rows an int, slice, mask or index array selects."""
         return replace(
             self,
-            **{name: getattr(self, name)[rows] for name in ("u", "p", "paths") + self.SERIES},
+            **{name: getattr(self, name)[rows] for name in ("u", "p", "paths", "diverged_at") + self.SERIES},
             ledger=replace(self.ledger, **{name: getattr(self.ledger, name)[rows] for name in _LEDGER_TERMS}),
-            diverged=[
-                DivergedPathError(e.step, e.energy, e.path, kept.index(e.row))
-                for e in self.diverged
-                if e.row in kept
-            ],
         )
+
+    def raise_diverged(self) -> None:
+        """Raise the DivergedPathError of the first row that blew up, if any
+        did: its path, step and energy at that step."""
+        blown = np.flatnonzero(self.diverged_at >= 0)
+        if len(blown):
+            r, m = blown[0], self.diverged_at[blown[0]]
+            raise DivergedPathError(int(m), float(self.energy[r, m]), int(self.paths[r]))
 
     def csv_rows(self):
         """The CSV_COLUMNS rows of a one-path record, as lists of Python
@@ -439,7 +439,7 @@ class GalerkinIntegrator:
         ``_norms`` gives them."""
         sp, dt = self.spaces, self.config.dt
         if self.include_convection:
-            operators.bhat_operator(sp, u, self.quad_order, work, out=pairs)
+            operators.bhat_operator(sp, u, work=work, out=pairs)
         else:
             pairs.fill(0.0)
         # u - dt grad_dual(p) - dt B(u) + dt f + xi, with grad_dual(p) = -D G p
@@ -460,21 +460,26 @@ class GalerkinIntegrator:
         index and so its noise) and returns one PathRecord of every row,
         blown-up rows included.  The rows are split into ``workers``
         contiguous parts on a thread each and run in blocks of at most
-        BLOCK_PATHS rows, each writing its own rows of the record.
-        ``observe(m, block)`` sees the running rows of row 0's block after
-        each step m (and m = 0).
+        BLOCK_PATHS rows, each writing its own rows of the record; when
+        rows of a block blow up, the rows left start again as a new block
+        from that step.  ``observe(m, block)`` sees the running rows of row
+        0's block after each step m (and m = 0).
         """
         cfg, sp = self.config, self.spaces
         single = isinstance(path_index, (int, np.integer))
         paths = np.atleast_1d(np.asarray(path_index, dtype=int))
         inits = [initial] * len(paths) if isinstance(initial, State) else list(initial)
-        record = PathRecord.zeros(np.zeros(cfg.n_steps + 1), paths, sp.n_velocity, sp.n_pressure)
+        # cumsum adds in order, so these are the bits of t = t + dt per step
+        times = np.cumsum([inits[0].t] + [cfg.dt] * cfg.n_steps)
+        record = PathRecord.zeros(times, paths, sp.n_velocity, sp.n_pressure)
         for r, state in enumerate(inits):
             record.u[r], record.p[r] = state.u.coeffs, state.p.coeffs
 
         def run_part(part, hook):
             for i, rows in enumerate(np.array_split(part, -(-len(part) // BLOCK_PATHS))):
-                self._run_block(record, rows, inits[0].t, hook if i == 0 else None)
+                m0 = 0
+                while len(rows):
+                    m0, rows = self._run_block(record, rows, m0, hook if i == 0 else None)
 
         parts = [p for p in np.array_split(np.arange(len(paths)), workers) if len(p)]
         hooks = [observe] + [None] * (len(parts) - 1)
@@ -483,84 +488,64 @@ class GalerkinIntegrator:
                 list(ex.map(run_part, parts, hooks))
         else:
             list(map(run_part, parts, hooks))
-        record.diverged.sort(key=lambda e: e.row)
-        if not single:
-            return record
-        if record.diverged:
-            raise record.diverged[0]
-        return record.take(0)
+        if single:
+            record.raise_diverged()
+            return record.take(0)
+        return record
 
-    def _run_block(self, record: PathRecord, rows: np.ndarray, t0: float, observe=None) -> None:
+    def _run_block(self, record: PathRecord, rows: np.ndarray, m0: int, observe=None):
         """Step the rows ``rows`` of ``record`` together from the coefficients
-        in its ``u`` and ``p`` at time t0, writing their series, ledger terms
-        and last coefficients in place.  The block's buffers are allocated
-        once and live as long as this call: its GridWorkspace, its pressures
-        and their G p, and the chunk buffers.  Steps run in chunks of
-        CHUNK_BYTES: a chunk draws its increments by one sample_increment
-        call and forms their noise sums by one noise_contribution call, each
-        step writes its velocity, convection pairings and norms to the chunk
-        buffers, and the chunk's series and ledger terms are then computed
-        and written at once.  A row that blows up ends its chunk early, and
-        the next chunk starts without it, on buffers of the rows left."""
+        in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
+        writing their series, ledger terms and last coefficients in place.
+        The block's buffers are allocated once and live as long as this
+        call: its GridWorkspace, its pressures and their G p, and the chunk
+        buffers.  Steps run in chunks of CHUNK_BYTES: a chunk draws its
+        increments by one sample_increment call and forms their noise sums
+        by one noise_contribution call, each step writes its velocity,
+        convection pairings and norms to the chunk buffers, and the chunk's
+        series and ledger terms are then computed and written at once.  A
+        row whose energy passes ENERGY_CAP ends the block at that step, with
+        the step in its ``diverged_at``.  Returns the step reached and the
+        rows left to run from it: none at the horizon, else the rows that
+        did not blow up."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
-        grid = sp.grid(self.quad_order)
         size = CHUNK_BYTES // (8 * len(rows) * (6 * sp.n_velocity + self.noise.n_terms + 4))
-        size = max(1, min(size, cfg.n_steps))
+        size = max(1, min(size, cfg.n_steps - m0))
         # a step's velocity and pairings, and |u|, |p|, energy and L4 norm
-        us = np.empty((size + 1, len(rows), sp.n_velocity))
-        bhats = np.empty((size, len(rows), sp.n_velocity))
+        u = np.empty((size + 1, len(rows), sp.n_velocity))
+        bhat = np.empty((size, len(rows), sp.n_velocity))
         norms = np.empty((4, size + 1, len(rows)))
-        u_now, p = record.u[rows], record.p[rows]
+        u[0], p = record.u[rows], record.p[rows]
         gram_p = np.empty_like(p)
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection reads them
-        work = GridWorkspace(grid, (len(rows),))
-        norms[:3, 0] = self._norms(u_now, p, gram_p)
-        norms[3, 0] = sp.l4_norm(u_now, self.quad_order, work=work)
-        t = t0
-        times = [t]  # a chunk's times, from the state it starts at
+        work = GridWorkspace(sp.grid(self.quad_order), (len(rows),))
+        norms[:3, 0] = self._norms(u[0], p, gram_p)
+        norms[3, 0] = sp.l4_norm(u[0], work=work)
         if observe is not None:
-            observe(0, PathBlock(u_now.copy(), p.copy(), t, rows))
-        m0 = 0  # the step each chunk starts at
-        while m0 < cfg.n_steps and len(rows):
-            n = len(rows)
-            u, bhat, norm = us[:, :n], bhats[:, :n], norms[:, :, :n]
-            u[0] = u_now
+            observe(m0, PathBlock(u[0].copy(), p.copy(), float(record.times[m0]), rows))
+        blown = np.zeros(len(rows), dtype=bool)
+        while m0 < cfg.n_steps and not blown.any():
             steps = range(m0, min(m0 + size, cfg.n_steps))
             dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))
             xis = noise_contribution(self.noise, dw)
             for k, xi in enumerate(xis, 1):
-                u_k = u[k]
-                norm[:3, k] = self.step(u[k - 1], p, gram_p, xi, work, u_k, bhat[k - 1])
-                norm[3, k] = sp.l4_norm(u_k, self.quad_order, work=work)
-                t = t + dt
-                times.append(t)
-                if not all(e <= ENERGY_CAP for e in norm[2, k].tolist()):
+                norms[:3, k] = self.step(u[k - 1], p, gram_p, xi, work, u[k], bhat[k - 1])
+                norms[3, k] = sp.l4_norm(u[k], work=work)
+                if not all(e <= ENERGY_CAP for e in norms[2, k].tolist()):
                     break
                 if observe is not None:
-                    observe(m0 + k, PathBlock(u_k.copy(), p.copy(), t, rows))
-            self._write_chunk(record, rows, m0, k, times, u, bhat, xis, norm)
+                    m = m0 + k
+                    observe(m, PathBlock(u[k].copy(), p.copy(), float(record.times[m]), rows))
+            self._write_chunk(record, rows, m0, k, u, bhat, xis, norms)
             m0 += k
-            times = times[-1:]
-            norm[:, 0] = norm[:, k]
-            u_now = u[k]
-            blown = ~(norm[2, k] <= ENERGY_CAP)
-            if blown.any():
-                gone, keep = rows[blown], ~blown
-                record.u[gone], record.p[gone] = u_now[blown], p[blown]
-                record.diverged.extend(
-                    DivergedPathError(m0, float(e), int(record.paths[r]), int(r))
-                    for r, e in zip(gone, norm[2, k][blown])
-                )
-                rows, u_now, p, gram_p = rows[keep], u_now[keep], p[keep], gram_p[keep]
-                norms[:, 0, : len(rows)] = norm[:, 0][:, keep]
-                work = GridWorkspace(grid, (len(rows),))
-                sp._grid_values(u_now, work)
-                if observe is not None:
-                    observe(m0, PathBlock(u_now.copy(), p.copy(), t, rows))
-        record.u[rows], record.p[rows] = u_now, p
+            u[0], norms[:, 0] = u[k], norms[:, k]
+            blown = ~(norms[2, 0] <= ENERGY_CAP)
+        record.u[rows], record.p[rows] = u[0], p
+        record.diverged_at[rows[blown]] = m0
+        return m0, rows[~blown] if blown.any() else rows[:0]
 
-    def _write_chunk(self, record, rows, m0, n, times, u, bhat, xi, norms) -> None:
+    def _write_chunk(self, record, rows, m0, n, u, bhat, xi, norms) -> None:
         """Write the states and steps of a chunk of the rows ``rows`` that
         started at step m0 and ran n steps: ``u`` and ``norms`` hold the
         states m0..m0+n, ``bhat`` and ``xi`` the steps.  State m0 was
@@ -580,7 +565,6 @@ class GalerkinIntegrator:
             "l2_div_u": sp.divergence_l2(u[states]),
         }
         cols = slice(m0 + first, m0 + n + 1)
-        record.times[cols] = times[first:]
         for name, values in series.items():
             getattr(record, name)[rows, cols] = values.T
 
@@ -609,22 +593,26 @@ SNAPSHOT_MAGIC = b"ACSN"
 SNAPSHOT_VERSION = 1
 
 
-def write_snapshot(path, state: State, manifest_digest: str = "0" * 64) -> None:
+def write_snapshot(path, state: State, manifest_digest: str = "0" * 64) -> str:
     """Little-endian layout: magic, u32 version, 64-byte hex digest,
     u32 cutoff, u32 velocity count, u32 pressure count, f64 time,
-    velocity coefficients, pressure coefficients."""
+    velocity coefficients, pressure coefficients.  Returns the file's
+    sha256."""
     digest = manifest_digest.ljust(64, "0")[:64].encode("ascii")
-    n = state.u.n_modes
     u = np.asarray(state.u.coeffs, dtype="<f8")
     p = np.asarray(state.p.coeffs, dtype="<f8")
+    data = b"".join((
+        SNAPSHOT_MAGIC,
+        struct.pack("<I", SNAPSHOT_VERSION),
+        digest,
+        struct.pack("<III", state.u.n_modes, u.shape[0], p.shape[0]),
+        struct.pack("<d", state.t),
+        u.tobytes(),
+        p.tobytes(),
+    ))
     with open(path, "wb") as fh:
-        fh.write(SNAPSHOT_MAGIC)
-        fh.write(struct.pack("<I", SNAPSHOT_VERSION))
-        fh.write(digest)
-        fh.write(struct.pack("<III", n, u.shape[0], p.shape[0]))
-        fh.write(struct.pack("<d", state.t))
-        fh.write(u.tobytes())
-        fh.write(p.tobytes())
+        fh.write(data)
+    return hashlib.sha256(data).hexdigest()
 
 
 def _read_field(fh, size: int, field: str) -> bytes:

@@ -182,7 +182,7 @@ def test_reference_is_the_zero_trajectory(spaces4):
     assert np.array_equal(rec.times, np.arange(cfg.n_steps + 1) * cfg.dt)
     assert np.array_equal(rec.ledger.t, rec.times[1:])
     assert not rec.ledger.residual.any() and not rec.ledger.ito_increment.any()
-    assert rec.paths == 0 and rec.diverged == []
+    assert rec.paths == 0 and rec.diverged_at == -1
 
 
 def test_reference_refuses_a_nontrivial_kernel(spaces4):

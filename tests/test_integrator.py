@@ -1,6 +1,7 @@
 import ctypes
 import gc
 import glob
+import hashlib
 import os
 import weakref
 
@@ -225,7 +226,8 @@ def test_snapshot_roundtrip(tmp_path, spaces4, rng):
     p = PressureField(rng.standard_normal(spaces4.n_pressure), 4)
     state = State(u=u, p=p, t=0.375)
     path = tmp_path / "state.bin"
-    write_snapshot(path, state, "ab" * 32)
+    sha = write_snapshot(path, state, "ab" * 32)
+    assert sha == hashlib.sha256(path.read_bytes()).hexdigest()
     loaded, digest = read_snapshot(path)
     assert digest == "ab" * 32
     assert loaded.t == state.t

@@ -213,11 +213,27 @@ def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
 
     with pytest.raises(DivergedPathError) as solo_error:
         integ.run_path(huge, path_index=1)
-    assert [(e.row, e.path, e.step) for e in rows.diverged] == [(1, 1, solo_error.value.step)]
+    assert rows.diverged_at.tolist() == [-1, solo_error.value.step, -1, -1]
+    with pytest.raises(DivergedPathError) as row_error:
+        rows.raise_diverged()
+    assert (str(row_error.value), row_error.value.energy) == (str(solo_error.value), solo_error.value.energy)
     for i in (0, 2, 3):
         solo = integ.run_path(inits[i], path_index=i)
         for name in SERIES:
             assert _bits(getattr(rows.take(i), name)) == _bits(getattr(solo, name)), (i, name)
+
+
+def test_every_row_blown_up_keeps_the_whole_time_grid(spaces2):
+    # the data of test_blown_up_row_leaves_the_other_rows_untouched: both
+    # rows blow up at step 1, and the grid still runs to the horizon
+    cfg = SolverConfig(n_modes=2, dt=0.9, horizon=45.0, nu=1e-3, eps=1e-3)
+    integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
+    huge = project_initial(spaces2, [(1, 1, 1, 3e5), (2, 2, 2, -2e5)], None)
+    quiet = project_initial(spaces2, [(1, 1, 1, 1e-3)], None)
+    rows = integ.run_path(huge, [0, 1])
+    assert rows.diverged_at.tolist() == [1, 1]
+    assert _bits(rows.times) == _bits(integ.run_path(quiet, path_index=0).times)
+    assert rows.times[-1] == pytest.approx(cfg.horizon)
 
 
 def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
@@ -256,8 +272,8 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
     bhat_operator(spaces4, second, work=work)
     assert (pairs.tobytes(), l4.tobytes(), out.tobytes()) == kept + kept[:1]
     # each step's L4 norm and convection on the same buffers, for other rows
-    # and for rows seen before, and on the buffers of the rows that a
-    # blow-up leaves, give the bits of fresh calls
+    # and for rows seen before, and on buffers of fewer rows filled by the
+    # synthesis alone, give the bits of fresh calls
     a, b = rng.standard_normal((2, 3, spaces4.n_velocity))
     for rows in (a, b, a):
         assert spaces4.l4_norm(rows, work=work).tobytes() == spaces4.l4_norm(rows).tobytes()
@@ -274,8 +290,8 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
 def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
     # the doubled tables and the shared product planes give the bits of the
     # plain 2 * (...) transforms and four products: on fresh arrays, and on
-    # a block's buffers filled by an L4 norm or by the synthesis alone, as a
-    # block that lost rows fills them
+    # a block's buffers filled by an L4 norm or by the synthesis alone, as
+    # bhat_operator fills a workspace of its own
     sp = build_spaces(n_modes)
     q = sp.default_quad_order
     g = sp.grid(q)
@@ -378,11 +394,11 @@ def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
 
 
 def _whole_record(rec):
-    """Every array of a PathRecord, the ledger's terms included, and its
-    DivergedPathErrors as (path, step, row)."""
-    arrays = {name: _bits(getattr(rec, name)) for name in SERIES + ("u", "p", "paths")}
+    """Every array of a PathRecord, the ledger's terms and the blow-up steps
+    included."""
+    arrays = {name: _bits(getattr(rec, name)) for name in SERIES + ("u", "p", "paths", "diverged_at")}
     arrays.update({f"ledger.{name}": _bits(v) for name, v in vars(rec.ledger).items()})
-    return arrays, [(e.path, e.step, e.row, e.energy) for e in rec.diverged]
+    return arrays
 
 
 def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, observe=None):
@@ -416,18 +432,19 @@ def test_chunk_boundaries_do_not_change_a_block(steps, monkeypatch):
 @pytest.mark.parametrize("steps", [1, 3, 7])
 def test_chunk_boundaries_do_not_change_a_blow_up(spaces2, steps, monkeypatch):
     # the data of test_blown_up_row_leaves_the_other_rows_untouched: row 1
-    # blows up at step 1, the first of a chunk of 3, 7 or (by default) 50
-    # steps, which ends there; the next chunk starts at the blow-up
+    # blows up at step 1, the first of a chunk of 1, 3, 7 or (by default) 50
+    # steps, which ends there; the rows left start again as a block at the
+    # blow-up, in chunks sized for three rows
     cfg = SolverConfig(n_modes=2, dt=0.9, horizon=45.0, nu=1e-3, eps=1e-3)
     integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
     huge = project_initial(spaces2, [(1, 1, 1, 3e5), (2, 2, 2, -2e5)], None)
     quiet = project_initial(spaces2, [(1, 1, 1, 1e-3)], None)
     inits = [quiet, huge, quiet, project_initial(spaces2, None, None)]
     default, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, None)
-    assert [(e.path, e.step, e.row) for e in default.diverged] == [(1, 1, 1)]
+    assert default.diverged_at.tolist() == [-1, 1, -1, -1]
     assert spans == [(0, 50), (1, 50)]
     rec, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, steps)
-    assert spans[:2] == [(0, steps), (1, 1 + steps)]
+    assert spans[0] == (0, steps) and spans[1][0] == 1
     assert _whole_record(rec) == _whole_record(default)
 
 
@@ -479,8 +496,8 @@ def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
 
 
 def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
-    # rows 0 and 2 blow up at different steps; the rows left run on leading
-    # slices of the block's workspace and must equal their solo runs
+    # rows 0 and 2 blow up at different steps; the rows left start again as
+    # a new block at each blow-up and must equal their solo runs
     cfg = SolverConfig(n_modes=4, dt=0.05, horizon=1.0, nu=1e-3, eps=1e-2, seed=5)
     integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
     quiet = project_initial(spaces4, "smooth", "low_mode")
@@ -492,7 +509,7 @@ def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
         project_initial(spaces4, None, None),
     ]
     rows = integ.run_path(inits, range(5))
-    assert [(e.path, e.step) for e in rows.diverged] == [(0, 4), (2, 3)]
+    assert rows.diverged_at.tolist() == [4, -1, 3, -1, -1]
     for i in (1, 3, 4):
         solo, row = integ.run_path(inits[i], path_index=i), rows.take(i)
         for name in SERIES + ("u",):
@@ -516,7 +533,7 @@ def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):
         project_initial(spaces4, None, None),
     ]
     rows = integ.run_path(inits, [0, 1, 2, 1, 4])
-    assert [(e.path, e.step) for e in rows.diverged] == [(0, 4), (2, 3)]
+    assert rows.diverged_at.tolist() == [4, -1, 3, -1, -1]
     for i, path in ((1, 1), (3, 1), (4, 4)):
         solo = integ.run_path(inits[i], path_index=path)
         for name in SERIES:
