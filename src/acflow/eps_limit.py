@@ -206,7 +206,7 @@ def epsilon_sweep(
 
         if pressure_bound is None:
             pressure_bound = _pressure_energy_budget(
-                spaces, cfg, force, noise, initial
+                spaces, cfg, force, noise, initial, coupled.times
             )
 
     # monotonicity with statistical tolerance
@@ -249,10 +249,11 @@ def _pressure_energy_budget(
     force: DeterministicForce,
     noise: NoiseModel,
     initial: State,
+    times: np.ndarray,
 ) -> float:
     """Budget for E int eps |p|^2 dt implied by the weighted energy bound:
-    eps E|p(t)|^2 <= e^{t} * rhs(t) with unit weight rate, integrated in t."""
+    eps E|p(t)|^2 <= e^{t} * rhs(t) with unit weight rate, integrated over
+    the run's time grid ``times``, as the pressure energy it bounds is."""
     delta = 1.0
-    times = np.linspace(0.0, config.horizon, config.n_steps + 1)
     rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
     return float(trapezoid(np.exp(delta * times) * rhs, times))

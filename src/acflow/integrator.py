@@ -22,6 +22,7 @@ import ctypes
 import functools
 import glob
 import hashlib
+import itertools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -311,37 +312,80 @@ def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
         lib.scipy_openblas_set_num_threads64_(threads)
 
 
-def _implicit_matrix(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
-    """M = I + dt nu A + (dt^2/eps) K in Fortran order, with the grad-div
-    coupling K = D G D formed block by block: G is the identity on its
-    diagonal blocks and kron(2C, 2C^T) and its transpose off them, so no
-    dense Gram is needed.  Each entry is rounded as (I + dt nu A) +
-    (dt^2/eps) (d_i G_ij d_j)."""
-    n2, d, s = spaces.n_modes**2, spaces.div_diagonal, dt * dt / eps
-    m = np.zeros((spaces.n_velocity,) * 2, order="F")
-    np.fill_diagonal(m, (1.0 + dt * nu * spaces.stiffness) + s * (d * d))
-    cross = spaces.gram_cross_block()
-    for rows, cols, block in (
-        (slice(None, n2), slice(n2, None), cross),
-        (slice(n2, None), slice(None, n2), cross.T),
-    ):
-        k = d[rows, None] * block
-        k *= d[None, cols]
-        k *= s
-        m[rows, cols] += k
-    return m
+def _parity_classes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
+    """The velocity indices of each parity class of the implicit matrix,
+    (4, b, 1) with b = ceil(N^2 / 2), component 1's modes first, each in the
+    enumeration's order; and each velocity index's position in the flattened
+    classes.  C[a, a'] vanishes unless a + a' is odd, so the Gram couples
+    component 1's (j, k) only with component 2's (j', k') where j + j' and
+    k + k' are both odd, and M is block diagonal over the classes (pj, pk):
+    component 1's modes of 0-based index parities (pj, pk) and component 2's
+    of the opposite ones, in the order (0, 0), (0, 1), (1, 0), (1, 1).  At
+    odd N two classes have b - 1 modes and end in a slot that reads index 0,
+    which the block's zero coupling ignores.  Built from basic slices."""
+    n = n_modes
+    index = np.arange(2 * n * n).reshape(2, n, n)
+    gather = np.zeros((4, (n * n + 1) // 2, 1), dtype=np.intp)
+    scatter = np.empty_like(index)
+    position = np.arange(gather.size).reshape(gather.shape[:2])
+    for c, (pj, pk) in enumerate(itertools.product((0, 1), repeat=2)):
+        one, two = index[0, pj::2, pk::2], index[1, 1 - pj :: 2, 1 - pk :: 2]
+        n1, n2 = one.size, two.size
+        gather[c, :n1, 0], gather[c, n1 : n1 + n2, 0] = one.ravel(), two.ravel()
+        scatter[0, pj::2, pk::2] = position[c, :n1].reshape(one.shape)
+        scatter[1, 1 - pj :: 2, 1 - pk :: 2] = position[c, n1 : n1 + n2].reshape(two.shape)
+    return gather, scatter.ravel()
+
+
+def _implicit_blocks(spaces: SpectralSpaces, nu: float, eps: float, dt: float):
+    """The four parity blocks of M = I + dt nu A + (dt^2/eps) K, in the
+    order of _parity_classes, as Fortran-order matrices.  The grad-div
+    coupling K = D G D of a class is its cross part between the two
+    components, from the slices of the Gram factors that hold that class's
+    parities, kron(2C[pj::2, 1-pj::2], 2C^T[pk::2, 1-pk::2]), and its
+    transpose; a padding slot has diagonal 1 and no coupling.  Each entry is
+    rounded as (I + dt nu A) + (dt^2/eps) (d_i G_ij d_j)."""
+    n, s, div = spaces.n_modes, dt * dt / eps, spaces.div_diagonal
+    c, ct = spaces.gram_factors
+    diagonal = ((1.0 + dt * nu * spaces.stiffness) + s * (div * div)).reshape(2, n, n)
+    d = div.reshape(2, n, n)
+    b = (n * n + 1) // 2
+    for pj, pk in itertools.product((0, 1), repeat=2):
+        d1, d2 = d[0, pj::2, pk::2].ravel(), d[1, 1 - pj :: 2, 1 - pk :: 2].ravel()
+        n1, n2 = len(d1), len(d2)
+        m = np.zeros((b, b), order="F")
+        np.fill_diagonal(m, np.concatenate([
+            diagonal[0, pj::2, pk::2].ravel(),
+            diagonal[1, 1 - pj :: 2, 1 - pk :: 2].ravel(),
+            np.ones(b - n1 - n2),
+        ]))
+        cross = np.kron(c[pj::2, 1 - pj :: 2], ct[pk::2, 1 - pk :: 2])
+        one, two = slice(None, n1), slice(n1, n1 + n2)
+        for rows, cols, block, left, right in ((one, two, cross, d1, d2), (two, one, cross.T, d2, d1)):
+            k = left[:, None] * block
+            k *= right[None, :]
+            k *= s
+            m[rows, cols] += k
+        yield m
 
 
 def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) -> np.ndarray:
-    """Inverse of the implicit matrix M = I + dt nu A + (dt^2/eps) D G D.
-    M is SPD and well conditioned (cond(M) about 1.1 to 24 over the shipped
-    cutoffs and eps), so a step's solve is one product with M^-1."""
+    """Inverses of the four parity blocks of the implicit matrix
+    M = I + dt nu A + (dt^2/eps) D G D, stacked (4, b, b) in C order.  M is
+    SPD and well conditioned (cond(M) about 1.1 to 24 over the shipped
+    cutoffs and eps), so a step's solve is one product with each block's
+    inverse.  A block is assembled and inverted at a time, so building holds
+    two blocks besides the stack."""
+    b = (spaces.n_modes**2 + 1) // 2
+    inverse = np.empty((4, b, b))
     try:
-        return _cholesky_inverse(_implicit_matrix(spaces, nu, eps, dt))
+        for c, m in enumerate(_implicit_blocks(spaces, nu, eps, dt)):
+            inverse[c] = _cholesky_inverse(m)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(
             "implicit system matrix is not positive definite; configuration is corrupt"
         ) from exc
+    return inverse
 
 
 def project_initial(spaces: SpectralSpaces, u_spec, p_spec) -> State:
@@ -413,7 +457,10 @@ class GalerkinIntegrator:
         self.quad_order = (
             spaces.default_quad_order if config.quad_order is None else config.quad_order
         )
-        self._inverse = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
+        # M^-1 as its four parity blocks, and where each velocity index sits
+        # in the classes
+        self._inverse_blocks = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
+        self._gather, self._scatter = _parity_classes(spaces.n_modes)
         # a step's constants: -D, dt f and dt / eps
         self._neg_div = -spaces.div_diagonal
         self._dt_force = config.dt * self.force.coeffs
@@ -428,15 +475,24 @@ class GalerkinIntegrator:
         eps = self.config.eps
         return l2_u, l2_p, [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
 
-    def step(self, u, p, gram_p, xi, work: GridWorkspace, out: np.ndarray, pairs: np.ndarray):
+    def _solve_buffers(self, n_rows: int) -> tuple:
+        """A block's buffers for the solve of ``step``: the right-hand sides
+        in class order, (rows, 4, b, 1), and the solutions, as that and as
+        (rows, 4 b)."""
+        gathered = np.empty((n_rows,) + self._gather.shape)
+        solved = np.empty_like(gathered)
+        return gathered, solved, solved.reshape(n_rows, -1)
+
+    def step(self, u, p, gram_p, xi, work: GridWorkspace, out: np.ndarray, pairs: np.ndarray,
+             solve: tuple):
         """One semi-implicit step of a block of M paths, a row each: from the
         velocities u, the pressures p with G p in ``gram_p`` and the noise
         sums xi = sum_k g_k dW_k, writes the new velocities to ``out``, the
         new pressures and their G p over p and ``gram_p``, and the
         convection pairings (B(u), e_i) to ``pairs``; ``out`` must not
         overlap u.  ``work`` is the block's GridWorkspace, holding the grid
-        values of u and their squares.  Returns the new rows' norms as
-        ``_norms`` gives them."""
+        values of u and their squares, and ``solve`` its _solve_buffers.
+        Returns the new rows' norms as ``_norms`` gives them."""
         sp, dt = self.spaces, self.config.dt
         if self.include_convection:
             operators.bhat_operator(sp, u, work=work, out=pairs)
@@ -444,7 +500,10 @@ class GalerkinIntegrator:
             pairs.fill(0.0)
         # u - dt grad_dual(p) - dt B(u) + dt f + xi, with grad_dual(p) = -D G p
         rhs = u - dt * (self._neg_div * gram_p) - dt * pairs + self._dt_force + xi
-        np.matmul(self._inverse, rhs[..., None], out=out[..., None])  # a gemv per row
+        gathered, solved, flat = solve
+        np.take(rhs, self._gather, axis=-1, out=gathered, mode="clip")
+        np.matmul(self._inverse_blocks, gathered, out=solved)  # a gemv per row and block
+        np.take(flat, self._scatter, axis=-1, out=out, mode="clip")
         p -= self._dt_eps * (sp.div_diagonal * out)
         return self._norms(out, p, gram_p)
 
@@ -498,9 +557,10 @@ class GalerkinIntegrator:
         in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
         writing their series, ledger terms and last coefficients in place.
         The block's buffers are allocated once and live as long as this
-        call: its GridWorkspace, its pressures and their G p, and the chunk
-        buffers.  Steps run in chunks of CHUNK_BYTES: a chunk draws its
-        increments by one sample_increment call and forms their noise sums
+        call: its GridWorkspace, its solve buffers, its pressures and their
+        G p, and the chunk buffers.  Steps run in chunks of CHUNK_BYTES: a
+        chunk draws its increments by one sample_increment call and forms
+        their noise sums
         by one noise_contribution call, each step writes its velocity,
         convection pairings and norms to the chunk buffers, and the chunk's
         series and ledger terms are then computed and written at once.  A
@@ -520,6 +580,7 @@ class GalerkinIntegrator:
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection reads them
         work = GridWorkspace(sp.grid(self.quad_order), (len(rows),))
+        solve = self._solve_buffers(len(rows))
         norms[:3, 0] = self._norms(u[0], p, gram_p)
         norms[3, 0] = sp.l4_norm(u[0], work=work)
         if observe is not None:
@@ -530,7 +591,7 @@ class GalerkinIntegrator:
             dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))
             xis = noise_contribution(self.noise, dw)
             for k, xi in enumerate(xis, 1):
-                norms[:3, k] = self.step(u[k - 1], p, gram_p, xi, work, u[k], bhat[k - 1])
+                norms[:3, k] = self.step(u[k - 1], p, gram_p, xi, work, u[k], bhat[k - 1], solve)
                 norms[3, k] = sp.l4_norm(u[k], work=work)
                 if not all(e <= ENERGY_CAP for e in norms[2, k].tolist()):
                     break

@@ -248,20 +248,15 @@ class SpectralSpaces:
         )
 
         # Off-diagonal Gram blocks kron(2C, 2C^T) and its transpose, as the
-        # factor pair L = (2C, 2C^T) of gram_product; no dense Gram is kept
+        # factor pair L = (2C, 2C^T) of gram_product: <psi_cs(j,k),
+        # psi_sc(j',k')> = 4 C[j,j'] C[k',k].  No dense Gram is kept
         c = 2.0 * _cos_sin_integrals(self.n_modes)
-        self._gram_factors = np.stack([c, c.T])
+        self.gram_factors = np.stack([c, c.T])
 
         self._grids: dict[int, _SynthGrid] = {}
         self._grid_lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------------
-
-    def gram_cross_block(self) -> np.ndarray:
-        """The (cs, sc) block of the pressure Gram, kron(2C, 2C^T), dense:
-        <psi_cs(j,k), psi_sc(j',k')> = 4 C[j,j'] C[k',k].  The (sc, cs)
-        block is its transpose and both diagonal blocks are the identity."""
-        return np.kron(*self._gram_factors)
 
     def grid(self, order: int) -> _SynthGrid:
         with self._grid_lock:
@@ -334,7 +329,7 @@ class SpectralSpaces:
         BLAS call per matrix, so O(N^3) per row against the dense O(N^4)."""
         c = _coeffs(p)
         blocks = self._coeff_blocks(c)[..., ::-1, :, :]
-        cross = np.matmul(np.matmul(self._gram_factors, blocks), self._gram_factors)
+        cross = np.matmul(np.matmul(self.gram_factors, blocks), self.gram_factors)
         return np.add(c, cross.reshape(c.shape), out=out)
 
     def pressure_l2(self, p, gram_out: np.ndarray | None = None) -> float | np.ndarray:

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces
-from acflow.spaces import _stiffness_diagonal
+from acflow.spaces import _cos_sin_integrals, _stiffness_diagonal
 
 
 @pytest.fixture(scope="session")
@@ -26,8 +26,11 @@ def spaces8():
 
 
 def _dense_gram(spaces):
+    # <psi_cs(j,k), psi_sc(j',k')> = 4 C[j,j'] C[k',k]: the (cs, sc) block is
+    # kron(2C, 2C^T), the (sc, cs) block its transpose
     n2 = spaces.n_modes**2
-    cross = spaces.gram_cross_block()
+    c = 2.0 * _cos_sin_integrals(spaces.n_modes)
+    cross = np.kron(c, c.T)
     gram = np.eye(spaces.n_pressure)
     gram[:n2, n2:] = cross
     gram[n2:, :n2] = cross.T

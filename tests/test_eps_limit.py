@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces, l2_norm
+from acflow.diagnostics import energy_bound_rhs, trapezoid
 from acflow.eps_limit import (
     EpsSweepPlan,
     epsilon_sweep,
@@ -113,6 +114,21 @@ def test_single_eps_sweep_row(spaces4):
     assert rep.rows[0].eps == 1e-2
     assert rep.div_rates == [] and rep.diff_rates == []
     assert rep.passed == (rep.sweep_valid and rep.pressure_bounded)
+
+
+def test_pressure_budget_integrates_over_the_run_time_grid(spaces4):
+    # 0.0504 is not a multiple of dt: the run stops at t = 0.05 after 50
+    # steps, and the budget bounds the pressure energy over those times, not
+    # over a grid stretched to 0.0504 (1.6% larger)
+    base = SolverConfig(n_modes=4, dt=1e-3, horizon=0.0504, seed=7)
+    plan = EpsSweepPlan(eps_values=(1e-2,), base=base, n_paths=2)
+    rep = epsilon_sweep(spaces4, plan)
+    noise = default_noise(spaces4, trace=plan.noise_trace)
+    force = DeterministicForce(spaces4.velocity_from_modes(plan.force_modes).coeffs)
+    initial = project_initial(spaces4, None, None)
+    times = np.arange(base.n_steps + 1) * base.dt
+    rhs = energy_bound_rhs(spaces4, replace(base, eps=1e-2), force, noise, initial, 1.0, times)
+    assert rep.pressure_bound == pytest.approx(trapezoid(np.exp(times) * rhs, times), rel=1e-12)
 
 
 def test_sweep_statistics_decrease(spaces4):

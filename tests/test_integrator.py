@@ -279,7 +279,7 @@ def _openblas_or_skip():
 def test_integrator_frees_its_inverse_with_it(spaces4):
     # each integrator builds its own inverse, and nothing else holds it
     integ = GalerkinIntegrator(spaces4, SolverConfig(n_modes=4, dt=1e-3, horizon=0.01))
-    inverse = weakref.ref(integ._inverse)
+    inverse = weakref.ref(integ._inverse_blocks)
     del integ
     gc.collect()
     assert inverse() is None
@@ -298,20 +298,61 @@ def test_implicit_factor_restores_the_blas_thread_count(spaces4):
         lib.scipy_openblas_set_num_threads64_(before)
 
 
-@pytest.mark.parametrize("n_modes", [1, 2, 5, 8, 13])
+def _dense_implicit_matrix(sp, nu, eps, dt, dense_grad_div):
+    """I + dt nu A + (dt^2/eps) K with K formed from the dense Gram."""
+    dense = np.zeros((sp.n_velocity,) * 2, order="F")
+    np.fill_diagonal(dense, 1.0 + dt * nu * sp.stiffness)
+    dense += (dt * dt / eps) * dense_grad_div(sp)
+    return dense
+
+
+def _parity_class_of_each_index(n_modes):
+    _, scatter = integrator._parity_classes(n_modes)
+    return scatter // ((n_modes**2 + 1) // 2)
+
+
+def _class_block(dense, n_modes, c):
+    """The dense matrix restricted to parity class c, in class order, with a
+    padding slot as an isolated unit."""
+    gather, _ = integrator._parity_classes(n_modes)
+    real = gather[c, : np.sum(_parity_class_of_each_index(n_modes) == c), 0]
+    block = np.eye(gather.shape[1], order="F")
+    block[: len(real), : len(real)] = dense[np.ix_(real, real)]
+    return block
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 5, 8, 9, 13])
+def test_implicit_matrix_vanishes_outside_the_parity_classes(n_modes, dense_grad_div):
+    # the classes partition the velocity indices (padding slots aside), and
+    # M couples no two indices of different classes: its entries there are
+    # exactly 0
+    sp = build_spaces(n_modes)
+    gather, scatter = integrator._parity_classes(n_modes)
+    assert gather.shape == (4, (n_modes**2 + 1) // 2, 1)
+    assert np.array_equal(gather.ravel()[scatter], np.arange(sp.n_velocity))
+    cls = _parity_class_of_each_index(n_modes)
+    # (N^2 + 1) / 2 modes each at odd N for the classes of (j, k) parities
+    # (odd, odd) and (even, even), one fewer for the other two
+    b, odd = gather.shape[1], n_modes % 2
+    assert np.bincount(cls, minlength=4).tolist() == [b, b - odd, b - odd, b]
+    m = _dense_implicit_matrix(sp, 0.1, 1e-4, 1e-3, dense_grad_div)
+    assert not m[cls[:, None] != cls[None, :]].any()
+
+
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 5, 8, 9, 13])
 def test_implicit_matrix_matches_the_dense_assembly(n_modes, dense_grad_div):
-    # built block by block from the Gram's Kronecker factors, M has the bits
-    # (signed zeros included) of I + dt nu A + (dt^2/eps) K with K formed
-    # from the dense Gram
+    # each parity block, built from slices of the Gram's Kronecker factors,
+    # has the bits (signed zeros included) of the dense I + dt nu A +
+    # (dt^2/eps) K restricted to its class
     sp = build_spaces(n_modes)
     dt, nu = 1e-3, 0.1
     for eps in SHIPPED_EPS:
-        dense = np.zeros((sp.n_velocity,) * 2, order="F")
-        np.fill_diagonal(dense, 1.0 + dt * nu * sp.stiffness)
-        dense += (dt * dt / eps) * dense_grad_div(sp)
-        m = integrator._implicit_matrix(sp, nu, eps, dt)
-        assert m.flags.f_contiguous
-        assert m.tobytes() == dense.tobytes()
+        dense = _dense_implicit_matrix(sp, nu, eps, dt, dense_grad_div)
+        blocks = list(integrator._implicit_blocks(sp, nu, eps, dt))
+        assert len(blocks) == 4
+        for c, m in enumerate(blocks):
+            assert m.flags.f_contiguous
+            assert m.tobytes(order="F") == _class_block(dense, n_modes, c).tobytes(order="F"), (eps, c)
 
 
 def _scipy_openblas():
@@ -333,8 +374,8 @@ def _scipy_openblas():
 def test_lapack_inverse_matches_scipy_cho_solve_bit_for_bit(threads):
     # dpotrf/dpotrs through ctypes are the routines scipy.linalg's
     # cho_factor/cho_solve call, and numpy's OpenBLAS is the same release as
-    # scipy's, so at one thread of each the inverse has the same bits; the
-    # caller's thread count does not move them
+    # scipy's, so at one thread of each every parity block's inverse has the
+    # same bits; the caller's thread count does not move them
     from scipy.linalg import cho_factor, cho_solve
 
     lib, scipy_lib = _openblas_or_skip(), _scipy_openblas()
@@ -343,14 +384,14 @@ def test_lapack_inverse_matches_scipy_cho_solve_bit_for_bit(threads):
     scipy_lib.scipy_openblas_set_num_threads(1)
     lib.scipy_openblas_set_num_threads64_(threads)
     try:
-        for n_modes in (4, 8, 12, 16):
+        for n_modes in (4, 5, 8, 12, 16):
             sp = build_spaces(n_modes)
             for eps in SHIPPED_EPS:
-                m = integrator._implicit_matrix(sp, 0.1, eps, 1e-3)
-                expected = cho_solve(cho_factor(m), np.eye(len(m)))
-                got = integrator._cholesky_inverse(m.copy(order="F"))
-                assert lib.scipy_openblas_get_num_threads64_() == threads
-                assert got.tobytes() == expected.tobytes(), (n_modes, eps)
+                for c, m in enumerate(integrator._implicit_blocks(sp, 0.1, eps, 1e-3)):
+                    expected = cho_solve(cho_factor(m), np.eye(len(m)))
+                    got = integrator._cholesky_inverse(m.copy(order="F"))
+                    assert lib.scipy_openblas_get_num_threads64_() == threads
+                    assert got.tobytes() == expected.tobytes(), (n_modes, eps, c)
     finally:
         lib.scipy_openblas_set_num_threads64_(before)
         scipy_lib.scipy_openblas_set_num_threads(scipy_before)
@@ -370,32 +411,36 @@ def test_indefinite_implicit_matrix_is_a_configuration_error(spaces4, library, m
         integrator._implicit_inverse(spaces4, -50.0, 0.1, 1e-3)
 
 
-@pytest.mark.parametrize("n_modes", [8, 12])
+@pytest.mark.parametrize("n_modes", [1, 3, 5, 8, 9, 12, 13])
 @pytest.mark.parametrize("eps", SHIPPED_EPS)
 def test_implicit_inverse_solves_the_implicit_system(n_modes, eps, dense_grad_div, monkeypatch):
-    # the shipped eps values; cond(M) stays below 25 here, so the product
-    # with the precomputed inverse solves M x = r to round-off, whichever
-    # library built it
+    # the shipped eps values; cond(M) stays below 25 here, so the products
+    # with the precomputed inverses of the parity blocks, gathered into
+    # class order and scattered back as a step does it, solve M x = r to
+    # round-off, whichever library built them, padded classes included
     sp = build_spaces(n_modes)
     dt, nu = 1e-3, 0.1
     m = np.eye(sp.n_velocity) + dt * nu * np.diag(sp.stiffness) + (dt * dt / eps) * dense_grad_div(sp)
     r = np.random.default_rng(n_modes).standard_normal((6, sp.n_velocity))
+    gather, scatter = integrator._parity_classes(n_modes)
     for library in ("lapack", "fallback"):
         with monkeypatch.context() as patch:
             if library == "fallback":
                 _without_numpy_openblas(patch)
             inverse = integrator._implicit_inverse(sp, nu, eps, dt)
-        x = np.matmul(inverse, r[..., None])[..., 0]
+        assert inverse.shape == (4,) + gather.shape[1:2] * 2 and inverse.flags.c_contiguous
+        x = np.matmul(inverse, np.take(r, gather, axis=-1)).reshape(len(r), -1)[:, scatter]
         assert np.abs(x @ m.T - r).max() <= 1e-13 * np.abs(r).max(), library
 
 
-def test_cutoff_16_path_closes_its_discrete_energy_identity():
-    # past the old N=13 ceiling: the trajectory stays finite, and each step's
-    # ledger residual equals the scheme's exact energy identity
-    #   -|du|^2 - eps |dp|_G^2 - 2 dt (B(u_m), u_m+1) + 2 (xi, du) - Tr dt
-    # up to round-off
-    sp = build_spaces(16)
-    cfg = SolverConfig(n_modes=16, dt=1e-3, horizon=0.02, eps=1e-2, seed=3)
+def _check_discrete_energy_identity(n_modes, horizon):
+    """Run a noisy forced path at cutoff n_modes and check that it stays
+    finite and that each step's ledger residual equals the scheme's exact
+    energy identity
+      -|du|^2 - eps |dp|_G^2 - 2 dt (B(u_m), u_m+1) + 2 (xi, du) - Tr dt
+    up to round-off; returns the integrator."""
+    sp = build_spaces(n_modes)
+    cfg = SolverConfig(n_modes=n_modes, dt=1e-3, horizon=horizon, eps=1e-2, seed=3)
     noise = default_noise(sp, trace=0.05)
     force = DeterministicForce(sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
     integ = GalerkinIntegrator(sp, cfg, force=force, noise=noise)
@@ -415,3 +460,17 @@ def test_cutoff_16_path_closes_its_discrete_energy_identity():
             + 2 * (xi @ du) - noise.trace * cfg.dt
         )
         assert abs(rec.ledger.residual[m] - identity) <= 1e-13 * rec.energy.max()
+    return integ
+
+
+def test_cutoff_16_path_closes_its_discrete_energy_identity():
+    # past the old N=13 ceiling
+    _check_discrete_energy_identity(16, 0.02)
+
+
+def test_cutoff_32_path_holds_quarter_size_blocks_and_closes_its_energy_identity():
+    # the top of the cutoff study's range: the implicit inverse is four
+    # (N^2/2)^2 blocks, 8 MiB where the dense (2N^2)^2 inverse took 32
+    integ = _check_discrete_energy_identity(32, 0.003)
+    assert integ._inverse_blocks.shape == (4, 512, 512)
+    assert integ._inverse_blocks.nbytes == 8 << 20

@@ -9,21 +9,26 @@ The first form runs each command of COMMANDS as a fresh process on the
 package under DIR (default: this checkout's ``src``) with ``--workers W``
 (default 1), each into its own directory of a temporary directory, and
 prints one ``file sha256`` line per output file, its path relative to the
-temporary directory.  It exits 1 when a command exits with any status but 0,
-after printing what was written.  The outputs are meant to be byte-identical
-from one commit to the next unless a change says why not: run it on two
-checkouts with the same ``OPENBLAS_NUM_THREADS`` and compare.  They must not
-depend on the BLAS thread count or on W either: listings at different
-values must be equal.
+temporary directory.  Each summary JSON that holds a ``pass`` key adds a
+line ``file#pass true`` (or ``false``), so that a listing records the
+verdicts beside the bytes.  It exits 1 when a command exits with any status
+but 0, after printing what was written.  The outputs are meant to be
+byte-identical from one commit to the next unless a change says why not:
+run it on two checkouts with the same ``OPENBLAS_NUM_THREADS`` and compare.
+They must not depend on the BLAS thread count or on W either: listings at
+different values must be equal.
 
-The second form prints a Markdown table of the files of two such listings,
-each marked same, changed, added or removed.
+The second form prints a Markdown table of the entries of two such
+listings, each marked same, changed, added or removed, and a ``#pass`` entry
+that differs marked flipped, under a line counting the changed files and the
+flipped verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
 import hashlib
+import json
 import os
 import subprocess
 import sys
@@ -46,8 +51,9 @@ COMMANDS = (
 
 def digests(src: Path, workers: int = 1) -> tuple[list[str], list[str]]:
     """The ``file sha256`` lines of every command's outputs, run with
-    ``--workers workers``, and the commands that exited with a status other
-    than 0."""
+    ``--workers workers``, each summary JSON's ``file#pass`` verdict line
+    after its own, and the commands that exited with a status other than
+    0."""
     env = dict(os.environ, PYTHONPATH=str(src))
     lines, failed = [], []
     with tempfile.TemporaryDirectory() as tmp:
@@ -62,8 +68,11 @@ def digests(src: Path, workers: int = 1) -> tuple[list[str], list[str]]:
                 failed.append(f"{name}: {' '.join(argv)} exited {status}")
             for path in sorted(out.rglob("*")) if out.is_dir() else ():
                 if path.is_file():
-                    sha = hashlib.sha256(path.read_bytes()).hexdigest()
-                    lines.append(f"{path.relative_to(tmp).as_posix()} {sha}")
+                    data, name = path.read_bytes(), path.relative_to(tmp).as_posix()
+                    lines.append(f"{name} {hashlib.sha256(data).hexdigest()}")
+                    summary = json.loads(data) if path.suffix == ".json" else None
+                    if isinstance(summary, dict) and "pass" in summary:
+                        lines.append(f"{name}#pass {json.dumps(summary['pass'])}")
     return lines, failed
 
 
@@ -73,18 +82,30 @@ def _read(path: str) -> dict[str, str]:
 
 
 def compare(base: str, head: str) -> str:
-    """A Markdown table of the files of two digest listings."""
+    """A Markdown table of the entries of two digest listings, under a line
+    that counts the files whose bytes changed and the verdicts that
+    flipped."""
     old, new = _read(base), _read(head)
     rows = ["| file | status |", "| --- | --- |"]
+    statuses = []
     for name in sorted(old.keys() | new.keys()):
         if name not in new:
             status = "removed"
         elif name not in old:
             status = "added"
+        elif old[name] == new[name]:
+            status = "same"
         else:
-            status = "same" if old[name] == new[name] else "changed"
+            status = "flipped" if name.endswith("#pass") else "changed"
+        statuses.append(status)
         rows.append(f"| `{name}` | {status} |")
-    return "\n".join(rows) + "\n"
+    both = old.keys() & new.keys()
+    verdicts = sum(name.endswith("#pass") for name in both)
+    counts = (
+        f"{statuses.count('changed')} of {len(both) - verdicts} files changed; "
+        f"{statuses.count('flipped')} of {verdicts} verdicts flipped"
+    )
+    return counts + "\n\n" + "\n".join(rows) + "\n"
 
 
 def main(argv=None) -> int:
