@@ -303,7 +303,10 @@ def _cmd_uniqueness(args) -> int:
     mode = tuple(parse_value("uniqueness.perturb_mode", int, v) for v in raw_mode)
     amp = setup.get_float("uniqueness.perturb_amplitude")
     c_check = _nonnegative(setup, "uniqueness.c_check")
-    init_b = perturbed_state(spaces, init_a, mode, amp)
+    try:
+        init_b = perturbed_state(spaces, init_a, mode, amp)
+    except ConfigurationError as exc:
+        raise ConfigurationError(f"uniqueness.perturb_mode: {exc}") from None
     rep = pathwise_uniqueness_check(
         spaces, setup.solver, force, noise, init_a, init_b, c_check=c_check
     )

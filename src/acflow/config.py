@@ -221,7 +221,7 @@ def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
     elif preset == "zero":
         entries = []
     else:
-        raise ConfigurationError(f"unknown force preset {preset!r}")
+        raise ConfigurationError(f"force.preset must be zero, got {preset!r}")
     return DeterministicForce(spaces.velocity_from_modes(entries).coeffs)
 
 
@@ -238,7 +238,7 @@ def build_noise(setup: RunSetup, spaces: SpectralSpaces) -> NoiseModel:
         )
     if preset in ("zero", "none"):
         return noise_from_modes(spaces, [])
-    raise ConfigurationError(f"unknown noise preset {preset!r}")
+    raise ConfigurationError(f"noise.preset must be default, zero or none, got {preset!r}")
 
 
 def build_initial(setup: RunSetup, spaces: SpectralSpaces) -> State:

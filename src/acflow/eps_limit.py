@@ -36,16 +36,17 @@ logger = logging.getLogger(__name__)
 
 
 def leray_projector(spaces: SpectralSpaces) -> np.ndarray:
-    """Orthogonal projector onto the divergence-free subspace.
+    """Orthogonal projector onto the divergence-free subspace, as its
+    diagonal: a vector of n_velocity entries.
 
     The constraint G D has the kernel of the diagonal map D, since G is
     symmetric positive definite: the coordinates where ``div_diagonal`` is
     zero.  The projector is the diagonal indicator of those coordinates,
     exact at every cutoff (an SVD rank threshold mistakes the Gram's
     ill-conditioning for a kernel from N = 10 on); on this basis pair it is
-    the zero matrix.
+    zero.  ``np.diag`` of it is the matrix.
     """
-    return np.diag((spaces.div_diagonal == 0).astype(float))
+    return (spaces.div_diagonal == 0).astype(float)
 
 
 def run_incompressible_reference(spaces: SpectralSpaces, config: SolverConfig) -> PathRecord:
@@ -54,7 +55,7 @@ def run_incompressible_reference(spaces: SpectralSpaces, config: SolverConfig) -
     The divergence-free subspace is trivial here, so every initial datum,
     force, noise and the convection project to zero and the trajectory is
     exactly u = 0 at every step, for every path: it is returned as such (the
-    one-path record of path 0), a zero ledger included.  A basis with a
+    one-path record of path 0), zero step terms included.  A basis with a
     non-trivial divergence-free subspace would need a projected solver and
     is refused.
     """

@@ -15,7 +15,7 @@ from operator import index
 
 import numpy as np
 
-from .spaces import ConfigurationError, SpectralSpaces
+from .spaces import ConfigurationError, SpectralSpaces, scalar_pow
 
 
 @dataclass(frozen=True)
@@ -64,33 +64,20 @@ def noise_from_modes(spaces: SpectralSpaces, entries) -> NoiseModel:
 
 def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8) -> NoiseModel:
     """Lowest-mode noise with |g_k|^2 proportional to (j^2+k^2)^-2,
-    normalised to the requested covariance trace."""
+    normalised to the requested covariance trace: the n_terms velocity
+    modes of least j^2 + k^2, ties taken in index order."""
     if n_terms < 0:
         raise ConfigurationError(f"noise.n_terms must be nonnegative, got {n_terms!r}")
-    order = sorted(
-        range(spaces.n_velocity),
-        key=lambda i: (
-            spaces.velocity_enumeration[i].j ** 2 + spaces.velocity_enumeration[i].k ** 2,
-            i,
-        ),
-    )
-    chosen = order[: min(n_terms, spaces.n_velocity)]
-    weights = np.array(
-        [
-            float(
-                spaces.velocity_enumeration[i].j ** 2
-                + spaces.velocity_enumeration[i].k ** 2
-            )
-            ** -2
-            for i in chosen
-        ]
-    )
+    n = spaces.n_modes
+    j, k = np.divmod(np.arange(spaces.n_velocity) % (n * n), n)
+    shells = (j + 1) ** 2 + (k + 1) ** 2
+    chosen = np.argsort(shells, kind="stable")[:n_terms]
+    weights = scalar_pow(shells[chosen].astype(float), -2)
     if trace < 0:
         raise ConfigurationError(f"noise.trace must be nonnegative, got {trace!r}")
     amps = np.sqrt(trace * weights / np.sum(weights))
     rows = np.zeros((len(chosen), spaces.n_velocity))
-    for row, (i, a) in enumerate(zip(chosen, amps)):
-        rows[row, i] = a
+    rows[np.arange(len(chosen)), chosen] = amps
     return NoiseModel(rows)
 
 

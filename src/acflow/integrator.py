@@ -26,7 +26,7 @@ import itertools
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, fields, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -57,7 +57,7 @@ ENERGY_CAP = 1e12
 BLOCK_PATHS = 20
 # Bytes a block holds for one chunk of steps: the Wiener increments, and per
 # step the noise sums, velocities and convection pairings from which the
-# chunk's recorded series and ledger terms are computed once it ends, with
+# chunk's recorded series and step terms are computed once it ends, with
 # the three velocity-sized temporaries of those products.  A sample_increment
 # call draws a chunk's increments; the budget bounds a chunk's memory
 # whatever the rows and cutoff.
@@ -124,22 +124,6 @@ class State:
 
 
 @dataclass(frozen=True)
-class EnergyLedger:
-    """Energy balance terms of a PathRecord as arrays, an entry per row and
-    step."""
-
-    t: np.ndarray
-    energy: np.ndarray
-    energy_change: np.ndarray
-    dissipation_increment: np.ndarray
-    work_increment: np.ndarray
-    ito_increment: np.ndarray
-    martingale_increment: np.ndarray
-    residual: np.ndarray
-    convection_pairing: np.ndarray  # (B(u_m), u_m), zero up to round-off
-
-
-@dataclass(frozen=True)
 class PathBlock:
     """States of M paths at one time, a row each, as an ``observe`` hook of
     run_path sees them; ``rows`` are their positions in the batch given to
@@ -156,7 +140,16 @@ class PathRecord:
     """Per-step time series of the rows of one run_path call: every array
     but ``times`` has a leading row axis, which ``take`` selects from; an
     int takes one path's 1-D record.  A row that blew up has the step in
-    ``diverged_at`` (-1 for the other rows), and its series stop there."""
+    ``diverged_at`` (-1 for the other rows), and its series stop there.
+
+    Step m's energy balance, from state m to m + 1, is
+
+        residual[m + 1] = change + dissipation - work_increment[m]
+                          - ito - martingale_increment[m]
+
+    (residual[0] = 0), where the terms the series give are not stored:
+    the change is ``np.diff(energy)``, the dissipation
+    ``2 nu scalar_pow(h1_u[1:], 2) dt`` and the Ito term Tr(g^2) dt."""
 
     times: np.ndarray  # (n_steps + 1,)
     l2_u: np.ndarray  # (rows, n_steps + 1), as are the other SERIES
@@ -166,39 +159,36 @@ class PathRecord:
     l2_div_u: np.ndarray
     energy: np.ndarray
     residual: np.ndarray
-    ledger: EnergyLedger  # terms (rows, n_steps)
+    work_increment: np.ndarray  # 2 (f, u_m+1) dt, (rows, n_steps) as are the other STEP_TERMS
+    martingale_increment: np.ndarray  # 2 (xi_m, u_m), xi_m = sum_k g_k dW_k
+    convection_pairing: np.ndarray  # (B(u_m), u_m), zero up to round-off
     u: np.ndarray  # last velocity coefficients, (rows, n_velocity)
     p: np.ndarray  # last pressure coefficients, (rows, n_pressure)
     paths: np.ndarray  # path index of each row
     diverged_at: np.ndarray  # step at which each row blew up, or -1
 
     SERIES = ("l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
+    STEP_TERMS = ("work_increment", "martingale_increment", "convection_pairing")
     CSV_COLUMNS = ("t",) + SERIES
 
     @classmethod
     def zeros(cls, times: np.ndarray, paths, n_velocity: int, n_pressure: int) -> "PathRecord":
-        """Zero arrays with a row per entry of ``paths``; the ledger's terms
-        are the steps from 1 on of (rows, n_steps + 1) arrays, so its energy
-        and residual share the series' memory."""
-        shape = (len(paths), len(times))
-        runs = {name: np.zeros(shape) for name in _RUN_ARRAYS}
+        """Zero arrays with a row per entry of ``paths``."""
+        rows = len(paths)
         return cls(
             times,
-            **{name: runs[name] for name in cls.SERIES},
-            ledger=EnergyLedger(times[1:], **{name: runs[name][:, 1:] for name in _LEDGER_TERMS}),
-            u=np.zeros((len(paths), n_velocity)),
-            p=np.zeros((len(paths), n_pressure)),
+            **{name: np.zeros((rows, len(times))) for name in cls.SERIES},
+            **{name: np.zeros((rows, len(times) - 1)) for name in cls.STEP_TERMS},
+            u=np.zeros((rows, n_velocity)),
+            p=np.zeros((rows, n_pressure)),
             paths=np.asarray(paths),
-            diverged_at=np.full(len(paths), -1),
+            diverged_at=np.full(rows, -1),
         )
 
     def take(self, rows) -> "PathRecord":
         """The rows an int, slice, mask or index array selects."""
-        return replace(
-            self,
-            **{name: getattr(self, name)[rows] for name in ("u", "p", "paths", "diverged_at") + self.SERIES},
-            ledger=replace(self.ledger, **{name: getattr(self.ledger, name)[rows] for name in _LEDGER_TERMS}),
-        )
+        names = self.SERIES + self.STEP_TERMS + ("u", "p", "paths", "diverged_at")
+        return replace(self, **{name: getattr(self, name)[rows] for name in names})
 
     def raise_diverged(self) -> None:
         """Raise the DivergedPathError of the first row that blew up, if any
@@ -215,11 +205,6 @@ class PathRecord:
         columns = [self.times] + [getattr(self, name) for name in self.SERIES]
         for start in range(0, len(self.times), 256):
             yield from np.column_stack([c[start : start + 256] for c in columns]).tolist()
-
-
-_LEDGER_TERMS = tuple(f.name for f in fields(EnergyLedger))[1:]
-# per-step arrays a path run fills: the record's series and the ledger's terms
-_RUN_ARRAYS = tuple(dict.fromkeys(PathRecord.SERIES + _LEDGER_TERMS))
 
 
 # what _cholesky_inverse calls in numpy's bundled OpenBLAS, built with 64-bit
@@ -396,8 +381,8 @@ def project_initial(spaces: SpectralSpaces, u_spec, p_spec) -> State:
     the pressure.  Entries beyond the cutoff are dropped (orthogonal
     projection for the velocity sine basis).
     """
-    u = _resolve_velocity_spec(spaces, u_spec)
-    p = _resolve_pressure_spec(spaces, p_spec)
+    u = spaces.velocity_from_modes(_mode_entries(u_spec, VELOCITY_PRESETS, "initial_u.preset"))
+    p = spaces.pressure_from_modes(_mode_entries(p_spec, PRESSURE_PRESETS, "initial_p.preset"))
     return State(u=u, p=p, t=0.0)
 
 
@@ -413,26 +398,16 @@ PRESSURE_PRESETS = {
 }
 
 
-def _resolve_velocity_spec(spaces: SpectralSpaces, spec) -> VelocityField:
+def _mode_entries(spec, presets: dict, key: str):
+    """The mode entries of a spec: none for None, a preset's for its name
+    (a ConfigurationError naming ``key`` for another name), else the spec."""
     if spec is None:
-        return spaces.zero_velocity()
+        return []
     if isinstance(spec, str):
-        try:
-            return spaces.velocity_from_modes(VELOCITY_PRESETS[spec])
-        except KeyError:
-            raise ConfigurationError(f"unknown velocity preset {spec!r}") from None
-    return spaces.velocity_from_modes(spec)
-
-
-def _resolve_pressure_spec(spaces: SpectralSpaces, spec) -> PressureField:
-    if spec is None:
-        return spaces.zero_pressure()
-    if isinstance(spec, str):
-        try:
-            return spaces.pressure_from_modes(PRESSURE_PRESETS[spec])
-        except KeyError:
-            raise ConfigurationError(f"unknown pressure preset {spec!r}") from None
-    return spaces.pressure_from_modes(spec)
+        if spec not in presets:
+            raise ConfigurationError(f"{key} must be one of {', '.join(presets)}, got {spec!r}")
+        return presets[spec]
+    return spec
 
 
 class GalerkinIntegrator:
@@ -555,7 +530,7 @@ class GalerkinIntegrator:
     def _run_block(self, record: PathRecord, rows: np.ndarray, m0: int, observe=None):
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
-        writing their series, ledger terms and last coefficients in place.
+        writing their series, step terms and last coefficients in place.
         The block's buffers are allocated once and live as long as this
         call: its GridWorkspace, its solve buffers, its pressures and their
         G p, and the chunk buffers.  Steps run in chunks of CHUNK_BYTES: a
@@ -563,7 +538,7 @@ class GalerkinIntegrator:
         their noise sums
         by one noise_contribution call, each step writes its velocity,
         convection pairings and norms to the chunk buffers, and the chunk's
-        series and ledger terms are then computed and written at once.  A
+        series and step terms are then computed and written at once.  A
         row whose energy passes ENERGY_CAP ends the block at that step, with
         the step in its ``diverged_at``.  Returns the step reached and the
         rows left to run from it: none at the horizon, else the rows that
@@ -633,19 +608,12 @@ class GalerkinIntegrator:
         change = energy[1:] - energy[:-1]
         dissipation = 2.0 * cfg.nu * scalar_pow(h1_u[1 - first :], 2) * dt
         work = 2.0 * _rowdot(self.force.coeffs, u_p) * dt
-        ito = np.full(change.shape, self.noise.trace * dt)
         martingale = 2.0 * _rowdot(xi[:n], u_m)
-        terms = {
-            "energy_change": change,
-            "dissipation_increment": dissipation,
-            "work_increment": work,
-            "ito_increment": ito,
-            "martingale_increment": martingale,
-            "residual": change + dissipation - work - ito - martingale,
-            "convection_pairing": _rowdot(bhat[:n], u_m),
-        }
-        for name, values in terms.items():
-            getattr(record.ledger, name)[rows, m0 : m0 + n] = values.T
+        residual = change + dissipation - work - self.noise.trace * dt - martingale
+        record.residual[rows, m0 + 1 : m0 + n + 1] = residual.T
+        record.work_increment[rows, m0 : m0 + n] = work.T
+        record.martingale_increment[rows, m0 : m0 + n] = martingale.T
+        record.convection_pairing[rows, m0 : m0 + n] = _rowdot(bhat[:n], u_m).T
 
 
 # -- binary snapshots -------------------------------------------------------------
@@ -713,7 +681,6 @@ def read_snapshot(path) -> tuple[State, str]:
 __all__ = [
     "BLOCK_PATHS",
     "DivergedPathError",
-    "EnergyLedger",
     "GalerkinIntegrator",
     "PathBlock",
     "PathRecord",

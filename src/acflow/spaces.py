@@ -21,7 +21,7 @@ from __future__ import annotations
 import threading
 from dataclasses import dataclass
 from functools import lru_cache
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
@@ -30,18 +30,6 @@ HARD_MODE_CAP = 64
 
 class ConfigurationError(ValueError):
     """Invalid cutoff, step size or other solver configuration."""
-
-
-class VelocityIndex(NamedTuple):
-    j: int
-    k: int
-    d: int  # component, 1 or 2
-
-
-class PressureIndex(NamedTuple):
-    family: str  # "cs" (cos*sin) or "sc" (sin*cos)
-    j: int
-    k: int
 
 
 @dataclass(frozen=True)
@@ -74,26 +62,6 @@ class PressureField:
                 f"pressure coefficient vector must have length {expected}, "
                 f"got {self.coeffs.shape}"
             )
-
-
-def velocity_indices(n_modes: int) -> list[VelocityIndex]:
-    """Deterministic velocity enumeration: d, then j, then k, row-major."""
-    return [
-        VelocityIndex(j, k, d)
-        for d in (1, 2)
-        for j in range(1, n_modes + 1)
-        for k in range(1, n_modes + 1)
-    ]
-
-
-def pressure_indices(n_modes: int) -> list[PressureIndex]:
-    """Deterministic pressure enumeration: cs family first, then sc."""
-    return [
-        PressureIndex(fam, j, k)
-        for fam in ("cs", "sc")
-        for j in range(1, n_modes + 1)
-        for k in range(1, n_modes + 1)
-    ]
 
 
 # Norms take a field or an (M, n) block of rows, one per path, and give a float
@@ -220,9 +188,10 @@ class GridWorkspace:
 
 
 class SpectralSpaces:
-    """Velocity/pressure enumerations, Gram data and coefficient operators
-    for a fixed mode cutoff.  Immutable after construction and safe to share
-    across concurrent path simulations.
+    """Gram data and coefficient operators for a fixed mode cutoff, whose
+    coefficient orders ``velocity_index`` and ``pressure_index`` give.
+    Immutable after construction and safe to share across concurrent path
+    simulations.
     """
 
     def __init__(self, n_modes: int):
@@ -235,8 +204,6 @@ class SpectralSpaces:
         self.n_modes = int(n_modes)
         self.n_velocity = 2 * self.n_modes**2
         self.n_pressure = 2 * self.n_modes**2
-        self.velocity_enumeration = velocity_indices(self.n_modes)
-        self.pressure_enumeration = pressure_indices(self.n_modes)
         self.stiffness = _stiffness_diagonal(self.n_modes)
 
         # Divergence coefficient map is diagonal in these enumerations:
@@ -273,12 +240,16 @@ class SpectralSpaces:
     # -- index maps ------------------------------------------------------------
 
     def velocity_index(self, j: int, k: int, d: int) -> int:
+        """Position of mode (j, k, d): component d, then j, then k,
+        row-major."""
         n = self.n_modes
         if not (1 <= j <= n and 1 <= k <= n and d in (1, 2)):
             raise ConfigurationError(f"velocity mode ({j},{k},{d}) out of range")
         return (d - 1) * n * n + (j - 1) * n + (k - 1)
 
     def pressure_index(self, family: str, j: int, k: int) -> int:
+        """Position of mode (family, j, k): the cs family first, then sc,
+        each j, then k, row-major."""
         n = self.n_modes
         if family not in ("cs", "sc") or not (1 <= j <= n and 1 <= k <= n):
             raise ConfigurationError(f"pressure mode ({family},{j},{k}) out of range")
@@ -422,11 +393,9 @@ class SpectralSpaces:
 
 
 def build_spaces(n_modes: int) -> SpectralSpaces:
-    """Construct the velocity/pressure enumerations and the pressure Gram's
-    Kronecker factors.
-
-    The returned object carries ``velocity_enumeration`` and
-    ``pressure_enumeration`` together with the coefficient-space operators
-    built on them.
+    """Construct the spaces of cutoff ``n_modes``: the stiffness and
+    divergence diagonals and the pressure Gram's Kronecker factors, with the
+    coefficient-space operators built on them.  The enumerations are the
+    maps ``velocity_index`` and ``pressure_index``; no mode table is built.
     """
     return SpectralSpaces(n_modes)

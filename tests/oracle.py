@@ -12,13 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from acflow.spaces import (
-    PressureField,
-    VelocityField,
-    gauss_rule_01,
-    pressure_indices,
-    velocity_indices,
-)
+from acflow.spaces import PressureField, VelocityField, gauss_rule_01
 
 
 @dataclass(frozen=True)
@@ -37,6 +31,20 @@ def make_rule(order: int) -> QuadRule:
     return QuadRule(nodes=x, weights=w, order=order)
 
 
+def velocity_modes(n_modes: int) -> list[tuple[int, int, int]]:
+    """(j, k, d) of each velocity coefficient in turn: component d, then j,
+    then k, row-major."""
+    ks = range(1, n_modes + 1)
+    return [(j, k, d) for d in (1, 2) for j in ks for k in ks]
+
+
+def pressure_modes(n_modes: int) -> list[tuple[str, int, int]]:
+    """(family, j, k) of each pressure coefficient in turn: the cs family,
+    then sc, each j, then k, row-major."""
+    ks = range(1, n_modes + 1)
+    return [(family, j, k) for family in ("cs", "sc") for j in ks for k in ks]
+
+
 def oracle_integrate(f, rule: QuadRule) -> float:
     """Tensor-product quadrature of a pointwise scalar function f(x, y)."""
     x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
@@ -47,7 +55,7 @@ def oracle_integrate(f, rule: QuadRule) -> float:
 def velocity_values(u: VelocityField, x, y) -> list[np.ndarray]:
     """Mode-by-mode evaluation of both components at the given points."""
     comps = [np.zeros_like(np.asarray(x, dtype=float)) for _ in range(2)]
-    for idx, (j, k, d) in enumerate(velocity_indices(u.n_modes)):
+    for idx, (j, k, d) in enumerate(velocity_modes(u.n_modes)):
         c = u.coeffs[idx]
         if c == 0.0:
             continue
@@ -59,7 +67,7 @@ def velocity_gradients(u: VelocityField, x, y) -> list[list[np.ndarray]]:
     """grads[i][d] = d_i u_d evaluated pointwise, i, d in {0, 1}."""
     shape = np.asarray(x, dtype=float).shape
     grads = [[np.zeros(shape) for _ in range(2)] for _ in range(2)]
-    for idx, (j, k, d) in enumerate(velocity_indices(u.n_modes)):
+    for idx, (j, k, d) in enumerate(velocity_modes(u.n_modes)):
         c = u.coeffs[idx]
         if c == 0.0:
             continue
@@ -74,7 +82,7 @@ def velocity_gradients(u: VelocityField, x, y) -> list[list[np.ndarray]]:
 
 def pressure_values(p: PressureField, x, y) -> np.ndarray:
     vals = np.zeros_like(np.asarray(x, dtype=float))
-    for idx, (fam, j, k) in enumerate(pressure_indices(p.n_modes)):
+    for idx, (fam, j, k) in enumerate(pressure_modes(p.n_modes)):
         c = p.coeffs[idx]
         if c == 0.0:
             continue

@@ -335,6 +335,12 @@ def test_config_error_exits_2(tmp_path):
         ("run", "initial_p.modes=cs,1,0,0.5"),
         ("run", "initial_p.modes=sc,-2,1,0.5"),
         ("sweep-eps", "sweep.force_modes=1,1,1,0.4; 0,2,2,0.2"),
+        ("uniqueness", "uniqueness.perturb_mode=9,1,1"),
+        ("uniqueness", "uniqueness.perturb_mode=1,1,3"),
+        ("run", "initial_u.preset=foo"),
+        ("run", "initial_p.preset=foo"),
+        ("run", "force.preset=foo"),
+        ("run", "noise.preset=foo"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):

@@ -31,6 +31,16 @@ def test_default_noise_normalisation(spaces8):
     assert g.trace == pytest.approx(0.01, rel=1e-12)
 
 
+def test_default_noise_takes_the_lowest_shells(spaces3):
+    # at N=3 the shells j^2 + k^2 = 2, 5, 8 hold 2, 4 and 2 modes; ties go
+    # in index order, component 1's (j, k) at 3 (j - 1) + k - 1, component
+    # 2's nine places on, and |g_k|^2 follows (j^2 + k^2)^-2
+    g = default_noise(spaces3, trace=1.0, n_terms=8)
+    assert [int(np.flatnonzero(row)[0]) for row in g.modes] == [0, 9, 1, 3, 10, 12, 4, 13]
+    weights = np.array([float(s) ** -2 for s in (2, 2, 5, 5, 5, 5, 8, 8)])
+    assert g.modes[g.modes != 0].tobytes() == np.sqrt(weights / np.sum(weights)).tobytes()
+
+
 def test_increment_determinism(spaces3):
     g = default_noise(spaces3, trace=0.01, n_terms=4)
     a = sample_increment(g, 1e-3, (42, 7, 19))

@@ -22,7 +22,7 @@ from acflow.integrator import (
     write_snapshot,
 )
 from acflow.operators import bhat_operator
-from acflow.spaces import ConfigurationError, VelocityField
+from acflow.spaces import ConfigurationError, VelocityField, scalar_pow
 from dataclasses import replace
 
 
@@ -111,28 +111,32 @@ def test_convection_null_pairing_tracked(spaces4):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02)
     integ = GalerkinIntegrator(spaces4, cfg)
     rec = integ.run_path(project_initial(spaces4, "smooth", None))
-    ledger = rec.ledger
-    assert len(ledger.convection_pairing) == cfg.n_steps
+    assert len(rec.convection_pairing) == cfg.n_steps
     assert np.all(
-        np.abs(ledger.convection_pairing) <= 1e-12 * np.maximum(ledger.energy, 1.0)
+        np.abs(rec.convection_pairing) <= 1e-12 * np.maximum(rec.energy[1:], 1.0)
     )
 
 
 def test_ledger_residual_recomputable_from_entry(spaces4):
+    # the record keeps the step terms the series cannot give; the change,
+    # dissipation and Ito term follow from the series, bit for bit
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=8)
     noise = default_noise(spaces4, n_terms=4)
-    integ = GalerkinIntegrator(spaces4, cfg, noise=noise)
-    rec = integ.run_path(project_initial(spaces4, "smooth", None))
-    assert len(rec.ledger.residual) == cfg.n_steps
-    led = rec.ledger
+    force = DeterministicForce(spaces4.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
+    integ = GalerkinIntegrator(spaces4, cfg, force=force, noise=noise)
+    rec = integ.run_path(project_initial(spaces4, "smooth", None), range(5))
+    assert rec.residual.shape == (5, cfg.n_steps + 1)
+    assert all(getattr(rec, name).shape == (5, cfg.n_steps) for name in rec.STEP_TERMS)
+    assert rec.work_increment.all() and rec.martingale_increment.all()
+    assert not rec.residual[:, 0].any()
     recomputed = (
-        led.energy_change
-        + led.dissipation_increment
-        - led.work_increment
-        - led.ito_increment
-        - led.martingale_increment
+        np.diff(rec.energy)
+        + 2.0 * cfg.nu * scalar_pow(rec.h1_u[:, 1:], 2) * cfg.dt
+        - rec.work_increment
+        - noise.trace * cfg.dt
+        - rec.martingale_increment
     )
-    assert np.array_equal(led.residual, recomputed)
+    assert np.array_equal(rec.residual[:, 1:], recomputed)
 
 
 def test_pressure_work_identity(spaces4, dense_gram):
@@ -459,7 +463,7 @@ def _check_discrete_energy_identity(n_modes, horizon):
             -(du @ du) - cfg.eps * (dp @ sp.gram_product(dp)) - 2 * cfg.dt * (bhat @ u1)
             + 2 * (xi @ du) - noise.trace * cfg.dt
         )
-        assert abs(rec.ledger.residual[m] - identity) <= 1e-13 * rec.energy.max()
+        assert abs(rec.residual[m + 1] - identity) <= 1e-13 * rec.energy.max()
     return integ
 
 

@@ -19,7 +19,7 @@ from acflow.integrator import (
     project_initial,
 )
 from acflow.operators import bhat_operator, run_inequality_suite
-from acflow.spaces import GridWorkspace, PressureField, VelocityField, _cos_sin_integrals
+from acflow.spaces import GridWorkspace, PressureField, VelocityField, _cos_sin_integrals, scalar_pow
 
 SERIES = ("times", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
 
@@ -140,6 +140,12 @@ def _bits(a):
     return np.ascontiguousarray(a).tobytes()
 
 
+def _dissipation(integ, rec):
+    """The dissipation increments a record's h1_u series gives."""
+    cfg = integ.config
+    return 2.0 * cfg.nu * scalar_pow(rec.h1_u[..., 1:], 2) * cfg.dt
+
+
 def _noisy_forced(n_modes):
     sp = build_spaces(n_modes)
     cfg = SolverConfig(n_modes=n_modes, dt=1e-3, horizon=0.015, seed=4242)
@@ -161,12 +167,10 @@ def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
             rec = recs.take(i)
             for name in SERIES + ("u",):
                 assert _bits(getattr(rec, name)) == _bits(ref[name]), (block, name)
-            led = rec.ledger
-            assert _bits(led.dissipation_increment) == _bits(ref["dissipation"])
-            assert _bits(led.work_increment) == _bits(ref["work"])
-            assert _bits(led.martingale_increment) == _bits(ref["martingale"])
-            assert _bits(led.convection_pairing) == _bits(ref["convection_pairing"])
-            assert _bits(led.residual) == _bits(ref["residual"][1:])
+            assert _bits(_dissipation(integ, rec)) == _bits(ref["dissipation"])
+            assert _bits(rec.work_increment) == _bits(ref["work"])
+            assert _bits(rec.martingale_increment) == _bits(ref["martingale"])
+            assert _bits(rec.convection_pairing) == _bits(ref["convection_pairing"])
 
 
 def test_threaded_parts_match_serial_under_preemption():
@@ -201,7 +205,7 @@ def test_many_rows_match_scalar_arithmetic(spaces2):
         rec, ref = rows.take(i), reference_path(integ, init, i)
         for name in ("l2_u", "h1_u", "l4_u", "l2_p", "energy", "residual"):
             assert _bits(getattr(rec, name)) == _bits(ref[name]), (i, name)
-        assert _bits(rec.ledger.dissipation_increment) == _bits(ref["dissipation"])
+        assert _bits(_dissipation(integ, rec)) == _bits(ref["dissipation"])
 
 
 def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
@@ -396,11 +400,10 @@ def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
 
 
 def _whole_record(rec):
-    """Every array of a PathRecord, the ledger's terms and the blow-up steps
+    """Every array of a PathRecord, the step terms and the blow-up steps
     included."""
-    arrays = {name: _bits(getattr(rec, name)) for name in SERIES + ("u", "p", "paths", "diverged_at")}
-    arrays.update({f"ledger.{name}": _bits(v) for name, v in vars(rec.ledger).items()})
-    return arrays
+    names = SERIES + rec.STEP_TERMS + ("u", "p", "paths", "diverged_at")
+    return {name: _bits(getattr(rec, name)) for name in names}
 
 
 def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, observe=None):
@@ -517,7 +520,7 @@ def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
         for name in SERIES + ("u",):
             assert _bits(getattr(row, name)) == _bits(getattr(solo, name)), (i, name)
         for name in ("residual", "martingale_increment", "convection_pairing"):
-            assert _bits(getattr(row.ledger, name)) == _bits(getattr(solo.ledger, name))
+            assert _bits(getattr(row, name)) == _bits(getattr(solo, name))
 
 
 def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):

@@ -7,18 +7,16 @@ import pytest
 
 import acflow
 from acflow import build_spaces, h10_norm, l2_norm
-from acflow.spaces import ConfigurationError, VelocityField, velocity_indices
+from acflow.spaces import ConfigurationError, VelocityField
 import oracle as orc
 from acflow.operators import sample_field
 
 
 def test_build_spaces_counts():
     sp = build_spaces(1)
-    assert len(sp.velocity_enumeration) == 2
-    assert len(sp.pressure_enumeration) == 2
+    assert (sp.n_velocity, sp.n_pressure) == (2, 2)
     sp = build_spaces(4)
-    assert len(sp.velocity_enumeration) == 32
-    assert len(sp.pressure_enumeration) == 32
+    assert (sp.n_velocity, sp.n_pressure) == (32, 32)
 
 
 def test_build_spaces_rejects_bad_cutoffs():
@@ -29,11 +27,16 @@ def test_build_spaces_rejects_bad_cutoffs():
 
 
 def test_enumeration_order_is_component_then_rowmajor():
-    idx = velocity_indices(2)
-    assert idx[0] == (1, 1, 1)
-    assert idx[1] == (1, 2, 1)
-    assert idx[2] == (2, 1, 1)
-    assert idx[4] == (1, 1, 2)
+    sp = build_spaces(2)
+    assert sp.velocity_index(1, 1, 1) == 0
+    assert sp.velocity_index(1, 2, 1) == 1
+    assert sp.velocity_index(2, 1, 1) == 2
+    assert sp.velocity_index(1, 1, 2) == 4
+    # the oracle's own loops enumerate the modes in the same order
+    for n in (1, 2, 5):
+        sp = build_spaces(n)
+        assert [sp.velocity_index(*m) for m in orc.velocity_modes(n)] == list(range(sp.n_velocity))
+        assert [sp.pressure_index(*m) for m in orc.pressure_modes(n)] == list(range(sp.n_pressure))
 
 
 def test_gram_diagonal_is_one_at_n2(spaces2, dense_gram):
@@ -43,10 +46,10 @@ def test_gram_diagonal_is_one_at_n2(spaces2, dense_gram):
 def test_gram_matches_quadrature_oracle(spaces3, dense_gram):
     rule = orc.make_rule(48)
     g = dense_gram(spaces3)
+    modes = orc.pressure_modes(spaces3.n_modes)
     for a in range(0, spaces3.n_pressure, 5):
         for b in range(a, spaces3.n_pressure, 7):
-            pa = spaces3.pressure_enumeration[a]
-            pb = spaces3.pressure_enumeration[b]
+            pa, pb = modes[a], modes[b]
             val = orc.oracle_integrate(
                 lambda x, y: orc.pressure_mode_values(pa, x, y)
                 * orc.pressure_mode_values(pb, x, y),
@@ -159,7 +162,7 @@ def _projected_stream_curl(spaces, a=1, b=1):
     def u2(x, y):
         return -2.0 * a * np.pi * np.cos(a * np.pi * x) * np.sin(b * np.pi * y)
 
-    for idx, (j, k, d) in enumerate(velocity_indices(n)):
+    for idx, (j, k, d) in enumerate(orc.velocity_modes(n)):
         comp = u1 if d == 1 else u2
         coeffs[idx] = orc.oracle_integrate(
             lambda x, y: comp(x, y) * 2.0 * np.sin(j * np.pi * x) * np.sin(k * np.pi * y),
@@ -279,10 +282,8 @@ def test_stiffness_form_is_diagonal(spaces2):
                 VelocityField(ea, 2), VelocityField(eb, 2), rule
             )
             if a == b:
-                ji = spaces2.velocity_enumeration[a]
-                assert val == pytest.approx(
-                    np.pi**2 * (ji.j**2 + ji.k**2), rel=1e-12
-                )
+                j, k, _ = orc.velocity_modes(2)[a]
+                assert val == pytest.approx(np.pi**2 * (j**2 + k**2), rel=1e-12)
             else:
                 assert abs(val) <= 1e-10
 
