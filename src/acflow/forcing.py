@@ -1,16 +1,15 @@
 """Deterministic force and additive trace-class Wiener noise.
 
-Noise increments are generated counter-based: each (seed, path, step) triple
-keys its own Philox stream, so a draw is a pure function of that triple and
-Monte Carlo scheduling or parallelism cannot change results.
+Noise increments are counter-based: the Philox key (seed, path) names a
+path's stream and the counter's second word names the step, so a draw is a
+pure function of (seed, path, step) and Monte Carlo scheduling or
+parallelism cannot change results.
 """
 
 from __future__ import annotations
 
-import functools
 import threading
 from dataclasses import dataclass, field
-from itertools import permutations
 from operator import index
 
 import numpy as np
@@ -82,143 +81,52 @@ def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8)
 
 
 def sample_increment(noise: NoiseModel, dt: float, seed_path: tuple) -> np.ndarray:
-    """Draw dW_k ~ N(0, dt) i.i.d., keyed by (seed, path, step): the normals
-    of ``Philox(SeedSequence(seed, spawn_key=(path, step)))``.  A sequence of
-    paths gives the draw a row per path, each the draw of its own key, and a
-    sequence of steps a leading step axis before the paths'.  The keys of
-    just these steps and paths are derived, by one :func:`philox_keys` call."""
+    """Draw dW_k ~ N(0, dt) i.i.d. for (seed, path, step): the first K normals
+    of ``Philox(key=[seed, path], counter=[0, step, 0, 0])``, so each step
+    owns 2^64 counter blocks of its path's stream.  A sequence of paths gives
+    the draw a row per path, and a sequence of steps a leading step axis
+    before the paths'.  Seed, path and step must each lie in [0, 2^64)."""
     if dt <= 0:
         raise ValueError("time step must be positive")
     seed, path, step = seed_path
-    seed, paths, steps = index(seed), np.atleast_1d(path).tolist(), np.atleast_1d(step).tolist()
-    if min(seed, *steps, *paths) < 0:
-        raise ValueError("seed, path and step must be nonnegative")
+    seed, paths, steps = index(seed), _words(path), _words(step)
+    words = (seed, *steps, *paths)
+    if min(words) < 0 or max(words) >= 2**64:
+        raise ValueError("seed, path and step must be nonnegative and below 2**64")
     rows = np.zeros((len(steps), len(paths), noise.n_terms))
     if noise.n_terms:
-        # one state dict for every re-key, its words Python ints: the
-        # setter reads them one by one, and numpy scalars cost more
-        state = {**_FRESH_PHILOX, "state": {"counter": [0] * 4, "key": None}}
-        keys = philox_keys(seed, paths, steps).reshape(-1, 2)
-        for row, key in zip(rows.reshape(-1, noise.n_terms), keys):
-            state["state"]["key"] = key.tolist()
-            _STREAM.bits.state = state
-            _STREAM.normal(out=row)
+        # one state dict for every row-step, its words Python ints (the
+        # setter reads them one by one, and numpy scalars cost more); a set
+        # empties the buffer, so a row starts at its step's first block
+        key, counter = [seed, 0], [0] * 4
+        state = {**_FRESH_PHILOX, "state": {"counter": counter, "key": key}}
+        for m, step_rows in zip(steps, rows):
+            counter[1] = m
+            for path_index, row in zip(paths, step_rows):
+                key[1] = path_index
+                _STREAM.bits.state = state
+                _STREAM.normal(out=row)
     rows *= np.sqrt(dt)
-    rows = rows if np.ndim(step) else rows[0]
-    return rows if np.ndim(path) else rows[..., 0, :]
+    rows = rows if np.iterable(step) else rows[0]
+    return rows if np.iterable(path) else rows[..., 0, :]
+
+
+def _words(x) -> list[int]:
+    """The Python ints of an integer or a sequence of them, one by one: numpy
+    makes floats of a list mixing words from 2^63 on with smaller ones."""
+    return [index(w) for w in x] if np.iterable(x) else [index(x)]
 
 
 class _Stream(threading.local):
-    """A Philox generator per thread, re-keyed for every draw."""
+    """A Philox generator per thread, set to each row-step's key and counter."""
 
     def __init__(self):
         self.bits = np.random.Philox(0)
         self.normal = np.random.Generator(self.bits).standard_normal
 
 
-# Philox keys as numpy's SeedSequence derives them: hashmix and mix the seed
-# words (padded to four), then the spawn key (path, step), into a pool of four
-# 32-bit words.  The seed's part of the pool is hashed once per seed, on
-# Python ints; the path and step words are mixed in on uint64 arrays of
-# 32-bit words, a key per entry (products of two words fit, differences wrap
-# mod 2^64).  The hash constants depend only on how many words were mixed,
-# never on them, and a word updates each pool word from that pool word and
-# its own hash alone, so its four updates are one pass over a (4, ...) array.
 _STREAM = _Stream()
-_MASK32 = 0xFFFFFFFF
 _FRESH_PHILOX = dict(bit_generator="Philox", buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
-_MIX_MULT, _POOL_MULT, _WORD_MULT = 0x931E8875, 0xCA01F9DD, 0x4973F715
-
-
-def _words(n: int) -> list[int]:
-    return [n >> s & _MASK32 for s in range(0, max(n.bit_length(), 1), 32)]
-
-
-def _hashmix(value: int, const: int, mult: int = _MIX_MULT) -> tuple[int, int]:
-    after = const * mult & _MASK32
-    value = (value ^ const) * after & _MASK32
-    return value ^ value >> 16, after
-
-
-def _mix(pool: list[int], dst: int, word: int, const: int) -> int:
-    hashed, const = _hashmix(word, const)
-    mixed = (_POOL_MULT * pool[dst] - _WORD_MULT * hashed) & _MASK32
-    pool[dst] = mixed ^ mixed >> 16
-    return const
-
-
-@functools.cache
-def _seed_pool(seed: int) -> tuple[np.ndarray, int]:
-    """The pool after the seed's words, a (4, 1) uint64 array, and the hash
-    constant after it."""
-    words, pool, const = _words(seed), [], 0x43B0D7E5
-    for word in (words + [0, 0, 0])[:4]:
-        hashed, const = _hashmix(word, const)
-        pool.append(hashed)
-    for src, dst in permutations(range(4), 2):
-        const = _mix(pool, dst, pool[src], const)
-    for word in words[4:]:
-        for dst in range(4):
-            const = _mix(pool, dst, word, const)
-    pool = np.array(pool, dtype=np.uint64)[:, None]
-    pool.flags.writeable = False
-    return pool, const
-
-
-def _hashed(values: np.ndarray, const: int, mult: int = _MIX_MULT) -> tuple[np.ndarray, int]:
-    """_hashmix of ``values`` under four successive hash constants, stacked
-    on a new leading axis, and the constant after them."""
-    consts = [const]
-    for _ in range(4):
-        consts.append(consts[-1] * mult & _MASK32)
-    c = np.array(consts, dtype=np.uint64).reshape((5,) + (1,) * (np.ndim(values) - 1))
-    hashed = (values ^ c[:4]) * c[1:] & _MASK32
-    hashed ^= hashed >> 16
-    return hashed, consts[4]
-
-
-def _mixed(pool: np.ndarray, const: int, words) -> tuple[np.ndarray, int]:
-    """The (4, ...) pool after mixing in each word, an array broadcasting
-    against the pool's trailing axes, and the hash constant after it."""
-    for word in words:
-        hashed, const = _hashed(word[None], const)
-        pool = (_POOL_MULT * pool - _WORD_MULT * hashed) & _MASK32
-        pool ^= pool >> 16
-    return pool, const
-
-
-def _word_groups(values: np.ndarray):
-    """(rows, words) for the uint64 values of each word count: one 32-bit
-    word below 2^32, two from there on, low word first.  Values that all
-    have one word are one group, and its rows a slice."""
-    two_words = values > _MASK32
-    if not two_words.any():
-        yield slice(None), [values]
-        return
-    for n_words, rows in ((1, ~two_words), (2, two_words)):
-        if rows.any():
-            shifts = np.arange(0, 32 * n_words, 32, dtype=np.uint64)
-            yield rows, [values[rows] >> s & np.uint64(_MASK32) for s in shifts]
-
-
-def philox_keys(seed: int, paths, steps) -> np.ndarray:
-    """Philox keys of ``SeedSequence(seed, spawn_key=(path, step))`` for every
-    step and path, shape (len(steps), len(paths), 2), in uint64 arithmetic;
-    :func:`sample_increment` takes its rows' keys from here."""
-    seed_pool, seed_const = _seed_pool(index(seed))
-    paths = np.array([index(p) for p in paths], dtype=np.uint64)
-    steps = np.asarray(steps, dtype=np.uint64).reshape(-1)
-    keys = np.empty((len(steps), len(paths), 2), dtype=np.uint64)
-    for path_rows, path_words in _word_groups(paths):
-        pool, path_const = _mixed(seed_pool, seed_const, path_words)
-        for step_rows, step_words in _word_groups(steps):
-            spawned, _ = _mixed(pool[:, None, :], path_const, [w[:, None] for w in step_words])
-            state = _hashed(spawned, 0x8B51F9DD, 0x58F38DED)[0]
-            rows = (step_rows, path_rows)
-            if not any(isinstance(r, slice) for r in rows):  # two masks
-                rows = np.ix_(*rows)
-            keys[rows] = np.stack([state[0] | state[1] << 32, state[2] | state[3] << 32], axis=-1)
-    return keys
 
 
 def noise_contribution(noise: NoiseModel, dw: np.ndarray) -> np.ndarray:

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import math
 import os
 import subprocess
 import sys
@@ -376,10 +377,14 @@ def test_mc_moment_subcommand(tmp_path):
          "--set", "solver.horizon=0.02", "--set", "solver.n_modes=4",
          "--set", "solver.moment_p=4", "--paths", "8"]
     )
-    assert rc == 0
     summary = json.loads((out / "mc_moment.json").read_text())
-    assert summary["implied_constant"] is not None
-    assert summary["moment_p"] == 4.0
+    # at 8 paths the half-ensemble spread passes its gate at about one seed
+    # in four, so this checks how the verdict, the spread and the exit status
+    # agree, not the verdict
+    assert rc == (0 if summary["pass"] else 1)
+    assert summary["pass"] == (summary["relative_spread"] <= summary["stability_tolerance"])
+    assert math.isfinite(summary["implied_constant"])
+    assert summary["moment_p"] == 4
 
 
 def test_help_exits_zero():

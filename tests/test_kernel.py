@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces
-from acflow import forcing, integrator
+from acflow import integrator
 from acflow.eps_limit import EpsSweepPlan, epsilon_sweep
 from acflow.forcing import DeterministicForce, default_noise
 from acflow.integrator import (
@@ -109,8 +109,8 @@ def reference_path(integ, initial, path_index):
     u, p, t = initial.u.coeffs, initial.p.coeffs, initial.t
     record(0, u, p, t, 0.0)
     for m in range(1, n_steps + 1):
-        seq = np.random.SeedSequence(cfg.seed, spawn_key=(path_index, m - 1))
-        normal = np.random.Generator(np.random.Philox(seq)).standard_normal
+        bits = np.random.Philox(key=[cfg.seed, path_index], counter=[0, m - 1, 0, 0])
+        normal = np.random.Generator(bits).standard_normal
         xi = integ.noise.modes.T @ (np.sqrt(dt) * normal(integ.noise.n_terms))
         bhat = _bhat(sp, u, integ.quad_order)
         grad_dual = -sp.div_diagonal * gram(p)
@@ -380,23 +380,6 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
     assert len(calls) == 40 + 120
     for name in SERIES:
         assert _bits(getattr(chunked, name)) == _bits(getattr(stepped, name)), name
-
-
-def test_noise_keys_are_derived_per_chunk(spaces8, monkeypatch):
-    # the 120-step, 3-step-chunk set-up above: each chunk's draw derives the
-    # Philox keys of its own steps, and no call derives the whole horizon's
-    cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.12, seed=3)
-    noise = default_noise(spaces8, trace=0.05, n_terms=spaces8.n_velocity)
-    integ = GalerkinIntegrator(spaces8, cfg, noise=noise)
-    real, spans = forcing.philox_keys, []
-
-    def counted(seed, paths, steps):
-        spans.append((steps[0], steps[-1] + 1))
-        return real(seed, paths, steps)
-
-    monkeypatch.setattr(forcing, "philox_keys", counted)
-    integ.run_path(project_initial(spaces8, "smooth", "low_mode"), range(20))
-    assert spans == [(m, m + 3) for m in range(0, 120, 3)]
 
 
 def _whole_record(rec):
