@@ -29,7 +29,6 @@ _SOLVER_TYPES = {
     "dt": float,
     "horizon": float,
     "moment_p": float,
-    "quad_order": int,
     "seed": int,
 }
 
@@ -42,7 +41,6 @@ DEFAULTS: dict[str, dict[str, str]] = {
         "dt": "0.001",
         "horizon": "0.5",
         "moment_p": "2",
-        "quad_order": "",
         "seed": "12345",
     },
     "force": {"preset": "zero", "modes": ""},
@@ -203,14 +201,10 @@ def load_config(path: str | None = None, overrides=()) -> RunSetup:
 
 
 def _materialise_solver(values: dict[str, str]) -> SolverConfig:
-    kwargs = {}
-    for key, typ in _SOLVER_TYPES.items():
-        raw = values[f"solver.{key}"]
-        if key == "quad_order" and raw.strip() == "":
-            kwargs[key] = None
-            continue
-        kwargs[key] = parse_value(f"solver.{key}", typ, raw)
-    return SolverConfig(**kwargs)
+    return SolverConfig(
+        **{key: parse_value(f"solver.{key}", typ, values[f"solver.{key}"])
+           for key, typ in _SOLVER_TYPES.items()}
+    )
 
 
 def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:

@@ -83,7 +83,6 @@ class SolverConfig:
     dt: float = 1e-3
     horizon: float = 0.5
     moment_p: float = 2.0
-    quad_order: int | None = None
     seed: int = 12345
 
     def __post_init__(self):
@@ -105,11 +104,6 @@ class SolverConfig:
             raise ConfigurationError("solver.moment_p must be at least 2")
         if not (0 <= int(self.seed) < 2**64):
             raise ConfigurationError("solver.seed must fit in 64 bits")
-        if self.quad_order is not None and self.quad_order < 4 * self.n_modes:
-            raise ConfigurationError(
-                f"solver.quad_order {self.quad_order} too small; "
-                f"need at least 4 n_modes = {4 * self.n_modes}"
-            )
 
     @property
     def n_steps(self) -> int:
@@ -429,9 +423,6 @@ class GalerkinIntegrator:
         self.force = force or DeterministicForce(np.zeros(spaces.n_velocity))
         self.noise = noise if noise is not None else empty_noise(spaces)
         self.include_convection = include_convection
-        self.quad_order = (
-            spaces.default_quad_order if config.quad_order is None else config.quad_order
-        )
         # M^-1 as its four parity blocks, and where each velocity index sits
         # in the classes
         self._inverse_blocks = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
@@ -554,7 +545,7 @@ class GalerkinIntegrator:
         gram_p = np.empty_like(p)
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection reads them
-        work = GridWorkspace(sp.grid(self.quad_order), (len(rows),))
+        work = GridWorkspace(sp.midpoint, (len(rows),))
         solve = self._solve_buffers(len(rows))
         norms[:3, 0] = self._norms(u[0], p, gram_p)
         norms[3, 0] = sp.l4_norm(u[0], work=work)

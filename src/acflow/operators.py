@@ -5,9 +5,14 @@ The convection form is the antisymmetrised pairing
     b(u, v, w) = 0.5 * sum_{i,j} int [u_i (d_i v_j) w_j - u_i (d_i w_j) v_j]
 
 evaluated pseudo-spectrally: fields and gradients are synthesised on a tensor
-Gauss-Legendre grid, multiplied pointwise and quadrated.  Because the two
-halves of the integrand cancel exactly when v == w, the null pairings
-b(u, v, v) = 0 and <B(u), u> = 0 hold to round-off by construction.
+grid and multiplied pointwise.  :func:`bhat_operator`, the step's pairings
+(B(u), e_i), integrates on the midpoint grid of the spaces, where every term
+is integrated exactly; its null pairing <B(u), u> = 0 holds because the
+integration is exact, to round-off.  :func:`trilinear_bhat` evaluates the
+form for any u, v, w by Gauss-Legendre quadrature, an independent check of
+the pairings: there the two halves of the integrand cancel exactly when
+v == w, so the null pairings b(u, v, v) = 0 and <B(u), u> = 0 hold to
+round-off by construction.
 """
 
 from __future__ import annotations
@@ -76,47 +81,47 @@ def trilinear_bhat(
 def bhat_operator(
     spaces: SpectralSpaces,
     u,
-    quad_order: int | None = None,
     work: GridWorkspace | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
     """Pairings (B(u), e_i) of the stabilised convection operator against
-    every basis function, from a single pseudo-spectral pass over u.
+    every basis function, from a single pass over u on the midpoint grid,
+    exact up to round-off.
 
     ``u`` is a field or an (M, n_velocity) block of coefficient rows; a
     block gives one row of pairings per path, each bit-identical to the
     row's own call.  ``work`` is the block's workspace, which must hold the
     grid values of u and their squares, as ``spaces.l4_norm(u, work=work)``
-    leaves them; its grid then sets the quadrature, and the grid arrays go
-    to it.  The pairings go to ``out``, a C-contiguous array of u's shape,
-    when given.  The adjoint transforms below contract the grid arrays that
-    :func:`trilinear_bhat` pairs against a synthesised test field (with
-    v = u, u2 u1 is u1 u2 bit for bit), so the two agree to summation
-    round-off.
+    leaves them; the grid arrays go to it.  The pairings go to ``out``, a
+    C-contiguous array of u's shape, when given.
+
+    With T1 = u1 d1 u, T2 = u2 d2 u, b1 = u1 u and b2 = u2 u, the pairing
+    with e_(j,k,d) is int (T1 + T2)_d sin sin - b1_d j pi cos sin -
+    b2_d sin k pi cos; the tables of ``_MidpointGrid`` pair each term
+    exactly, T1 and b1 with W in y, T2 and b2 with W in x.
+    :func:`trilinear_bhat` integrates the same form on a Gauss-Legendre
+    grid, an independent quadrature.
     """
     c = _coeffs(u)
     if work is None:
-        if quad_order is None:
-            quad_order = spaces.default_quad_order
-        work = GridWorkspace(spaces.grid(quad_order), c.shape[:-1])
+        work = GridWorkspace(spaces.midpoint, c.shape[:-1])
         spaces._grid_values(c, work)
     g, n = work.grid, spaces.n_modes
-    d1v, d2v = spaces._component_gradients(c, g, work)
-    # in place, rounding as u1 * d1v + u2 * d2v would
-    d1v *= work.u1
-    d2v *= work.u2
-    a = np.add(d1v, d2v, out=d1v)  # ((u . grad) u)_d
+    t1, t2 = spaces._component_gradients(c, g, work)
+    t1 *= work.u1
+    t2 *= work.u2
     np.multiply(work.v1, work.v2, out=work.u1u2)
-    # pair = (S a - D b1) S^T - (S b2) D^T with the weighted tables S = sin_w,
-    # D = dcos_w and the overlapping planes b1 = u1 u, b2 = u2 u: five
-    # stacked matmuls, a BLAS call per row matrix
-    left = np.matmul(g.sin_w, a, out=work.adjoint_a)
-    left -= np.matmul(g.dcos_w, work.b1, out=work.adjoint_b)
+    # pair = (S T1 - D b1) W + W^T (T2 S^T - b2 D^T), with the overlapping
+    # planes b1 = u1 u, b2 = u2 u: six stacked matmuls, a BLAS call per row
+    # matrix
+    left = np.matmul(g.sin_m, t1, out=work.adjoint_a)
+    left -= np.matmul(g.dcos_m, work.b1, out=work.adjoint_b)
     if out is not None:
         out = out.reshape(left.shape[:-1] + (n,))
-    pair = np.matmul(left, g.sin_w.T, out=out)
-    right = np.matmul(g.sin_w, work.b2, out=work.adjoint_b)
-    pair -= np.matmul(right, g.dcos_w.T, out=work.adjoint_n)
+    pair = np.matmul(left, g.dct_sin, out=out)
+    right = np.matmul(t2, g.sin_m.T, out=work.adjoint_at)
+    right -= np.matmul(work.b2, g.dcos_m.T, out=work.adjoint_bt)
+    pair += np.matmul(g.dct_sin.T, right, out=work.adjoint_n)
     return pair.reshape(c.shape)
 
 

@@ -14,6 +14,11 @@ which together contain the divergence of every velocity field exactly.  The
 two pressure families are not mutually orthogonal, so pressure inner products
 go through their Gram matrix, which :class:`SpectralSpaces` applies in
 Kronecker form (:meth:`SpectralSpaces.gram_product`).
+
+A step's grid work, the L4 norm and the convection pairings, runs on the
+M = 2N + 1 midpoint nodes per axis of :class:`_MidpointGrid`, on which both
+are exact up to round-off; the quadrature cross-checks run on Gauss-Legendre
+grids (:meth:`SpectralSpaces.grid`).
 """
 
 from __future__ import annotations
@@ -117,74 +122,112 @@ def gauss_rule_01(order: int) -> tuple[np.ndarray, np.ndarray]:
     return (t + 1.0) / 2.0, w / 2.0
 
 
-def _cos_sin_integrals(n_modes: int) -> np.ndarray:
-    """Matrix of integrals C[a-1, b-1] = int_0^1 cos(a pi x) sin(b pi x) dx."""
+def _cos_sin_integrals(n_modes: int, cos_degrees=None) -> np.ndarray:
+    """Matrix of integrals C[r, b-1] = int_0^1 cos(a_r pi x) sin(b pi x) dx,
+    1 <= b <= n_modes, over the cosine degrees a_r, by default 1..n_modes:
+    2b / (pi (b^2 - a^2)) when a + b is odd, else 0."""
     a = np.arange(1, n_modes + 1, dtype=float)
-    A, B = np.meshgrid(a, a, indexing="ij")
+    if cos_degrees is not None:
+        a = np.asarray(cos_degrees, dtype=float)
+    A, B = np.meshgrid(a, np.arange(1, n_modes + 1, dtype=float), indexing="ij")
     odd = ((A + B) % 2) == 1
-    out = np.zeros((n_modes, n_modes))
+    out = np.zeros(A.shape)
     out[odd] = 2.0 * B[odd] / (np.pi * (B[odd] ** 2 - A[odd] ** 2))
     return out
 
 
 class _SynthGrid:
-    """Tensor Gauss-Legendre grid with cached 1-D tables, indexed [mode,
-    node], that carry every per-grid constant of the transforms:
+    """Tensor grid of the nodes x in (0, 1) per axis, with 1-D tables,
+    indexed [mode, node], that carry the constants of a synthesis:
 
-    sin, dcos     left factors of a synthesis: values and y-derivatives,
-                  and x-derivatives, with their j pi;
-    sin2, dcos2   right factors of a synthesis: the basis' factor 2, and
-                  j pi for a y-derivative (2 dcos, exact);
-    sin_w, dcos_w the adjoint's factors sin w and j pi cos w: the
-                  convection's weight 0.5 w_x w_y times the basis' 2 is
-                  w_x w_y, one w on each side.
+    sin, dcos     left factors: values and y-derivatives, and x-derivatives,
+                  with their j pi;
+    sin2, dcos2   right factors: the basis' factor 2, and j pi for a
+                  y-derivative (2 dcos, exact).
 
     Scaling by 2 is exact, so x @ (2 t) has the bits of 2 (x @ t)."""
 
-    def __init__(self, n_modes: int, order: int):
-        self.order = order
-        self.x, self.w = gauss_rule_01(order)
+    def __init__(self, n_modes: int, x: np.ndarray):
+        self.order = len(x)
+        self.x = x
         j = np.arange(1, n_modes + 1, dtype=float)
-        self.sin = np.sin(np.outer(j, np.pi * self.x))
-        self.dcos = (np.pi * j)[:, None] * np.cos(np.outer(j, np.pi * self.x))
+        self.sin = np.sin(np.outer(j, np.pi * x))
+        self.dcos = (np.pi * j)[:, None] * np.cos(np.outer(j, np.pi * x))
         self.sin2 = 2.0 * self.sin
         self.dcos2 = 2.0 * self.dcos
-        self.sin_w = self.sin * self.w
-        self.dcos_w = self.dcos * self.w
-        self.w2d = np.outer(self.w, self.w)
+
+
+class _GaussGrid(_SynthGrid):
+    """Tensor Gauss-Legendre grid of ``order`` nodes per axis, with the
+    tensor product ``w2d`` of the weights."""
+
+    def __init__(self, n_modes: int, order: int):
+        x, w = gauss_rule_01(order)
+        super().__init__(n_modes, x)
+        self.w2d = np.outer(w, w)
+
+
+class _MidpointGrid(_SynthGrid):
+    """The M = 2N + 1 midpoint nodes x_i = (i + 1/2) / M per axis, on which
+    a step's L4 norm and convection pairings are exact.  The midpoint rule
+    (1/M) sum_i integrates cos(m pi x) exactly for 0 <= m < 2M.  In each
+    variable an integrand of either is a cosine series of degree at most
+    4N < 2M, or a cosine series of degree at most 2N times sin(k pi x),
+    which the rule does not integrate; that one is paired through the
+    series' DCT-II, exact on M > 2N nodes, and the closed form
+    I[n, k] = int_0^1 cos(n pi x) sin(k pi x) dx.  The adjoint's tables:
+
+    sin_m, dcos_m  S = sin / M and D = j pi cos / M, the rule against
+                   sin(j pi x) and its x-derivative;
+    dct_sin        W[i, k] = sum_{n=0}^{2N} (c_n / M) cos(n pi x_i) I[n, k],
+                   c_0 = 1 and c_n = 2, an (M, N) table."""
+
+    def __init__(self, n_modes: int):
+        m = 2 * n_modes + 1
+        super().__init__(n_modes, (np.arange(m) + 0.5) / m)
+        self.sin_m = self.sin / m
+        self.dcos_m = self.dcos / m
+        degrees = np.arange(2 * n_modes + 1)
+        weights = np.where(degrees == 0, 1.0, 2.0) / m
+        dct = weights[:, None] * np.cos(np.outer(degrees, np.pi * self.x))
+        self.dct_sin = dct.T @ _cos_sin_integrals(n_modes, degrees)
 
 
 class GridWorkspace:
-    """Grid-sized arrays of a block of coefficient rows of leading shape
-    ``rows`` on one grid, allocated once: a block's fresh grid temporaries
+    """Arrays of a block of coefficient rows of leading shape ``rows`` on
+    the midpoint grid, allocated once: a block's fresh grid temporaries
     page-fault anew on every step.  Owned by the block, never shared between
-    threads.  ``values`` holds the grid values of u (..., 2, Q, Q), and
-    ``planes`` their pointwise products u1 u1, u1 u2, u2 u2 (..., 3, Q, Q),
+    threads.  ``values`` holds the grid values of u (..., 2, M, M), and
+    ``planes`` their pointwise products u1 u1, u1 u2, u2 u2 (..., 3, M, M),
     of which the L4 norm forms the squares ``planes[..., ::2]`` and the
-    convection the cross term; ``d1`` and ``d2`` hold the gradients,
-    ``half`` a synthesis' first product and ``adjoint_a``, ``adjoint_b``,
-    ``adjoint_n`` the adjoint transform's, and ``mag2`` |u|^4 w."""
+    convection the cross term; ``d1`` and ``d2`` hold the gradients and
+    then the convection's terms u1 d1 u and u2 d2 u, ``half`` a synthesis'
+    first product, ``adjoint_a`` and ``adjoint_b`` the adjoint's products
+    (..., 2, N, M), and the same memory as (..., 2, M, N), ``adjoint_n``
+    its last, and ``mag2`` |u|^4."""
 
-    def __init__(self, grid: _SynthGrid, rows: tuple):
-        q, n = grid.order, len(grid.sin)
+    def __init__(self, grid: _MidpointGrid, rows: tuple):
+        m, n = grid.order, len(grid.sin)
         self.grid = grid
-        self.values = np.empty(rows + (2, q, q))
-        self.planes = np.empty(rows + (3, q, q))
-        self.d1 = np.empty(rows + (2, q, q))
-        self.d2 = np.empty(rows + (2, q, q))
-        self.half = np.empty(rows + (2, q, n))
-        self.adjoint_a = np.empty(rows + (2, n, q))
-        self.adjoint_b = np.empty(rows + (2, n, q))
+        self.values = np.empty(rows + (2, m, m))
+        self.planes = np.empty(rows + (3, m, m))
+        self.d1 = np.empty(rows + (2, m, m))
+        self.d2 = np.empty(rows + (2, m, m))
+        self.half = np.empty(rows + (2, m, n))
+        self.adjoint_a = np.empty(rows + (2, n, m))
+        self.adjoint_b = np.empty(rows + (2, n, m))
         self.adjoint_n = np.empty(rows + (2, n, n))
-        self.mag2 = np.empty(rows + (q, q))
+        self.mag2 = np.empty(rows + (m, m))
         # the views a step reads, made once: the components, as planes and
-        # kept as an axis, the squares, and the overlapping pairs b1, b2 of
-        # the convection
+        # kept as an axis, the squares, the overlapping pairs b1, b2 of the
+        # convection, and the adjoint's buffers as (..., 2, M, N)
         self.v1, self.v2 = self.values[..., 0, :, :], self.values[..., 1, :, :]
         self.u1, self.u2 = self.values[..., 0:1, :, :], self.values[..., 1:2, :, :]
         self.u1u1, self.u1u2, self.u2u2 = (self.planes[..., i, :, :] for i in range(3))
         self.squares = self.planes[..., ::2, :, :]
         self.b1, self.b2 = self.planes[..., 0:2, :, :], self.planes[..., 1:3, :, :]
+        self.adjoint_at = self.adjoint_a.reshape(rows + (2, m, n))
+        self.adjoint_bt = self.adjoint_b.reshape(rows + (2, m, n))
 
 
 class SpectralSpaces:
@@ -220,16 +263,20 @@ class SpectralSpaces:
         c = 2.0 * _cos_sin_integrals(self.n_modes)
         self.gram_factors = np.stack([c, c.T])
 
-        self._grids: dict[int, _SynthGrid] = {}
+        # the grid of a step's convection and L4 norm
+        self.midpoint = _MidpointGrid(self.n_modes)
+        self._grids: dict[int, _GaussGrid] = {}
         self._grid_lock = threading.Lock()
 
     # -- construction helpers -------------------------------------------------
 
-    def grid(self, order: int) -> _SynthGrid:
+    def grid(self, order: int) -> _GaussGrid:
+        """The Gauss-Legendre grid of ``order`` nodes per axis, of the
+        quadrature cross-checks."""
         with self._grid_lock:
             g = self._grids.get(order)
             if g is None:
-                g = _SynthGrid(self.n_modes, order)
+                g = _GaussGrid(self.n_modes, order)
                 self._grids[order] = g
         return g
 
@@ -309,32 +356,24 @@ class SpectralSpaces:
         q = self.gram_product(c, out=gram_out)
         return _per_row(np.sqrt(np.maximum(_rowdot(c, q), 0.0)))
 
-    def l4_norm(
-        self, u, quad_order: int | None = None, work: GridWorkspace | None = None
-    ) -> float | np.ndarray:
-        """L4 norm of the vector field by tensor Gauss-Legendre quadrature.
-        With a block's workspace, on its grid, the grid values of u and their
-        squares stay in it for a convection of the same rows."""
+    def l4_norm(self, u, work: GridWorkspace | None = None) -> float | np.ndarray:
+        """L4 norm of the vector field by the midpoint rule, exact: |u|^4 is
+        a cosine polynomial of degree at most 4N < 2M in each variable.
+        With a block's workspace, the grid values of u and their squares
+        stay in it for a convection of the same rows."""
         c = _coeffs(u)
         if work is None:
-            if quad_order is None:
-                quad_order = self.default_quad_order
-            if quad_order < 4 * self.n_modes:
-                raise ConfigurationError(
-                    f"quad_order {quad_order} too small; need at least {4 * self.n_modes}"
-                )
-            work = GridWorkspace(self.grid(quad_order), c.shape[:-1])
+            work = GridWorkspace(self.midpoint, c.shape[:-1])
         self._grid_values(c, work)
         mag2 = np.add(work.u1u1, work.u2u2, out=work.mag2)
         mag2 *= mag2
-        mag2 *= work.grid.w2d
-        return scalar_pow(np.sum(mag2, axis=(-2, -1)), 0.25)
+        return scalar_pow(np.sum(mag2, axis=(-2, -1)) / work.grid.order**2, 0.25)
 
     def component_l4_norm(self, u: VelocityField, d: int) -> float:
-        """L4 norm of a single scalar component on the default grid."""
-        g = self.grid(self.default_quad_order)
+        """L4 norm of a single scalar component, exactly as l4_norm."""
+        g = self.midpoint
         vals = self._component_values(u, g)[d - 1]
-        return float(np.sum(vals**4 * g.w2d) ** 0.25)
+        return float(np.sum(vals**4) / g.order**2) ** 0.25
 
     def divergence(self, u: VelocityField) -> PressureField:
         """Exact coefficient map onto the pressure basis."""

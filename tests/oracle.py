@@ -170,3 +170,61 @@ def oracle_trilinear(
         return 0.5 * total
 
     return oracle_integrate(f, rule)
+
+
+# -- grid-free closed forms ---------------------------------------------------
+
+
+def _cos_sin(n: int, k: int) -> float:
+    """int_0^1 cos(n pi x) sin(k pi x) dx for integers n and k >= 1."""
+    if (n + k) % 2 == 0:
+        return 0.0
+    return 2.0 * k / (np.pi * (k * k - n * n))
+
+
+def _cos_cos(p: int, q: int) -> float:
+    """int_0^1 cos(p pi x) cos(q pi x) dx for integers p and q."""
+    return 0.5 * ((p == q) + (p == -q))
+
+
+def sin_sin_sin(a: int, b: int, c: int) -> float:
+    """int_0^1 sin(a pi x) sin(b pi x) sin(c pi x) dx, from
+    sin A sin B = (cos(A - B) - cos(A + B)) / 2."""
+    return 0.5 * (_cos_sin(a - b, c) - _cos_sin(a + b, c))
+
+
+def cos_sin_sin(a: int, b: int, c: int) -> float:
+    """int_0^1 cos(a pi x) sin(b pi x) sin(c pi x) dx, from the same
+    identity for sin B sin C."""
+    return 0.5 * (_cos_cos(a, b - c) - _cos_cos(a, b + c))
+
+
+def oracle_bhat_pairings(u: VelocityField) -> np.ndarray:
+    """The pairings b(u, u, e_(j,k,d)) with every basis function, without a
+    grid.  With w = e_(j,k,d), each term of
+
+    0.5 * sum_i int [u_i (d_i u_d) w_d - u_i (d_i w_d) u_d] dx
+
+    is a sum over mode pairs of products of an x- and a y-integral of three
+    sines, or of a cosine and two sines; each factor carries the basis'
+    2 and the derivative's a pi, so a term is 0.5 * 8 = 4 times the
+    contraction.  Indices: a, b the modes of u_i, p, q those of u_d."""
+    n = u.n_modes
+    ks = range(1, n + 1)
+    sss = np.array([[[sin_sin_sin(a, b, c) for c in ks] for b in ks] for a in ks])
+    css = np.array([[[cos_sin_sin(a, b, c) for c in ks] for b in ks] for a in ks])
+    kpi = np.pi * np.arange(1, n + 1)
+    blocks = u.coeffs.reshape(2, n, n)
+    c1, c2 = blocks
+    out = np.zeros((2, n, n))
+    for d, cd in enumerate(blocks):
+        terms = (
+            # u_1 (d_1 u_d) w_d and u_1 (d_1 w_d) u_d
+            +np.einsum("ab,pq,p,paj,bqk->jk", c1, cd, kpi, css, sss),
+            -np.einsum("ab,pq,j,jap,bkq->jk", c1, cd, kpi, css, sss),
+            # u_2 (d_2 u_d) w_d and u_2 (d_2 w_d) u_d
+            +np.einsum("ab,pq,q,apj,qbk->jk", c2, cd, kpi, sss, css),
+            -np.einsum("ab,pq,k,ajp,kbq->jk", c2, cd, kpi, sss, css),
+        )
+        out[d] = 4.0 * sum(terms)
+    return out.reshape(-1)

@@ -294,6 +294,7 @@ def test_config_error_exits_2(tmp_path):
         ("run", "noise.trace=-1"),
         ("sweep-eps", "sweep.noise_trace=-1"),
         ("run", "solver.n_modes=x"),
+        # the removed key, at values it once refused
         ("run", "solver.quad_order=0"),
         ("run", "solver.quad_order=10"),
         ("run", "solver.quad_order=-3"),
@@ -350,6 +351,24 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command
     assert rc == 2
     assert override.split("=")[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize("route", ["override", "file"])
+def test_removed_quad_order_key_exits_2_naming_it(tmp_path, capsys, route):
+    # the step's grid is fixed by the cutoff, so the key that once set the
+    # quadrature order is refused, also at a value it used to take
+    if route == "override":
+        argv = ["--set", "solver.quad_order=40"]
+    else:
+        cfg = tmp_path / "old.ini"
+        cfg.write_text("[solver]\nn_modes = 8\nquad_order = 40\n")
+        argv = ["--config", str(cfg)]
+    rc = main(["run", *argv, "--quiet", "--out", str(tmp_path / "out")])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert "quad_order" in err
+    assert "Traceback" not in err
+    assert not (tmp_path / "out").exists()
 
 
 @pytest.mark.parametrize(

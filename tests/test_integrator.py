@@ -456,7 +456,7 @@ def _check_discrete_energy_identity(n_modes, horizon):
     assert len(states) == cfg.n_steps + 1
     assert all(np.isfinite(getattr(rec, name)).all() for name in rec.SERIES)
     for m, ((u0, p0), (u1, p1)) in enumerate(zip(states, states[1:])):
-        bhat = bhat_operator(sp, u0[None], integ.quad_order)[0]
+        bhat = bhat_operator(sp, u0[None])[0]
         xi = noise_contribution(noise, sample_increment(noise, cfg.dt, (cfg.seed, 0, m)))
         du, dp = u1 - u0, p1 - p0
         identity = (

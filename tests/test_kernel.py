@@ -24,48 +24,58 @@ from acflow.spaces import GridWorkspace, PressureField, VelocityField, _cos_sin_
 SERIES = ("times", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
 
 
-def _bhat(sp, u, quad_order):
-    """Convection pairings of one field, component by component, with the
-    quadrature weights and derivative factors taken from the grid's tables."""
-    g = sp.grid(quad_order)
+def _bhat(sp, u):
+    """Convection pairings of one field, component by component, on the
+    midpoint grid, with the rule's weight, the derivative factors and the
+    DCT taken from the grid's tables."""
+    g = sp.midpoint
     n = sp.n_modes
     c = u.reshape(2, n, n)
     uv = 2.0 * (g.sin.T @ c @ g.sin)
     gv = np.stack([2.0 * (g.dcos.T @ c @ g.sin), 2.0 * (g.sin.T @ c @ g.dcos)])
-    adv = uv[0] * gv[0] + uv[1] * gv[1]
+    t1 = gv[0] * uv[0]
+    t2 = gv[1] * uv[1]
     b1 = uv[0] * uv
     b2 = uv[1] * uv
     pair = np.zeros((2, n, n))
     for d in range(2):
-        left = g.sin_w @ adv[d] - g.dcos_w @ b1[d]
-        pair[d] = left @ g.sin_w.T - (g.sin_w @ b2[d]) @ g.dcos_w.T
+        left = g.sin_m @ t1[d] - g.dcos_m @ b1[d]
+        right = t2[d] @ g.sin_m.T - b2[d] @ g.dcos_m.T
+        pair[d] = left @ g.dct_sin + g.dct_sin.T @ right
     return pair.reshape(-1)
 
 
-def _bhat_unfolded(sp, u, quad_order):
-    """Convection pairings of one field as computed before the constants
-    moved into the tables: scaled coefficients, weighted grid arrays, six
-    adjoint products and scaled results."""
-    g = sp.grid(quad_order)
-    n = sp.n_modes
+def _bhat_unfolded(sp, u):
+    """Convection pairings of one field on the midpoint grid with no
+    constant folded into a table: plain sine and cosine tables, scaled
+    coefficients, the rule's weight 1/M^2 on the grid arrays, scaled
+    results, and each pairing with sin(k pi x) as the series' DCT-II
+    coefficients times the closed-form integrals."""
+    g = sp.midpoint
+    n, m = sp.n_modes, g.order
     j = np.arange(1, n + 1, dtype=float)
     sin, cos = np.sin(np.outer(j, np.pi * g.x)), np.cos(np.outer(j, np.pi * g.x))
+    degrees = np.arange(2 * n + 1)
+    dct = np.where(degrees == 0, 1.0, 2.0)[:, None] * np.cos(np.outer(degrees, np.pi * g.x))
+    integrals = _cos_sin_integrals(n, degrees)
     c = u.reshape(2, n, n)
     uv = 2.0 * (sin.T @ c @ sin)
     cj = c * (np.pi * j[:, None])
     ck = c * (np.pi * j[None, :])
     gv = np.stack([2.0 * (cos.T @ cj @ sin), 2.0 * (sin.T @ ck @ cos)])
-    adv = uv[0] * gv[0] + uv[1] * gv[1]
-    a = 0.5 * g.w2d * adv
-    b1 = 0.5 * g.w2d * (uv[0] * uv)
-    b2 = 0.5 * g.w2d * (uv[1] * uv)
+    t1 = uv[0] * gv[0] / m**2
+    t2 = uv[1] * gv[1] / m**2
+    b1 = uv[0] * uv / m**2
+    b2 = uv[1] * uv / m**2
     jpi = np.pi * j
     pair = np.zeros((2, n, n))
     for d in range(2):
-        t1 = 2.0 * (sin @ a[d] @ sin.T)
-        t2 = 2.0 * (cos @ b1[d] @ sin.T) * jpi[:, None]
-        t3 = 2.0 * (sin @ b2[d] @ cos.T) * jpi[None, :]
-        pair[d] = t1 - t2 - t3
+        # T1, b1: the rule in x, the DCT and closed forms in y; T2, b2: the reverse
+        left = ((sin @ t1[d]) @ dct.T) @ integrals
+        left -= (((cos @ b1[d]) @ dct.T) @ integrals) * jpi[:, None]
+        right = integrals.T @ (dct @ (t2[d] @ sin.T))
+        right -= (integrals.T @ (dct @ (b2[d] @ cos.T))) * jpi[None, :]
+        pair[d] = left + right
     return pair.reshape(-1)
 
 
@@ -74,7 +84,7 @@ def reference_path(integ, initial, path_index):
     set of scalar norms per step, as the kernel computes them for a row."""
     sp, cfg = integ.spaces, integ.config
     dt, eps = cfg.dt, cfg.eps
-    g = sp.grid(integ.quad_order)
+    g = sp.midpoint
     n = sp.n_modes
     c = 2.0 * _cos_sin_integrals(n)
     cross = np.stack([c, c.T])  # the Gram's off-diagonal blocks are kron(2C, 2C^T)
@@ -88,7 +98,7 @@ def reference_path(integ, initial, path_index):
     def l4(u):
         v1, v2 = 2.0 * (g.sin.T @ u.reshape(2, sp.n_modes, sp.n_modes) @ g.sin)
         mag2 = v1 * v1 + v2 * v2
-        return float(np.sum(mag2 * mag2 * g.w2d) ** 0.25)
+        return float((np.sum(mag2 * mag2) / g.order**2) ** 0.25)
 
     n_steps = cfg.n_steps
     out = {name: np.zeros(n_steps + 1) for name in SERIES}
@@ -112,7 +122,7 @@ def reference_path(integ, initial, path_index):
         bits = np.random.Philox(key=[cfg.seed, path_index], counter=[0, m - 1, 0, 0])
         normal = np.random.Generator(bits).standard_normal
         xi = integ.noise.modes.T @ (np.sqrt(dt) * normal(integ.noise.n_terms))
-        bhat = _bhat(sp, u, integ.quad_order)
+        bhat = _bhat(sp, u)
         grad_dual = -sp.div_diagonal * gram(p)
         rhs = u - dt * grad_dual - dt * bhat + dt * integ.force.coeffs + xi
         # M^-1 rhs through the parity blocks: a gemv per block on the
@@ -264,7 +274,7 @@ def test_workspace_results_do_not_alias_later_calls(spaces4):
     # next call on the same buffers writes other rows' data there
     rng = np.random.default_rng(5)
     first, second = rng.standard_normal((2, 3, spaces4.n_velocity))
-    grid = spaces4.grid(spaces4.default_quad_order)
+    grid = spaces4.midpoint
     work = GridWorkspace(grid, (3,))
     l4 = spaces4.l4_norm(first, work=work)
     pairs = bhat_operator(spaces4, first, work=work)
@@ -299,10 +309,9 @@ def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
     # a block's buffers filled by an L4 norm or by the synthesis alone, as
     # bhat_operator fills a workspace of its own
     sp = build_spaces(n_modes)
-    q = sp.default_quad_order
-    g = sp.grid(q)
+    g = sp.midpoint
     rows = np.random.default_rng(n_modes).standard_normal((n_rows, sp.n_velocity))
-    want = np.stack([_bhat(sp, row, q) for row in rows])
+    want = np.stack([_bhat(sp, row) for row in rows])
     vals = np.stack([2.0 * (g.sin.T @ row.reshape(2, n_modes, n_modes) @ g.sin) for row in rows])
     assert bhat_operator(sp, rows).tobytes() == want.tobytes()
     assert sp._component_values(rows, g).tobytes() == vals.tobytes()
@@ -321,14 +330,14 @@ def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
 
 @pytest.mark.parametrize("n_modes", [2, 8, 12, 16, 32])
 def test_folded_constants_change_the_pairings_at_round_off_only(n_modes):
-    # folding the weights and derivative factors into the tables reorders
-    # the products, so the pairings move at round-off, and the null pairing
-    # <B(u), u> = 0 still holds to round-off
+    # folding the weight, the derivative factors and the DCT with its
+    # closed-form integrals into the tables reorders the products, so the
+    # pairings move at round-off, and the null pairing <B(u), u> = 0 still
+    # holds to round-off
     sp = build_spaces(n_modes)
-    q = sp.default_quad_order
     rows = np.random.default_rng(n_modes).standard_normal((20, sp.n_velocity))
     got = bhat_operator(sp, rows)
-    want = np.stack([_bhat_unfolded(sp, row, q) for row in rows])
+    want = np.stack([_bhat_unfolded(sp, row) for row in rows])
     scale = np.max(np.abs(want))
     assert np.max(np.abs(got - want)) <= 1e-14 * scale
     assert np.max(np.abs(np.sum(got * rows, axis=1))) <= 1e-13 * scale
@@ -339,7 +348,7 @@ def test_held_squares_survive_a_convection(spaces8):
     # squares the L4 norm left in the buffers keep the bits of a fresh
     # synthesis and serve a second convection of the same rows
     rows = np.random.default_rng(3).standard_normal((5, spaces8.n_velocity))
-    g = spaces8.grid(spaces8.default_quad_order)
+    g = spaces8.midpoint
     work = GridWorkspace(g, (5,))
     first = spaces8.l4_norm(rows, work=work)
     pairs = bhat_operator(spaces8, rows, work=work)
@@ -472,8 +481,8 @@ def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
     def interleave(m, block):
         # other operator work on the same spaces between the block's steps
         other = rng.standard_normal((4, sp.n_velocity))
-        bhat_operator(sp, other, integ.quad_order)
-        sp.l4_norm(other, integ.quad_order)
+        bhat_operator(sp, other)
+        sp.l4_norm(other)
         if m % 5 == 0:
             suites.append(run_inequality_suite(6, 3, cutoffs=(2, 4))[0])
 

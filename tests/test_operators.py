@@ -90,6 +90,18 @@ def test_bhat_operator_matches_trilinear_components(spaces3, rng):
         assert abs(dual[i] - direct) <= tol
 
 
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4])
+def test_bhat_operator_matches_closed_form_oracle(n_modes):
+    # the midpoint grid integrates every term exactly, so the pairings
+    # equal the grid-free closed forms up to round-off
+    sp = build_spaces(n_modes)
+    rng = np.random.default_rng(n_modes)
+    for _ in range(4):
+        u = ops.sample_field(sp, rng)
+        want = orc.oracle_bhat_pairings(u)
+        assert np.abs(ops.bhat_operator(sp, u) - want).max() <= 1e-13 * _scale(u, u, u)
+
+
 def test_ladyzhenskaya_examples(spaces3):
     zero = ops.check_ladyzhenskaya(spaces3, spaces3.zero_velocity())
     assert zero[0] == (0.0, 0.0) and zero[1] == (0.0, 0.0)

@@ -3,6 +3,7 @@ import pytest
 
 import oracle as orc
 from acflow.operators import sample_field
+from acflow.spaces import VelocityField
 
 
 def test_weights_sum_to_interval_length():
@@ -43,6 +44,28 @@ def test_order_doubling_certificate(spaces3, rng):
     base = orc.oracle_l4(u, orc.make_rule(24))
     doubled = orc.oracle_l4(u, orc.make_rule(48))
     assert abs(base - doubled) <= 1e-9 * abs(doubled)
+
+
+def test_closed_form_pairings_match_quadrature(spaces2, rng):
+    # the grid-free convection oracle against the mode-by-mode quadrature
+    u = sample_field(spaces2, rng)
+    want = [
+        orc.oracle_trilinear(u, u, VelocityField(e, 2), orc.make_rule(32))
+        for e in np.eye(spaces2.n_velocity)
+    ]
+    assert np.abs(orc.oracle_bhat_pairings(u) - want).max() <= 1e-13
+
+
+def test_closed_form_integrals_match_quadrature():
+    rule = orc.make_rule(40)
+    for a, b, c in [(1, 1, 1), (1, 2, 2), (2, 3, 4), (3, 1, 2), (4, 4, 1)]:
+        sss = np.sum(rule.weights * np.prod([np.sin(m * np.pi * rule.nodes) for m in (a, b, c)], 0))
+        css = np.sum(
+            rule.weights * np.cos(a * np.pi * rule.nodes)
+            * np.sin(b * np.pi * rule.nodes) * np.sin(c * np.pi * rule.nodes)
+        )
+        assert orc.sin_sin_sin(a, b, c) == pytest.approx(sss, abs=1e-14)
+        assert orc.cos_sin_sin(a, b, c) == pytest.approx(css, abs=1e-14)
 
 
 def test_trilinear_zero_arguments(spaces3, rng):

@@ -115,16 +115,28 @@ def test_l4_norm_examples(spaces3):
 
 
 def test_l4_norm_quadrature_self_convergence(spaces3, rng):
+    # the midpoint rule on M = 2N + 1 nodes is exact for |u|^4, so the rule
+    # on twice as many nodes gives the same norm to round-off
     u = sample_field(spaces3, rng)
-    base = spaces3.l4_norm(u, spaces3.default_quad_order)
-    doubled = spaces3.l4_norm(u, 2 * spaces3.default_quad_order)
-    assert abs(base - doubled) <= 1e-9 * abs(doubled)
+    m = 2 * spaces3.midpoint.order
+    x = (np.arange(m) + 0.5) / m
+    pts = np.column_stack([a.ravel() for a in np.meshgrid(x, x, indexing="ij")])
+    vals = synthesize(spaces3, u, pts)
+    doubled = (np.sum(np.sum(vals**2, axis=1) ** 2) / m**2) ** 0.25
+    base = spaces3.l4_norm(u)
+    assert abs(base - doubled) <= 1e-13 * abs(doubled)
 
 
-def test_l4_norm_rejects_low_order(spaces3):
-    u = spaces3.velocity_from_modes([(1, 1, 1, 1.0)])
-    with pytest.raises(ConfigurationError):
-        spaces3.l4_norm(u, 4 * spaces3.n_modes - 1)
+@pytest.mark.parametrize("n_modes", [1, 2, 3, 4, 8, 12, 16, 32, 64])
+def test_l4_norm_of_the_top_mode_is_exact(n_modes):
+    # int (2 sin(N pi x) sin(N pi y))^4 = 16 (3/8)^2 = 9/4 in closed form,
+    # a cosine polynomial of degree 4N, which M = 2N + 1 midpoint nodes
+    # integrate exactly; a Gauss-Legendre rule does not
+    sp = build_spaces(n_modes)
+    for d in (1, 2):
+        u = sp.velocity_from_modes([(n_modes, n_modes, d, 1.0)])
+        assert abs(sp.l4_norm(u) / (9.0 / 4.0) ** 0.25 - 1.0) <= 1e-14
+        assert abs(sp.component_l4_norm(u, d) / (9.0 / 4.0) ** 0.25 - 1.0) <= 1e-14
 
 
 def test_divergence_examples(spaces3):

@@ -2,14 +2,15 @@
 
 Usage, from the repository root:
 
-    python3 tools/output_digests.py [--src DIR] [--workers W] > digests.txt
+    python3 tools/output_digests.py [--src DIR] [--workers W] [--out OUT] > digests.txt
     python3 tools/output_digests.py --compare base.txt head.txt
+    python3 tools/output_digests.py --compare-values BASE_OUT HEAD_OUT
 
 The first form runs each command of COMMANDS as a fresh process on the
 package under DIR (default: this checkout's ``src``) with ``--workers W``
-(default 1), each into its own directory of a temporary directory, and
-prints one ``file sha256`` line per output file, its path relative to the
-temporary directory.  Each summary JSON that holds a ``pass`` key adds a
+(default 1), each into its own directory of OUT (a new or empty directory;
+by default a temporary one, removed afterwards), and prints one
+``file sha256`` line per output file, its path relative to OUT.  Each summary JSON that holds a ``pass`` key adds a
 line ``file#pass true`` (or ``false``), so that a listing records the
 verdicts beside the bytes.  It exits 1 when a command exits with any status
 but 0, after printing what was written.  The outputs are meant to be
@@ -22,18 +23,32 @@ The second form prints a Markdown table of the entries of two such
 listings, each marked same, changed, added or removed, and a ``#pass`` entry
 that differs marked flipped, under a line counting the changed files and the
 flipped verdicts.
+
+The third form compares the values of two such OUT directories, file by
+file: the numeric columns of each CSV, the numbers of each JSON file (a
+list of numbers counts as one column) and the velocity and pressure arrays
+and time of each snapshot.  It prints a Markdown table of each file's
+largest column-relative difference, max |base - head| / max |base| over a
+column, with the column that reaches it, the non-numeric entries that
+differ, and whether a summary's ``pass`` verdict flipped, under a line
+giving the largest difference and the count of flipped verdicts.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
+import csv
 import hashlib
 import json
 import os
+import struct
 import subprocess
 import sys
 import tempfile
 from pathlib import Path
+
+import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
 
@@ -54,14 +69,15 @@ COMMANDS = (
 )
 
 
-def digests(src: Path, workers: int = 1) -> tuple[list[str], list[str]]:
+def digests(src: Path, workers: int = 1, out: Path | None = None) -> tuple[list[str], list[str]]:
     """The ``file sha256`` lines of every command's outputs, run with
-    ``--workers workers``, each summary JSON's ``file#pass`` verdict line
-    after its own, and the commands that exited with a status other than
-    0."""
+    ``--workers workers`` into the directory ``out`` (a temporary one when
+    None), each summary JSON's ``file#pass`` verdict line after its own,
+    and the commands that exited with a status other than 0."""
     env = dict(os.environ, PYTHONPATH=str(src))
     lines, failed = [], []
-    with tempfile.TemporaryDirectory() as tmp:
+    keep = contextlib.nullcontext(out) if out is not None else tempfile.TemporaryDirectory()
+    with keep as tmp:
         for name, argv in COMMANDS:
             out = Path(tmp) / name
             cmd = [
@@ -113,16 +129,151 @@ def compare(base: str, head: str) -> str:
     return counts + "\n\n" + "\n".join(rows) + "\n"
 
 
+def _csv_columns(path: Path) -> dict:
+    """The columns of a CSV output, past its ``#`` comment lines: a float
+    array for a column whose every cell parses as a number, else the
+    strings."""
+    with open(path, encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(line for line in fh if not line.startswith("#")))
+    if not rows:
+        return {}
+    columns = {}
+    for i, name in enumerate(rows[0]):
+        cells = [row[i] if i < len(row) else "" for row in rows[1:]]
+        try:
+            columns[name] = np.array([float(c) for c in cells])
+        except ValueError:
+            columns[name] = cells
+    return columns
+
+
+def _json_columns(value, key: str = "", out: dict | None = None) -> dict:
+    """The leaves of a JSON document by their dotted keys: a float array
+    for a number or a list of numbers, else the value itself."""
+    out = {} if out is None else out
+    numeric = (int, float)
+    if isinstance(value, dict):
+        for k, v in value.items():
+            _json_columns(v, f"{key}.{k}" if key else k, out)
+    elif isinstance(value, list) and value and all(
+        isinstance(v, numeric) and not isinstance(v, bool) for v in value
+    ):
+        out[key] = np.array(value, dtype=float)
+    elif isinstance(value, list):
+        for i, v in enumerate(value):
+            _json_columns(v, f"{key}[{i}]", out)
+    elif isinstance(value, numeric) and not isinstance(value, bool):
+        out[key] = np.array([value], dtype=float)
+    else:
+        out[key] = value
+    return out
+
+
+def _snapshot_columns(path: Path) -> dict:
+    """Time, velocity and pressure of an ``integrator.write_snapshot`` file:
+    magic, u32 version, 64-byte digest, u32 cutoff, u32 velocity and
+    pressure counts, f64 time, then the two coefficient arrays."""
+    data = path.read_bytes()
+    n_u, n_p = struct.unpack_from("<II", data, 76)
+    (t,) = struct.unpack_from("<d", data, 84)
+    arrays = np.frombuffer(data, dtype="<f8", offset=92)
+    return {"t": np.array([t]), "u": arrays[:n_u], "p": arrays[n_u : n_u + n_p]}
+
+
+def _columns(path: Path) -> dict:
+    if path.suffix == ".csv":
+        return _csv_columns(path)
+    if path.suffix == ".json":
+        return _json_columns(json.loads(path.read_bytes()))
+    if path.suffix == ".bin":
+        return _snapshot_columns(path)
+    return {}
+
+
+def _relative(a: np.ndarray, b: np.ndarray) -> float:
+    """max |a - b| / max |a| over a column; inf where only b is nonzero or
+    the shapes differ."""
+    if a.shape != b.shape:
+        return float("inf")
+    diff, scale = np.max(np.abs(a - b), initial=0.0), np.max(np.abs(a), initial=0.0)
+    if diff == 0.0:
+        return 0.0
+    return float(diff / scale) if scale > 0 else float("inf")
+
+
+def compare_values(base: Path, head: Path) -> str:
+    """A Markdown table of the value differences of the files of two
+    ``--out`` directories, under a line giving the largest
+    column-relative difference and the verdicts that flipped."""
+    names = sorted({
+        p.relative_to(root).as_posix()
+        for root in (base, head) for p in root.rglob("*") if p.is_file()
+    })
+    rows = [
+        "| file | bytes | largest relative difference | column | non-numeric differences | verdict |",
+        "| --- | --- | --- | --- | --- | --- |",
+    ]
+    worst, flipped, verdicts = (0.0, ""), 0, 0
+    for name in names:
+        old, new = base / name, head / name
+        if not (old.is_file() and new.is_file()):
+            rows.append(f"| `{name}` | {'added' if new.is_file() else 'removed'} | | | | |")
+            continue
+        same = old.read_bytes() == new.read_bytes()
+        a, b = _columns(old), _columns(new)
+        largest, column, other = 0.0, "", []
+        for key in dict.fromkeys(list(a) + list(b)):
+            x, y = a.get(key), b.get(key)
+            if isinstance(x, np.ndarray) and isinstance(y, np.ndarray):
+                rel = _relative(x, y)
+                if rel > largest:
+                    largest, column = rel, key
+            elif isinstance(x, np.ndarray) or isinstance(y, np.ndarray) or x != y:
+                other.append(key)
+        verdict = ""
+        if isinstance(a.get("pass"), bool) or isinstance(b.get("pass"), bool):
+            verdicts += 1
+            verdict = "same" if a.get("pass") == b.get("pass") else "flipped"
+            flipped += verdict == "flipped"
+            other = [k for k in other if k != "pass"]
+        if largest > worst[0]:
+            worst = (largest, f"`{name}` `{column}`")
+        shown = ", ".join(f"`{k}`" for k in other[:4]) + (f" and {len(other) - 4} more" if len(other) > 4 else "")
+        rows.append(
+            f"| `{name}` | {'same' if same else 'changed'} | {largest:.2g} | "
+            f"{f'`{column}`' if column else ''} | {shown} | {verdict} |"
+        )
+    head_line = (
+        f"largest column-relative difference {worst[0]:.2g}"
+        + (f" ({worst[1]})" if worst[1] else "")
+        + f"; {flipped} of {verdicts} verdicts flipped"
+    )
+    return head_line + "\n\n" + "\n".join(rows) + "\n"
+
+
 def main(argv=None) -> int:
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding acflow")
     parser.add_argument("--workers", type=int, default=1, help="worker threads of every command")
+    parser.add_argument("--out", type=Path, help="new or empty directory that keeps the outputs")
     parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), help="compare two listings")
+    parser.add_argument(
+        "--compare-values", nargs=2, type=Path, metavar=("BASE_OUT", "HEAD_OUT"),
+        help="compare the values of two --out directories",
+    )
     args = parser.parse_args(argv)
     if args.compare:
         sys.stdout.write(compare(*args.compare))
         return 0
-    lines, failed = digests(args.src.resolve(), args.workers)
+    if args.compare_values:
+        sys.stdout.write(compare_values(*args.compare_values))
+        return 0
+    if args.out is not None:
+        if args.out.exists() and any(args.out.iterdir()):
+            parser.error(f"--out {args.out} is not empty")
+        args.out.mkdir(parents=True, exist_ok=True)
+        args.out = args.out.resolve()
+    lines, failed = digests(args.src.resolve(), args.workers, args.out)
     print("\n".join(lines))
     for line in failed:
         print(line, file=sys.stderr)
