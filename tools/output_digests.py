@@ -147,22 +147,23 @@ def _csv_columns(path: Path) -> dict:
     return columns
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
 def _json_columns(value, key: str = "", out: dict | None = None) -> dict:
     """The leaves of a JSON document by their dotted keys: a float array
     for a number or a list of numbers, else the value itself."""
     out = {} if out is None else out
-    numeric = (int, float)
     if isinstance(value, dict):
         for k, v in value.items():
             _json_columns(v, f"{key}.{k}" if key else k, out)
-    elif isinstance(value, list) and value and all(
-        isinstance(v, numeric) and not isinstance(v, bool) for v in value
-    ):
+    elif isinstance(value, list) and value and all(map(_is_number, value)):
         out[key] = np.array(value, dtype=float)
     elif isinstance(value, list):
         for i, v in enumerate(value):
             _json_columns(v, f"{key}[{i}]", out)
-    elif isinstance(value, numeric) and not isinstance(value, bool):
+    elif _is_number(value):
         out[key] = np.array([value], dtype=float)
     else:
         out[key] = value
