@@ -16,6 +16,7 @@ builds the inverse at that BLAS's thread count.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import os
 import sys
 
@@ -368,19 +369,7 @@ def _cmd_sweep(args) -> int:
             path = os.path.join(args.out, name)
             manifest.outputs[name] = write_snapshot(path, state, digest)
 
-    csv_rows = [
-        (
-            r.eps,
-            r.div_sup,
-            r.div_se,
-            r.diff_sup,
-            r.diff_se,
-            r.pressure_energy,
-            r.pressure_se,
-            r.excluded_paths,
-        )
-        for r in report.rows
-    ]
+    csv_rows = [dataclasses.astuple(r) for r in report.rows]
     columns = (
         "eps",
         "sup_mean_div_sq",

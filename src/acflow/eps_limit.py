@@ -126,8 +126,6 @@ class ConvergenceReport:
 
     @property
     def passed(self) -> bool:
-        if len(self.rows) < 2:
-            return self.sweep_valid and self.pressure_bounded
         return (
             self.sweep_valid
             and self.divergence_strictly_decreasing

@@ -136,6 +136,4 @@ def noise_contribution(noise: NoiseModel, dw: np.ndarray) -> np.ndarray:
         raise ValueError(
             f"increment has {dw.shape[-1]} terms, noise model has {noise.n_terms}"
         )
-    if noise.n_terms == 0:
-        return np.zeros(dw.shape[:-1] + (noise.modes.shape[1],))
     return (noise.modes.T @ dw[..., None])[..., 0]

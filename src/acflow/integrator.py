@@ -201,7 +201,7 @@ class PathRecord:
             yield from np.column_stack([c[start : start + 256] for c in columns]).tolist()
 
 
-# what _cholesky_inverse calls in numpy's bundled OpenBLAS, built with 64-bit
+# what cho_solve calls in numpy's bundled OpenBLAS, built with 64-bit
 # LAPACK integers and the scipy_ symbol prefix and 64_ suffix
 _OPENBLAS_SYMBOLS = (
     "scipy_openblas_get_num_threads64_",
@@ -242,53 +242,35 @@ def _numpy_openblas():
     return None
 
 
-def _check_info(routine: str, info: ctypes.c_int64) -> None:
-    if info.value != 0:
-        raise np.linalg.LinAlgError(f"LAPACK {routine} failed with info = {info.value}")
-
-
-def _cho_factor(a: np.ndarray) -> np.ndarray:
-    """a = U^T U: U over the upper triangle of the square Fortran-order SPD
-    a, by LAPACK dpotrf (uplo 'U'), the call behind scipy.linalg.cho_factor;
-    a positive info means a leading minor is not positive."""
-    if a.shape != (len(a), len(a)):
-        raise ValueError(f"cannot factor a {a.shape} matrix")
-    n, info = ctypes.c_int64(len(a)), ctypes.c_int64()
-    _numpy_openblas().scipy_dpotrf_64_(b"U", n, a, n, info, 1)
-    _check_info("dpotrf", info)
-    return a
-
-
-def cho_solve(factor: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """x with U^T U x = b over the Fortran-order b, for the factor of
-    _cho_factor: LAPACK dpotrs, the call behind scipy.linalg.cho_solve."""
-    if len(b) != len(factor):
-        raise ValueError(f"{b.shape} right-hand sides for a {factor.shape} factor")
-    n, nrhs, info = ctypes.c_int64(len(factor)), ctypes.c_int64(b.shape[1]), ctypes.c_int64()
-    _numpy_openblas().scipy_dpotrs_64_(b"U", n, nrhs, factor, n, b, n, info, 1)
-    _check_info("dpotrs", info)
-    return b
-
-
-def _cholesky_inverse(m: np.ndarray) -> np.ndarray:
-    """M^-1 = cho_solve(cho_factor(M), I) for the Fortran-order M: the factor
-    overwrites M and the solve a Fortran-order identity, so two matrices of
-    M's size are held at once.  Numpy's bundled OpenBLAS runs it held at one
-    thread: its blocked factorisation rounds differently at two threads, and
-    every step reads the inverse, so output bytes would otherwise follow the
-    thread count.  The previous count is restored afterwards.  With a numpy
-    that links another BLAS, numpy.linalg builds it from the Cholesky factor
-    L as L^-T L^-1, at whatever thread count that BLAS runs."""
+def cho_solve(m: np.ndarray) -> np.ndarray:
+    """M^-1 for the square Fortran-order SPD M, as scipy.linalg's
+    cho_solve(cho_factor(M), I): LAPACK dpotrf overwrites M with its factor
+    U^T U (uplo 'U'), then dpotrs solves against a Fortran-order identity, so
+    two matrices of M's size are held at once; a nonzero info (a leading
+    minor that is not positive) raises LinAlgError.  Numpy's bundled OpenBLAS
+    runs both held at one thread: its blocked factorisation rounds
+    differently at two threads, and every step reads the inverse, so output
+    bytes would otherwise follow the thread count.  The previous count is
+    restored afterwards.  With a numpy that links another BLAS, numpy.linalg
+    builds it from the Cholesky factor L as L^-T L^-1, at whatever thread
+    count that BLAS runs."""
     lib = _numpy_openblas()
     if lib is None:
         l_inv = np.linalg.inv(np.linalg.cholesky(m))
         return l_inv.T @ l_inv
+    n, info = ctypes.c_int64(len(m)), ctypes.c_int64()
+    eye = np.eye(len(m), order="F")
     threads = lib.scipy_openblas_get_num_threads64_()
     lib.scipy_openblas_set_num_threads64_(1)
     try:
-        return cho_solve(_cho_factor(m), np.eye(len(m), order="F"))
+        lib.scipy_dpotrf_64_(b"U", n, m, n, info, 1)
+        if info.value == 0:
+            lib.scipy_dpotrs_64_(b"U", n, n, m, n, eye, n, info, 1)
     finally:
         lib.scipy_openblas_set_num_threads64_(threads)
+    if info.value != 0:
+        raise np.linalg.LinAlgError(f"LAPACK dpotrf/dpotrs failed with info = {info.value}")
+    return eye
 
 
 def _parity_classes(n_modes: int) -> tuple[np.ndarray, np.ndarray]:
@@ -359,7 +341,7 @@ def _implicit_inverse(spaces: SpectralSpaces, nu: float, eps: float, dt: float) 
     inverse = np.empty((4, b, b))
     try:
         for c, m in enumerate(_implicit_blocks(spaces, nu, eps, dt)):
-            inverse[c] = _cholesky_inverse(m)
+            inverse[c] = cho_solve(m)
     except np.linalg.LinAlgError as exc:
         raise ConfigurationError(
             "implicit system matrix is not positive definite; configuration is corrupt"

@@ -48,8 +48,8 @@ def trilinear_bhat(
     v: VelocityField,
     w: VelocityField,
 ) -> float:
-    """Antisymmetrised convection form b(u, v, w) on the default grid, from
-    the grid arrays
+    """Antisymmetrised convection form b(u, v, w) on the Gauss-Legendre grid,
+    from the grid arrays
 
     a:   ((u . grad) v)_d                           -> pairs with w_d
     b1:  u_1 v_d                                    -> pairs with d_1 w_d
@@ -58,7 +58,7 @@ def trilinear_bhat(
     and the quadrature weight 0.5 w_x w_y."""
     if not (u.n_modes == v.n_modes == w.n_modes == spaces.n_modes):
         raise ValueError("fields must share the space cutoff")
-    g = spaces.grid(spaces.default_quad_order)
+    g = spaces.gauss
     uv, vv = spaces._component_values(u, g), spaces._component_values(v, g)
     d1v, d2v = spaces._component_gradients(v, g)
     u1, u2 = uv[0:1], uv[1:2]
@@ -150,7 +150,7 @@ def check_product_l1(
 ) -> tuple[float, float]:
     """Product bound ||phi psi||_L2^2 <= ||phi d1 phi||_L1 ||psi d2 psi||_L1
     with phi the first component of u and psi the second component of v."""
-    g = spaces.grid(spaces.default_quad_order)
+    g = spaces.gauss
     phi = spaces._component_values(u, g)[0]
     psi = spaces._component_values(v, g)[1]
     d1phi = spaces._component_gradients(u, g)[0][0]

@@ -17,15 +17,14 @@ Kronecker form (:meth:`SpectralSpaces.gram_product`).
 
 A step's grid work, the L4 norm and the convection pairings, runs on the
 M = 2N + 1 midpoint nodes per axis of :class:`_MidpointGrid`, on which both
-are exact up to round-off; the quadrature cross-checks run on Gauss-Legendre
-grids (:meth:`SpectralSpaces.grid`).
+are exact up to round-off; the quadrature cross-checks run on the
+Gauss-Legendre grid :attr:`SpectralSpaces.gauss`.
 """
 
 from __future__ import annotations
 
-import threading
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -233,8 +232,9 @@ class GridWorkspace:
 class SpectralSpaces:
     """Gram data and coefficient operators for a fixed mode cutoff, whose
     coefficient orders ``velocity_index`` and ``pressure_index`` give.
-    Immutable after construction and safe to share across concurrent path
-    simulations.
+    Immutable after construction, apart from the Gauss grid that the
+    quadrature cross-checks build on first use, and safe to share across
+    concurrent path simulations, which never read that grid.
     """
 
     def __init__(self, n_modes: int):
@@ -265,24 +265,12 @@ class SpectralSpaces:
 
         # the grid of a step's convection and L4 norm
         self.midpoint = _MidpointGrid(self.n_modes)
-        self._grids: dict[int, _GaussGrid] = {}
-        self._grid_lock = threading.Lock()
 
-    # -- construction helpers -------------------------------------------------
-
-    def grid(self, order: int) -> _GaussGrid:
-        """The Gauss-Legendre grid of ``order`` nodes per axis, of the
-        quadrature cross-checks."""
-        with self._grid_lock:
-            g = self._grids.get(order)
-            if g is None:
-                g = _GaussGrid(self.n_modes, order)
-                self._grids[order] = g
-        return g
-
-    @property
-    def default_quad_order(self) -> int:
-        return 4 * self.n_modes + 8
+    @cached_property
+    def gauss(self) -> _GaussGrid:
+        """The Gauss-Legendre grid of 4N + 8 nodes per axis of the
+        quadrature cross-checks, built on first use: a step never reads it."""
+        return _GaussGrid(self.n_modes, 4 * self.n_modes + 8)
 
     # -- index maps ------------------------------------------------------------
 

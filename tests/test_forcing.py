@@ -172,4 +172,7 @@ def test_multi_step_draw_equals_per_step_draws(spaces3, paths):
 def test_multi_step_draw_of_empty_noise(spaces3):
     dw = sample_increment(empty_noise(spaces3), 1e-3, (1, [0, 2], range(4)))
     assert dw.shape == (4, 2, 0)
-    assert noise_contribution(empty_noise(spaces3), dw).shape == (4, 2, spaces3.n_velocity)
+    # the product over zero terms is +0.0 everywhere, as np.zeros would be
+    xi = noise_contribution(empty_noise(spaces3), dw)
+    assert xi.shape == (4, 2, spaces3.n_velocity)
+    assert not xi.any() and not np.signbit(xi).any()

@@ -393,7 +393,7 @@ def test_lapack_inverse_matches_scipy_cho_solve_bit_for_bit(threads):
             for eps in SHIPPED_EPS:
                 for c, m in enumerate(integrator._implicit_blocks(sp, 0.1, eps, 1e-3)):
                     expected = cho_solve(cho_factor(m), np.eye(len(m)))
-                    got = integrator._cholesky_inverse(m.copy(order="F"))
+                    got = integrator.cho_solve(m.copy(order="F"))
                     assert lib.scipy_openblas_get_num_threads64_() == threads
                     assert got.tobytes() == expected.tobytes(), (n_modes, eps, c)
     finally:

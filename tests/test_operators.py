@@ -203,13 +203,10 @@ def check_ibp_identity(
     u: VelocityField,
     v: VelocityField,
     w: VelocityField,
-    quad_order: int | None = None,
 ) -> float:
     """Residual of the integration-by-parts identity
     <(u.grad)v, w> + <(Div u) w, v> + <(u.grad)w, v> = 0."""
-    if quad_order is None:
-        quad_order = spaces.default_quad_order
-    g = spaces.grid(quad_order)
+    g = spaces.gauss
     uu = spaces._component_values(u, g)
     vv = spaces._component_values(v, g)
     ww = spaces._component_values(w, g)

@@ -49,3 +49,22 @@ def test_compare_values_of_equal_directories_is_all_zero(tmp_path):
     table = digests.compare_values(base, head)
     assert table.splitlines()[0] == "largest column-relative difference 0; 0 of 1 verdicts flipped"
     assert "changed" not in table and table.count("| same | 0 |") == 3
+
+
+def test_compare_values_counts_nan_as_equal_only_against_nan(tmp_path):
+    # a convergence rate over a zero sup is written as NaN: the same NaN on
+    # both sides is no difference, a NaN facing a number an infinite one
+    def outputs(name, rates):
+        out = tmp_path / name / "cmd"
+        out.mkdir(parents=True)
+        (out / "sweep.json").write_text(json.dumps({"pass": True, "rates": rates}))
+        (out / "sweep.csv").write_text(f"eps,rate\n0.1,{rates[0]!r}\n0.01,{rates[1]!r}\n")
+        return tmp_path / name
+
+    base, same = outputs("base", [float("nan"), 2.0]), outputs("same", [float("nan"), 2.0])
+    other = outputs("other", [1.0, 2.0])
+    table = digests.compare_values(base, same)
+    assert table.splitlines()[0] == "largest column-relative difference 0; 0 of 1 verdicts flipped"
+    assert table.count("| same | 0 |") == 2
+    for old, new in ((base, other), (other, base)):
+        assert digests.compare_values(old, new).startswith("largest column-relative difference inf")

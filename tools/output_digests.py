@@ -29,7 +29,8 @@ file: the numeric columns of each CSV, the numbers of each JSON file (a
 list of numbers counts as one column) and the velocity and pressure arrays
 and time of each snapshot.  It prints a Markdown table of each file's
 largest column-relative difference, max |base - head| / max |base| over a
-column, with the column that reaches it, the non-numeric entries that
+column (a NaN that faces a NaN counts as equal, one that faces a number
+as inf), with the column that reaches it, the non-numeric entries that
 differ, and whether a summary's ``pass`` verdict flipped, under a line
 giving the largest difference and the count of flipped verdicts.
 """
@@ -192,14 +193,18 @@ def _columns(path: Path) -> dict:
 
 
 def _relative(a: np.ndarray, b: np.ndarray) -> float:
-    """max |a - b| / max |a| over a column; inf where only b is nonzero or
+    """max |a - b| / max |a| over a column, a NaN on both sides counting as
+    equal; inf where only b is nonzero, where a NaN faces a number or where
     the shapes differ."""
     if a.shape != b.shape:
         return float("inf")
-    diff, scale = np.max(np.abs(a - b), initial=0.0), np.max(np.abs(a), initial=0.0)
-    if diff == 0.0:
+    nan = np.isnan(a)
+    differ = (a != b) & ~(nan & np.isnan(b))
+    if not differ.any():
         return 0.0
-    return float(diff / scale) if scale > 0 else float("inf")
+    diff = np.max(np.abs(a[differ] - b[differ]))
+    scale = np.max(np.abs(a), where=~nan, initial=0.0)
+    return float(diff / scale) if scale > 0 and not np.isnan(diff) else float("inf")
 
 
 def compare_values(base: Path, head: Path) -> str:
