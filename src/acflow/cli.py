@@ -132,11 +132,19 @@ def _setup(args) -> tuple:
     return setup, manifest
 
 
-def _finish(manifest: RunManifest, out_dir: str, quiet: bool, ok: bool) -> int:
-    path = os.path.join(out_dir, "manifest.json")
+def _finish(args, manifest: RunManifest, line: str, summary: dict | None = None) -> int:
+    """Write the command's summary JSON, if it has one, with the run's seed
+    added, then the manifest; print ``line``, the manifest line and the
+    verdict unless --quiet.  The exit status is 1 when ``pass`` is false."""
+    ok = summary is None or summary["pass"]
+    if summary is not None:
+        summary["seed"] = manifest.setup.solver.seed
+        _write(args, manifest, args.subcommand.replace("-", "_") + ".json", summary)
+    path = os.path.join(args.out, "manifest.json")
     with open(path, "w", encoding="utf-8") as fh:
         fh.write(manifest.to_json())
-    if not quiet:
+    if not args.quiet:
+        print(line)
         print(f"manifest {manifest.digest()[:12]} -> {path}")
         print("PASS" if ok else "FAIL")
     return 0 if ok else 1
@@ -176,23 +184,17 @@ def _cmd_run(args) -> int:
     n = spaces.n_modes
     final = State(VelocityField(record.u, n), PressureField(record.p, n), record.times[-1])
     manifest.outputs["run_final.bin"] = write_snapshot(snap_path, final, digest)
-    if not args.quiet:
-        print(
-            f"ran {setup.solver.n_steps} steps to t={record.times[-1]:g}; "
-            f"|u(T)|={record.l2_u[-1]:.6g}"
-        )
-    return _finish(manifest, args.out, args.quiet, True)
+    return _finish(
+        args, manifest,
+        f"ran {setup.solver.n_steps} steps to t={record.times[-1]:g}; |u(T)|={record.l2_u[-1]:.6g}",
+    )
 
 
 def _cmd_verify(args) -> int:
     setup, manifest = _setup(args)
     rows, all_pass = run_inequality_suite(args.samples, setup.solver.seed)
-    csv_rows = [
-        (r["lemma"], r["seed"], r["lhs"], r["rhs"], r["margin"], r["pass"])
-        for r in rows
-    ]
     columns = ("lemma", "seed", "lhs", "rhs", "margin", "pass")
-    _write(args, manifest, "verify.csv", columns, csv_rows)
+    _write(args, manifest, "verify.csv", columns, ([r[c] for c in columns] for r in rows))
     failures = [r for r in rows if not r["pass"]]
     summary = {
         "pass": all_pass,
@@ -202,12 +204,8 @@ def _cmd_verify(args) -> int:
             {"lemma": r["lemma"], "seed": r["seed"], "lhs": r["lhs"], "rhs": r["rhs"]}
             for r in failures
         ],
-        "seed": setup.solver.seed,
     }
-    _write(args, manifest, "verify.json", summary)
-    if not args.quiet:
-        print(f"{len(rows)} checks, {len(failures)} violations")
-    return _finish(manifest, args.out, args.quiet, all_pass)
+    return _finish(args, manifest, f"{len(rows)} checks, {len(failures)} violations", summary)
 
 
 def _cmd_mc_energy(args) -> int:
@@ -231,20 +229,16 @@ def _cmd_mc_energy(args) -> int:
         rep = mc_energy_bound(records, spaces, setup.solver, mc, force, noise, initial)
         all_pass = all_pass and rep.passed
         margins[str(delta)] = float(rep.margins().min())
-        for i, t in enumerate(rep.times):
-            csv_rows.append((delta, t, rep.lhs[i], rep.rhs[i], rep.se[i]))
+        csv_rows += [(delta, *row) for row in zip(rep.times, rep.lhs, rep.rhs, rep.se)]
     _write(args, manifest, "mc_energy.csv", ("delta", "t", "lhs", "rhs", "se"), csv_rows)
     summary = {
         "pass": all_pass,
         "paths": n_paths,
         "confidence_z": z,
         "min_margin_by_delta": margins,
-        "seed": setup.solver.seed,
     }
-    _write(args, manifest, "mc_energy.json", summary)
-    if not args.quiet:
-        print(f"energy bound over {len(deltas)} weight rates: pass={all_pass}")
-    return _finish(manifest, args.out, args.quiet, all_pass)
+    line = f"energy bound over {len(deltas)} weight rates: pass={all_pass}"
+    return _finish(args, manifest, line, summary)
 
 
 def _cmd_mc_moment(args) -> int:
@@ -273,8 +267,7 @@ def _cmd_mc_moment(args) -> int:
             full.implied_constant
         )
         ok = spread <= tol
-    csv_rows = [(i, v) for i, v in enumerate(full.per_path)]
-    _write(args, manifest, "mc_moment.csv", ("path", "sup_statistic"), csv_rows)
+    _write(args, manifest, "mc_moment.csv", ("path", "sup_statistic"), enumerate(full.per_path))
     summary = {
         "pass": bool(ok),
         "moment_p": mc.moment_p,
@@ -287,12 +280,9 @@ def _cmd_mc_moment(args) -> int:
         "implied_constant_half_ensemble": half.implied_constant,
         "relative_spread": spread,
         "stability_tolerance": tol,
-        "seed": cfg.seed,
     }
-    _write(args, manifest, "mc_moment.json", summary)
-    if not args.quiet:
-        print(f"implied constant {full.implied_constant} (spread {spread})")
-    return _finish(manifest, args.out, args.quiet, bool(ok))
+    line = f"implied constant {full.implied_constant} (spread {spread})"
+    return _finish(args, manifest, line, summary)
 
 
 def _cmd_uniqueness(args) -> int:
@@ -311,24 +301,17 @@ def _cmd_uniqueness(args) -> int:
     rep = pathwise_uniqueness_check(
         spaces, setup.solver, force, noise, init_a, init_b, c_check=c_check
     )
-    csv_rows = [
-        (rep.times[i], rep.weighted_diff[i], rep.weight.samples[i])
-        for i in range(len(rep.times))
-    ]
-    columns = ("t", "weighted_diff", "weight_r")
-    _write(args, manifest, "uniqueness.csv", columns, csv_rows)
+    rows = zip(rep.times, rep.weighted_diff, rep.weight.samples)
+    _write(args, manifest, "uniqueness.csv", ("t", "weighted_diff", "weight_r"), rows)
     summary = {
         "pass": rep.passed,
         "max_increase": rep.max_increase,
         "tolerance": rep.tolerance,
         "perturb_mode": list(mode),
         "perturb_amplitude": amp,
-        "seed": setup.solver.seed,
     }
-    _write(args, manifest, "uniqueness.json", summary)
-    if not args.quiet:
-        print(f"max weighted-difference increase {rep.max_increase:.3e}")
-    return _finish(manifest, args.out, args.quiet, rep.passed)
+    line = f"max weighted-difference increase {rep.max_increase:.3e}"
+    return _finish(args, manifest, line, summary)
 
 
 def _cmd_sweep(args) -> int:
@@ -390,15 +373,9 @@ def _cmd_sweep(args) -> int:
         "div_rates": report.div_rates,
         "diff_rates": report.diff_rates,
         "paths": plan.n_paths,
-        "seed": setup.solver.seed,
     }
-    _write(args, manifest, "sweep_eps.json", summary)
-    if not args.quiet:
-        print(
-            "sweep:",
-            " ".join(f"{r.eps:g}->{r.div_sup:.3e}" for r in report.rows),
-        )
-    return _finish(manifest, args.out, args.quiet, report.passed)
+    line = "sweep: " + " ".join(f"{r.eps:g}->{r.div_sup:.3e}" for r in report.rows)
+    return _finish(args, manifest, line, summary)
 
 
 _COMMANDS = {

@@ -318,7 +318,7 @@ def write_csv(path, columns, rows, digest: str) -> str:
 def write_json_report(path, obj: dict, digest: str) -> str:
     body = dict(obj)
     body["manifest"] = digest
-    data = (json.dumps(body, sort_keys=True, indent=2) + "\n").encode("utf-8")
+    data = (json.dumps(body, sort_keys=True, indent=2, allow_nan=False) + "\n").encode("utf-8")
     with open(path, "wb") as fh:
         fh.write(data)
     return hashlib.sha256(data).hexdigest()

@@ -41,6 +41,15 @@ def cumulative_trapezoid(y: np.ndarray, x: np.ndarray) -> np.ndarray:
     return np.concatenate([np.zeros(y.shape[:-1] + (1,)), steps], axis=-1)
 
 
+def mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean and standard error over the leading (path) axis of values; the
+    error is 0 at one path."""
+    mean = values.mean(axis=0)
+    if len(values) == 1:
+        return mean, np.zeros_like(mean)
+    return mean, values.std(axis=0, ddof=1) / np.sqrt(len(values))
+
+
 @dataclass(frozen=True)
 class MomentConfig:
     moment_p: float = 4.0
@@ -154,8 +163,7 @@ def mc_energy_bound(
     diss = _weighted_dissipation_series(records, delta, config.nu, 2.0)
     per_path = energy * np.exp(-delta * times) + diss
 
-    lhs = per_path.mean(axis=0)
-    se = per_path.std(axis=0, ddof=1) / np.sqrt(n_paths) if n_paths > 1 else np.zeros_like(lhs)
+    lhs, se = mean_se(per_path)
     rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
 
     passed = bool(np.all(lhs <= rhs + mc.confidence_z * se + 1e-14))
@@ -217,8 +225,7 @@ def mc_moment_bound(
     diss = _weighted_dissipation_series(records, delta, config.nu, p)[:, -1]
     per_path = sup_term + diss
 
-    lhs = float(per_path.mean())
-    lhs_se = float(per_path.std(ddof=1) / np.sqrt(n_paths))
+    lhs, lhs_se = map(float, mean_se(per_path))
 
     trace = noise.trace if noise is not None else 0.0
     f_p = force.l2_norm() ** p
@@ -302,6 +309,7 @@ __all__ = [
     "energy_bound_rhs",
     "mc_energy_bound",
     "mc_moment_bound",
+    "mean_se",
     "pathwise_uniqueness_check",
     "perturbed_state",
     "simulate_paths",

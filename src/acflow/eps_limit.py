@@ -27,7 +27,7 @@ from functools import partial
 
 import numpy as np
 
-from .diagnostics import energy_bound_rhs, trapezoid
+from .diagnostics import energy_bound_rhs, mean_se, trapezoid
 from .forcing import DeterministicForce, NoiseModel, default_noise
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, project_initial
 from .spaces import ConfigurationError, SpectralSpaces
@@ -117,8 +117,8 @@ class SweepRow:
 class ConvergenceReport:
     rows: list[SweepRow]
     pressure_bound: float
-    div_rates: list[float]
-    diff_rates: list[float]
+    div_rates: list[float | None]
+    diff_rates: list[float | None]
     divergence_strictly_decreasing: bool
     difference_decreasing: bool
     pressure_bounded: bool
@@ -134,10 +134,19 @@ class ConvergenceReport:
         )
 
 
-def _mean_se(values: np.ndarray) -> tuple[float, float]:
-    if values.size <= 1:
-        return float(values.mean()) if values.size else 0.0, 0.0
-    return float(values.mean()), float(values.std(ddof=1) / np.sqrt(values.size))
+def _peak(series: np.ndarray) -> tuple[float, float]:
+    """Path mean of ``series`` (a row per path) at the grid time where that
+    mean peaks, with its standard error."""
+    mean, se = mean_se(series[:, int(np.argmax(series.mean(axis=0)))])
+    return float(mean), float(se)
+
+
+def _rate(a: float, b: float, a_eps: float, b_eps: float) -> float | None:
+    """Observed rate log(a / b) / log(a_eps / b_eps) of a sup between two
+    consecutive eps; None (JSON null) where either sup is not positive."""
+    if a > 0 and b > 0:
+        return float(np.log(a / b) / np.log(a_eps / b_eps))
+    return None
 
 
 def epsilon_sweep(
@@ -162,13 +171,12 @@ def epsilon_sweep(
     )
     initial = project_initial(spaces, None, None)
     base = replace(plan.base, n_modes=spaces.n_modes)
-    run_incompressible_reference(spaces, replace(base, eps=plan.eps_values[0]))
+    first = replace(base, eps=plan.eps_values[0])
+    run_incompressible_reference(spaces, first)
 
     rows: list[SweepRow] = []
-    pressure_bound = None
     for eps in plan.eps_values:
-        cfg = replace(base, eps=eps)
-        integ = GalerkinIntegrator(spaces, cfg, force=force, noise=noise)
+        integ = GalerkinIntegrator(spaces, replace(base, eps=eps), force=force, noise=noise)
         hook = None if observe is None else partial(observe, eps)
         coupled = integ.run_path(initial, range(plan.n_paths), hook, workers)
         blown = coupled.diverged_at >= 0
@@ -178,67 +186,30 @@ def epsilon_sweep(
         if excluded == plan.n_paths:
             coupled.raise_diverged()
         kept = coupled.take(~blown)
-        div2, diff2 = kept.l2_div_u**2, kept.l2_u**2
-        press = trapezoid(eps * kept.l2_p**2, kept.times)
+        div_sup, div_se = _peak(kept.l2_div_u**2)
+        diff_sup, diff_se = _peak(kept.l2_u**2)
+        p_mean, p_se = map(float, mean_se(trapezoid(eps * kept.l2_p**2, kept.times)))
+        rows.append(SweepRow(eps, div_sup, div_se, diff_sup, diff_se, p_mean, p_se, excluded))
+    pressure_bound = _pressure_energy_budget(spaces, first, force, noise, initial, coupled.times)
 
-        div_mean = div2.mean(axis=0)
-        t_div = int(np.argmax(div_mean))
-        div_sup, div_se = _mean_se(div2[:, t_div])
-
-        diff_mean = diff2.mean(axis=0)
-        t_diff = int(np.argmax(diff_mean))
-        diff_sup, diff_se = _mean_se(diff2[:, t_diff])
-
-        p_mean, p_se = _mean_se(press)
-        rows.append(
-            SweepRow(
-                eps=eps,
-                div_sup=div_sup,
-                div_se=div_se,
-                diff_sup=diff_sup,
-                diff_se=diff_se,
-                pressure_energy=p_mean,
-                pressure_se=p_se,
-                excluded_paths=excluded,
-            )
-        )
-
-        if pressure_bound is None:
-            pressure_bound = _pressure_energy_budget(
-                spaces, cfg, force, noise, initial, coupled.times
-            )
-
-    # monotonicity with statistical tolerance
-    div_ok, diff_ok = True, True
-    div_rates, diff_rates = [], []
-    for a, b in zip(rows[:-1], rows[1:]):
-        combined = float(np.hypot(a.div_se, b.div_se))
-        div_ok = div_ok and (a.div_sup - b.div_sup) > combined
-        combined = float(np.hypot(a.diff_se, b.diff_se))
-        diff_ok = diff_ok and (b.diff_sup <= a.diff_sup + combined)
-        le = np.log(a.eps / b.eps)
-        if a.div_sup > 0 and b.div_sup > 0:
-            div_rates.append(float(np.log(a.div_sup / b.div_sup) / le))
-        else:
-            div_rates.append(float("nan"))
-        if a.diff_sup > 0 and b.diff_sup > 0:
-            diff_rates.append(float(np.log(a.diff_sup / b.diff_sup) / le))
-        else:
-            diff_rates.append(float("nan"))
-
-    pressure_ok = all(
-        r.pressure_energy <= pressure_bound + 3.0 * r.pressure_se for r in rows
-    )
-    sweep_valid = all(r.excluded_paths <= 0.1 * plan.n_paths for r in rows)
+    # monotonicity with statistical tolerance: the divergence must fall by
+    # more than the combined standard error, the gap may not rise by more
+    pairs = list(zip(rows[:-1], rows[1:]))
     return ConvergenceReport(
         rows=rows,
-        pressure_bound=float(pressure_bound),
-        div_rates=div_rates,
-        diff_rates=diff_rates,
-        divergence_strictly_decreasing=bool(div_ok),
-        difference_decreasing=bool(diff_ok),
-        pressure_bounded=bool(pressure_ok),
-        sweep_valid=bool(sweep_valid),
+        pressure_bound=pressure_bound,
+        div_rates=[_rate(a.div_sup, b.div_sup, a.eps, b.eps) for a, b in pairs],
+        diff_rates=[_rate(a.diff_sup, b.diff_sup, a.eps, b.eps) for a, b in pairs],
+        divergence_strictly_decreasing=all(
+            a.div_sup - b.div_sup > np.hypot(a.div_se, b.div_se) for a, b in pairs
+        ),
+        difference_decreasing=all(
+            b.diff_sup <= a.diff_sup + np.hypot(a.diff_se, b.diff_se) for a, b in pairs
+        ),
+        pressure_bounded=all(
+            r.pressure_energy <= pressure_bound + 3.0 * r.pressure_se for r in rows
+        ),
+        sweep_valid=all(r.excluded_paths <= 0.1 * plan.n_paths for r in rows),
     )
 
 

@@ -2,6 +2,7 @@ import hashlib
 import json
 import math
 import os
+import re
 import subprocess
 import sys
 
@@ -14,6 +15,7 @@ from acflow.config import (
     load_config,
     parse_pressure_modes,
     parse_velocity_modes,
+    write_json_report,
 )
 from acflow.integrator import State
 from acflow.spaces import ConfigurationError, PressureField, VelocityField
@@ -232,6 +234,57 @@ def test_sweep_subcommand_small(tmp_path):
     lines = (out / "sweep_eps.csv").read_text().splitlines()
     assert lines[1].startswith("eps,")
     assert len(lines) == 4  # header comment + columns + 2 eps rows
+
+
+def test_sweep_json_on_zero_data_is_strict_json(tmp_path):
+    # zero force, noise and initial data: every sup is 0, so no rate is
+    # defined; it is written as null, never as a bare NaN token
+    out = tmp_path / "z"
+    rc = main(
+        ["sweep-eps", "--quiet", "--out", str(out), "--paths", "3",
+         "--set", "solver.n_modes=4", "--set", "solver.horizon=0.01",
+         "--set", "sweep.noise_trace=0", "--set", "sweep.force_modes="]
+    )
+
+    def refuse(token):
+        raise ValueError(f"non-JSON constant {token}")
+
+    summary = json.loads((out / "sweep_eps.json").read_text(), parse_constant=refuse)
+    assert summary["div_rates"] == [None] * 3 and summary["diff_rates"] == [None] * 3
+    assert rc == (0 if summary["pass"] else 1)
+    with pytest.raises(ValueError):
+        write_json_report(tmp_path / "nan.json", {"rate": float("nan")}, "0" * 64)
+
+
+_SUMMARY_LINES = {
+    "verify": (["--samples", "4"], r"\d+ checks, \d+ violations"),
+    "mc-energy": (["--paths", "4"], r"energy bound over 3 weight rates: pass=(True|False)"),
+    "mc-moment": (["--paths", "4"], r"implied constant \S+ \(spread \S+\)"),
+    "uniqueness": ([], r"max weighted-difference increase \S+"),
+    "sweep-eps": (
+        ["--paths", "2", "--set", "sweep.eps_values=0.1,0.001"],
+        r"sweep: 0\.1->\S+ 0\.001->\S+",
+    ),
+}
+
+
+@pytest.mark.parametrize("command", sorted(_SUMMARY_LINES))
+def test_summary_holds_seed_and_verdict_and_stdout_ends_with_them(tmp_path, capsys, command):
+    extra, progress = _SUMMARY_LINES[command]
+    out = tmp_path / command
+    rc = main(
+        [command, "--out", str(out), "--seed", "7",
+         "--set", "solver.n_modes=4", "--set", "solver.horizon=0.02", *extra]
+    )
+    summary = json.loads((out / f"{command.replace('-', '_')}.json").read_text())
+    assert summary["seed"] == 7
+    assert isinstance(summary["pass"], bool)
+    assert rc == (0 if summary["pass"] else 1)
+    digest = json.loads((out / "manifest.json").read_text())["digest"]
+    tail = capsys.readouterr().out.splitlines()[-3:]
+    assert re.fullmatch(progress, tail[0])
+    assert tail[1] == f"manifest {digest[:12]} -> {out / 'manifest.json'}"
+    assert tail[2] == ("PASS" if summary["pass"] else "FAIL")
 
 
 def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):

@@ -13,6 +13,7 @@ from acflow.diagnostics import (
     simulate_paths,
     trapezoid,
 )
+from acflow.eps_limit import EpsSweepPlan, epsilon_sweep
 from acflow.forcing import DeterministicForce, default_noise
 from acflow.integrator import SolverConfig, project_initial
 from acflow.spaces import ConfigurationError
@@ -97,6 +98,21 @@ def test_moment_bound_degenerate_denominator(spaces4):
     # sup term attains the initial value and the weighted dissipation is
     # bounded by the unweighted decay budget, so lhs <= 2 * initial term
     assert rep.lhs <= 2.0 * rep.initial_term * (1 + 1e-9)
+
+
+def test_one_path_has_zero_standard_error(spaces4):
+    # a one-path ensemble has no spread to estimate: every standard error is
+    # 0, in both bounds and in the sweep, without a degrees-of-freedom warning
+    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.01)
+    noise = default_noise(spaces4, trace=0.01, n_terms=4)
+    initial = project_initial(spaces4, None, None)
+    records = simulate_paths(spaces4, cfg, None, noise, initial, 1)
+    mc = MomentConfig(moment_p=4.0, delta=1.0)
+    assert np.all(mc_energy_bound(records, spaces4, cfg, mc, None, noise, initial).se == 0.0)
+    assert mc_moment_bound(records, spaces4, cfg, mc, None, noise, initial).lhs_se == 0.0
+    rows = epsilon_sweep(spaces4, EpsSweepPlan(base=cfg, n_paths=1)).rows
+    assert len(rows) == 4
+    assert all(r.div_se == r.diff_se == r.pressure_se == 0.0 for r in rows)
 
 
 def test_moment_bound_implied_constant_finite(small_setup):

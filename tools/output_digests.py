@@ -3,7 +3,6 @@
 Usage, from the repository root:
 
     python3 tools/output_digests.py [--src DIR] [--workers W] [--out OUT] > digests.txt
-    python3 tools/output_digests.py --compare base.txt head.txt
     python3 tools/output_digests.py --compare-values BASE_OUT HEAD_OUT
 
 The first form runs each command of COMMANDS as a fresh process on the
@@ -15,16 +14,12 @@ line ``file#pass true`` (or ``false``), so that a listing records the
 verdicts beside the bytes.  It exits 1 when a command exits with any status
 but 0, after printing what was written.  The outputs are meant to be
 byte-identical from one commit to the next unless a change says why not:
-run it on two checkouts with the same ``OPENBLAS_NUM_THREADS`` and compare.
+run it on two checkouts with the same ``OPENBLAS_NUM_THREADS`` and ``diff``
+the listings, or compare the kept outputs' values with the second form.
 They must not depend on the BLAS thread count or on W either: listings at
 different values must be equal.
 
-The second form prints a Markdown table of the entries of two such
-listings, each marked same, changed, added or removed, and a ``#pass`` entry
-that differs marked flipped, under a line counting the changed files and the
-flipped verdicts.
-
-The third form compares the values of two such OUT directories, file by
+The second form compares the values of two such OUT directories, file by
 file: the numeric columns of each CSV, the numbers of each JSON file (a
 list of numbers counts as one column) and the velocity and pressure arrays
 and time of each snapshot.  It prints a Markdown table of each file's
@@ -96,38 +91,6 @@ def digests(src: Path, workers: int = 1, out: Path | None = None) -> tuple[list[
                     if isinstance(summary, dict) and "pass" in summary:
                         lines.append(f"{name}#pass {json.dumps(summary['pass'])}")
     return lines, failed
-
-
-def _read(path: str) -> dict[str, str]:
-    with open(path, encoding="utf-8") as fh:
-        return dict(line.split() for line in fh if line.strip())
-
-
-def compare(base: str, head: str) -> str:
-    """A Markdown table of the entries of two digest listings, under a line
-    that counts the files whose bytes changed and the verdicts that
-    flipped."""
-    old, new = _read(base), _read(head)
-    rows = ["| file | status |", "| --- | --- |"]
-    statuses = []
-    for name in sorted(old.keys() | new.keys()):
-        if name not in new:
-            status = "removed"
-        elif name not in old:
-            status = "added"
-        elif old[name] == new[name]:
-            status = "same"
-        else:
-            status = "flipped" if name.endswith("#pass") else "changed"
-        statuses.append(status)
-        rows.append(f"| `{name}` | {status} |")
-    both = old.keys() & new.keys()
-    verdicts = sum(name.endswith("#pass") for name in both)
-    counts = (
-        f"{statuses.count('changed')} of {len(both) - verdicts} files changed; "
-        f"{statuses.count('flipped')} of {verdicts} verdicts flipped"
-    )
-    return counts + "\n\n" + "\n".join(rows) + "\n"
 
 
 def _csv_columns(path: Path) -> dict:
@@ -262,15 +225,11 @@ def main(argv=None) -> int:
     parser.add_argument("--src", type=Path, default=ROOT / "src", help="directory holding acflow")
     parser.add_argument("--workers", type=int, default=1, help="worker threads of every command")
     parser.add_argument("--out", type=Path, help="new or empty directory that keeps the outputs")
-    parser.add_argument("--compare", nargs=2, metavar=("BASE", "HEAD"), help="compare two listings")
     parser.add_argument(
         "--compare-values", nargs=2, type=Path, metavar=("BASE_OUT", "HEAD_OUT"),
         help="compare the values of two --out directories",
     )
     args = parser.parse_args(argv)
-    if args.compare:
-        sys.stdout.write(compare(*args.compare))
-        return 0
     if args.compare_values:
         sys.stdout.write(compare_values(*args.compare_values))
         return 0
