@@ -193,7 +193,8 @@ def epsilon_sweep(
     pressure_bound = _pressure_energy_budget(spaces, first, force, noise, initial, coupled.times)
 
     # monotonicity with statistical tolerance: the divergence must fall by
-    # more than the combined standard error, the gap may not rise by more
+    # more than the combined standard error, or stay at its limit 0, the gap
+    # may not rise by more
     pairs = list(zip(rows[:-1], rows[1:]))
     return ConvergenceReport(
         rows=rows,
@@ -201,7 +202,8 @@ def epsilon_sweep(
         div_rates=[_rate(a.div_sup, b.div_sup, a.eps, b.eps) for a, b in pairs],
         diff_rates=[_rate(a.diff_sup, b.diff_sup, a.eps, b.eps) for a, b in pairs],
         divergence_strictly_decreasing=all(
-            a.div_sup - b.div_sup > np.hypot(a.div_se, b.div_se) for a, b in pairs
+            a.div_sup - b.div_sup > np.hypot(a.div_se, b.div_se) or a.div_sup == b.div_sup == 0
+            for a, b in pairs
         ),
         difference_decreasing=all(
             b.diff_sup <= a.diff_sup + np.hypot(a.diff_se, b.diff_se) for a, b in pairs

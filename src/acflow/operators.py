@@ -8,11 +8,11 @@ evaluated pseudo-spectrally: fields and gradients are synthesised on a tensor
 grid and multiplied pointwise.  :func:`bhat_operator`, the step's pairings
 (B(u), e_i), integrates on the midpoint grid of the spaces, where every term
 is integrated exactly; its null pairing <B(u), u> = 0 holds because the
-integration is exact, to round-off.  :func:`trilinear_bhat` evaluates the
-form for any u, v, w by Gauss-Legendre quadrature, an independent check of
-the pairings: there the two halves of the integrand cancel exactly when
-v == w, so the null pairings b(u, v, v) = 0 and <B(u), u> = 0 hold to
-round-off by construction.
+integration is exact, to round-off.  The inequality checks pair through
+that same operator, <B(u), w> = B(u) . w, and reach the form for two
+fields by polarisation:
+
+    <B(u + v) - B(u) - B(v), w> = b(u, v, w) + b(v, u, w).
 """
 
 from __future__ import annotations
@@ -26,6 +26,7 @@ from .spaces import (
     SpectralSpaces,
     VelocityField,
     _coeffs,
+    _SynthGrid,
     h10_norm,
     l2_norm,
 )
@@ -40,42 +41,6 @@ class MonotonicityReport:
     rhs: float
     r: float
     in_ball: bool
-
-
-def trilinear_bhat(
-    spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
-    w: VelocityField,
-) -> float:
-    """Antisymmetrised convection form b(u, v, w) on the Gauss-Legendre grid,
-    from the grid arrays
-
-    a:   ((u . grad) v)_d                           -> pairs with w_d
-    b1:  u_1 v_d                                    -> pairs with d_1 w_d
-    b2:  u_2 v_d                                    -> pairs with d_2 w_d
-
-    and the quadrature weight 0.5 w_x w_y."""
-    if not (u.n_modes == v.n_modes == w.n_modes == spaces.n_modes):
-        raise ValueError("fields must share the space cutoff")
-    g = spaces.gauss
-    uv, vv = spaces._component_values(u, g), spaces._component_values(v, g)
-    d1v, d2v = spaces._component_gradients(v, g)
-    u1, u2 = uv[0:1], uv[1:2]
-    # rounds as u1 * d1v + u2 * d2v would
-    d1v *= u1
-    d2v *= u2
-    a = np.add(d1v, d2v, out=d1v)
-    b1, b2 = u1 * vv, u2 * vv
-    w_vals = spaces._component_values(w, g)
-    w_grads = spaces._component_gradients(w, g)
-    weight = 0.5 * g.w2d
-    total = 0.0
-    for d in range(2):
-        total += float(np.sum(a[d] * w_vals[d] * weight))
-        total -= float(np.sum(b1[d] * w_grads[0][d] * weight))
-        total -= float(np.sum(b2[d] * w_grads[1][d] * weight))
-    return total
 
 
 def bhat_operator(
@@ -99,8 +64,6 @@ def bhat_operator(
     with e_(j,k,d) is int (T1 + T2)_d sin sin - b1_d j pi cos sin -
     b2_d sin k pi cos; the tables of ``_MidpointGrid`` pair each term
     exactly, T1 and b1 with W in y, T2 and b2 with W in x.
-    :func:`trilinear_bhat` integrates the same form on a Gauss-Legendre
-    grid, an independent quadrature.
     """
     c = _coeffs(u)
     if work is None:
@@ -128,6 +91,16 @@ def bhat_operator(
 # -- inequality checks ---------------------------------------------------------
 
 
+def _difference_pairing(
+    spaces: SpectralSpaces,
+    u: VelocityField,
+    v: VelocityField,
+    w: VelocityField,
+) -> float:
+    """<B(u) - B(v), w>, through the step's own convection operator."""
+    return float((bhat_operator(spaces, u) - bhat_operator(spaces, v)) @ w.coeffs)
+
+
 def check_ladyzhenskaya(spaces: SpectralSpaces, u: VelocityField) -> list[tuple[float, float]]:
     """Per-component interpolation inequality
     ||phi||_L4^4 <= 2 ||phi||_L2^2 ||grad phi||_L2^2."""
@@ -149,16 +122,20 @@ def check_product_l1(
     v: VelocityField,
 ) -> tuple[float, float]:
     """Product bound ||phi psi||_L2^2 <= ||phi d1 phi||_L1 ||psi d2 psi||_L1
-    with phi the first component of u and psi the second component of v."""
-    g = spaces.gauss
+    with phi the first component of u and psi the second component of v.
+
+    Both sides by the midpoint rule on Q = 4N + 8 nodes per axis: exact for
+    the lhs, a cosine polynomial of degree at most 4N < 2Q in each variable,
+    and approximate for the rhs, whose |phi d1 phi| is no trig polynomial."""
+    q = 4 * spaces.n_modes + 8
+    g = _SynthGrid(spaces.n_modes, (np.arange(q) + 0.5) / q)
     phi = spaces._component_values(u, g)[0]
     psi = spaces._component_values(v, g)[1]
     d1phi = spaces._component_gradients(u, g)[0][0]
     d2psi = spaces._component_gradients(v, g)[1][1]
-    lhs = float(np.sum((phi * psi) ** 2 * g.w2d))
-    rhs = float(np.sum(np.abs(phi * d1phi) * g.w2d)) * float(
-        np.sum(np.abs(psi * d2psi) * g.w2d)
-    )
+    # the rule's weight 1 / Q^2 makes each integral a mean over the grid
+    lhs = float(np.mean((phi * psi) ** 2))
+    rhs = float(np.mean(np.abs(phi * d1phi))) * float(np.mean(np.abs(psi * d2psi)))
     return lhs, rhs
 
 
@@ -168,7 +145,7 @@ def check_convection_bound(
     w: VelocityField,
 ) -> tuple[float, float]:
     """Convection bound |<B(u), w>| <= 2 ||u||^{3/2} |u|^{1/2} ||w||_L4."""
-    lhs = abs(trilinear_bhat(spaces, u, u, w))
+    lhs = abs(float(bhat_operator(spaces, u) @ w.coeffs))
     rhs = (
         2.0
         * h10_norm(u) ** 1.5
@@ -189,7 +166,7 @@ def check_convection_difference(
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     w = VelocityField(u.coeffs - v.coeffs, u.n_modes)
-    lhs = abs(trilinear_bhat(spaces, u, u, w) - trilinear_bhat(spaces, v, v, w))
+    lhs = abs(_difference_pairing(spaces, u, v, w))
     rhs = 0.5 * nu * h10_norm(w) ** 2 + (27.0 / (2.0 * nu**3)) * l2_norm(
         w
     ) ** 2 * spaces.l4_norm(v) ** 4
@@ -211,7 +188,7 @@ def monotonicity_margin(
         raise ValueError("ball radius must be nonnegative")
     w = VelocityField(u.coeffs - v.coeffs, u.n_modes)
     stokes_term = nu * h10_norm(w) ** 2
-    convection_term = trilinear_bhat(spaces, u, u, w) - trilinear_bhat(spaces, v, v, w)
+    convection_term = _difference_pairing(spaces, u, v, w)
     ball_term = (27.0 * r**4 / (2.0 * nu**3)) * l2_norm(w) ** 2
     rhs = 0.5 * nu * h10_norm(w) ** 2
     in_ball = spaces.l4_norm(v) <= r
@@ -319,12 +296,16 @@ def run_inequality_suite(
             report.in_ball and report.margin >= -tol,
         )
 
+        bu, bv = bhat_operator(spaces, u), bhat_operator(spaces, v)
         null_tol = NULL_PAIRING_TOL * _scale(u, u, u)
-        val = abs(trilinear_bhat(spaces, u, u, u))
+        val = abs(float(bu @ u.coeffs))
         add("null_self_pairing", i, val, null_tol, val <= null_tol)
 
+        # b(u, v, v) by polarisation: <B(u+v) - B(u) - B(v), v> is
+        # b(u, v, v) + b(v, u, v), and b(v, u, v) = -<B(v), u>
         null_tol = NULL_PAIRING_TOL * _scale(u, v, v)
-        val = abs(trilinear_bhat(spaces, u, v, v))
+        bsum = bhat_operator(spaces, u.coeffs + v.coeffs)
+        val = abs(float((bsum - bu - bv) @ v.coeffs + bv @ u.coeffs))
         add("null_mixed_pairing", i, val, null_tol, val <= null_tol)
 
     return rows, all_pass

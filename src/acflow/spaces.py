@@ -17,14 +17,14 @@ Kronecker form (:meth:`SpectralSpaces.gram_product`).
 
 A step's grid work, the L4 norm and the convection pairings, runs on the
 M = 2N + 1 midpoint nodes per axis of :class:`_MidpointGrid`, on which both
-are exact up to round-off; the quadrature cross-checks run on the
-Gauss-Legendre grid :attr:`SpectralSpaces.gauss`.
+are exact up to round-off; a check that needs other nodes synthesises on a
+:class:`_SynthGrid` of its own.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, lru_cache
+from functools import lru_cache
 from typing import Iterable
 
 import numpy as np
@@ -115,12 +115,6 @@ def _stiffness_diagonal(n_modes: int) -> np.ndarray:
     return np.concatenate([lam.ravel(), lam.ravel()])
 
 
-def gauss_rule_01(order: int) -> tuple[np.ndarray, np.ndarray]:
-    """Gauss-Legendre nodes and weights mapped to (0, 1)."""
-    t, w = np.polynomial.legendre.leggauss(order)
-    return (t + 1.0) / 2.0, w / 2.0
-
-
 def _cos_sin_integrals(n_modes: int, cos_degrees=None) -> np.ndarray:
     """Matrix of integrals C[r, b-1] = int_0^1 cos(a_r pi x) sin(b pi x) dx,
     1 <= b <= n_modes, over the cosine degrees a_r, by default 1..n_modes:
@@ -154,16 +148,6 @@ class _SynthGrid:
         self.dcos = (np.pi * j)[:, None] * np.cos(np.outer(j, np.pi * x))
         self.sin2 = 2.0 * self.sin
         self.dcos2 = 2.0 * self.dcos
-
-
-class _GaussGrid(_SynthGrid):
-    """Tensor Gauss-Legendre grid of ``order`` nodes per axis, with the
-    tensor product ``w2d`` of the weights."""
-
-    def __init__(self, n_modes: int, order: int):
-        x, w = gauss_rule_01(order)
-        super().__init__(n_modes, x)
-        self.w2d = np.outer(w, w)
 
 
 class _MidpointGrid(_SynthGrid):
@@ -232,9 +216,8 @@ class GridWorkspace:
 class SpectralSpaces:
     """Gram data and coefficient operators for a fixed mode cutoff, whose
     coefficient orders ``velocity_index`` and ``pressure_index`` give.
-    Immutable after construction, apart from the Gauss grid that the
-    quadrature cross-checks build on first use, and safe to share across
-    concurrent path simulations, which never read that grid.
+    Immutable after construction, so safe to share across concurrent path
+    simulations.
     """
 
     def __init__(self, n_modes: int):
@@ -265,12 +248,6 @@ class SpectralSpaces:
 
         # the grid of a step's convection and L4 norm
         self.midpoint = _MidpointGrid(self.n_modes)
-
-    @cached_property
-    def gauss(self) -> _GaussGrid:
-        """The Gauss-Legendre grid of 4N + 8 nodes per axis of the
-        quadrature cross-checks, built on first use: a step never reads it."""
-        return _GaussGrid(self.n_modes, 4 * self.n_modes + 8)
 
     # -- index maps ------------------------------------------------------------
 

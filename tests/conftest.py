@@ -1,7 +1,10 @@
+from functools import partial
+
 import numpy as np
 import pytest
 
 from acflow import build_spaces
+from acflow.operators import bhat_operator
 from acflow.spaces import _cos_sin_integrals, _stiffness_diagonal
 
 
@@ -67,6 +70,21 @@ def stokes_apply():
     """Function of a field and a viscosity giving its Stokes pairings, an
     array the program itself never forms."""
     return _stokes_apply
+
+
+def _polarised_pairing(spaces, u, v, w):
+    """<B(u + v) - B(u) - B(v), w> = b(u, v, w) + b(v, u, w): the step's
+    convection operator, a quadratic map, reaches the form for two fields
+    by polarisation."""
+    bhat = partial(bhat_operator, spaces)
+    return float((bhat(u.coeffs + v.coeffs) - bhat(u) - bhat(v)) @ w.coeffs)
+
+
+@pytest.fixture(scope="session")
+def polarised_pairing():
+    """Function of the spaces and fields u, v, w giving b(u, v, w) +
+    b(v, u, w) through ``bhat_operator``."""
+    return _polarised_pairing
 
 
 @pytest.fixture()

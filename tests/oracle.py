@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from acflow.spaces import PressureField, VelocityField, gauss_rule_01
+from acflow.spaces import PressureField, VelocityField
 
 
 @dataclass(frozen=True)
@@ -27,8 +27,8 @@ class QuadRule:
 def make_rule(order: int) -> QuadRule:
     if order < 2:
         raise ValueError("quadrature order must be at least 2")
-    x, w = gauss_rule_01(order)
-    return QuadRule(nodes=x, weights=w, order=order)
+    t, w = np.polynomial.legendre.leggauss(order)
+    return QuadRule(nodes=(t + 1.0) / 2.0, weights=w / 2.0, order=order)
 
 
 def velocity_modes(n_modes: int) -> list[tuple[int, int, int]]:
@@ -46,15 +46,16 @@ def pressure_modes(n_modes: int) -> list[tuple[str, int, int]]:
 
 
 def oracle_integrate(f, rule: QuadRule) -> float:
-    """Tensor-product quadrature of a pointwise scalar function f(x, y)."""
-    x, y = np.meshgrid(rule.nodes, rule.nodes, indexing="ij")
+    """Tensor-product quadrature of a pointwise scalar function f(x, y), given
+    the nodes as a column x and a row y that broadcast to the grid."""
+    x, y = rule.nodes[:, None], rule.nodes[None, :]
     w2d = np.outer(rule.weights, rule.weights)
     return float(np.sum(np.asarray(f(x, y)) * w2d))
 
 
 def velocity_values(u: VelocityField, x, y) -> list[np.ndarray]:
     """Mode-by-mode evaluation of both components at the given points."""
-    comps = [np.zeros_like(np.asarray(x, dtype=float)) for _ in range(2)]
+    comps = [np.zeros(np.broadcast(x, y).shape) for _ in range(2)]
     for idx, (j, k, d) in enumerate(velocity_modes(u.n_modes)):
         c = u.coeffs[idx]
         if c == 0.0:
@@ -65,7 +66,7 @@ def velocity_values(u: VelocityField, x, y) -> list[np.ndarray]:
 
 def velocity_gradients(u: VelocityField, x, y) -> list[list[np.ndarray]]:
     """grads[i][d] = d_i u_d evaluated pointwise, i, d in {0, 1}."""
-    shape = np.asarray(x, dtype=float).shape
+    shape = np.broadcast(x, y).shape
     grads = [[np.zeros(shape) for _ in range(2)] for _ in range(2)]
     for idx, (j, k, d) in enumerate(velocity_modes(u.n_modes)):
         c = u.coeffs[idx]
@@ -81,7 +82,7 @@ def velocity_gradients(u: VelocityField, x, y) -> list[list[np.ndarray]]:
 
 
 def pressure_values(p: PressureField, x, y) -> np.ndarray:
-    vals = np.zeros_like(np.asarray(x, dtype=float))
+    vals = np.zeros(np.broadcast(x, y).shape)
     for idx, (fam, j, k) in enumerate(pressure_modes(p.n_modes)):
         c = p.coeffs[idx]
         if c == 0.0:
@@ -163,7 +164,7 @@ def oracle_trilinear(
         ww = velocity_values(w, x, y)
         gv = velocity_gradients(v, x, y)
         gw = velocity_gradients(w, x, y)
-        total = np.zeros_like(np.asarray(x, dtype=float))
+        total = np.zeros(np.broadcast(x, y).shape)
         for i in range(2):
             for jc in range(2):
                 total += uu[i] * gv[i][jc] * ww[jc] - uu[i] * gw[i][jc] * vv[jc]

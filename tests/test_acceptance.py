@@ -99,7 +99,7 @@ def test_criterion_2_null_pairings(inequality_rows):
     assert ok
 
 
-def test_criterion_3_oracle_equivalence(stokes_apply):
+def test_criterion_3_oracle_equivalence(stokes_apply, polarised_pairing):
     start = time.monotonic()
     rule = orc.make_rule(40)
     count = 0
@@ -127,10 +127,19 @@ def test_criterion_3_oracle_equivalence(stokes_apply):
                     0.1 * orc.oracle_gradient_inner(u, w, rule),
                 ),
             ]
-            fast_tri = ops.trilinear_bhat(sp, u, v, w)
-            slow_tri = orc.oracle_trilinear(u, v, w, rule)
-            scale = max(h10_norm(u) * h10_norm(v) * h10_norm(w), 1e-30)
-            checks.append(abs(fast_tri - slow_tri) / max(abs(slow_tri), 1e-8 * scale))
+            # the step's pairing <B(u), w> = b(u, u, w), and its polarised
+            # bilinear b(u, v, w) + b(v, u, w) for a general pair
+            pairs = [
+                (u, float(ops.bhat_operator(sp, u) @ w.coeffs), orc.oracle_trilinear(u, u, w, rule)),
+                (
+                    v,
+                    polarised_pairing(sp, u, v, w),
+                    orc.oracle_trilinear(u, v, w, rule) + orc.oracle_trilinear(v, u, w, rule),
+                ),
+            ]
+            for second, fast, slow in pairs:
+                scale = max(h10_norm(u) * h10_norm(second) * h10_norm(w), 1e-30)
+                checks.append(abs(fast - slow) / max(abs(slow), 1e-8 * scale))
             worst = max(worst, max(checks))
             count += 1
             assert max(checks) <= 1e-8, f"instance (n={n}, i={i}): {checks}"

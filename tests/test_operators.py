@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from acflow import build_spaces, h10_norm, l2_norm
-from acflow.spaces import SpectralSpaces, VelocityField
+from acflow.spaces import SpectralSpaces, VelocityField, _coeffs
 from acflow import operators as ops
 import oracle as orc
 
@@ -37,35 +37,39 @@ def test_stokes_rejects_bad_viscosity(spaces3, stokes_apply):
         stokes_apply(spaces3.zero_velocity(), 0.0)
 
 
-def test_trilinear_null_pairings(spaces3, rng):
+def test_trilinear_null_pairings(spaces3, rng, polarised_pairing):
+    # b(u, u, u) = <B(u), u> and b(u, v, v) = P(u, v) . v + <B(v), u>, with
+    # P(u, v) . w = b(u, v, w) + b(v, u, w) and b(v, u, v) = -<B(v), u>
     u = ops.sample_field(spaces3, rng)
     v = ops.sample_field(spaces3, rng)
-    assert abs(ops.trilinear_bhat(spaces3, u, v, v)) <= 1e-12 * _scale(u, v, v)
-    assert abs(ops.trilinear_bhat(spaces3, u, u, u)) <= 1e-12 * _scale(u, u, u)
+    mixed = polarised_pairing(spaces3, u, v, v) + float(ops.bhat_operator(spaces3, v) @ u.coeffs)
+    assert abs(mixed) <= 1e-12 * _scale(u, v, v)
+    assert abs(float(ops.bhat_operator(spaces3, u) @ u.coeffs)) <= 1e-12 * _scale(u, u, u)
 
 
-def test_trilinear_antisymmetry_exact(spaces3, rng):
+def test_trilinear_antisymmetry_exact(spaces3, rng, polarised_pairing):
+    # b(u, v, w) = -b(u, w, v) makes the cyclic sum of the symmetrised form
+    # P(u, v) . w = b(u, v, w) + b(v, u, w) vanish
     u = ops.sample_field(spaces3, rng)
     v = ops.sample_field(spaces3, rng)
     w = ops.sample_field(spaces3, rng)
-    a = ops.trilinear_bhat(spaces3, u, v, w)
-    b = ops.trilinear_bhat(spaces3, u, w, v)
-    assert a == pytest.approx(-b, rel=1e-12, abs=1e-14 * _scale(u, v, w))
+    cyclic = (
+        polarised_pairing(spaces3, u, v, w)
+        + polarised_pairing(spaces3, v, w, u)
+        + polarised_pairing(spaces3, w, u, v)
+    )
+    assert abs(cyclic) <= 1e-12 * _scale(u, v, w)
 
 
-def test_trilinear_fixed_instance_matches_oracle(spaces2):
+def test_trilinear_fixed_instance_matches_oracle(spaces2, polarised_pairing):
     u = spaces2.velocity_from_modes([(1, 1, 1, 0.8), (2, 2, 2, -0.5)])
     v = spaces2.velocity_from_modes([(1, 2, 2, 1.1), (2, 1, 1, 0.4)])
     w = spaces2.velocity_from_modes([(2, 1, 2, -0.9), (1, 1, 1, 0.3)])
-    fast = ops.trilinear_bhat(spaces2, u, v, w)
-    slow = orc.oracle_trilinear(u, v, w, orc.make_rule(32))
-    assert fast == pytest.approx(slow, rel=1e-8)
-
-
-def test_trilinear_requires_matching_cutoff(spaces2, spaces3):
-    u = spaces3.zero_velocity()
-    with pytest.raises(ValueError):
-        ops.trilinear_bhat(spaces2, u, u, u)
+    rule = orc.make_rule(32)
+    fast = float(ops.bhat_operator(spaces2, u) @ w.coeffs)
+    assert fast == pytest.approx(orc.oracle_trilinear(u, u, w, rule), rel=1e-8)
+    slow = orc.oracle_trilinear(u, v, w, rule) + orc.oracle_trilinear(v, u, w, rule)
+    assert polarised_pairing(spaces2, u, v, w) == pytest.approx(slow, rel=1e-8)
 
 
 def test_bhat_operator_examples(spaces3, rng):
@@ -78,15 +82,14 @@ def test_bhat_operator_examples(spaces3, rng):
 
 
 def test_bhat_operator_matches_trilinear_components(spaces3, rng):
-    # same integrand algebra, different contraction order: agreement is at
-    # summation round-off, far inside every downstream tolerance
+    # the oracle's mode-by-mode Gauss quadrature of b(u, u, e_i) resolves
+    # the form to round-off, far inside every downstream tolerance
     u = ops.sample_field(spaces3, rng)
     dual = ops.bhat_operator(spaces3, u)
+    rule = orc.make_rule(40)
     tol = 1e-13 * _scale(u, u, u)
-    for i in range(spaces3.n_velocity):
-        e = np.zeros(spaces3.n_velocity)
-        e[i] = 1.0
-        direct = ops.trilinear_bhat(spaces3, u, u, VelocityField(e, spaces3.n_modes))
+    for i, e in enumerate(np.eye(spaces3.n_velocity)):
+        direct = orc.oracle_trilinear(u, u, VelocityField(e, spaces3.n_modes), rule)
         assert abs(dual[i] - direct) <= tol
 
 
@@ -205,21 +208,20 @@ def check_ibp_identity(
     w: VelocityField,
 ) -> float:
     """Residual of the integration-by-parts identity
-    <(u.grad)v, w> + <(Div u) w, v> + <(u.grad)w, v> = 0."""
-    g = spaces.gauss
-    uu = spaces._component_values(u, g)
-    vv = spaces._component_values(v, g)
-    ww = spaces._component_values(w, g)
-    gv = spaces._component_gradients(v, g)
-    gw = spaces._component_gradients(w, g)
-    gu = spaces._component_gradients(u, g)
-    div_u = gu[0][0] + gu[1][1]
-    adv_v = uu[0] * gv[0] + uu[1] * gv[1]
-    adv_w = uu[0] * gw[0] + uu[1] * gw[1]
-    t1 = float(np.sum((adv_v[0] * ww[0] + adv_v[1] * ww[1]) * g.w2d))
-    t2 = float(np.sum(div_u * (ww[0] * vv[0] + ww[1] * vv[1]) * g.w2d))
-    t3 = float(np.sum((adv_w[0] * vv[0] + adv_w[1] * vv[1]) * g.w2d))
-    return t1 + t2 + t3
+    <(u.grad)v, w> + <(Div u) w, v> + <(u.grad)w, v> = 0, evaluated mode by
+    mode on the oracle's Gauss-Legendre rule of 4N + 8 nodes."""
+
+    def integrand(x, y):
+        uu, vv, ww = (orc.velocity_values(f, x, y) for f in (u, v, w))
+        gu, gv, gw = (orc.velocity_gradients(f, x, y) for f in (u, v, w))
+        div_u = gu[0][0] + gu[1][1]
+        return sum(
+            sum(uu[i] * (gv[i][d] * ww[d] + gw[i][d] * vv[d]) for i in range(2))
+            + div_u * ww[d] * vv[d]
+            for d in range(2)
+        )
+
+    return orc.oracle_integrate(integrand, orc.make_rule(4 * spaces.n_modes + 8))
 
 
 def test_ibp_identity_examples(spaces3, rng):
@@ -241,19 +243,21 @@ def test_ibp_identity_randomized(rng):
 
 
 def test_difference_identity(rng):
-    # <B(u) - B(v), u - v> = -<B(u - v), v>
+    # <B(u) - B(v), u - v> = -<B(u - v), v>: the monotonicity check's
+    # convection term against the oracle's quadrature of the right side
     for n in (2, 4):
         sp = build_spaces(n)
+        rule = orc.make_rule(4 * n + 8)
         for _ in range(30):
             u = ops.sample_field(sp, rng)
             v = ops.sample_field(sp, rng)
             w = VelocityField(u.coeffs - v.coeffs, n)
-            left = ops.trilinear_bhat(sp, u, u, w) - ops.trilinear_bhat(sp, v, v, w)
-            right = -ops.trilinear_bhat(sp, w, w, v)
+            left = ops.monotonicity_margin(sp, u, v, 1.0, 0.0).convection_term
+            right = -orc.oracle_trilinear(w, w, v, rule)
             assert left == pytest.approx(right, abs=1e-10 * _scale(u, v))
 
 
-def test_oracle_equivalence_sample(rng):
+def test_oracle_equivalence_sample(rng, polarised_pairing):
     rule = orc.make_rule(40)
     for n in (2, 3, 4):
         sp = build_spaces(n)
@@ -264,8 +268,11 @@ def test_oracle_equivalence_sample(rng):
             assert l2_norm(u) == pytest.approx(orc.oracle_l2(u, rule), rel=1e-8)
             assert h10_norm(u) == pytest.approx(orc.oracle_h10(u, rule), rel=1e-8)
             assert sp.l4_norm(u) == pytest.approx(orc.oracle_l4(u, rule), rel=1e-8)
-            fast = ops.trilinear_bhat(sp, u, v, w)
-            slow = orc.oracle_trilinear(u, v, w, rule)
+            fast = float(ops.bhat_operator(sp, u) @ w.coeffs)
+            slow = orc.oracle_trilinear(u, u, w, rule)
+            assert fast == pytest.approx(slow, rel=1e-8, abs=1e-10 * _scale(u, u, w))
+            fast = polarised_pairing(sp, u, v, w)
+            slow = orc.oracle_trilinear(u, v, w, rule) + orc.oracle_trilinear(v, u, w, rule)
             assert fast == pytest.approx(slow, rel=1e-8, abs=1e-10 * _scale(u, v, w))
 
 
@@ -283,6 +290,20 @@ def test_inequality_suite_smoke():
     }
     for r in rows:
         assert r["pass"] and isinstance(r["seed"], int)
+
+
+def test_inequality_suite_reads_the_step_pairing(monkeypatch):
+    # B(u) + 1e-3 u breaks <B(u), u> = 0, which a rescaling of B would not:
+    # the null pairings fail only if the suite pairs through bhat_operator
+    step = ops.bhat_operator
+    monkeypatch.setattr(
+        ops, "bhat_operator", lambda spaces, u, *args: step(spaces, u, *args) + 1e-3 * _coeffs(u)
+    )
+    rows, all_pass = ops.run_inequality_suite(6, seed=99)
+    assert not all_pass
+    for lemma in ("null_self_pairing", "null_mixed_pairing"):
+        verdicts = [r["pass"] for r in rows if r["lemma"] == lemma]
+        assert len(verdicts) == 6 and not any(verdicts), lemma
 
 
 def test_sample_field_is_seeded(spaces3):

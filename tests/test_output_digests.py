@@ -52,8 +52,9 @@ def test_compare_values_of_equal_directories_is_all_zero(tmp_path):
 
 
 def test_compare_values_counts_nan_as_equal_only_against_nan(tmp_path):
-    # a convergence rate over a zero sup is written as NaN: the same NaN on
-    # both sides is no difference, a NaN facing a number an infinite one
+    # no default output holds a NaN (a rate over a zero sup is null); the
+    # rule guards hand-made or future inputs: the same NaN on both sides is
+    # no difference, a NaN facing a number an infinite one
     def outputs(name, rates):
         out = tmp_path / name / "cmd"
         out.mkdir(parents=True)

@@ -7,9 +7,7 @@ import pytest
 
 import acflow
 from acflow import build_spaces, h10_norm, l2_norm
-from acflow.forcing import default_noise
-from acflow.integrator import GalerkinIntegrator, SolverConfig, project_initial
-from acflow.spaces import ConfigurationError, VelocityField, _GaussGrid
+from acflow.spaces import ConfigurationError, VelocityField
 import oracle as orc
 from acflow.operators import sample_field
 
@@ -82,21 +80,6 @@ def test_cutoff_13_builds_at_one_and_two_blas_threads():
             [sys.executable, "-c", code], env=env, capture_output=True, text=True, timeout=120
         )
         assert (out.returncode, out.stdout.strip()) == (0, "338"), out.stderr
-
-
-@pytest.mark.parametrize("n_modes", [2, 8, 13])
-def test_gauss_grid_is_built_once_on_first_use(n_modes):
-    # a path's step never reads the Gauss-Legendre grid, so running one
-    # leaves it unbuilt; the cross-checks then share one grid of 4N + 8 nodes
-    sp = build_spaces(n_modes)
-    cfg = SolverConfig(n_modes=n_modes, dt=1e-3, horizon=0.003)
-    GalerkinIntegrator(sp, cfg, noise=default_noise(sp)).run_path(project_initial(sp, "smooth", None))
-    assert "gauss" not in vars(sp)
-    grid = sp.gauss
-    assert sp.gauss is grid
-    expected = _GaussGrid(n_modes, 4 * n_modes + 8)
-    for table in ("sin", "dcos", "sin2", "dcos2", "w2d"):
-        assert getattr(grid, table).tobytes() == getattr(expected, table).tobytes(), table
 
 
 def test_l2_norm_examples(spaces3):
