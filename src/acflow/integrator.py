@@ -512,10 +512,10 @@ class GalerkinIntegrator:
         by one noise_contribution call, each step writes its velocity,
         convection pairings and norms to the chunk buffers, and the chunk's
         series and step terms are then computed and written at once.  A
-        row whose energy passes ENERGY_CAP ends the block at that step, with
-        the step in its ``diverged_at``.  Returns the step reached and the
-        rows left to run from it: none at the horizon, else the rows that
-        did not blow up."""
+        row whose energy passes ENERGY_CAP, at the start too, ends the block
+        at that step, with the step in its ``diverged_at``.  Returns the
+        step reached and the rows left to run from it: none at the horizon,
+        else the rows that did not blow up."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
         size = CHUNK_BYTES // (8 * len(rows) * (6 * sp.n_velocity + self.noise.n_terms + 4))
         size = max(1, min(size, cfg.n_steps - m0))
@@ -533,7 +533,9 @@ class GalerkinIntegrator:
         norms[3, 0] = sp.l4_norm(u[0], work=work)
         if observe is not None:
             observe(m0, PathBlock(u[0].copy(), p.copy(), float(record.times[m0]), rows))
-        blown = np.zeros(len(rows), dtype=bool)
+        blown = ~(norms[2, 0] <= ENERGY_CAP)
+        if blown.any():  # a start above the cap: write state m0, take no step
+            self._write_chunk(record, rows, m0, 0, u, bhat, bhat, norms)
         while m0 < cfg.n_steps and not blown.any():
             steps = range(m0, min(m0 + size, cfg.n_steps))
             dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))

@@ -17,8 +17,6 @@ fields by polarisation:
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .spaces import (
@@ -30,17 +28,6 @@ from .spaces import (
     h10_norm,
     l2_norm,
 )
-
-
-@dataclass(frozen=True)
-class MonotonicityReport:
-    margin: float
-    stokes_term: float
-    convection_term: float
-    ball_term: float
-    rhs: float
-    r: float
-    in_ball: bool
 
 
 def bhat_operator(
@@ -91,31 +78,6 @@ def bhat_operator(
 # -- inequality checks ---------------------------------------------------------
 
 
-def _difference_pairing(
-    spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
-    w: VelocityField,
-) -> float:
-    """<B(u) - B(v), w>, through the step's own convection operator."""
-    return float((bhat_operator(spaces, u) - bhat_operator(spaces, v)) @ w.coeffs)
-
-
-def check_ladyzhenskaya(spaces: SpectralSpaces, u: VelocityField) -> list[tuple[float, float]]:
-    """Per-component interpolation inequality
-    ||phi||_L4^4 <= 2 ||phi||_L2^2 ||grad phi||_L2^2."""
-    n = spaces.n_modes
-    out = []
-    for d in (1, 2):
-        lhs = spaces.component_l4_norm(u, d) ** 4
-        block = u.coeffs.reshape(2, n, n)[d - 1].ravel()
-        l2sq = float(np.dot(block, block))
-        stiff = spaces.stiffness[: n * n]
-        h1sq = float(np.dot(stiff, block * block))
-        out.append((lhs, 2.0 * l2sq * h1sq))
-    return out
-
-
 def check_product_l1(
     spaces: SpectralSpaces,
     u: VelocityField,
@@ -139,69 +101,86 @@ def check_product_l1(
     return lhs, rhs
 
 
-def check_convection_bound(
+NULL_PAIRING_TOL = 1e-12
+MONOTONICITY_TOL = 1e-10
+
+
+def sample_checks(
     spaces: SpectralSpaces,
     u: VelocityField,
+    v: VelocityField,
     w: VelocityField,
-) -> tuple[float, float]:
-    """Convection bound |<B(u), w>| <= 2 ||u||^{3/2} |u|^{1/2} ||w||_L4."""
-    lhs = abs(float(bhat_operator(spaces, u) @ w.coeffs))
-    rhs = (
-        2.0
-        * h10_norm(u) ** 1.5
-        * l2_norm(u) ** 0.5
-        * spaces.l4_norm(w)
-    )
-    return lhs, rhs
-
-
-def check_convection_difference(
-    spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
     nu: float,
-) -> tuple[float, float]:
-    """Difference bound |<B(u) - B(v), u - v>| <=
-    (nu/2) ||u-v||^2 + 27/(2 nu^3) |u-v|^2 ||v||_L4^4."""
+) -> list[tuple[str, float, float, bool]]:
+    """The inequality checks of one sample (u, v, w) at viscosity nu, as
+    (lemma, lhs, rhs, pass) rows:
+
+    product_l1             ||phi psi||^2 <= ||phi d1 phi||_L1 ||psi d2 psi||_L1
+                           (check_product_l1);
+    ladyzhenskaya          ||u_d||_L4^4 <= 2 |u_d|^2 ||u_d||^2, d = 1, 2;
+    convection_bound       |<B(u), w>| <= 2 ||u||^{3/2} |u|^{1/2} ||w||_L4;
+    convection_difference  |<B(u) - B(v), u - v>| <=
+                           (nu/2) ||u - v||^2 + 27/(2 nu^3) |u - v|^2 ||v||_L4^4;
+    local_monotonicity     the Stokes-plus-convection operator is monotone
+                           on the L4 ball of radius r = ||v||_L4, tested with
+                           u - v: (nu/2) ||u - v||^2 - 27 r^4/(2 nu^3) |u - v|^2
+                           - <B(u) - B(v), u - v> <= nu ||u - v||^2;
+    null_self_pairing      |<B(u), u>| within NULL_PAIRING_TOL;
+    null_mixed_pairing     |b(u, v, v)| within NULL_PAIRING_TOL, by
+                           polarisation: <B(u+v) - B(u) - B(v), v> is
+                           b(u, v, v) + b(v, u, v), and b(v, u, v) = -<B(v), u>.
+
+    The block [u, v, w, u + v] runs a step's grid work once: one l4_norm,
+    whose grid values stay in the block's workspace, then one bhat_operator
+    on them, the step's own pairing <B(u), w> = B(u) . w."""
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    w = VelocityField(u.coeffs - v.coeffs, u.n_modes)
-    lhs = abs(_difference_pairing(spaces, u, v, w))
-    rhs = 0.5 * nu * h10_norm(w) ** 2 + (27.0 / (2.0 * nu**3)) * l2_norm(
-        w
-    ) ** 2 * spaces.l4_norm(v) ** 4
-    return lhs, rhs
+    n = spaces.n_modes
+    block = np.stack([u.coeffs, v.coeffs, w.coeffs, u.coeffs + v.coeffs])
+    work = GridWorkspace(spaces.midpoint, block.shape[:-1])
+    l4 = spaces.l4_norm(block, work=work).tolist()
+    bu, bv, _, bsum = bhat_operator(spaces, block, work=work)
+    bounds = [("product_l1", *check_product_l1(spaces, u, v))]
 
+    for d in (1, 2):
+        # the component's L4 norm, rounded as a norm, to the fourth
+        vals = work.values[0, d - 1]
+        lhs = (float(np.sum(vals**4) / work.grid.order**2) ** 0.25) ** 4
+        comp = u.coeffs.reshape(2, n, n)[d - 1].ravel()
+        l2sq = float(np.dot(comp, comp))
+        h1sq = float(np.dot(spaces.stiffness[: n * n], comp * comp))
+        bounds.append(("ladyzhenskaya", lhs, 2.0 * l2sq * h1sq))
 
-def monotonicity_margin(
-    spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
-    nu: float,
-    r: float,
-) -> MonotonicityReport:
-    """Local monotonicity of the Stokes-plus-convection operator on the
-    L4 ball of radius r, tested with w = u - v."""
-    if nu <= 0:
-        raise ValueError("viscosity must be positive")
-    if r < 0:
-        raise ValueError("ball radius must be nonnegative")
-    w = VelocityField(u.coeffs - v.coeffs, u.n_modes)
-    stokes_term = nu * h10_norm(w) ** 2
-    convection_term = _difference_pairing(spaces, u, v, w)
-    ball_term = (27.0 * r**4 / (2.0 * nu**3)) * l2_norm(w) ** 2
-    rhs = 0.5 * nu * h10_norm(w) ** 2
-    in_ball = spaces.l4_norm(v) <= r
-    margin = stokes_term + convection_term + ball_term - rhs
-    return MonotonicityReport(
-        margin=margin,
-        stokes_term=stokes_term,
-        convection_term=convection_term,
-        ball_term=ball_term,
-        rhs=rhs,
-        r=r,
-        in_ball=in_ball,
-    )
+    h1_u = h10_norm(u)
+    lhs = abs(float(bu @ w.coeffs))
+    rhs = 2.0 * h1_u**1.5 * l2_norm(u) ** 0.5 * l4[2]
+    bounds.append(("convection_bound", lhs, rhs))
+
+    diff = u.coeffs - v.coeffs
+    h1_diff, l2_diff = h10_norm(diff), l2_norm(diff)
+    convection_term = float((bu - bv) @ diff)
+    r = l4[1]
+    rhs = 0.5 * nu * h1_diff**2 + (27.0 / (2.0 * nu**3)) * l2_diff**2 * r**4
+    bounds.append(("convection_difference", abs(convection_term), rhs))
+    rows = [(lemma, lhs, rhs, lhs <= rhs * (1 + 1e-12) + 1e-14) for lemma, lhs, rhs in bounds]
+
+    # the tolerances scale with the H1_0 norms of the fields paired
+    scale_u, scale_v = max(h1_u, 1e-30), max(h10_norm(v), 1e-30)
+    stokes_term = nu * h1_diff**2
+    ball_term = (27.0 * r**4 / (2.0 * nu**3)) * l2_diff**2
+    half = 0.5 * nu * h1_diff**2
+    margin = stokes_term + convection_term + ball_term - half
+    tol = MONOTONICITY_TOL * (scale_u * scale_v)
+    lhs = half - ball_term - convection_term
+    rows.append(("local_monotonicity", lhs, stokes_term, margin >= -tol))
+
+    null_tol = NULL_PAIRING_TOL * (scale_u * scale_u * scale_u)
+    val = abs(float(bu @ u.coeffs))
+    rows.append(("null_self_pairing", val, null_tol, val <= null_tol))
+    null_tol = NULL_PAIRING_TOL * (scale_u * scale_v * scale_v)
+    val = abs(float((bsum - bu - bv) @ v.coeffs + bv @ u.coeffs))
+    rows.append(("null_mixed_pairing", val, null_tol, val <= null_tol))
+    return rows
 
 
 # -- randomized inequality suite -------------------------------------------------
@@ -223,17 +202,6 @@ def sample_field(
     return VelocityField(coeffs, n)
 
 
-NULL_PAIRING_TOL = 1e-12
-MONOTONICITY_TOL = 1e-10
-
-
-def _scale(*fields: VelocityField) -> float:
-    s = 1.0
-    for f in fields:
-        s *= max(h10_norm(f), 1e-30)
-    return s
-
-
 def run_inequality_suite(
     n_samples: int,
     seed: int,
@@ -248,64 +216,13 @@ def run_inequality_suite(
     """
     spaces_by_cutoff = {n: SpectralSpaces(n) for n in cutoffs}
     rows: list[dict] = []
-    all_pass = True
-
-    def add(lemma, sample_seed, lhs, rhs, ok):
-        nonlocal all_pass
-        rows.append(
-            {
-                "lemma": lemma,
-                "seed": sample_seed,
-                "lhs": lhs,
-                "rhs": rhs,
-                "margin": rhs - lhs,
-                "pass": bool(ok),
-            }
-        )
-        all_pass = all_pass and bool(ok)
-
     for i in range(n_samples):
         spaces = spaces_by_cutoff[cutoffs[i % len(cutoffs)]]
         nu = viscosities[(i // len(cutoffs)) % len(viscosities)]
         rng = np.random.default_rng(np.random.SeedSequence(seed, spawn_key=(i,)))
-        u = sample_field(spaces, rng)
-        v = sample_field(spaces, rng)
-        w = sample_field(spaces, rng)
-
-        lhs, rhs = check_product_l1(spaces, u, v)
-        add("product_l1", i, lhs, rhs, lhs <= rhs * (1 + 1e-12) + 1e-14)
-
-        for lhs, rhs in check_ladyzhenskaya(spaces, u):
-            add("ladyzhenskaya", i, lhs, rhs, lhs <= rhs * (1 + 1e-12) + 1e-14)
-
-        lhs, rhs = check_convection_bound(spaces, u, w)
-        add("convection_bound", i, lhs, rhs, lhs <= rhs * (1 + 1e-12) + 1e-14)
-
-        lhs, rhs = check_convection_difference(spaces, u, v, nu)
-        add("convection_difference", i, lhs, rhs, lhs <= rhs * (1 + 1e-12) + 1e-14)
-
-        # pull v into the L4 ball of radius r = ||v||_L4 (the tightest ball)
-        r = spaces.l4_norm(v)
-        report = monotonicity_margin(spaces, u, v, nu, r)
-        tol = MONOTONICITY_TOL * _scale(u, v)
-        add(
-            "local_monotonicity",
-            i,
-            report.rhs - report.ball_term - report.convection_term,
-            report.stokes_term,
-            report.in_ball and report.margin >= -tol,
-        )
-
-        bu, bv = bhat_operator(spaces, u), bhat_operator(spaces, v)
-        null_tol = NULL_PAIRING_TOL * _scale(u, u, u)
-        val = abs(float(bu @ u.coeffs))
-        add("null_self_pairing", i, val, null_tol, val <= null_tol)
-
-        # b(u, v, v) by polarisation: <B(u+v) - B(u) - B(v), v> is
-        # b(u, v, v) + b(v, u, v), and b(v, u, v) = -<B(v), u>
-        null_tol = NULL_PAIRING_TOL * _scale(u, v, v)
-        bsum = bhat_operator(spaces, u.coeffs + v.coeffs)
-        val = abs(float((bsum - bu - bv) @ v.coeffs + bv @ u.coeffs))
-        add("null_mixed_pairing", i, val, null_tol, val <= null_tol)
-
-    return rows, all_pass
+        u, v, w = (sample_field(spaces, rng) for _ in range(3))
+        for lemma, lhs, rhs, ok in sample_checks(spaces, u, v, w, nu):
+            rows.append(
+                {"lemma": lemma, "seed": i, "lhs": lhs, "rhs": rhs, "margin": rhs - lhs, "pass": ok}
+            )
+    return rows, all(r["pass"] for r in rows)

@@ -334,12 +334,6 @@ class SpectralSpaces:
         mag2 *= mag2
         return scalar_pow(np.sum(mag2, axis=(-2, -1)) / work.grid.order**2, 0.25)
 
-    def component_l4_norm(self, u: VelocityField, d: int) -> float:
-        """L4 norm of a single scalar component, exactly as l4_norm."""
-        g = self.midpoint
-        vals = self._component_values(u, g)[d - 1]
-        return float(np.sum(vals**4) / g.order**2) ** 0.25
-
     def divergence(self, u: VelocityField) -> PressureField:
         """Exact coefficient map onto the pressure basis."""
         return PressureField(self.div_diagonal * u.coeffs, self.n_modes)

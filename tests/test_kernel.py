@@ -252,6 +252,23 @@ def test_every_row_blown_up_keeps_the_whole_time_grid(spaces2):
     assert rows.times[-1] == pytest.approx(cfg.horizon)
 
 
+def test_start_above_the_cap_diverges_at_step_0(spaces2):
+    # an initial energy of 1e14 passes ENERGY_CAP before any step: the rows
+    # end at step 0, with state 0's series written, and the error names
+    # step 0 and the initial energy
+    cfg = SolverConfig(n_modes=2, dt=0.9, horizon=45.0, nu=1e-3, eps=1e-3)
+    integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
+    start = project_initial(spaces2, [(1, 1, 1, 1e7)], None)
+    rows = integ.run_path(start, [0, 1])
+    assert rows.diverged_at.tolist() == [0, 0]
+    assert rows.energy[:, 0].tolist() == [1e14, 1e14]
+    assert rows.l2_u[:, 0].tolist() == [1e7, 1e7]
+    with pytest.raises(DivergedPathError) as error:
+        integ.run_path(start, path_index=0)
+    assert (error.value.step, error.value.energy) == (0, 1e14)
+    assert "diverged at step 0: energy 1.000e+14" in str(error.value)
+
+
 def test_sweep_excludes_exactly_the_blown_path(spaces4, monkeypatch):
     real = integrator.sample_increment
 

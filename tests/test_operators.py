@@ -105,15 +105,25 @@ def test_bhat_operator_matches_closed_form_oracle(n_modes):
         assert np.abs(ops.bhat_operator(sp, u) - want).max() <= 1e-13 * _scale(u, u, u)
 
 
+def _checks(sp, u, v=None, w=None, nu=0.1):
+    """The rows of sample_checks by lemma, a list of (lhs, rhs, pass) each;
+    v and w default to the zero field."""
+    z = sp.zero_velocity()
+    out = {}
+    for lemma, lhs, rhs, ok in ops.sample_checks(sp, u, z if v is None else v, z if w is None else w, nu):
+        out.setdefault(lemma, []).append((lhs, rhs, ok))
+    return out
+
+
 def test_ladyzhenskaya_examples(spaces3):
-    zero = ops.check_ladyzhenskaya(spaces3, spaces3.zero_velocity())
-    assert zero[0] == (0.0, 0.0) and zero[1] == (0.0, 0.0)
+    zero = _checks(spaces3, spaces3.zero_velocity())["ladyzhenskaya"]
+    assert zero == [(0.0, 0.0, True), (0.0, 0.0, True)]
 
     u = spaces3.velocity_from_modes([(1, 1, 1, 1.0)])
-    lhs, rhs = ops.check_ladyzhenskaya(spaces3, u)[0]
+    lhs, rhs, ok = _checks(spaces3, u)["ladyzhenskaya"][0]
     assert lhs == pytest.approx(9.0 / 4.0, rel=1e-12)
     assert rhs == pytest.approx(4.0 * np.pi**2, rel=1e-12)
-    assert lhs < rhs
+    assert lhs < rhs and ok
 
 
 def test_ladyzhenskaya_randomized(rng):
@@ -121,8 +131,8 @@ def test_ladyzhenskaya_randomized(rng):
         sp = build_spaces(n)
         for _ in range(60):
             u = ops.sample_field(sp, rng)
-            for lhs, rhs in ops.check_ladyzhenskaya(sp, u):
-                assert lhs <= rhs * (1 + 1e-12) + 1e-14
+            for lhs, rhs, ok in _checks(sp, u)["ladyzhenskaya"]:
+                assert lhs <= rhs * (1 + 1e-12) + 1e-14 and ok
 
 
 def test_product_l1_randomized(rng):
@@ -135,14 +145,33 @@ def test_product_l1_randomized(rng):
             assert lhs <= rhs * (1 + 1e-12) + 1e-14
 
 
+@pytest.mark.parametrize("n_modes", [2, 4, 6])
+def test_product_l1_lhs_is_exact(n_modes):
+    # ||phi psi||^2 is a cosine polynomial of degree at most 4N in each
+    # variable, which the 4N + 8 midpoint nodes integrate exactly: it equals
+    # the oracle's Gauss-Legendre quadrature to round-off
+    sp = build_spaces(n_modes)
+    rng = np.random.default_rng(n_modes)
+    rule = orc.make_rule(8 * n_modes + 16)
+    for _ in range(4):
+        u = ops.sample_field(sp, rng)
+        v = ops.sample_field(sp, rng)
+
+        def square(x, y):
+            return (orc.velocity_values(u, x, y)[0] * orc.velocity_values(v, x, y)[1]) ** 2
+
+        lhs, _ = ops.check_product_l1(sp, u, v)
+        assert lhs == pytest.approx(orc.oracle_integrate(square, rule), rel=1e-13, abs=0)
+
+
 def test_convection_bound_examples(spaces3, rng):
-    lhs, rhs = ops.check_convection_bound(spaces3, spaces3.zero_velocity(), spaces3.zero_velocity())
-    assert (lhs, rhs) == (0.0, 0.0)
+    zero = _checks(spaces3, spaces3.zero_velocity())["convection_bound"]
+    assert zero == [(0.0, 0.0, True)]
 
     u = ops.sample_field(spaces3, rng)
-    lhs, rhs = ops.check_convection_bound(spaces3, u, u)
+    [(lhs, rhs, ok)] = _checks(spaces3, u, w=u)["convection_bound"]
     assert lhs <= 1e-12 * _scale(u, u, u)
-    assert lhs <= rhs
+    assert lhs <= rhs and ok
 
 
 def test_convection_bound_randomized(rng):
@@ -151,16 +180,16 @@ def test_convection_bound_randomized(rng):
         for _ in range(60):
             u = ops.sample_field(sp, rng)
             w = ops.sample_field(sp, rng)
-            lhs, rhs = ops.check_convection_bound(sp, u, w)
-            assert lhs <= rhs * (1 + 1e-12) + 1e-14
+            [(lhs, rhs, ok)] = _checks(sp, u, w=w)["convection_bound"]
+            assert lhs <= rhs * (1 + 1e-12) + 1e-14 and ok
 
 
 def test_difference_bound_examples(spaces3, rng):
     u = ops.sample_field(spaces3, rng)
-    lhs, rhs = ops.check_convection_difference(spaces3, u, u, 0.1)
+    [(lhs, rhs, _)] = _checks(spaces3, u, u)["convection_difference"]
     assert lhs <= 1e-12 * _scale(u, u, u) and rhs == 0.0
 
-    lhs, rhs = ops.check_convection_difference(spaces3, u, spaces3.zero_velocity(), 0.1)
+    [(lhs, rhs, _)] = _checks(spaces3, u)["convection_difference"]
     assert lhs <= 1e-12 * _scale(u, u, u)
     assert rhs == pytest.approx(0.05 * h10_norm(u) ** 2, rel=1e-12)
 
@@ -172,33 +201,33 @@ def test_difference_bound_randomized(rng):
             for _ in range(20):
                 u = ops.sample_field(sp, rng)
                 v = ops.sample_field(sp, rng)
-                lhs, rhs = ops.check_convection_difference(sp, u, v, nu)
-                assert lhs <= rhs * (1 + 1e-12) + 1e-14
+                [(lhs, rhs, ok)] = _checks(sp, u, v, nu=nu)["convection_difference"]
+                assert lhs <= rhs * (1 + 1e-12) + 1e-14 and ok
 
 
 def test_monotonicity_examples(spaces3, rng):
+    # the row is ((nu/2) ||u-v||^2 - ball - convection, nu ||u-v||^2), so
+    # its margin rhs - lhs is the monotonicity margin
     u = ops.sample_field(spaces3, rng)
-    rep = ops.monotonicity_margin(spaces3, u, u, 0.1, 1.0)
-    assert rep.margin == 0.0
-    assert rep.in_ball == (spaces3.l4_norm(u) <= 1.0)
+    assert _checks(spaces3, u, u)["local_monotonicity"] == [(0.0, 0.0, True)]
 
-    rep = ops.monotonicity_margin(spaces3, u, spaces3.zero_velocity(), 0.1, 0.0)
-    assert rep.in_ball
-    assert rep.margin == pytest.approx(0.05 * h10_norm(u) ** 2, rel=1e-9)
-    recomputed = rep.stokes_term + rep.convection_term + rep.ball_term - rep.rhs
-    assert rep.margin == pytest.approx(recomputed, abs=1e-15)
+    [(lhs, rhs, ok)] = _checks(spaces3, u)["local_monotonicity"]
+    assert ok
+    assert rhs - lhs == pytest.approx(0.05 * h10_norm(u) ** 2, rel=1e-9)
+    with pytest.raises(ValueError):
+        ops.sample_checks(spaces3, u, u, u, 0.0)
 
 
 def test_monotonicity_randomized_in_ball(rng):
+    # the ball's radius is ||v||_L4, so v is always in it
     for n in (2, 4):
         sp = build_spaces(n)
         for _ in range(60):
             u = ops.sample_field(sp, rng)
             v = ops.sample_field(sp, rng)
-            r = sp.l4_norm(v)
-            rep = ops.monotonicity_margin(sp, u, v, 0.1, r)
-            assert rep.in_ball
-            assert rep.margin >= -1e-10 * _scale(u, v)
+            [(lhs, rhs, ok)] = _checks(sp, u, v)["local_monotonicity"]
+            assert ok
+            assert rhs - lhs >= -1e-10 * _scale(u, v)
 
 
 def check_ibp_identity(
@@ -252,7 +281,7 @@ def test_difference_identity(rng):
             u = ops.sample_field(sp, rng)
             v = ops.sample_field(sp, rng)
             w = VelocityField(u.coeffs - v.coeffs, n)
-            left = ops.monotonicity_margin(sp, u, v, 1.0, 0.0).convection_term
+            left = float((ops.bhat_operator(sp, u) - ops.bhat_operator(sp, v)) @ w.coeffs)
             right = -orc.oracle_trilinear(w, w, v, rule)
             assert left == pytest.approx(right, abs=1e-10 * _scale(u, v))
 
@@ -297,13 +326,54 @@ def test_inequality_suite_reads_the_step_pairing(monkeypatch):
     # the null pairings fail only if the suite pairs through bhat_operator
     step = ops.bhat_operator
     monkeypatch.setattr(
-        ops, "bhat_operator", lambda spaces, u, *args: step(spaces, u, *args) + 1e-3 * _coeffs(u)
+        ops,
+        "bhat_operator",
+        lambda spaces, u, *args, **kwargs: step(spaces, u, *args, **kwargs) + 1e-3 * _coeffs(u),
     )
     rows, all_pass = ops.run_inequality_suite(6, seed=99)
     assert not all_pass
     for lemma in ("null_self_pairing", "null_mixed_pairing"):
         verdicts = [r["pass"] for r in rows if r["lemma"] == lemma]
         assert len(verdicts) == 6 and not any(verdicts), lemma
+
+
+def test_inequality_suite_pairs_through_the_l4_workspace(monkeypatch):
+    # an l4_norm that returns the right norms but leaves the grid values of
+    # the block's rows rolled by one in the workspace: the convection then
+    # reads them, as a step's does, and the null pairings fail
+    l4_norm = SpectralSpaces.l4_norm
+
+    def rolled(self, u, work=None):
+        norms = l4_norm(self, u)
+        if work is not None:
+            l4_norm(self, np.roll(_coeffs(u), 1, axis=0), work=work)
+        return norms
+
+    monkeypatch.setattr(SpectralSpaces, "l4_norm", rolled)
+    rows, all_pass = ops.run_inequality_suite(6, seed=99)
+    assert not all_pass
+    for lemma in ("null_self_pairing", "null_mixed_pairing"):
+        verdicts = [r["pass"] for r in rows if r["lemma"] == lemma]
+        assert len(verdicts) == 6 and not any(verdicts), lemma
+
+
+def test_inequality_suite_rows_rebuilt_from_seed_and_index():
+    # any one sample's rows follow from (seed, index) alone, bit for bit
+    cutoffs, viscosities = (2, 4, 6), (0.05, 0.1, 1.0)
+    rows, _ = ops.run_inequality_suite(12, seed=2718, cutoffs=cutoffs, viscosities=viscosities)
+    per_sample = len(rows) // 12
+    for i in (0, 5, 11):
+        sp = build_spaces(cutoffs[i % 3])
+        nu = viscosities[(i // 3) % 3]
+        rng = np.random.default_rng(np.random.SeedSequence(2718, spawn_key=(i,)))
+        u, v, w = (ops.sample_field(sp, rng) for _ in range(3))
+        want = [
+            (r["lemma"], r["lhs"].hex(), r["rhs"].hex(), r["pass"])
+            for r in rows[i * per_sample : (i + 1) * per_sample]
+        ]
+        got = [(lemma, lhs.hex(), rhs.hex(), ok) for lemma, lhs, rhs, ok in ops.sample_checks(sp, u, v, w, nu)]
+        assert all(r["seed"] == i for r in rows[i * per_sample : (i + 1) * per_sample])
+        assert got == want, i
 
 
 def test_sample_field_is_seeded(spaces3):
