@@ -28,20 +28,17 @@ from .config import (
     build_initial,
     build_noise,
     load_config,
-    parse_value,
-    parse_velocity_modes,
     write_csv,
     write_json_report,
 )
 from .diagnostics import (
-    MomentConfig,
     mc_energy_bound,
     mc_moment_bound,
     pathwise_uniqueness_check,
     perturbed_state,
     simulate_paths,
 )
-from .eps_limit import EpsSweepPlan, epsilon_sweep
+from .eps_limit import epsilon_sweep
 from .integrator import DivergedPathError, GalerkinIntegrator, State, write_snapshot
 from .operators import run_inequality_suite
 from .spaces import ConfigurationError, PressureField, VelocityField, build_spaces
@@ -157,14 +154,6 @@ def _problem(setup) -> tuple:
     return spaces, force, noise, build_initial(setup, spaces)
 
 
-def _nonnegative(setup, key: str) -> float:
-    """The float value of ``key``, a ConfigurationError naming it if negative."""
-    value = setup.get_float(key)
-    if value < 0:
-        raise ConfigurationError(f"{key} must be nonnegative, got {value:g}")
-    return value
-
-
 def _write(args, manifest: RunManifest, name: str, *content) -> None:
     """Write one output, a CSV from (columns, rows) or a JSON report from a
     summary, and record its hash in the manifest."""
@@ -211,22 +200,18 @@ def _cmd_verify(args) -> int:
 def _cmd_mc_energy(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, initial = _problem(setup)
-    n_paths = setup.get_int("monte_carlo.paths")
+    n_paths, z = setup["monte_carlo.paths"], setup["monte_carlo.confidence_z"]
     if n_paths < 2:  # the standard error needs two paths
         raise ConfigurationError(f"monte_carlo.paths must be at least 2, got {n_paths}")
-    z = _nonnegative(setup, "monte_carlo.confidence_z")
-    deltas = setup.float_list("monte_carlo.deltas")
-    if not deltas or min(deltas) <= 0:
-        raise ConfigurationError(f"monte_carlo.deltas must list positive weight rates, got {deltas}")
-    checks = [MomentConfig(moment_p=2.0, delta=d, confidence_z=z) for d in deltas]
+    deltas = setup["monte_carlo.deltas"]
     records = simulate_paths(
         spaces, setup.solver, force, noise, initial, n_paths, workers=args.workers
     )
     all_pass = True
     csv_rows = []
     margins = {}
-    for delta, mc in zip(deltas, checks):
-        rep = mc_energy_bound(records, spaces, setup.solver, mc, force, noise, initial)
+    for delta in deltas:
+        rep = mc_energy_bound(records, spaces, setup.solver, delta, z, force, noise, initial)
         all_pass = all_pass and rep.passed
         margins[str(delta)] = float(rep.margins().min())
         csv_rows += [(delta, *row) for row in zip(rep.times, rep.lhs, rep.rhs, rep.se)]
@@ -244,22 +229,17 @@ def _cmd_mc_energy(args) -> int:
 def _cmd_mc_moment(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, initial = _problem(setup)
-    n_paths = setup.get_int("monte_carlo.paths")
-    z = _nonnegative(setup, "monte_carlo.confidence_z")
-    tol = _nonnegative(setup, "monte_carlo.moment_stability_tol")
+    n_paths, tol = setup["monte_carlo.paths"], setup["monte_carlo.moment_stability_tol"]
     cfg = setup.solver
     if n_paths < 4:  # the half ensemble's standard error needs two paths
         raise ConfigurationError(f"monte_carlo.paths must be at least 4 for mc-moment, got {n_paths}")
     if cfg.delta <= 0:
         raise ConfigurationError(f"solver.delta must be positive for mc-moment, got {cfg.delta:g}")
-    mc = MomentConfig(moment_p=cfg.moment_p, delta=cfg.delta, confidence_z=z)
     records = simulate_paths(
         spaces, cfg, force, noise, initial, n_paths, workers=args.workers
     )
-    full = mc_moment_bound(records, spaces, cfg, mc, force, noise, initial)
-    half = mc_moment_bound(
-        records.take(slice(n_paths // 2)), spaces, cfg, mc, force, noise, initial
-    )
+    full = mc_moment_bound(records, spaces, cfg, force, noise, initial)
+    half = mc_moment_bound(records.take(slice(n_paths // 2)), spaces, cfg, force, noise, initial)
     ok = full.implied_constant is not None and np.isfinite(full.implied_constant)
     spread = None
     if ok and half.implied_constant:
@@ -270,8 +250,8 @@ def _cmd_mc_moment(args) -> int:
     _write(args, manifest, "mc_moment.csv", ("path", "sup_statistic"), enumerate(full.per_path))
     summary = {
         "pass": bool(ok),
-        "moment_p": mc.moment_p,
-        "delta": mc.delta,
+        "moment_p": cfg.moment_p,
+        "delta": cfg.delta,
         "paths": n_paths,
         "lhs": full.lhs,
         "initial_term": full.initial_term,
@@ -288,18 +268,13 @@ def _cmd_mc_moment(args) -> int:
 def _cmd_uniqueness(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, init_a = _problem(setup)
-    raw_mode = setup.get("uniqueness.perturb_mode").split(",")
-    if len(raw_mode) != 3:
-        raise ConfigurationError("uniqueness.perturb_mode must be 'j,k,d'")
-    mode = tuple(parse_value("uniqueness.perturb_mode", int, v) for v in raw_mode)
-    amp = setup.get_float("uniqueness.perturb_amplitude")
-    c_check = _nonnegative(setup, "uniqueness.c_check")
+    mode, amp = setup["uniqueness.perturb_mode"], setup["uniqueness.perturb_amplitude"]
     try:
         init_b = perturbed_state(spaces, init_a, mode, amp)
     except ConfigurationError as exc:
         raise ConfigurationError(f"uniqueness.perturb_mode: {exc}") from None
     rep = pathwise_uniqueness_check(
-        spaces, setup.solver, force, noise, init_a, init_b, c_check=c_check
+        spaces, setup.solver, force, noise, init_a, init_b, c_check=setup["uniqueness.c_check"]
     )
     rows = zip(rep.times, rep.weighted_diff, rep.weight.samples)
     _write(args, manifest, "uniqueness.csv", ("t", "weighted_diff", "weight_r"), rows)
@@ -318,18 +293,12 @@ def _cmd_sweep(args) -> int:
     setup, manifest = _setup(args)
     digest = manifest.digest()
     spaces = build_spaces(setup.solver.n_modes)
-    plan = EpsSweepPlan(
-        eps_values=tuple(setup.float_list("sweep.eps_values")),
-        base=setup.solver,
-        n_paths=setup.get_int("sweep.paths"),
-        force_modes=tuple(parse_velocity_modes("sweep.force_modes", setup.get("sweep.force_modes"))),
-        noise_trace=setup.get_float("sweep.noise_trace"),
-    )
+    plan = setup.sweep
     # states of path 0 at the grid times nearest the requested ones, captured
     # while the sweep runs it
     cfg = plan.base
     wanted = {}
-    for t in setup.float_list("sweep.snapshot_times"):
+    for t in setup["sweep.snapshot_times"]:
         m = int(round(t / cfg.dt))
         if not 0 <= t <= cfg.horizon:
             raise ConfigurationError(f"sweep.snapshot_times: {t:g} lies outside [0, {cfg.horizon:g}]")

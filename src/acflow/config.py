@@ -17,75 +17,26 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import __version__
+from .eps_limit import EpsSweepPlan
 from .forcing import DeterministicForce, NoiseModel, default_noise, noise_from_modes
-from .integrator import SolverConfig, State, project_initial
+from .integrator import PRESSURE_PRESETS, VELOCITY_PRESETS, SolverConfig, State, project_initial
 from .spaces import ConfigurationError, SpectralSpaces
-
-_SOLVER_TYPES = {
-    "nu": float,
-    "eps": float,
-    "delta": float,
-    "n_modes": int,
-    "dt": float,
-    "horizon": float,
-    "moment_p": float,
-    "seed": int,
-}
-
-DEFAULTS: dict[str, dict[str, str]] = {
-    "solver": {
-        "nu": "0.1",
-        "eps": "0.1",
-        "delta": "1.0",
-        "n_modes": "8",
-        "dt": "0.001",
-        "horizon": "0.5",
-        "moment_p": "2",
-        "seed": "12345",
-    },
-    "force": {"preset": "zero", "modes": ""},
-    "noise": {"preset": "default", "modes": "", "trace": "0.01", "n_terms": "8"},
-    "initial_u": {"preset": "zero", "modes": ""},
-    "initial_p": {"preset": "zero", "modes": ""},
-    "monte_carlo": {
-        "paths": "200",
-        "confidence_z": "3.0",
-        "deltas": "0.5,1,2",
-        "moment_stability_tol": "0.25",
-    },
-    "uniqueness": {
-        "perturb_mode": "1,1,1",
-        "perturb_amplitude": "0.001",
-        "c_check": "1.0",
-    },
-    "sweep": {
-        "eps_values": "0.1,0.01,0.001,0.0001",
-        "paths": "50",
-        "force_modes": "1,1,1,0.4; 2,1,2,0.2",
-        "noise_trace": "0.01",
-        "snapshot_times": "",
-    },
-}
 
 
 @dataclass
 class RunSetup:
+    """A loaded configuration: each key's value string, as the manifest
+    records it, and its provenance; its parsed value, ``setup[key]``; and
+    the solver and sweep plan built from those values."""
+
     solver: SolverConfig
+    sweep: EpsSweepPlan
     values: dict[str, str]          # flat "section.key" -> value string
     provenance: dict[str, str]      # flat "section.key" -> default|file|override
+    parsed: dict[str, object]       # flat "section.key" -> parsed value
 
-    def get(self, key: str) -> str:
-        return self.values[key]
-
-    def get_float(self, key: str) -> float:
-        return parse_value(key, float, self.values[key])
-
-    def get_int(self, key: str) -> int:
-        return parse_value(key, int, self.values[key])
-
-    def float_list(self, key: str) -> list[float]:
-        raw = self.values[key]
-        return [parse_value(key, float, tok) for tok in raw.split(",") if tok.strip()]
+    def __getitem__(self, key: str):
+        return self.parsed[key]
 
 
 def parse_value(key: str, typ: type, raw: str):
@@ -108,19 +59,21 @@ def _check_wavenumbers(key: str, j: int, k: int) -> None:
         raise ConfigurationError(f"{key}: mode wavenumbers j, k must be at least 1, got ({j}, {k})")
 
 
+def _mode_parts(key: str, raw: str, form: str) -> list[list[str]]:
+    """The parts of each ';'-separated entry of ``raw``, the value of
+    ``key``: four comma-separated ones, as ``form`` names them."""
+    entries = [[p.strip() for p in chunk.split(",")] for chunk in raw.split(";") if chunk.strip()]
+    for parts in entries:
+        if len(parts) != 4:
+            raise ConfigurationError(f"{key}: mode entry {','.join(parts)!r} must be '{form}'")
+    return entries
+
+
 def parse_velocity_modes(key: str, raw: str) -> list[tuple[int, int, int, float]]:
     """Parse 'j,k,d,amp; j,k,d,amp; ...' mode entry lists, the value of
     ``key``; a malformed entry is a ConfigurationError naming the key."""
     entries = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 4:
-            raise ConfigurationError(
-                f"{key}: velocity mode entry {chunk!r} must be 'j,k,d,amplitude'"
-            )
+    for parts in _mode_parts(key, raw, "j,k,d,amplitude"):
         j, k, d = (parse_value(key, int, v) for v in parts[:3])
         if d not in (1, 2):
             raise ConfigurationError(f"{key}: velocity component must be 1 or 2, got {d}")
@@ -133,15 +86,7 @@ def parse_pressure_modes(key: str, raw: str) -> list[tuple[str, int, int, float]
     """Parse 'family,j,k,amp; ...' with family cs or sc, the value of
     ``key``; a malformed entry is a ConfigurationError naming the key."""
     entries = []
-    for chunk in raw.split(";"):
-        chunk = chunk.strip()
-        if not chunk:
-            continue
-        parts = [p.strip() for p in chunk.split(",")]
-        if len(parts) != 4:
-            raise ConfigurationError(
-                f"{key}: pressure mode entry {chunk!r} must be 'family,j,k,amplitude'"
-            )
+    for parts in _mode_parts(key, raw, "family,j,k,amplitude"):
         j, k = (parse_value(key, int, v) for v in parts[1:3])
         if parts[0] not in ("cs", "sc"):
             raise ConfigurationError(f"{key}: pressure family must be cs or sc, got {parts[0]!r}")
@@ -150,19 +95,102 @@ def parse_pressure_modes(key: str, raw: str) -> list[tuple[str, int, int, float]
     return entries
 
 
+def _number(typ: type, nonnegative: bool = False):
+    """The parser of one number of type ``typ``, which refuses a negative
+    one when ``nonnegative``."""
+
+    def parse(key: str, raw: str):
+        value = parse_value(key, typ, raw)
+        if nonnegative and value < 0:
+            raise ConfigurationError(f"{key} must be nonnegative, got {raw}")
+        return value
+
+    return parse
+
+
+def _numbers(key: str, raw: str) -> tuple[float, ...]:
+    """Comma-separated finite numbers; blank entries are skipped."""
+    return tuple(parse_value(key, float, tok) for tok in raw.split(",") if tok.strip())
+
+
+def _weight_rates(key: str, raw: str) -> tuple[float, ...]:
+    rates = _numbers(key, raw)
+    if not rates or min(rates) <= 0:
+        raise ConfigurationError(f"{key} must list positive weight rates, got {raw!r}")
+    return rates
+
+
+def _mode_triple(key: str, raw: str) -> tuple[int, int, int]:
+    parts = raw.split(",")
+    if len(parts) != 3:
+        raise ConfigurationError(f"{key} must be 'j,k,d'")
+    return tuple(parse_value(key, int, v) for v in parts)
+
+
+def _choice(*names: str):
+    """The parser of one of ``names``."""
+
+    def parse(key: str, raw: str) -> str:
+        if raw not in names:
+            raise ConfigurationError(f"{key} must be one of {', '.join(names)}, got {raw!r}")
+        return raw
+
+    return parse
+
+
+# every key of every section: its default value string, which the manifest
+# records as written, and its parser, called with the key and a value string
+SCHEMA: dict[str, dict[str, tuple]] = {
+    "solver": {
+        "nu": ("0.1", _number(float)),
+        "eps": ("0.1", _number(float)),
+        "delta": ("1.0", _number(float)),
+        "n_modes": ("8", _number(int)),
+        "dt": ("0.001", _number(float)),
+        "horizon": ("0.5", _number(float)),
+        "moment_p": ("2", _number(float)),
+        "seed": ("12345", _number(int)),
+    },
+    "force": {"preset": ("zero", _choice("zero")), "modes": ("", parse_velocity_modes)},
+    "noise": {
+        "preset": ("default", _choice("default", "zero", "none")),
+        "modes": ("", parse_velocity_modes),
+        "trace": ("0.01", _number(float, nonnegative=True)),
+        "n_terms": ("8", _number(int, nonnegative=True)),
+    },
+    "initial_u": {"preset": ("zero", _choice(*VELOCITY_PRESETS)), "modes": ("", parse_velocity_modes)},
+    "initial_p": {"preset": ("zero", _choice(*PRESSURE_PRESETS)), "modes": ("", parse_pressure_modes)},
+    "monte_carlo": {
+        "paths": ("200", _number(int)),
+        "confidence_z": ("3.0", _number(float, nonnegative=True)),
+        "deltas": ("0.5,1,2", _weight_rates),
+        "moment_stability_tol": ("0.25", _number(float, nonnegative=True)),
+    },
+    "uniqueness": {
+        "perturb_mode": ("1,1,1", _mode_triple),
+        "perturb_amplitude": ("0.001", _number(float)),
+        "c_check": ("1.0", _number(float, nonnegative=True)),
+    },
+    "sweep": {
+        "eps_values": ("0.1,0.01,0.001,0.0001", _numbers),
+        "paths": ("50", _number(int)),
+        "force_modes": ("1,1,1,0.4; 2,1,2,0.2", parse_velocity_modes),
+        "noise_trace": ("0.01", _number(float)),
+        "snapshot_times": ("", _numbers),
+    },
+}
+
+
 def load_config(path: str | None = None, overrides=()) -> RunSetup:
-    """Load defaults, then the file, then key=value overrides (last wins).
+    """Load defaults, then the file, then key=value overrides (last wins),
+    and parse every key, whichever a command reads.
 
     Unknown sections or keys and malformed values are configuration errors
-    naming the offending entry; positivity and bound checks are applied when
-    the solver block is materialised.
+    naming the offending entry, as are the range checks of the solver and
+    the sweep plan, which are built here.
     """
-    values: dict[str, str] = {}
-    provenance: dict[str, str] = {}
-    for section, keys in DEFAULTS.items():
-        for key, val in keys.items():
-            values[f"{section}.{key}"] = val
-            provenance[f"{section}.{key}"] = "default"
+    values = {f"{s}.{k}": spec[0] for s, keys in SCHEMA.items() for k, spec in keys.items()}
+    provenance = dict.fromkeys(values, "default")
 
     if path is not None:
         parser = configparser.ConfigParser(interpolation=None)
@@ -174,10 +202,10 @@ def load_config(path: str | None = None, overrides=()) -> RunSetup:
         except configparser.Error as exc:
             raise ConfigurationError(f"config parse error: {exc}") from exc
         for section in parser.sections():
-            if section not in DEFAULTS:
+            if section not in SCHEMA:
                 raise ConfigurationError(f"unknown config section [{section}]")
             for key, val in parser.items(section):
-                if key not in DEFAULTS[section]:
+                if key not in SCHEMA[section]:
                     raise ConfigurationError(
                         f"unknown key {key!r} in section [{section}]"
                     )
@@ -196,50 +224,37 @@ def load_config(path: str | None = None, overrides=()) -> RunSetup:
         values[key] = val.strip()
         provenance[key] = "override"
 
-    solver = _materialise_solver(values)
-    return RunSetup(solver=solver, values=values, provenance=provenance)
-
-
-def _materialise_solver(values: dict[str, str]) -> SolverConfig:
-    return SolverConfig(
-        **{key: parse_value(f"solver.{key}", typ, values[f"solver.{key}"])
-           for key, typ in _SOLVER_TYPES.items()}
+    parsed = {}
+    for key, raw in values.items():
+        section, name = key.split(".")
+        parsed[key] = SCHEMA[section][name][1](key, raw)
+    solver = SolverConfig(**{name: parsed[f"solver.{name}"] for name in SCHEMA["solver"]})
+    sweep = EpsSweepPlan(
+        eps_values=parsed["sweep.eps_values"],
+        base=solver,
+        n_paths=parsed["sweep.paths"],
+        force_modes=tuple(parsed["sweep.force_modes"]),
+        noise_trace=parsed["sweep.noise_trace"],
     )
+    return RunSetup(solver, sweep, values, provenance, parsed)
 
 
 def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
-    modes = setup.get("force.modes").strip()
-    preset = setup.get("force.preset").strip()
-    if modes:
-        entries = parse_velocity_modes("force.modes", modes)
-    elif preset == "zero":
-        entries = []
-    else:
-        raise ConfigurationError(f"force.preset must be zero, got {preset!r}")
-    return DeterministicForce(spaces.velocity_from_modes(entries).coeffs)
+    # the one preset, zero, has no modes
+    return DeterministicForce(spaces.velocity_from_modes(setup["force.modes"]).coeffs)
 
 
 def build_noise(setup: RunSetup, spaces: SpectralSpaces) -> NoiseModel:
-    modes = setup.get("noise.modes").strip()
-    if modes:
-        return noise_from_modes(spaces, parse_velocity_modes("noise.modes", modes))
-    preset = setup.get("noise.preset").strip()
-    if preset == "default":
-        return default_noise(
-            spaces,
-            trace=setup.get_float("noise.trace"),
-            n_terms=setup.get_int("noise.n_terms"),
-        )
-    if preset in ("zero", "none"):
-        return noise_from_modes(spaces, [])
-    raise ConfigurationError(f"noise.preset must be default, zero or none, got {preset!r}")
+    if setup["noise.modes"]:
+        return noise_from_modes(spaces, setup["noise.modes"])
+    if setup["noise.preset"] == "default":
+        return default_noise(spaces, setup["noise.trace"], setup["noise.n_terms"])
+    return noise_from_modes(spaces, [])
 
 
 def build_initial(setup: RunSetup, spaces: SpectralSpaces) -> State:
-    u_modes = setup.get("initial_u.modes").strip()
-    u_spec = parse_velocity_modes("initial_u.modes", u_modes) if u_modes else setup.get("initial_u.preset")
-    p_modes = setup.get("initial_p.modes").strip()
-    p_spec = parse_pressure_modes("initial_p.modes", p_modes) if p_modes else setup.get("initial_p.preset")
+    u_spec = setup["initial_u.modes"] or setup["initial_u.preset"]
+    p_spec = setup["initial_p.modes"] or setup["initial_p.preset"]
     return project_initial(spaces, u_spec, p_spec)
 
 

@@ -24,7 +24,7 @@ import numpy as np
 
 from .forcing import DeterministicForce, NoiseModel
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
-from .spaces import ConfigurationError, SpectralSpaces, VelocityField, l2_norm
+from .spaces import SpectralSpaces, VelocityField, l2_norm
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
@@ -48,19 +48,6 @@ def mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(values) == 1:
         return mean, np.zeros_like(mean)
     return mean, values.std(axis=0, ddof=1) / np.sqrt(len(values))
-
-
-@dataclass(frozen=True)
-class MomentConfig:
-    moment_p: float = 4.0
-    delta: float = 1.0
-    confidence_z: float = 3.0
-
-    def __post_init__(self):
-        if self.moment_p < 2:
-            raise ConfigurationError("moment exponent must be at least 2")
-        if self.delta <= 0:
-            raise ConfigurationError("delta must be positive")
 
 
 @dataclass(frozen=True)
@@ -150,15 +137,17 @@ def mc_energy_bound(
     records: PathRecord,
     spaces: SpectralSpaces,
     config: SolverConfig,
-    mc: MomentConfig,
+    delta: float,
+    z: float,
     force: DeterministicForce | None,
     noise: NoiseModel | None,
     initial: State,
 ) -> EnergyBoundReport:
-    """Monte Carlo check of the weighted energy bound at every grid time,
-    over the paths of ``records`` simulated from this problem."""
+    """Monte Carlo check of the weighted energy bound at weight rate
+    ``delta`` and every grid time, lhs <= rhs + z se, over the paths of
+    ``records`` simulated from this problem."""
     force = force or DeterministicForce(np.zeros(spaces.n_velocity))
-    delta, times, n_paths = mc.delta, records.times, len(records.paths)
+    times, n_paths = records.times, len(records.paths)
     energy = records.l2_u**2 + config.eps * records.l2_p**2
     diss = _weighted_dissipation_series(records, delta, config.nu, 2.0)
     per_path = energy * np.exp(-delta * times) + diss
@@ -166,14 +155,14 @@ def mc_energy_bound(
     lhs, se = mean_se(per_path)
     rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
 
-    passed = bool(np.all(lhs <= rhs + mc.confidence_z * se + 1e-14))
+    passed = bool(np.all(lhs <= rhs + z * se + 1e-14))
     return EnergyBoundReport(
         delta=delta,
         times=times,
         lhs=lhs,
         rhs=rhs,
         se=se,
-        confidence_z=mc.confidence_z,
+        confidence_z=z,
         n_paths=n_paths,
         passed=passed,
         dissipation_term=float(diss[:, -1].mean()),
@@ -205,12 +194,12 @@ def mc_moment_bound(
     records: PathRecord,
     spaces: SpectralSpaces,
     config: SolverConfig,
-    mc: MomentConfig,
     force: DeterministicForce | None,
     noise: NoiseModel | None,
     initial: State,
 ) -> MomentBoundReport:
-    """Monte Carlo evaluation of the p-th moment bound over the paths of
+    """Monte Carlo evaluation of the p-th moment bound, at the exponent
+    ``config.moment_p`` and weight rate ``config.delta``, over the paths of
     ``records`` simulated from this problem.
 
     The bound's constant is not explicit, so the report carries the implied
@@ -219,7 +208,7 @@ def mc_moment_bound(
     fixed threshold.
     """
     force = force or DeterministicForce(np.zeros(spaces.n_velocity))
-    p, delta, times, n_paths = mc.moment_p, mc.delta, records.times, len(records.paths)
+    p, delta, times, n_paths = config.moment_p, config.delta, records.times, len(records.paths)
     weight = np.exp(-delta * times)
     sup_term = np.max((records.l2_u**p + config.eps * records.l2_p**p) * weight, axis=-1)
     diss = _weighted_dissipation_series(records, delta, config.nu, p)[:, -1]
@@ -303,7 +292,6 @@ def perturbed_state(spaces: SpectralSpaces, base: State, mode, amplitude: float)
 __all__ = [
     "EnergyBoundReport",
     "MomentBoundReport",
-    "MomentConfig",
     "UniquenessReport",
     "UniquenessWeight",
     "energy_bound_rhs",

@@ -17,6 +17,8 @@ fields by polarisation:
 
 from __future__ import annotations
 
+from functools import lru_cache
+
 import numpy as np
 
 from .spaces import (
@@ -57,7 +59,7 @@ def bhat_operator(
         work = GridWorkspace(spaces.midpoint, c.shape[:-1])
         spaces._grid_values(c, work)
     g, n = work.grid, spaces.n_modes
-    t1, t2 = spaces._component_gradients(c, g, work)
+    t1, t2 = spaces._component_gradients(c, work)
     t1 *= work.u1
     t2 *= work.u2
     np.multiply(work.v1, work.v2, out=work.u1u2)
@@ -88,13 +90,13 @@ def check_product_l1(
 
     Both sides by the midpoint rule on Q = 4N + 8 nodes per axis: exact for
     the lhs, a cosine polynomial of degree at most 4N < 2Q in each variable,
-    and approximate for the rhs, whose |phi d1 phi| is no trig polynomial."""
+    and approximate for the rhs, whose |phi d1 phi| is no trig polynomial.
+    Only the four planes read are synthesised."""
     q = 4 * spaces.n_modes + 8
     g = _SynthGrid(spaces.n_modes, (np.arange(q) + 0.5) / q)
-    phi = spaces._component_values(u, g)[0]
-    psi = spaces._component_values(v, g)[1]
-    d1phi = spaces._component_gradients(u, g)[0][0]
-    d2psi = spaces._component_gradients(v, g)[1][1]
+    u1, v2 = spaces._coeff_blocks(u)[0], spaces._coeff_blocks(v)[1]
+    phi, d1phi = (spaces._synthesize(left, u1, g.sin2) for left in (g.sin, g.dcos))
+    psi, d2psi = (spaces._synthesize(g.sin, v2, right) for right in (g.sin2, g.dcos2))
     # the rule's weight 1 / Q^2 makes each integral a mean over the grid
     lhs = float(np.mean((phi * psi) ** 2))
     rhs = float(np.mean(np.abs(phi * d1phi))) * float(np.mean(np.abs(psi * d2psi)))
@@ -186,20 +188,19 @@ def sample_checks(
 # -- randomized inequality suite -------------------------------------------------
 
 
-def sample_field(
-    spaces: SpectralSpaces,
-    rng: np.random.Generator,
-    smoothness: float = 2.0,
-    amplitude: float = 1.0,
-) -> VelocityField:
-    """Random field with coefficients ~ N(0, (j^2+k^2)^-smoothness)."""
-    n = spaces.n_modes
-    j = np.arange(1, n + 1, dtype=float)
+@lru_cache(maxsize=None)
+def _field_scales(n_modes: int) -> np.ndarray:
+    """(j^2 + k^2)^-1 for both components, in the velocity order."""
+    j = np.arange(1, n_modes + 1, dtype=float)
     jj, kk = np.meshgrid(j, j, indexing="ij")
-    sigma = (jj**2 + kk**2) ** (-smoothness / 2.0)
-    sigma = np.concatenate([sigma.ravel(), sigma.ravel()])
-    coeffs = amplitude * sigma * rng.standard_normal(spaces.n_velocity)
-    return VelocityField(coeffs, n)
+    sigma = (jj**2 + kk**2) ** (-1.0)
+    return np.concatenate([sigma.ravel(), sigma.ravel()])
+
+
+def sample_field(spaces: SpectralSpaces, rng: np.random.Generator) -> VelocityField:
+    """Random field with coefficients ~ N(0, (j^2+k^2)^-2)."""
+    coeffs = _field_scales(spaces.n_modes) * rng.standard_normal(spaces.n_velocity)
+    return VelocityField(coeffs, spaces.n_modes)
 
 
 def run_inequality_suite(

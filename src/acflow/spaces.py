@@ -365,10 +365,6 @@ class SpectralSpaces:
         derivative factors cost no pass."""
         return np.matmul(np.matmul(left.T, c, out=half), right2, out=out)
 
-    def _component_values(self, u, g: _SynthGrid) -> np.ndarray:
-        """Values of both components on the tensor grid, shape (..., 2, Q, Q)."""
-        return self._synthesize(g.sin, self._coeff_blocks(u), g.sin2)
-
     def _grid_values(self, c: np.ndarray, work: GridWorkspace) -> None:
         """The grid values of the coefficient rows c into ``work.values``,
         and their squares u1 u1, u2 u2 into the product planes."""
@@ -376,17 +372,14 @@ class SpectralSpaces:
         self._synthesize(g.sin, self._coeff_blocks(c), g.sin2, work.values, work.half)
         np.multiply(work.values, work.values, out=work.squares)
 
-    def _component_gradients(
-        self, u, g: _SynthGrid, work: GridWorkspace | None = None
-    ) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivatives (d_1 u, d_2 u) on the grid, each of shape
-        (..., 2, Q, Q): [i][..., d] = d_i u_d; into ``work.d1`` and
-        ``work.d2`` when given."""
-        c = self._coeff_blocks(u)
-        d1, d2, half = (None,) * 3 if work is None else (work.d1, work.d2, work.half)
+    def _component_gradients(self, u, work: GridWorkspace) -> tuple[np.ndarray, np.ndarray]:
+        """Partial derivatives (d_1 u, d_2 u) on the block's grid, into
+        ``work.d1`` and ``work.d2``, each of shape (..., 2, M, M):
+        [i][..., d] = d_i u_d."""
+        g, c = work.grid, self._coeff_blocks(u)
         return (
-            self._synthesize(g.dcos, c, g.sin2, d1, half),
-            self._synthesize(g.sin, c, g.dcos2, d2, half),
+            self._synthesize(g.dcos, c, g.sin2, work.d1, work.half),
+            self._synthesize(g.sin, c, g.dcos2, work.d2, work.half),
         )
 
 

@@ -15,7 +15,6 @@ from acflow import operators as ops
 import oracle as orc
 from acflow.cli import main
 from acflow.diagnostics import (
-    MomentConfig,
     mc_energy_bound,
     mc_moment_bound,
     pathwise_uniqueness_check,
@@ -200,8 +199,7 @@ def test_criterion_5_energy_estimate(spaces8, energy_ensemble):
     worst_z = -np.inf
     ok = True
     for delta in (0.5, 1.0, 2.0):
-        mc = MomentConfig(moment_p=2.0, delta=delta, confidence_z=3.0)
-        rep = mc_energy_bound(records, spaces8, cfg, mc, None, noise, initial)
+        rep = mc_energy_bound(records, spaces8, cfg, delta, 3.0, None, noise, initial)
         ok = ok and rep.passed
         with np.errstate(invalid="ignore", divide="ignore"):
             z = np.where(rep.se > 0, (rep.lhs - rep.rhs) / rep.se, -np.inf)
@@ -219,9 +217,9 @@ def test_criterion_5_energy_estimate(spaces8, energy_ensemble):
 
 def test_criterion_6_moment_estimate(spaces8, energy_ensemble):
     cfg, noise, initial, records, _ = energy_ensemble
-    mc4 = MomentConfig(moment_p=4.0, delta=1.0, confidence_z=3.0)
-    full = mc_moment_bound(records, spaces8, cfg, mc4, None, noise, initial)
-    half = mc_moment_bound(records.take(slice(100)), spaces8, cfg, mc4, None, noise, initial)
+    cfg4 = replace(cfg, moment_p=4.0, delta=1.0)
+    full = mc_moment_bound(records, spaces8, cfg4, None, noise, initial)
+    half = mc_moment_bound(records.take(slice(100)), spaces8, cfg4, None, noise, initial)
     finite = (
         full.implied_constant is not None
         and np.isfinite(full.implied_constant)
@@ -234,9 +232,9 @@ def test_criterion_6_moment_estimate(spaces8, energy_ensemble):
         else np.inf
     )
 
-    mc2 = MomentConfig(moment_p=2.0, delta=1.0, confidence_z=3.0)
-    m2 = mc_moment_bound(records, spaces8, cfg, mc2, None, noise, initial)
-    e2 = mc_energy_bound(records, spaces8, cfg, mc2, None, noise, initial)
+    cfg2 = replace(cfg, moment_p=2.0, delta=1.0)
+    m2 = mc_moment_bound(records, spaces8, cfg2, None, noise, initial)
+    e2 = mc_energy_bound(records, spaces8, cfg2, 1.0, 3.0, None, noise, initial)
     consistent = (m2.dissipation_term == e2.dissipation_term) and (
         m2.lhs >= e2.lhs.max() - 1e-15
     )

@@ -11,7 +11,7 @@ import pytest
 import acflow
 from acflow.cli import main
 from acflow.config import (
-    DEFAULTS,
+    SCHEMA,
     load_config,
     parse_pressure_modes,
     parse_velocity_modes,
@@ -71,7 +71,7 @@ def test_mode_entry_parsing():
 
 def test_defaults_cover_every_section_key():
     setup = load_config(None)
-    for section, keys in DEFAULTS.items():
+    for section, keys in SCHEMA.items():
         for key in keys:
             assert f"{section}.{key}" in setup.values
 
@@ -406,6 +406,32 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command
     assert rc == 2
     assert override.split("=")[0] in err
     assert "Traceback" not in err
+
+
+@pytest.mark.parametrize(
+    "command, override",
+    [
+        ("run", "monte_carlo.paths=abc"),
+        ("verify", "sweep.eps_values=0.1,0.2"),
+        ("mc-energy", "uniqueness.c_check=-1"),
+        ("mc-moment", "monte_carlo.deltas=0"),
+        ("uniqueness", "sweep.noise_trace=-1"),
+        ("sweep-eps", "initial_u.preset=foo"),
+    ],
+)
+def test_malformed_value_of_an_unread_key_exits_2_writing_nothing(tmp_path, capsys, command, override):
+    # every key is parsed and range-checked at load, also one the command
+    # never reads, before any output is written
+    out = tmp_path / "out"
+    small = ["--set", "solver.n_modes=4", "--set", "solver.horizon=0.01"]
+    if command == "verify":
+        small += ["--samples", "2"]
+    rc = main([command, *small, "--set", override, "--quiet", "--out", str(out)])
+    err = capsys.readouterr().err
+    assert rc == 2
+    assert override.split("=")[0] in err
+    assert "Traceback" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("route", ["override", "file"])

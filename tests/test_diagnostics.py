@@ -1,9 +1,11 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from acflow import build_spaces
+from acflow.cli import main
 from acflow.diagnostics import (
-    MomentConfig,
     UniquenessWeight,
     cumulative_trapezoid,
     mc_energy_bound,
@@ -39,11 +41,14 @@ def test_trapezoid_helpers_match_scipy_bit_for_bit():
     assert cumulative_trapezoid(y, x[:501]).tobytes() == rows.tobytes()
 
 
-def test_moment_config_validation():
-    with pytest.raises(ConfigurationError):
-        MomentConfig(moment_p=1.5)
-    with pytest.raises(ConfigurationError):
-        MomentConfig(delta=0.0)
+def test_moment_config_validation(tmp_path, capsys):
+    # the moment exponent's range is the solver's; a weight rate of 0 is
+    # refused by mc-moment, whose bound divides by it
+    with pytest.raises(ConfigurationError, match="moment_p"):
+        SolverConfig(moment_p=1.5)
+    out = tmp_path / "out"
+    assert main(["mc-moment", "--set", "solver.delta=0", "--quiet", "--out", str(out)]) == 2
+    assert "solver.delta must be positive" in capsys.readouterr().err
 
 
 def test_uniqueness_weight_invariants():
@@ -70,8 +75,7 @@ def test_energy_bound_deterministic_degenerate(spaces4):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.05)
     initial = project_initial(spaces4, "low_mode", None)
     records = simulate_paths(spaces4, cfg, None, None, initial, 2)
-    mc = MomentConfig(moment_p=2.0, delta=1.0)
-    rep = mc_energy_bound(records, spaces4, cfg, mc, None, None, initial)
+    rep = mc_energy_bound(records, spaces4, cfg, 1.0, 3.0, None, None, initial)
     assert np.all(rep.se == 0.0)
     assert np.allclose(rep.rhs, rep.rhs[0])
     assert rep.rhs[0] == pytest.approx(1.0, rel=1e-12)
@@ -82,17 +86,15 @@ def test_energy_bound_deterministic_degenerate(spaces4):
 def test_energy_bound_noise_driven(small_setup):
     spaces, cfg, noise, initial, records = small_setup
     for delta in (0.5, 1.0, 2.0):
-        mc = MomentConfig(moment_p=2.0, delta=delta)
-        rep = mc_energy_bound(records, spaces, cfg, mc, None, noise, initial)
+        rep = mc_energy_bound(records, spaces, cfg, delta, 3.0, None, noise, initial)
         assert rep.passed, f"violation at delta={delta}"
 
 
 def test_moment_bound_degenerate_denominator(spaces4):
-    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02)
+    cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, moment_p=4.0)
     initial = project_initial(spaces4, "low_mode", None)
     records = simulate_paths(spaces4, cfg, None, None, initial, 2)
-    mc = MomentConfig(moment_p=4.0, delta=1.0)
-    rep = mc_moment_bound(records, spaces4, cfg, mc, None, None, initial)
+    rep = mc_moment_bound(records, spaces4, cfg, None, None, initial)
     assert rep.denominator == 0.0
     assert rep.implied_constant is None
     # sup term attains the initial value and the weighted dissipation is
@@ -107,9 +109,9 @@ def test_one_path_has_zero_standard_error(spaces4):
     noise = default_noise(spaces4, trace=0.01, n_terms=4)
     initial = project_initial(spaces4, None, None)
     records = simulate_paths(spaces4, cfg, None, noise, initial, 1)
-    mc = MomentConfig(moment_p=4.0, delta=1.0)
-    assert np.all(mc_energy_bound(records, spaces4, cfg, mc, None, noise, initial).se == 0.0)
-    assert mc_moment_bound(records, spaces4, cfg, mc, None, noise, initial).lhs_se == 0.0
+    assert np.all(mc_energy_bound(records, spaces4, cfg, 1.0, 3.0, None, noise, initial).se == 0.0)
+    cfg4 = replace(cfg, moment_p=4.0)
+    assert mc_moment_bound(records, spaces4, cfg4, None, noise, initial).lhs_se == 0.0
     rows = epsilon_sweep(spaces4, EpsSweepPlan(base=cfg, n_paths=1)).rows
     assert len(rows) == 4
     assert all(r.div_se == r.diff_se == r.pressure_se == 0.0 for r in rows)
@@ -117,8 +119,7 @@ def test_one_path_has_zero_standard_error(spaces4):
 
 def test_moment_bound_implied_constant_finite(small_setup):
     spaces, cfg, noise, initial, records = small_setup
-    mc = MomentConfig(moment_p=4.0, delta=1.0)
-    rep = mc_moment_bound(records, spaces, cfg, mc, None, noise, initial)
+    rep = mc_moment_bound(records, spaces, replace(cfg, moment_p=4.0), None, noise, initial)
     assert rep.denominator > 0
     assert rep.implied_constant is not None and np.isfinite(rep.implied_constant)
     assert rep.implied_constant >= 0
@@ -126,9 +127,8 @@ def test_moment_bound_implied_constant_finite(small_setup):
 
 def test_moment_p2_matches_energy_dissipation_exactly(small_setup):
     spaces, cfg, noise, initial, records = small_setup
-    mc = MomentConfig(moment_p=2.0, delta=1.0)
-    e = mc_energy_bound(records, spaces, cfg, mc, None, noise, initial)
-    m = mc_moment_bound(records, spaces, cfg, mc, None, noise, initial)
+    e = mc_energy_bound(records, spaces, cfg, cfg.delta, 3.0, None, noise, initial)
+    m = mc_moment_bound(records, spaces, cfg, None, noise, initial)
     assert m.dissipation_term == e.dissipation_term  # same code path, bitwise
     # the sup statistic dominates the fixed-time statistic everywhere
     assert m.lhs >= e.lhs.max() - 1e-15

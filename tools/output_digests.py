@@ -22,7 +22,8 @@ different values must be equal.
 The second form compares the values of two such OUT directories, file by
 file: the numeric columns of each CSV, the numbers of each JSON file (a
 list of numbers counts as one column) and the velocity and pressure arrays
-and time of each snapshot.  It prints a Markdown table of each file's
+and time of each snapshot, as ``acflow.integrator.read_snapshot`` reads
+them.  It prints a Markdown table of each file's
 largest column-relative difference, max |base - head| / max |base| over a
 column (a NaN that faces a NaN counts as equal, one that faces a number
 as inf), with the column that reaches it, the non-numeric entries that
@@ -38,7 +39,6 @@ import csv
 import hashlib
 import json
 import os
-import struct
 import subprocess
 import sys
 import tempfile
@@ -47,6 +47,9 @@ from pathlib import Path
 import numpy as np
 
 ROOT = Path(__file__).resolve().parent.parent
+sys.path.append(str(ROOT / "src"))  # after any acflow already on the path
+
+from acflow.integrator import read_snapshot  # noqa: E402
 
 # (directory, CLI arguments); every command writes into its own directory.
 # From N=16 on, numpy.linalg's and an unpinned LAPACK's factors of the
@@ -134,24 +137,14 @@ def _json_columns(value, key: str = "", out: dict | None = None) -> dict:
     return out
 
 
-def _snapshot_columns(path: Path) -> dict:
-    """Time, velocity and pressure of an ``integrator.write_snapshot`` file:
-    magic, u32 version, 64-byte digest, u32 cutoff, u32 velocity and
-    pressure counts, f64 time, then the two coefficient arrays."""
-    data = path.read_bytes()
-    n_u, n_p = struct.unpack_from("<II", data, 76)
-    (t,) = struct.unpack_from("<d", data, 84)
-    arrays = np.frombuffer(data, dtype="<f8", offset=92)
-    return {"t": np.array([t]), "u": arrays[:n_u], "p": arrays[n_u : n_u + n_p]}
-
-
 def _columns(path: Path) -> dict:
     if path.suffix == ".csv":
         return _csv_columns(path)
     if path.suffix == ".json":
         return _json_columns(json.loads(path.read_bytes()))
     if path.suffix == ".bin":
-        return _snapshot_columns(path)
+        state, _ = read_snapshot(path)
+        return {"t": np.array([state.t]), "u": state.u.coeffs, "p": state.p.coeffs}
     return {}
 
 
