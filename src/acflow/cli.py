@@ -3,14 +3,18 @@
 Subcommands: run, verify, mc-energy, mc-moment, uniqueness, sweep-eps.
 Exit status 0 means all assertions passed, 1 means an assertion failed (the
 CSV/JSON evidence is still written) or a path diverged (reported with its
-path and step on stderr), 2 means a configuration or IO error.
-Outputs are byte-identical across reruns, worker counts and BLAS thread
-counts (``OPENBLAS_NUM_THREADS``) for identical manifest inputs: the implicit
-matrix's inverse, the one product whose rounding followed the thread count,
-is built by LAPACK on numpy's bundled OpenBLAS, through ctypes and at one
-thread.  Importing this module and running a command load numpy and the
-standard library only.  With a numpy that links another BLAS, numpy.linalg
-builds the inverse at that BLAS's thread count.
+path and step on stderr), 2 means a configuration or IO error.  Every
+configuration rule is checked before ``--out`` is created: at load, or for
+the path count a command needs, in ``_setup``; a command then only loads,
+computes and writes.
+Outputs are byte-identical across reruns and worker counts for identical
+manifest inputs, and, on numpy's bundled OpenBLAS, across BLAS thread counts
+(``OPENBLAS_NUM_THREADS``): the implicit matrix's inverse, the one product
+whose rounding followed the thread count, is built there by LAPACK through
+ctypes and at one thread.  With a numpy that links another BLAS,
+numpy.linalg builds the inverse at that BLAS's thread count, so the bytes
+may follow it.  Importing this module and running a command load numpy and
+the standard library only.
 """
 
 from __future__ import annotations
@@ -19,8 +23,6 @@ import argparse
 import dataclasses
 import os
 import sys
-
-import numpy as np
 
 from .config import (
     RunManifest,
@@ -34,6 +36,7 @@ from .config import (
 from .diagnostics import (
     mc_energy_bound,
     mc_moment_bound,
+    moment_stability,
     pathwise_uniqueness_check,
     perturbed_state,
     simulate_paths,
@@ -55,7 +58,9 @@ def _positive_int(raw: str) -> int:
     raise argparse.ArgumentTypeError(f"must be a positive integer, got {raw!r}")
 
 
-def _add_common(parser: argparse.ArgumentParser) -> None:
+def _common_flags() -> argparse.ArgumentParser:
+    """The flags every subcommand takes, as a parent parser."""
+    parser = argparse.ArgumentParser(add_help=False)
     parser.add_argument("--config", metavar="PATH", help="INI config file")
     parser.add_argument(
         "--set",
@@ -78,6 +83,7 @@ def _add_common(parser: argparse.ArgumentParser) -> None:
         action="store_true",
         help="record a wall-clock timestamp in the manifest (breaks byte-identity)",
     )
+    return parser
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -89,30 +95,25 @@ def build_parser() -> argparse.ArgumentParser:
         ),
     )
     sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    p = sub.add_parser("run", help="simulate one sample path")
-    _add_common(p)
-
-    p = sub.add_parser("verify", help="randomized operator-inequality suite")
-    _add_common(p)
+    common = [_common_flags()]
+    sub.add_parser("run", help="simulate one sample path", parents=common)
+    p = sub.add_parser("verify", help="randomized operator-inequality suite", parents=common)
     p.add_argument("--samples", type=_positive_int, default=1000, help="random field samples")
-
-    p = sub.add_parser("mc-energy", help="Monte Carlo weighted energy bound")
-    _add_common(p)
-
-    p = sub.add_parser("mc-moment", help="Monte Carlo moment bound / implied constant")
-    _add_common(p)
-
-    p = sub.add_parser("uniqueness", help="pathwise weighted-difference contraction")
-    _add_common(p)
-
-    p = sub.add_parser("sweep-eps", help="vanishing-compressibility sweep")
-    _add_common(p)
-
+    sub.add_parser("mc-energy", help="Monte Carlo weighted energy bound", parents=common)
+    sub.add_parser("mc-moment", help="Monte Carlo moment bound / implied constant", parents=common)
+    sub.add_parser("uniqueness", help="pathwise weighted-difference contraction", parents=common)
+    sub.add_parser("sweep-eps", help="vanishing-compressibility sweep", parents=common)
     return parser
 
 
+# the Monte Carlo paths a command needs: the standard error needs two, and
+# mc-moment's half ensemble two of its own
+_MIN_PATHS = {"mc-energy": 2, "mc-moment": 4}
+
+
 def _setup(args) -> tuple:
+    """Load the configuration, check the path count the command needs, and
+    only then create --out, so a configuration error writes nothing."""
     overrides = list(args.overrides)
     if args.seed is not None:
         overrides.append(f"solver.seed={args.seed}")
@@ -120,6 +121,11 @@ def _setup(args) -> tuple:
         overrides.append(f"monte_carlo.paths={args.paths}")
         overrides.append(f"sweep.paths={args.paths}")
     setup = load_config(args.config, overrides)
+    need, n_paths = _MIN_PATHS.get(args.subcommand), setup["monte_carlo.paths"]
+    if need and n_paths < need:
+        raise ConfigurationError(
+            f"monte_carlo.paths (--paths) must be at least {need} for {args.subcommand}, got {n_paths}"
+        )
     os.makedirs(args.out, exist_ok=True)
     manifest = RunManifest(command=args.subcommand, setup=setup)
     if args.stamp:
@@ -155,24 +161,23 @@ def _problem(setup) -> tuple:
 
 
 def _write(args, manifest: RunManifest, name: str, *content) -> None:
-    """Write one output, a CSV from (columns, rows) or a JSON report from a
-    summary, and record its hash in the manifest."""
-    writer = write_csv if name.endswith(".csv") else write_json_report
+    """Write one output, a CSV from (columns, rows), a JSON report from a
+    summary or a snapshot from a State, and record its hash in the manifest."""
+    writers = {".csv": write_csv, ".json": write_json_report, ".bin": write_snapshot}
+    writer = writers[os.path.splitext(name)[1]]
     path = os.path.join(args.out, name)
     manifest.outputs[name] = writer(path, *content, manifest.digest())
 
 
 def _cmd_run(args) -> int:
     setup, manifest = _setup(args)
-    digest = manifest.digest()
     spaces, force, noise, initial = _problem(setup)
     integ = GalerkinIntegrator(spaces, setup.solver, force=force, noise=noise)
     record = integ.run_path(initial, path_index=0)
     _write(args, manifest, "run.csv", record.CSV_COLUMNS, record.csv_rows())
-    snap_path = os.path.join(args.out, "run_final.bin")
     n = spaces.n_modes
     final = State(VelocityField(record.u, n), PressureField(record.p, n), record.times[-1])
-    manifest.outputs["run_final.bin"] = write_snapshot(snap_path, final, digest)
+    _write(args, manifest, "run_final.bin", final)
     return _finish(
         args, manifest,
         f"ran {setup.solver.n_steps} steps to t={record.times[-1]:g}; |u(T)|={record.l2_u[-1]:.6g}",
@@ -201,28 +206,23 @@ def _cmd_mc_energy(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, initial = _problem(setup)
     n_paths, z = setup["monte_carlo.paths"], setup["monte_carlo.confidence_z"]
-    if n_paths < 2:  # the standard error needs two paths
-        raise ConfigurationError(f"monte_carlo.paths must be at least 2, got {n_paths}")
-    deltas = setup["monte_carlo.deltas"]
     records = simulate_paths(
         spaces, setup.solver, force, noise, initial, n_paths, workers=args.workers
     )
-    all_pass = True
-    csv_rows = []
-    margins = {}
-    for delta in deltas:
-        rep = mc_energy_bound(records, spaces, setup.solver, delta, z, force, noise, initial)
-        all_pass = all_pass and rep.passed
-        margins[str(delta)] = float(rep.margins().min())
-        csv_rows += [(delta, *row) for row in zip(rep.times, rep.lhs, rep.rhs, rep.se)]
+    reports = [
+        mc_energy_bound(records, spaces, setup.solver, delta, z, force, noise, initial)
+        for delta in setup["monte_carlo.deltas"]
+    ]
+    csv_rows = [(r.delta, *row) for r in reports for row in zip(r.times, r.lhs, r.rhs, r.se)]
     _write(args, manifest, "mc_energy.csv", ("delta", "t", "lhs", "rhs", "se"), csv_rows)
+    all_pass = all(r.passed for r in reports)
     summary = {
         "pass": all_pass,
         "paths": n_paths,
         "confidence_z": z,
-        "min_margin_by_delta": margins,
+        "min_margin_by_delta": {str(r.delta): float(r.margins().min()) for r in reports},
     }
-    line = f"energy bound over {len(deltas)} weight rates: pass={all_pass}"
+    line = f"energy bound over {len(reports)} weight rates: pass={all_pass}"
     return _finish(args, manifest, line, summary)
 
 
@@ -231,25 +231,13 @@ def _cmd_mc_moment(args) -> int:
     spaces, force, noise, initial = _problem(setup)
     n_paths, tol = setup["monte_carlo.paths"], setup["monte_carlo.moment_stability_tol"]
     cfg = setup.solver
-    if n_paths < 4:  # the half ensemble's standard error needs two paths
-        raise ConfigurationError(f"monte_carlo.paths must be at least 4 for mc-moment, got {n_paths}")
-    if cfg.delta <= 0:
-        raise ConfigurationError(f"solver.delta must be positive for mc-moment, got {cfg.delta:g}")
-    records = simulate_paths(
-        spaces, cfg, force, noise, initial, n_paths, workers=args.workers
-    )
+    records = simulate_paths(spaces, cfg, force, noise, initial, n_paths, workers=args.workers)
     full = mc_moment_bound(records, spaces, cfg, force, noise, initial)
     half = mc_moment_bound(records.take(slice(n_paths // 2)), spaces, cfg, force, noise, initial)
-    ok = full.implied_constant is not None and np.isfinite(full.implied_constant)
-    spread = None
-    if ok and half.implied_constant:
-        spread = abs(full.implied_constant - half.implied_constant) / abs(
-            full.implied_constant
-        )
-        ok = spread <= tol
+    spread, ok = moment_stability(full, half, tol)
     _write(args, manifest, "mc_moment.csv", ("path", "sup_statistic"), enumerate(full.per_path))
     summary = {
-        "pass": bool(ok),
+        "pass": ok,
         "moment_p": cfg.moment_p,
         "delta": cfg.delta,
         "paths": n_paths,
@@ -269,10 +257,7 @@ def _cmd_uniqueness(args) -> int:
     setup, manifest = _setup(args)
     spaces, force, noise, init_a = _problem(setup)
     mode, amp = setup["uniqueness.perturb_mode"], setup["uniqueness.perturb_amplitude"]
-    try:
-        init_b = perturbed_state(spaces, init_a, mode, amp)
-    except ConfigurationError as exc:
-        raise ConfigurationError(f"uniqueness.perturb_mode: {exc}") from None
+    init_b = perturbed_state(spaces, init_a, mode, amp)
     rep = pathwise_uniqueness_check(
         spaces, setup.solver, force, noise, init_a, init_b, c_check=setup["uniqueness.c_check"]
     )
@@ -291,22 +276,12 @@ def _cmd_uniqueness(args) -> int:
 
 def _cmd_sweep(args) -> int:
     setup, manifest = _setup(args)
-    digest = manifest.digest()
     spaces = build_spaces(setup.solver.n_modes)
     plan = setup.sweep
     # states of path 0 at the grid times nearest the requested ones, captured
     # while the sweep runs it
     cfg = plan.base
-    wanted = {}
-    for t in setup["sweep.snapshot_times"]:
-        m = int(round(t / cfg.dt))
-        if not 0 <= t <= cfg.horizon:
-            raise ConfigurationError(f"sweep.snapshot_times: {t:g} lies outside [0, {cfg.horizon:g}]")
-        if m in wanted:
-            raise ConfigurationError(
-                f"sweep.snapshot_times: {wanted[m]:g} and {t:g} fall on the same step {m}"
-            )
-        wanted[m] = t
+    wanted = {round(t / cfg.dt): t for t in setup["sweep.snapshot_times"]}
     snapshots = {eps: [] for eps in plan.eps_values}
 
     def capture(eps, m, block):
@@ -317,9 +292,7 @@ def _cmd_sweep(args) -> int:
     report = epsilon_sweep(spaces, plan, workers=args.workers, observe=capture if wanted else None)
     for eps, states in snapshots.items():
         for t_req, state in states:
-            name = f"sweep_eps{eps:g}_t{t_req:g}.bin"
-            path = os.path.join(args.out, name)
-            manifest.outputs[name] = write_snapshot(path, state, digest)
+            _write(args, manifest, f"sweep_eps{eps:g}_t{t_req:g}.bin", state)
 
     csv_rows = [dataclasses.astuple(r) for r in report.rows]
     columns = (

@@ -153,7 +153,7 @@ SCHEMA: dict[str, dict[str, tuple]] = {
     },
     "force": {"preset": ("zero", _choice("zero")), "modes": ("", parse_velocity_modes)},
     "noise": {
-        "preset": ("default", _choice("default", "zero", "none")),
+        "preset": ("default", _choice("default", "zero")),
         "modes": ("", parse_velocity_modes),
         "trace": ("0.01", _number(float, nonnegative=True)),
         "n_terms": ("8", _number(int, nonnegative=True)),
@@ -187,7 +187,8 @@ def load_config(path: str | None = None, overrides=()) -> RunSetup:
 
     Unknown sections or keys and malformed values are configuration errors
     naming the offending entry, as are the range checks of the solver and
-    the sweep plan, which are built here.
+    the sweep plan, which are built here, and those that need the cutoff or
+    the horizon.
     """
     values = {f"{s}.{k}": spec[0] for s, keys in SCHEMA.items() for k, spec in keys.items()}
     provenance = dict.fromkeys(values, "default")
@@ -236,7 +237,30 @@ def load_config(path: str | None = None, overrides=()) -> RunSetup:
         force_modes=tuple(parsed["sweep.force_modes"]),
         noise_trace=parsed["sweep.noise_trace"],
     )
+    _check_against_solver(parsed, solver)
     return RunSetup(solver, sweep, values, provenance, parsed)
+
+
+def _check_against_solver(parsed: dict, solver: SolverConfig) -> None:
+    """The ranges that need the cutoff N or the horizon T: at most 2N^2
+    noise terms, a perturbed mode within N, and snapshot times in [0, T],
+    no two on the same step."""
+    n, terms = solver.n_modes, len(parsed["noise.modes"])
+    if terms > 2 * n * n:
+        raise ConfigurationError(f"noise.modes: {terms} noise terms exceed the {2 * n * n}-dimensional space")
+    j, k, d = parsed["uniqueness.perturb_mode"]
+    if not (1 <= j <= n and 1 <= k <= n and d in (1, 2)):
+        raise ConfigurationError(f"uniqueness.perturb_mode: velocity mode ({j},{k},{d}) is not within N = {n}")
+    steps = {}
+    for t in parsed["sweep.snapshot_times"]:
+        m = round(t / solver.dt)
+        if not 0 <= t <= solver.horizon:
+            raise ConfigurationError(f"sweep.snapshot_times: {t:g} lies outside [0, {solver.horizon:g}]")
+        if m in steps:
+            raise ConfigurationError(
+                f"sweep.snapshot_times: {steps[m]:g} and {t:g} fall on the same step {m}"
+            )
+        steps[m] = t
 
 
 def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
@@ -245,11 +269,9 @@ def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
 
 
 def build_noise(setup: RunSetup, spaces: SpectralSpaces) -> NoiseModel:
-    if setup["noise.modes"]:
+    if setup["noise.modes"] or setup["noise.preset"] == "zero":
         return noise_from_modes(spaces, setup["noise.modes"])
-    if setup["noise.preset"] == "default":
-        return default_noise(spaces, setup["noise.trace"], setup["noise.n_terms"])
-    return noise_from_modes(spaces, [])
+    return default_noise(spaces, setup["noise.trace"], setup["noise.n_terms"])
 
 
 def build_initial(setup: RunSetup, spaces: SpectralSpaces) -> State:

@@ -6,7 +6,8 @@ Three checks are driven from simulated path ensembles:
     E[|u(t)|^2 + eps |p(t)|^2] e^{-delta t} + 2 nu int E||u||^2 e^{-delta s} ds
       <= initial energy + int [ |f|^2/delta + Tr(g^2) ] e^{-delta s} ds,
 * the moment bound for exponents p >= 2, whose constant is not explicit;
-  an implied constant is reported instead of asserted,
+  an implied constant is reported, and its stability between the whole
+  ensemble and its first half asserted,
 * the pathwise uniqueness contraction: the squared difference of two
   trajectories driven by identical noise, weighted by
   exp[-(27/nu^3) int ||u||_L4^4], must not increase beyond scheme error.
@@ -204,8 +205,8 @@ def mc_moment_bound(
 
     The bound's constant is not explicit, so the report carries the implied
     constant (lhs minus initial terms, divided by the forcing integral);
-    callers assert its finiteness and stability across ensemble sizes, not a
-    fixed threshold.
+    moment_stability asserts its finiteness and stability across
+    ensemble sizes, not a fixed threshold.
     """
     force = force or DeterministicForce(np.zeros(spaces.n_velocity))
     p, delta, times, n_paths = config.moment_p, config.delta, records.times, len(records.paths)
@@ -237,6 +238,18 @@ def mc_moment_bound(
         dissipation_term=float(diss.mean()),
         per_path=per_path,
     )
+
+
+def moment_stability(
+    full: MomentBoundReport, half: MomentBoundReport, tol: float
+) -> tuple[float | None, bool]:
+    """The relative spread |C_full - C_half| / |C_full| of the implied
+    constants of a whole ensemble and of its first half, None unless both
+    are finite, and the verdict: a spread of at most ``tol``."""
+    c_full, c_half = full.implied_constant, half.implied_constant
+    finite = all(c is not None and np.isfinite(c) for c in (c_full, c_half))
+    spread = abs(c_full - c_half) / abs(c_full) if finite and c_full else None
+    return spread, bool(spread is not None and spread <= tol)
 
 
 def pathwise_uniqueness_check(
@@ -298,6 +311,7 @@ __all__ = [
     "mc_energy_bound",
     "mc_moment_bound",
     "mean_se",
+    "moment_stability",
     "pathwise_uniqueness_check",
     "perturbed_state",
     "simulate_paths",

@@ -14,7 +14,7 @@ from operator import index
 
 import numpy as np
 
-from .spaces import ConfigurationError, SpectralSpaces, scalar_pow
+from .spaces import SpectralSpaces, scalar_pow
 
 
 @dataclass(frozen=True)
@@ -48,32 +48,20 @@ def empty_noise(spaces: SpectralSpaces) -> NoiseModel:
 
 def noise_from_modes(spaces: SpectralSpaces, entries) -> NoiseModel:
     """One noise term per (j, k, d, amplitude) entry."""
-    rows = []
-    for j, k, d, amp in entries:
-        f = spaces.velocity_from_modes([(j, k, d, amp)])
-        rows.append(f.coeffs)
-    if len(rows) > spaces.n_velocity:
-        raise ConfigurationError(
-            f"noise.modes: {len(rows)} noise terms exceed the {spaces.n_velocity}-dimensional space"
-        )
-    if not rows:
-        return empty_noise(spaces)
-    return NoiseModel(np.array(rows))
+    rows = [spaces.velocity_from_modes([entry]).coeffs for entry in entries]
+    return NoiseModel(np.array(rows)) if rows else empty_noise(spaces)
 
 
 def default_noise(spaces: SpectralSpaces, trace: float = 0.01, n_terms: int = 8) -> NoiseModel:
     """Lowest-mode noise with |g_k|^2 proportional to (j^2+k^2)^-2,
     normalised to the requested covariance trace: the n_terms velocity
-    modes of least j^2 + k^2, ties taken in index order."""
-    if n_terms < 0:
-        raise ConfigurationError(f"noise.n_terms must be nonnegative, got {n_terms!r}")
+    modes of least j^2 + k^2, ties taken in index order.  Both must be
+    nonnegative, as the configuration checks them at load."""
     n = spaces.n_modes
     j, k = np.divmod(np.arange(spaces.n_velocity) % (n * n), n)
     shells = (j + 1) ** 2 + (k + 1) ** 2
     chosen = np.argsort(shells, kind="stable")[:n_terms]
     weights = scalar_pow(shells[chosen].astype(float), -2)
-    if trace < 0:
-        raise ConfigurationError(f"noise.trace must be nonnegative, got {trace!r}")
     amps = np.sqrt(trace * weights / np.sum(weights))
     rows = np.zeros((len(chosen), spaces.n_velocity))
     rows[np.arange(len(chosen)), chosen] = amps

@@ -90,8 +90,8 @@ class SolverConfig:
             raise ConfigurationError("solver.nu must be positive")
         if self.eps <= 0:
             raise ConfigurationError("solver.eps must be positive")
-        if self.delta < 0:
-            raise ConfigurationError("solver.delta must be nonnegative")
+        if self.delta <= 0:  # the weighted bounds divide by it
+            raise ConfigurationError("solver.delta must be positive")
         if not 1 <= self.n_modes <= HARD_MODE_CAP:
             raise ConfigurationError(f"solver.n_modes must lie in [1, {HARD_MODE_CAP}], got {self.n_modes}")
         if self.dt <= 0:
@@ -409,8 +409,7 @@ class GalerkinIntegrator:
         # in the classes
         self._inverse_blocks = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
         self._gather, self._scatter = _parity_classes(spaces.n_modes)
-        # a step's constants: -D, dt f and dt / eps
-        self._neg_div = -spaces.div_diagonal
+        # a step's constants: dt f and dt / eps
         self._dt_force = config.dt * self.force.coeffs
         self._dt_eps = config.dt / config.eps
 
@@ -423,14 +422,6 @@ class GalerkinIntegrator:
         eps = self.config.eps
         return l2_u, l2_p, [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
 
-    def _solve_buffers(self, n_rows: int) -> tuple:
-        """A block's buffers for the solve of ``step``: the right-hand sides
-        in class order, (rows, 4, b, 1), and the solutions, as that and as
-        (rows, 4 b)."""
-        gathered = np.empty((n_rows,) + self._gather.shape)
-        solved = np.empty_like(gathered)
-        return gathered, solved, solved.reshape(n_rows, -1)
-
     def step(self, u, p, gram_p, xi, work: GridWorkspace, out: np.ndarray, pairs: np.ndarray,
              solve: tuple):
         """One semi-implicit step of a block of M paths, a row each: from the
@@ -439,7 +430,9 @@ class GalerkinIntegrator:
         new pressures and their G p over p and ``gram_p``, and the
         convection pairings (B(u), e_i) to ``pairs``; ``out`` must not
         overlap u.  ``work`` is the block's GridWorkspace, holding the grid
-        values of u and their squares, and ``solve`` its _solve_buffers.
+        values of u and their squares, and ``solve`` its buffers for the
+        solve: the right-hand sides in class order, (M, 4, b, 1), and the
+        solutions, as that and as (M, 4 b).
         Returns the new rows' norms as ``_norms`` gives them."""
         sp, dt = self.spaces, self.config.dt
         if self.include_convection:
@@ -447,7 +440,7 @@ class GalerkinIntegrator:
         else:
             pairs.fill(0.0)
         # u - dt grad_dual(p) - dt B(u) + dt f + xi, with grad_dual(p) = -D G p
-        rhs = u - dt * (self._neg_div * gram_p) - dt * pairs + self._dt_force + xi
+        rhs = u + dt * (sp.div_diagonal * gram_p) - dt * pairs + self._dt_force + xi
         gathered, solved, flat = solve
         np.take(rhs, self._gather, axis=-1, out=gathered, mode="clip")
         np.matmul(self._inverse_blocks, gathered, out=solved)  # a gemv per row and block
@@ -528,7 +521,9 @@ class GalerkinIntegrator:
         # l4_norm leaves the grid values of each new u and their squares in
         # the workspace, where the next step's convection reads them
         work = GridWorkspace(sp.midpoint, (len(rows),))
-        solve = self._solve_buffers(len(rows))
+        gathered = np.empty((len(rows),) + self._gather.shape)
+        solved = np.empty_like(gathered)
+        solve = gathered, solved, solved.reshape(len(rows), -1)
         norms[:3, 0] = self._norms(u[0], p, gram_p)
         norms[3, 0] = sp.l4_norm(u[0], work=work)
         if observe is not None:

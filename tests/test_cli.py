@@ -1,3 +1,4 @@
+import configparser
 import hashlib
 import json
 import math
@@ -5,6 +6,7 @@ import os
 import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -74,6 +76,19 @@ def test_defaults_cover_every_section_key():
     for section, keys in SCHEMA.items():
         for key in keys:
             assert f"{section}.{key}" in setup.values
+
+
+def test_readme_configuration_block_states_the_schema_defaults():
+    # README's ini block, with its '#' comments, sets every key it names to
+    # the schema's default and names every key whose default is not empty
+    readme = (Path(__file__).resolve().parent.parent / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"```ini\n(.*?)```", readme, re.S).group(1)
+    parser = configparser.ConfigParser(interpolation=None, inline_comment_prefixes=("#",))
+    parser.read_string(block)
+    listed = {f"{s}.{k}": v for s in parser.sections() for k, v in parser.items(s)}
+    defaults = {f"{s}.{k}": spec[0] for s, keys in SCHEMA.items() for k, spec in keys.items()}
+    assert {key: defaults.get(key) for key in listed} == listed
+    assert {key for key, value in defaults.items() if value} <= set(listed)
 
 
 def _read(path):
@@ -398,6 +413,7 @@ def test_config_error_exits_2(tmp_path):
         ("run", "initial_p.preset=foo"),
         ("run", "force.preset=foo"),
         ("run", "noise.preset=foo"),
+        ("run", "noise.preset=none"),
     ],
 )
 def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command, override):
@@ -417,16 +433,30 @@ def test_malformed_config_value_exits_2_naming_the_key(tmp_path, capsys, command
         ("mc-moment", "monte_carlo.deltas=0"),
         ("uniqueness", "sweep.noise_trace=-1"),
         ("sweep-eps", "initial_u.preset=foo"),
+        # the rules that need the cutoff (N = 4) or the horizon (T = 0.01)
+        pytest.param(
+            "verify", "noise.modes=" + "; ".join(["1,1,1,0.1"] * 33), id="verify-noise.modes=33 terms"
+        ),
+        ("run", "uniqueness.perturb_mode=5,1,1"),
+        ("mc-energy", "uniqueness.perturb_mode=1,1,3"),
+        ("uniqueness", "sweep.snapshot_times=0.02"),
+        ("run", "sweep.snapshot_times=0.004,0.0041"),
+        ("uniqueness", "solver.delta=0"),
+        # the one rule that needs the command, with the flag that sets it
+        ("mc-moment", "--paths=3"),
+        ("mc-energy", "--paths=1"),
     ],
 )
 def test_malformed_value_of_an_unread_key_exits_2_writing_nothing(tmp_path, capsys, command, override):
     # every key is parsed and range-checked at load, also one the command
-    # never reads, before any output is written
+    # never reads, and the path count the command needs is checked, before
+    # any output is written
     out = tmp_path / "out"
     small = ["--set", "solver.n_modes=4", "--set", "solver.horizon=0.01"]
     if command == "verify":
         small += ["--samples", "2"]
-    rc = main([command, *small, "--set", override, "--quiet", "--out", str(out)])
+    setting = [override] if override.startswith("--") else ["--set", override]
+    rc = main([command, *small, *setting, "--quiet", "--out", str(out)])
     err = capsys.readouterr().err
     assert rc == 2
     assert override.split("=")[0] in err

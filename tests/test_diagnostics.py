@@ -1,4 +1,5 @@
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -10,6 +11,7 @@ from acflow.diagnostics import (
     cumulative_trapezoid,
     mc_energy_bound,
     mc_moment_bound,
+    moment_stability,
     pathwise_uniqueness_check,
     perturbed_state,
     simulate_paths,
@@ -42,13 +44,29 @@ def test_trapezoid_helpers_match_scipy_bit_for_bit():
 
 
 def test_moment_config_validation(tmp_path, capsys):
-    # the moment exponent's range is the solver's; a weight rate of 0 is
-    # refused by mc-moment, whose bound divides by it
+    # the moment exponent's range is the solver's, and so is the weight
+    # rate's, which the bounds divide by: every command refuses a rate of 0
     with pytest.raises(ConfigurationError, match="moment_p"):
         SolverConfig(moment_p=1.5)
+    with pytest.raises(ConfigurationError, match="solver.delta must be positive"):
+        SolverConfig(delta=0.0)
     out = tmp_path / "out"
     assert main(["mc-moment", "--set", "solver.delta=0", "--quiet", "--out", str(out)]) == 2
     assert "solver.delta must be positive" in capsys.readouterr().err
+
+
+def test_moment_stability_needs_both_constants_finite():
+    # mc-moment's and criterion 6's gate: a half-ensemble constant that is
+    # missing, zero or not finite fails it, as a spread above tol does
+    def report(c):
+        return SimpleNamespace(implied_constant=c)
+
+    assert moment_stability(report(2.0), report(2.5), 0.25) == (0.25, True)
+    assert moment_stability(report(2.0), report(3.0), 0.25) == (0.5, False)
+    assert moment_stability(report(2.0), report(0.0), 0.25) == (1.0, False)
+    for c in (None, np.nan, np.inf):
+        assert moment_stability(report(2.0), report(c), 0.25) == (None, False)
+        assert moment_stability(report(c), report(2.0), 0.25) == (None, False)
 
 
 def test_uniqueness_weight_invariants():
