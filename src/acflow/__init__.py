@@ -7,27 +7,22 @@ __version__ = "0.1.0"
 
 from .spaces import (
     ConfigurationError,
-    PressureField,
     SpectralSpaces,
-    VelocityField,
     build_spaces,
     h10_norm,
     l2_norm,
 )
-from .forcing import DeterministicForce, NoiseModel
+from .forcing import NoiseModel
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
 
 __all__ = [
     "ConfigurationError",
-    "DeterministicForce",
     "GalerkinIntegrator",
     "NoiseModel",
     "PathRecord",
-    "PressureField",
     "SolverConfig",
     "SpectralSpaces",
     "State",
-    "VelocityField",
     "build_spaces",
     "h10_norm",
     "l2_norm",

@@ -44,7 +44,7 @@ from .diagnostics import (
 from .eps_limit import epsilon_sweep
 from .integrator import DivergedPathError, GalerkinIntegrator, State, write_snapshot
 from .operators import run_inequality_suite
-from .spaces import ConfigurationError, PressureField, VelocityField, build_spaces
+from .spaces import ConfigurationError, build_spaces
 
 
 def _positive_int(raw: str) -> int:
@@ -175,9 +175,7 @@ def _cmd_run(args) -> int:
     integ = GalerkinIntegrator(spaces, setup.solver, force=force, noise=noise)
     record = integ.run_path(initial, path_index=0)
     _write(args, manifest, "run.csv", record.CSV_COLUMNS, record.csv_rows())
-    n = spaces.n_modes
-    final = State(VelocityField(record.u, n), PressureField(record.p, n), record.times[-1])
-    _write(args, manifest, "run_final.bin", final)
+    _write(args, manifest, "run_final.bin", State(record.u, record.p, record.times[-1]))
     return _finish(
         args, manifest,
         f"ran {setup.solver.n_steps} steps to t={record.times[-1]:g}; |u(T)|={record.l2_u[-1]:.6g}",
@@ -261,7 +259,7 @@ def _cmd_uniqueness(args) -> int:
     rep = pathwise_uniqueness_check(
         spaces, setup.solver, force, noise, init_a, init_b, c_check=setup["uniqueness.c_check"]
     )
-    rows = zip(rep.times, rep.weighted_diff, rep.weight.samples)
+    rows = zip(rep.times, rep.weighted_diff, rep.weight_r)
     _write(args, manifest, "uniqueness.csv", ("t", "weighted_diff", "weight_r"), rows)
     summary = {
         "pass": rep.passed,
@@ -286,8 +284,7 @@ def _cmd_sweep(args) -> int:
 
     def capture(eps, m, block):
         if m in wanted and len(block.rows) and block.rows[0] == 0:
-            u, p = VelocityField(block.u[0], cfg.n_modes), PressureField(block.p[0], cfg.n_modes)
-            snapshots[eps].append((wanted[m], State(u, p, block.t)))
+            snapshots[eps].append((wanted[m], State(block.u[0], block.p[0], block.t)))
 
     report = epsilon_sweep(spaces, plan, workers=args.workers, observe=capture if wanted else None)
     for eps, states in snapshots.items():

@@ -18,7 +18,7 @@ import numpy as np
 
 from . import __version__
 from .eps_limit import EpsSweepPlan
-from .forcing import DeterministicForce, NoiseModel, default_noise, noise_from_modes
+from .forcing import NoiseModel, default_noise, noise_from_modes
 from .integrator import PRESSURE_PRESETS, VELOCITY_PRESETS, SolverConfig, State, project_initial
 from .spaces import ConfigurationError, SpectralSpaces
 
@@ -263,9 +263,9 @@ def _check_against_solver(parsed: dict, solver: SolverConfig) -> None:
         steps[m] = t
 
 
-def build_force(setup: RunSetup, spaces: SpectralSpaces) -> DeterministicForce:
+def build_force(setup: RunSetup, spaces: SpectralSpaces) -> np.ndarray:
     # the one preset, zero, has no modes
-    return DeterministicForce(spaces.velocity_from_modes(setup["force.modes"]).coeffs)
+    return spaces.velocity_from_modes(setup["force.modes"])
 
 
 def build_noise(setup: RunSetup, spaces: SpectralSpaces) -> NoiseModel:

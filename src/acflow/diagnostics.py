@@ -23,9 +23,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forcing import DeterministicForce, NoiseModel
+from .forcing import NoiseModel
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
-from .spaces import SpectralSpaces, VelocityField, l2_norm
+from .spaces import SpectralSpaces, l2_norm
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
@@ -49,19 +49,6 @@ def mean_se(values: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     if len(values) == 1:
         return mean, np.zeros_like(mean)
     return mean, values.std(axis=0, ddof=1) / np.sqrt(len(values))
-
-
-@dataclass(frozen=True)
-class UniquenessWeight:
-    """Accumulated weight r(t) = (27/nu^3) int_0^t ||u(s)||_L4^4 ds."""
-
-    samples: np.ndarray
-
-    def __post_init__(self):
-        if self.samples[0] != 0.0:
-            raise ValueError("weight must start at zero")
-        if np.any(np.diff(self.samples) < 0):
-            raise ValueError("weight must be non-decreasing")
 
 
 @dataclass
@@ -98,7 +85,7 @@ class MomentBoundReport:
 class UniquenessReport:
     times: np.ndarray
     weighted_diff: np.ndarray
-    weight: UniquenessWeight
+    weight_r: np.ndarray  # r(t) = (27/nu^3) int_0^t ||u(s)||_L4^4 ds
     max_increase: float
     tolerance: float
     passed: bool
@@ -107,7 +94,7 @@ class UniquenessReport:
 def simulate_paths(
     spaces: SpectralSpaces,
     config: SolverConfig,
-    force: DeterministicForce | None,
+    force: np.ndarray | None,
     noise: NoiseModel | None,
     initial: State,
     n_paths: int,
@@ -140,14 +127,13 @@ def mc_energy_bound(
     config: SolverConfig,
     delta: float,
     z: float,
-    force: DeterministicForce | None,
+    force: np.ndarray | None,
     noise: NoiseModel | None,
     initial: State,
 ) -> EnergyBoundReport:
     """Monte Carlo check of the weighted energy bound at weight rate
     ``delta`` and every grid time, lhs <= rhs + z se, over the paths of
     ``records`` simulated from this problem."""
-    force = force or DeterministicForce(np.zeros(spaces.n_velocity))
     times, n_paths = records.times, len(records.paths)
     energy = records.l2_u**2 + config.eps * records.l2_p**2
     diss = _weighted_dissipation_series(records, delta, config.nu, 2.0)
@@ -173,7 +159,7 @@ def mc_energy_bound(
 def energy_bound_rhs(
     spaces: SpectralSpaces,
     config: SolverConfig,
-    force: DeterministicForce,
+    force: np.ndarray | None,
     noise: NoiseModel | None,
     initial: State,
     delta: float,
@@ -183,7 +169,7 @@ def energy_bound_rhs(
     initial energy + int_0^t [|f|^2/delta + Tr(g^2)] e^{-delta s} ds, the
     integral by the trapezoid rule on ``times``."""
     trace = noise.trace if noise is not None else 0.0
-    f_sq = force.l2_norm() ** 2
+    f_sq = np.linalg.norm(force) ** 2 if force is not None else 0.0
     initial_energy = (
         l2_norm(initial.u) ** 2 + config.eps * spaces.pressure_l2(initial.p) ** 2
     )
@@ -195,7 +181,7 @@ def mc_moment_bound(
     records: PathRecord,
     spaces: SpectralSpaces,
     config: SolverConfig,
-    force: DeterministicForce | None,
+    force: np.ndarray | None,
     noise: NoiseModel | None,
     initial: State,
 ) -> MomentBoundReport:
@@ -208,7 +194,6 @@ def mc_moment_bound(
     moment_stability asserts its finiteness and stability across
     ensemble sizes, not a fixed threshold.
     """
-    force = force or DeterministicForce(np.zeros(spaces.n_velocity))
     p, delta, times, n_paths = config.moment_p, config.delta, records.times, len(records.paths)
     weight = np.exp(-delta * times)
     sup_term = np.max((records.l2_u**p + config.eps * records.l2_p**p) * weight, axis=-1)
@@ -218,7 +203,7 @@ def mc_moment_bound(
     lhs, lhs_se = map(float, mean_se(per_path))
 
     trace = noise.trace if noise is not None else 0.0
-    f_p = force.l2_norm() ** p
+    f_p = np.linalg.norm(force) ** p if force is not None else 0.0
     initial_term = (
         l2_norm(initial.u) ** p + config.eps * spaces.pressure_l2(initial.p) ** p
     )
@@ -255,7 +240,7 @@ def moment_stability(
 def pathwise_uniqueness_check(
     spaces: SpectralSpaces,
     config: SolverConfig,
-    force: DeterministicForce | None,
+    force: np.ndarray | None,
     noise: NoiseModel | None,
     init_a: State,
     init_b: State,
@@ -287,7 +272,7 @@ def pathwise_uniqueness_check(
     return UniquenessReport(
         times=times,
         weighted_diff=weighted,
-        weight=UniquenessWeight(r),
+        weight_r=r,
         max_increase=max_increase,
         tolerance=tol,
         passed=max_increase <= tol,
@@ -297,16 +282,15 @@ def pathwise_uniqueness_check(
 def perturbed_state(spaces: SpectralSpaces, base: State, mode, amplitude: float) -> State:
     """Copy of a state with one velocity mode nudged by the given amplitude."""
     j, k, d = mode
-    coeffs = base.u.coeffs.copy()
-    coeffs[spaces.velocity_index(j, k, d)] += amplitude
-    return State(u=VelocityField(coeffs, spaces.n_modes), p=base.p, t=base.t)
+    u = base.u.copy()
+    u[spaces.velocity_index(j, k, d)] += amplitude
+    return State(u=u, p=base.p, t=base.t)
 
 
 __all__ = [
     "EnergyBoundReport",
     "MomentBoundReport",
     "UniquenessReport",
-    "UniquenessWeight",
     "energy_bound_rhs",
     "mc_energy_bound",
     "mc_moment_bound",

@@ -28,7 +28,7 @@ from functools import partial
 import numpy as np
 
 from .diagnostics import energy_bound_rhs, mean_se, trapezoid
-from .forcing import DeterministicForce, NoiseModel, default_noise
+from .forcing import NoiseModel, default_noise
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, project_initial
 from .spaces import ConfigurationError, SpectralSpaces
 
@@ -166,9 +166,7 @@ def epsilon_sweep(
     Diverged paths are logged and left out of the statistics.
     ``observe(eps, m, block)`` sees path 0's block after each step m."""
     noise = default_noise(spaces, trace=plan.noise_trace)
-    force = DeterministicForce(
-        spaces.velocity_from_modes(plan.force_modes).coeffs
-    )
+    force = spaces.velocity_from_modes(plan.force_modes)
     initial = project_initial(spaces, None, None)
     base = replace(plan.base, n_modes=spaces.n_modes)
     first = replace(base, eps=plan.eps_values[0])
@@ -218,7 +216,7 @@ def epsilon_sweep(
 def _pressure_energy_budget(
     spaces: SpectralSpaces,
     config: SolverConfig,
-    force: DeterministicForce,
+    force: np.ndarray,
     noise: NoiseModel,
     initial: State,
     times: np.ndarray,

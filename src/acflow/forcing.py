@@ -1,4 +1,5 @@
-"""Deterministic force and additive trace-class Wiener noise.
+"""Additive trace-class Wiener noise.  The deterministic force is a
+velocity coefficient array, as every field is (see :mod:`acflow.spaces`).
 
 Noise increments are counter-based: the Philox key (seed, path) names a
 path's stream and the counter's second word names the step, so a draw is a
@@ -15,16 +16,6 @@ from operator import index
 import numpy as np
 
 from .spaces import SpectralSpaces, scalar_pow
-
-
-@dataclass(frozen=True)
-class DeterministicForce:
-    """Time-invariant force as a velocity coefficient vector."""
-
-    coeffs: np.ndarray
-
-    def l2_norm(self) -> float:
-        return float(np.linalg.norm(self.coeffs))
 
 
 @dataclass(frozen=True)
@@ -48,7 +39,7 @@ def empty_noise(spaces: SpectralSpaces) -> NoiseModel:
 
 def noise_from_modes(spaces: SpectralSpaces, entries) -> NoiseModel:
     """One noise term per (j, k, d, amplitude) entry."""
-    rows = [spaces.velocity_from_modes([entry]).coeffs for entry in entries]
+    rows = [spaces.velocity_from_modes([entry]) for entry in entries]
     return NoiseModel(np.array(rows)) if rows else empty_noise(spaces)
 
 

@@ -23,6 +23,7 @@ import functools
 import glob
 import hashlib
 import itertools
+import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
@@ -31,20 +32,12 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from . import operators
-from .forcing import (
-    DeterministicForce,
-    NoiseModel,
-    empty_noise,
-    noise_contribution,
-    sample_increment,
-)
+from .forcing import NoiseModel, empty_noise, noise_contribution, sample_increment
 from .spaces import (
     HARD_MODE_CAP,
     ConfigurationError,
     GridWorkspace,
-    PressureField,
     SpectralSpaces,
-    VelocityField,
     _rowdot,
     h10_norm,
     scalar_pow,
@@ -112,8 +105,8 @@ class SolverConfig:
 
 @dataclass(frozen=True)
 class State:
-    u: VelocityField
-    p: PressureField
+    u: np.ndarray  # (n_velocity,)
+    p: np.ndarray  # (n_pressure,)
     t: float
 
 
@@ -394,7 +387,7 @@ class GalerkinIntegrator:
         self,
         spaces: SpectralSpaces,
         config: SolverConfig,
-        force: DeterministicForce | None = None,
+        force: np.ndarray | None = None,
         noise: NoiseModel | None = None,
         include_convection: bool = True,
     ):
@@ -402,7 +395,7 @@ class GalerkinIntegrator:
             raise ConfigurationError("config cutoff does not match the space")
         self.spaces = spaces
         self.config = config
-        self.force = force or DeterministicForce(np.zeros(spaces.n_velocity))
+        self.force = np.zeros(spaces.n_velocity) if force is None else force
         self.noise = noise if noise is not None else empty_noise(spaces)
         self.include_convection = include_convection
         # M^-1 as its four parity blocks, and where each velocity index sits
@@ -410,7 +403,7 @@ class GalerkinIntegrator:
         self._inverse_blocks = _implicit_inverse(spaces, config.nu, config.eps, config.dt)
         self._gather, self._scatter = _parity_classes(spaces.n_modes)
         # a step's constants: dt f and dt / eps
-        self._dt_force = config.dt * self.force.coeffs
+        self._dt_force = config.dt * self.force
         self._dt_eps = config.dt / config.eps
 
     # -- one step of a block of paths -------------------------------------------
@@ -456,9 +449,9 @@ class GalerkinIntegrator:
 
         An int ``path_index`` runs one path: it returns its 1-D PathRecord
         or raises DivergedPathError.  A sequence of indices runs a row per
-        entry (``initial`` is a State, or one per row; rows may share an
-        index and so its noise) and returns one PathRecord of every row,
-        blown-up rows included.  The rows are split into ``workers``
+        entry (``initial`` is a State, or one per row, all at one time; rows
+        may share an index and so its noise) and returns one PathRecord of
+        every row, blown-up rows included.  The rows are split into ``workers``
         contiguous parts on a thread each and run in blocks of at most
         BLOCK_PATHS rows, each writing its own rows of the record; when
         rows of a block blow up, the rows left start again as a new block
@@ -469,11 +462,14 @@ class GalerkinIntegrator:
         single = isinstance(path_index, (int, np.integer))
         paths = np.atleast_1d(np.asarray(path_index, dtype=int))
         inits = [initial] * len(paths) if isinstance(initial, State) else list(initial)
+        starts = sorted({state.t for state in inits})
+        if len(starts) > 1:
+            raise ValueError(f"rows share one time grid, so one start time; got t = {starts}")
         # cumsum adds in order, so these are the bits of t = t + dt per step
         times = np.cumsum([inits[0].t] + [cfg.dt] * cfg.n_steps)
         record = PathRecord.zeros(times, paths, sp.n_velocity, sp.n_pressure)
         for r, state in enumerate(inits):
-            record.u[r], record.p[r] = state.u.coeffs, state.p.coeffs
+            record.u[r], record.p[r] = state.u, state.p
 
         def run_part(part, hook):
             for i, rows in enumerate(np.array_split(part, -(-len(part) // BLOCK_PATHS))):
@@ -577,7 +573,7 @@ class GalerkinIntegrator:
         u_m, u_p, energy = u[:n], u[1 : n + 1], norms[2, : n + 1]
         change = energy[1:] - energy[:-1]
         dissipation = 2.0 * cfg.nu * scalar_pow(h1_u[1 - first :], 2) * dt
-        work = 2.0 * _rowdot(self.force.coeffs, u_p) * dt
+        work = 2.0 * _rowdot(self.force, u_p) * dt
         martingale = 2.0 * _rowdot(xi[:n], u_m)
         residual = change + dissipation - work - self.noise.trace * dt - martingale
         record.residual[rows, m0 + 1 : m0 + n + 1] = residual.T
@@ -595,16 +591,16 @@ SNAPSHOT_VERSION = 1
 def write_snapshot(path, state: State, manifest_digest: str = "0" * 64) -> str:
     """Little-endian layout: magic, u32 version, 64-byte hex digest,
     u32 cutoff, u32 velocity count, u32 pressure count, f64 time,
-    velocity coefficients, pressure coefficients.  Returns the file's
-    sha256."""
+    velocity coefficients, pressure coefficients; the cutoff N is the one
+    whose 2N^2 coefficients the velocity has.  Returns the file's sha256."""
     digest = manifest_digest.ljust(64, "0")[:64].encode("ascii")
-    u = np.asarray(state.u.coeffs, dtype="<f8")
-    p = np.asarray(state.p.coeffs, dtype="<f8")
+    u = np.asarray(state.u, dtype="<f8")
+    p = np.asarray(state.p, dtype="<f8")
     data = b"".join((
         SNAPSHOT_MAGIC,
         struct.pack("<I", SNAPSHOT_VERSION),
         digest,
-        struct.pack("<III", state.u.n_modes, u.shape[0], p.shape[0]),
+        struct.pack("<III", math.isqrt(len(u) // 2), len(u), len(p)),
         struct.pack("<d", state.t),
         u.tobytes(),
         p.tobytes(),
@@ -625,7 +621,9 @@ def _read_field(fh, size: int, field: str) -> bytes:
 
 def read_snapshot(path) -> tuple[State, str]:
     """The state and manifest digest of a write_snapshot file; a short field,
-    trailing bytes or a bad header raise ConfigurationError naming them."""
+    trailing bytes or a bad header raise ConfigurationError naming them.  The
+    header must give a cutoff N in [1, HARD_MODE_CAP] and 2N^2 coefficients
+    for each field, checked before the arrays are read."""
     with open(path, "rb") as fh:
         magic = _read_field(fh, 4, "magic")
         if magic != SNAPSHOT_MAGIC:
@@ -638,14 +636,20 @@ def read_snapshot(path) -> tuple[State, str]:
         except UnicodeDecodeError:
             raise ConfigurationError("snapshot digest is not ASCII") from None
         n, nu_len, np_len = struct.unpack("<III", _read_field(fh, 12, "counts"))
+        if not 1 <= n <= HARD_MODE_CAP:
+            raise ConfigurationError(f"snapshot cutoff {n} lies outside [1, {HARD_MODE_CAP}]")
+        for field, count in (("velocity", nu_len), ("pressure", np_len)):
+            if count != 2 * n * n:
+                raise ConfigurationError(
+                    f"snapshot {field} count {count} is not 2 N^2 = {2 * n * n} at cutoff {n}"
+                )
         (t,) = struct.unpack("<d", _read_field(fh, 8, "time"))
         u = np.frombuffer(_read_field(fh, 8 * nu_len, "velocity"), dtype="<f8").copy()
         p = np.frombuffer(_read_field(fh, 8 * np_len, "pressure"), dtype="<f8").copy()
         extra = len(fh.read())
         if extra:
             raise ConfigurationError(f"snapshot has {extra} trailing bytes after the pressure")
-    state = State(u=VelocityField(u, n), p=PressureField(p, n), t=t)
-    return state, digest
+    return State(u=u, p=p, t=t), digest
 
 
 __all__ = [

@@ -21,20 +21,12 @@ from functools import lru_cache
 
 import numpy as np
 
-from .spaces import (
-    GridWorkspace,
-    SpectralSpaces,
-    VelocityField,
-    _coeffs,
-    _SynthGrid,
-    h10_norm,
-    l2_norm,
-)
+from .spaces import GridWorkspace, SpectralSpaces, _SynthGrid, h10_norm, l2_norm
 
 
 def bhat_operator(
     spaces: SpectralSpaces,
-    u,
+    u: np.ndarray,
     work: GridWorkspace | None = None,
     out: np.ndarray | None = None,
 ) -> np.ndarray:
@@ -42,7 +34,7 @@ def bhat_operator(
     every basis function, from a single pass over u on the midpoint grid,
     exact up to round-off.
 
-    ``u`` is a field or an (M, n_velocity) block of coefficient rows; a
+    ``u`` is a field's coefficients or an (M, n_velocity) block of rows; a
     block gives one row of pairings per path, each bit-identical to the
     row's own call.  ``work`` is the block's workspace, which must hold the
     grid values of u and their squares, as ``spaces.l4_norm(u, work=work)``
@@ -54,12 +46,11 @@ def bhat_operator(
     b2_d sin k pi cos; the tables of ``_MidpointGrid`` pair each term
     exactly, T1 and b1 with W in y, T2 and b2 with W in x.
     """
-    c = _coeffs(u)
     if work is None:
-        work = GridWorkspace(spaces.midpoint, c.shape[:-1])
-        spaces._grid_values(c, work)
+        work = GridWorkspace(spaces.midpoint, u.shape[:-1])
+        spaces._grid_values(u, work)
     g, n = work.grid, spaces.n_modes
-    t1, t2 = spaces._component_gradients(c, work)
+    t1, t2 = spaces._component_gradients(u, work)
     t1 *= work.u1
     t2 *= work.u2
     np.multiply(work.v1, work.v2, out=work.u1u2)
@@ -74,17 +65,13 @@ def bhat_operator(
     right = np.matmul(t2, g.sin_m.T, out=work.adjoint_at)
     right -= np.matmul(work.b2, g.dcos_m.T, out=work.adjoint_bt)
     pair += np.matmul(g.dct_sin.T, right, out=work.adjoint_n)
-    return pair.reshape(c.shape)
+    return pair.reshape(u.shape)
 
 
 # -- inequality checks ---------------------------------------------------------
 
 
-def check_product_l1(
-    spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
-) -> tuple[float, float]:
+def check_product_l1(spaces: SpectralSpaces, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Product bound ||phi psi||_L2^2 <= ||phi d1 phi||_L1 ||psi d2 psi||_L1
     with phi the first component of u and psi the second component of v.
 
@@ -109,9 +96,9 @@ MONOTONICITY_TOL = 1e-10
 
 def sample_checks(
     spaces: SpectralSpaces,
-    u: VelocityField,
-    v: VelocityField,
-    w: VelocityField,
+    u: np.ndarray,
+    v: np.ndarray,
+    w: np.ndarray,
     nu: float,
 ) -> list[tuple[str, float, float, bool]]:
     """The inequality checks of one sample (u, v, w) at viscosity nu, as
@@ -138,7 +125,7 @@ def sample_checks(
     if nu <= 0:
         raise ValueError("viscosity must be positive")
     n = spaces.n_modes
-    block = np.stack([u.coeffs, v.coeffs, w.coeffs, u.coeffs + v.coeffs])
+    block = np.stack([u, v, w, u + v])
     work = GridWorkspace(spaces.midpoint, block.shape[:-1])
     l4 = spaces.l4_norm(block, work=work).tolist()
     bu, bv, _, bsum = bhat_operator(spaces, block, work=work)
@@ -148,23 +135,23 @@ def sample_checks(
         # the component's L4 norm, rounded as a norm, to the fourth
         vals = work.values[0, d - 1]
         lhs = (float(np.sum(vals**4) / work.grid.order**2) ** 0.25) ** 4
-        comp = u.coeffs.reshape(2, n, n)[d - 1].ravel()
+        comp = u.reshape(2, n, n)[d - 1].ravel()
         l2sq = float(np.dot(comp, comp))
         h1sq = float(np.dot(spaces.stiffness[: n * n], comp * comp))
         bounds.append(("ladyzhenskaya", lhs, 2.0 * l2sq * h1sq))
 
     h1_u = h10_norm(u)
-    lhs = abs(float(bu @ w.coeffs))
+    lhs = abs(float(bu @ w))
     rhs = 2.0 * h1_u**1.5 * l2_norm(u) ** 0.5 * l4[2]
     bounds.append(("convection_bound", lhs, rhs))
 
-    diff = u.coeffs - v.coeffs
+    diff = u - v
     h1_diff, l2_diff = h10_norm(diff), l2_norm(diff)
     convection_term = float((bu - bv) @ diff)
     r = l4[1]
     rhs = 0.5 * nu * h1_diff**2 + (27.0 / (2.0 * nu**3)) * l2_diff**2 * r**4
     bounds.append(("convection_difference", abs(convection_term), rhs))
-    rows = [(lemma, lhs, rhs, lhs <= rhs * (1 + 1e-12) + 1e-14) for lemma, lhs, rhs in bounds]
+    rows = [(lemma, lhs, rhs, bool(lhs <= rhs * (1 + 1e-12) + 1e-14)) for lemma, lhs, rhs in bounds]
 
     # the tolerances scale with the H1_0 norms of the fields paired
     scale_u, scale_v = max(h1_u, 1e-30), max(h10_norm(v), 1e-30)
@@ -174,14 +161,14 @@ def sample_checks(
     margin = stokes_term + convection_term + ball_term - half
     tol = MONOTONICITY_TOL * (scale_u * scale_v)
     lhs = half - ball_term - convection_term
-    rows.append(("local_monotonicity", lhs, stokes_term, margin >= -tol))
+    rows.append(("local_monotonicity", lhs, stokes_term, bool(margin >= -tol)))
 
     null_tol = NULL_PAIRING_TOL * (scale_u * scale_u * scale_u)
-    val = abs(float(bu @ u.coeffs))
-    rows.append(("null_self_pairing", val, null_tol, val <= null_tol))
+    val = abs(float(bu @ u))
+    rows.append(("null_self_pairing", val, null_tol, bool(val <= null_tol)))
     null_tol = NULL_PAIRING_TOL * (scale_u * scale_v * scale_v)
-    val = abs(float((bsum - bu - bv) @ v.coeffs + bv @ u.coeffs))
-    rows.append(("null_mixed_pairing", val, null_tol, val <= null_tol))
+    val = abs(float((bsum - bu - bv) @ v + bv @ u))
+    rows.append(("null_mixed_pairing", val, null_tol, bool(val <= null_tol)))
     return rows
 
 
@@ -197,10 +184,9 @@ def _field_scales(n_modes: int) -> np.ndarray:
     return np.concatenate([sigma.ravel(), sigma.ravel()])
 
 
-def sample_field(spaces: SpectralSpaces, rng: np.random.Generator) -> VelocityField:
+def sample_field(spaces: SpectralSpaces, rng: np.random.Generator) -> np.ndarray:
     """Random field with coefficients ~ N(0, (j^2+k^2)^-2)."""
-    coeffs = _field_scales(spaces.n_modes) * rng.standard_normal(spaces.n_velocity)
-    return VelocityField(coeffs, spaces.n_modes)
+    return _field_scales(spaces.n_modes) * rng.standard_normal(spaces.n_velocity)
 
 
 def run_inequality_suite(

@@ -1,6 +1,9 @@
 """Discrete velocity and pressure spaces on the unit square.
 
-Velocity fields live in the span of the L2-orthonormal vector sine modes
+A field is its float64 coefficient array over a basis below: (n,) for one
+field, (rows, n) for a block of them, n = 2N^2 for the velocity and for the
+pressure.  Velocity fields live in the span of the L2-orthonormal vector
+sine modes
 
     e_{j,k,d}(x, y) = 2 sin(j pi x) sin(k pi y) e_d,    1 <= j, k <= N,
 
@@ -23,7 +26,6 @@ are exact up to round-off; a check that needs other nodes synthesises on a
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 from typing import Iterable
 
@@ -36,54 +38,15 @@ class ConfigurationError(ValueError):
     """Invalid cutoff, step size or other solver configuration."""
 
 
-@dataclass(frozen=True)
-class VelocityField:
-    """Coefficient vector over the orthonormal vector sine basis."""
-
-    coeffs: np.ndarray
-    n_modes: int
-
-    def __post_init__(self):
-        expected = 2 * self.n_modes * self.n_modes
-        if self.coeffs.shape != (expected,):
-            raise ConfigurationError(
-                f"velocity coefficient vector must have length {expected}, "
-                f"got {self.coeffs.shape}"
-            )
-
-
-@dataclass(frozen=True)
-class PressureField:
-    """Coefficient vector over the cos*sin / sin*cos pressure families."""
-
-    coeffs: np.ndarray
-    n_modes: int
-
-    def __post_init__(self):
-        expected = 2 * self.n_modes * self.n_modes
-        if self.coeffs.shape != (expected,):
-            raise ConfigurationError(
-                f"pressure coefficient vector must have length {expected}, "
-                f"got {self.coeffs.shape}"
-            )
-
-
-# Norms take a field or an (M, n) block of rows, one per path, and give a float
-# or one value per row, bit-identical to the row's own: stacked matmuls make a
-# BLAS call per row, while one GEMM or einsum over all rows rounds differently.
-
-
-def _coeffs(x) -> np.ndarray:
-    return x.coeffs if isinstance(x, (VelocityField, PressureField)) else np.asarray(x)
+# Norms take one field or an (M, n) block of rows, one per path, and give a
+# np.float64 or one value per row, bit-identical to the row's own: stacked
+# matmuls make a BLAS call per row, while one GEMM or einsum over all rows
+# rounds differently.
 
 
 def _rowdot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """Dot products over the last axis, one per leading index."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
-
-
-def _per_row(values: np.ndarray):
-    return float(values) if values.ndim == 0 else values
 
 
 def scalar_pow(values: np.ndarray, exponent: float):
@@ -94,17 +57,15 @@ def scalar_pow(values: np.ndarray, exponent: float):
     return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
-def l2_norm(u) -> float | np.ndarray:
+def l2_norm(u: np.ndarray) -> np.float64 | np.ndarray:
     """L2 norm; equals the Euclidean coefficient norm (Parseval)."""
-    c = _coeffs(u)
-    return _per_row(np.sqrt(_rowdot(c, c)))
+    return np.sqrt(_rowdot(u, u))
 
 
-def h10_norm(u) -> float | np.ndarray:
+def h10_norm(u: np.ndarray) -> np.float64 | np.ndarray:
     """H1_0 seminorm; the stiffness form is diagonal on the sine basis."""
-    c = _coeffs(u)
-    stiffness = _stiffness_diagonal(int(round(np.sqrt(c.shape[-1] // 2))))
-    return _per_row(np.sqrt(_rowdot(stiffness, c * c)))
+    stiffness = _stiffness_diagonal(int(round(np.sqrt(u.shape[-1] // 2))))
+    return np.sqrt(_rowdot(stiffness, u * u))
 
 
 @lru_cache(maxsize=None)
@@ -270,16 +231,10 @@ class SpectralSpaces:
 
     # -- field constructors -----------------------------------------------------
 
-    def zero_velocity(self) -> VelocityField:
-        return VelocityField(np.zeros(self.n_velocity), self.n_modes)
-
-    def zero_pressure(self) -> PressureField:
-        return PressureField(np.zeros(self.n_pressure), self.n_modes)
-
     def velocity_from_modes(
         self, entries: Iterable[tuple[int, int, int, float]]
-    ) -> VelocityField:
-        """Build a field from (j, k, d, amplitude) entries.
+    ) -> np.ndarray:
+        """Build a field's coefficients from (j, k, d, amplitude) entries.
 
         Entries outside the cutoff are dropped, which realises the exact
         L2 projection onto the span.
@@ -290,58 +245,57 @@ class SpectralSpaces:
                 raise ConfigurationError(f"velocity component must be 1 or 2, got {d}")
             if 1 <= j <= self.n_modes and 1 <= k <= self.n_modes:
                 coeffs[self.velocity_index(j, k, d)] += amp
-        return VelocityField(coeffs, self.n_modes)
+        return coeffs
 
     def pressure_from_modes(
         self, entries: Iterable[tuple[str, int, int, float]]
-    ) -> PressureField:
+    ) -> np.ndarray:
         coeffs = np.zeros(self.n_pressure)
         for fam, j, k, amp in entries:
             if fam not in ("cs", "sc"):
                 raise ConfigurationError(f"pressure family must be cs or sc, got {fam}")
             if 1 <= j <= self.n_modes and 1 <= k <= self.n_modes:
                 coeffs[self.pressure_index(fam, j, k)] += amp
-        return PressureField(coeffs, self.n_modes)
+        return coeffs
 
     # -- norms and pairings ------------------------------------------------------
 
-    def gram_product(self, p, out: np.ndarray | None = None) -> np.ndarray:
+    def gram_product(self, p: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
         """G p for a coefficient vector or rows of them, into ``out`` when
         given.  With P the (..., 2, N, N) coefficient blocks and L the factor
         pair (2C, 2C^T), G p = p + L swap(P) L: two stacked N x N matmuls, a
         BLAS call per matrix, so O(N^3) per row against the dense O(N^4)."""
-        c = _coeffs(p)
-        blocks = self._coeff_blocks(c)[..., ::-1, :, :]
+        blocks = self._coeff_blocks(p)[..., ::-1, :, :]
         cross = np.matmul(np.matmul(self.gram_factors, blocks), self.gram_factors)
-        return np.add(c, cross.reshape(c.shape), out=out)
+        return np.add(p, cross.reshape(p.shape), out=out)
 
-    def pressure_l2(self, p, gram_out: np.ndarray | None = None) -> float | np.ndarray:
+    def pressure_l2(
+        self, p: np.ndarray, gram_out: np.ndarray | None = None
+    ) -> np.float64 | np.ndarray:
         """L2 norm through the Gram; G p goes to ``gram_out`` when given."""
-        c = _coeffs(p)
-        q = self.gram_product(c, out=gram_out)
-        return _per_row(np.sqrt(np.maximum(_rowdot(c, q), 0.0)))
+        q = self.gram_product(p, out=gram_out)
+        return np.sqrt(np.maximum(_rowdot(p, q), 0.0))
 
-    def l4_norm(self, u, work: GridWorkspace | None = None) -> float | np.ndarray:
+    def l4_norm(self, u: np.ndarray, work: GridWorkspace | None = None) -> float | np.ndarray:
         """L4 norm of the vector field by the midpoint rule, exact: |u|^4 is
         a cosine polynomial of degree at most 4N < 2M in each variable.
         With a block's workspace, the grid values of u and their squares
         stay in it for a convection of the same rows."""
-        c = _coeffs(u)
         if work is None:
-            work = GridWorkspace(self.midpoint, c.shape[:-1])
-        self._grid_values(c, work)
+            work = GridWorkspace(self.midpoint, u.shape[:-1])
+        self._grid_values(u, work)
         mag2 = np.add(work.u1u1, work.u2u2, out=work.mag2)
         mag2 *= mag2
         return scalar_pow(np.sum(mag2, axis=(-2, -1)) / work.grid.order**2, 0.25)
 
-    def divergence(self, u: VelocityField) -> PressureField:
+    def divergence(self, u: np.ndarray) -> np.ndarray:
         """Exact coefficient map onto the pressure basis."""
-        return PressureField(self.div_diagonal * u.coeffs, self.n_modes)
+        return self.div_diagonal * u
 
-    def divergence_l2(self, u) -> float | np.ndarray:
-        return self.pressure_l2(self.div_diagonal * _coeffs(u))
+    def divergence_l2(self, u: np.ndarray) -> np.float64 | np.ndarray:
+        return self.pressure_l2(self.div_diagonal * u)
 
-    def gradient_dual(self, p) -> np.ndarray:
+    def gradient_dual(self, p: np.ndarray) -> np.ndarray:
         """Pairings <grad p, e_i> for every velocity basis function.
 
         Computed through the duality <grad p, w> = -<p, Div w>; the pressure
@@ -351,11 +305,10 @@ class SpectralSpaces:
 
     # -- synthesis ----------------------------------------------------------------
 
-    def _coeff_blocks(self, u) -> np.ndarray:
+    def _coeff_blocks(self, c: np.ndarray) -> np.ndarray:
         """Coefficients as (..., 2, N, N) blocks: velocity components, or the
         cs and sc pressure families."""
         n = self.n_modes
-        c = _coeffs(u)
         return c.reshape(c.shape[:-1] + (2, n, n))
 
     def _synthesize(self, left, c, right2, out=None, half=None) -> np.ndarray:
@@ -372,7 +325,7 @@ class SpectralSpaces:
         self._synthesize(g.sin, self._coeff_blocks(c), g.sin2, work.values, work.half)
         np.multiply(work.values, work.values, out=work.squares)
 
-    def _component_gradients(self, u, work: GridWorkspace) -> tuple[np.ndarray, np.ndarray]:
+    def _component_gradients(self, u: np.ndarray, work: GridWorkspace) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivatives (d_1 u, d_2 u) on the block's grid, into
         ``work.d1`` and ``work.d2``, each of shape (..., 2, M, M):
         [i][..., d] = d_i u_d."""

@@ -6,6 +6,7 @@ import pytest
 from acflow import build_spaces
 from acflow.operators import bhat_operator
 from acflow.spaces import _cos_sin_integrals, _stiffness_diagonal
+from oracle import cutoff
 
 
 @pytest.fixture(scope="session")
@@ -62,7 +63,7 @@ def _stokes_apply(u, nu):
     """Viscous Stokes pairing; diagonal on the sine basis."""
     if nu <= 0:
         raise ValueError("viscosity must be positive")
-    return nu * _stiffness_diagonal(u.n_modes) * u.coeffs
+    return nu * _stiffness_diagonal(cutoff(u)) * u
 
 
 @pytest.fixture(scope="session")
@@ -77,7 +78,7 @@ def _polarised_pairing(spaces, u, v, w):
     convection operator, a quadratic map, reaches the form for two fields
     by polarisation."""
     bhat = partial(bhat_operator, spaces)
-    return float((bhat(u.coeffs + v.coeffs) - bhat(u) - bhat(v)) @ w.coeffs)
+    return float((bhat(u + v) - bhat(u) - bhat(v)) @ w)
 
 
 @pytest.fixture(scope="session")

@@ -12,8 +12,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from acflow.spaces import PressureField, VelocityField
-
 
 @dataclass(frozen=True)
 class QuadRule:
@@ -29,6 +27,11 @@ def make_rule(order: int) -> QuadRule:
         raise ValueError("quadrature order must be at least 2")
     t, w = np.polynomial.legendre.leggauss(order)
     return QuadRule(nodes=(t + 1.0) / 2.0, weights=w / 2.0, order=order)
+
+
+def cutoff(coeffs: np.ndarray) -> int:
+    """The cutoff N of a field's 2N^2 coefficients."""
+    return int(round(np.sqrt(len(coeffs) // 2)))
 
 
 def velocity_modes(n_modes: int) -> list[tuple[int, int, int]]:
@@ -53,23 +56,23 @@ def oracle_integrate(f, rule: QuadRule) -> float:
     return float(np.sum(np.asarray(f(x, y)) * w2d))
 
 
-def velocity_values(u: VelocityField, x, y) -> list[np.ndarray]:
+def velocity_values(u: np.ndarray, x, y) -> list[np.ndarray]:
     """Mode-by-mode evaluation of both components at the given points."""
     comps = [np.zeros(np.broadcast(x, y).shape) for _ in range(2)]
-    for idx, (j, k, d) in enumerate(velocity_modes(u.n_modes)):
-        c = u.coeffs[idx]
+    for idx, (j, k, d) in enumerate(velocity_modes(cutoff(u))):
+        c = u[idx]
         if c == 0.0:
             continue
         comps[d - 1] += c * 2.0 * np.sin(j * np.pi * x) * np.sin(k * np.pi * y)
     return comps
 
 
-def velocity_gradients(u: VelocityField, x, y) -> list[list[np.ndarray]]:
+def velocity_gradients(u: np.ndarray, x, y) -> list[list[np.ndarray]]:
     """grads[i][d] = d_i u_d evaluated pointwise, i, d in {0, 1}."""
     shape = np.broadcast(x, y).shape
     grads = [[np.zeros(shape) for _ in range(2)] for _ in range(2)]
-    for idx, (j, k, d) in enumerate(velocity_modes(u.n_modes)):
-        c = u.coeffs[idx]
+    for idx, (j, k, d) in enumerate(velocity_modes(cutoff(u))):
+        c = u[idx]
         if c == 0.0:
             continue
         grads[0][d - 1] += (
@@ -81,10 +84,10 @@ def velocity_gradients(u: VelocityField, x, y) -> list[list[np.ndarray]]:
     return grads
 
 
-def pressure_values(p: PressureField, x, y) -> np.ndarray:
+def pressure_values(p: np.ndarray, x, y) -> np.ndarray:
     vals = np.zeros(np.broadcast(x, y).shape)
-    for idx, (fam, j, k) in enumerate(pressure_modes(p.n_modes)):
-        c = p.coeffs[idx]
+    for idx, (fam, j, k) in enumerate(pressure_modes(cutoff(p))):
+        c = p[idx]
         if c == 0.0:
             continue
         if fam == "cs":
@@ -101,7 +104,7 @@ def pressure_mode_values(index, x, y) -> np.ndarray:
     return 2.0 * np.sin(j * np.pi * x) * np.cos(k * np.pi * y)
 
 
-def oracle_l2(u: VelocityField, rule: QuadRule) -> float:
+def oracle_l2(u: np.ndarray, rule: QuadRule) -> float:
     def f(x, y):
         v1, v2 = velocity_values(u, x, y)
         return v1 * v1 + v2 * v2
@@ -109,7 +112,7 @@ def oracle_l2(u: VelocityField, rule: QuadRule) -> float:
     return float(np.sqrt(max(oracle_integrate(f, rule), 0.0)))
 
 
-def oracle_h10(u: VelocityField, rule: QuadRule) -> float:
+def oracle_h10(u: np.ndarray, rule: QuadRule) -> float:
     def f(x, y):
         g = velocity_gradients(u, x, y)
         return sum(g[i][d] ** 2 for i in range(2) for d in range(2))
@@ -117,7 +120,7 @@ def oracle_h10(u: VelocityField, rule: QuadRule) -> float:
     return float(np.sqrt(max(oracle_integrate(f, rule), 0.0)))
 
 
-def oracle_l4(u: VelocityField, rule: QuadRule) -> float:
+def oracle_l4(u: np.ndarray, rule: QuadRule) -> float:
     def f(x, y):
         v1, v2 = velocity_values(u, x, y)
         return (v1 * v1 + v2 * v2) ** 2
@@ -125,7 +128,7 @@ def oracle_l4(u: VelocityField, rule: QuadRule) -> float:
     return float(max(oracle_integrate(f, rule), 0.0) ** 0.25)
 
 
-def oracle_gradient_inner(u: VelocityField, v: VelocityField, rule: QuadRule) -> float:
+def oracle_gradient_inner(u: np.ndarray, v: np.ndarray, rule: QuadRule) -> float:
     """int grad u : grad v, the stiffness pairing."""
 
     def f(x, y):
@@ -136,12 +139,12 @@ def oracle_gradient_inner(u: VelocityField, v: VelocityField, rule: QuadRule) ->
     return oracle_integrate(f, rule)
 
 
-def oracle_divergence(u: VelocityField, x, y) -> np.ndarray:
+def oracle_divergence(u: np.ndarray, x, y) -> np.ndarray:
     g = velocity_gradients(u, x, y)
     return g[0][0] + g[1][1]
 
 
-def oracle_div_pairing(p: PressureField, w: VelocityField, rule: QuadRule) -> float:
+def oracle_div_pairing(p: np.ndarray, w: np.ndarray, rule: QuadRule) -> float:
     """int p * Div w, evaluated pointwise."""
 
     def f(x, y):
@@ -150,9 +153,7 @@ def oracle_div_pairing(p: PressureField, w: VelocityField, rule: QuadRule) -> fl
     return oracle_integrate(f, rule)
 
 
-def oracle_trilinear(
-    u: VelocityField, v: VelocityField, w: VelocityField, rule: QuadRule
-) -> float:
+def oracle_trilinear(u: np.ndarray, v: np.ndarray, w: np.ndarray, rule: QuadRule) -> float:
     """Antisymmetrised convection form, term by term:
 
     0.5 * sum_{i,j} int [u_i (d_i v_j) w_j - u_i (d_i w_j) v_j] dx
@@ -200,7 +201,7 @@ def cos_sin_sin(a: int, b: int, c: int) -> float:
     return 0.5 * (_cos_cos(a, b - c) - _cos_cos(a, b + c))
 
 
-def oracle_bhat_pairings(u: VelocityField) -> np.ndarray:
+def oracle_bhat_pairings(u: np.ndarray) -> np.ndarray:
     """The pairings b(u, u, e_(j,k,d)) with every basis function, without a
     grid.  With w = e_(j,k,d), each term of
 
@@ -210,12 +211,12 @@ def oracle_bhat_pairings(u: VelocityField) -> np.ndarray:
     sines, or of a cosine and two sines; each factor carries the basis'
     2 and the derivative's a pi, so a term is 0.5 * 8 = 4 times the
     contraction.  Indices: a, b the modes of u_i, p, q those of u_d."""
-    n = u.n_modes
+    n = cutoff(u)
     ks = range(1, n + 1)
     sss = np.array([[[sin_sin_sin(a, b, c) for c in ks] for b in ks] for a in ks])
     css = np.array([[[cos_sin_sin(a, b, c) for c in ks] for b in ks] for a in ks])
     kpi = np.pi * np.arange(1, n + 1)
-    blocks = u.coeffs.reshape(2, n, n)
+    blocks = u.reshape(2, n, n)
     c1, c2 = blocks
     out = np.zeros((2, n, n))
     for d, cd in enumerate(blocks):

@@ -123,14 +123,14 @@ def test_criterion_3_oracle_equivalence(stokes_apply, polarised_pairing):
                 rel(h10_norm(u), orc.oracle_h10(u, rule)),
                 rel(sp.l4_norm(u), orc.oracle_l4(u, rule)),
                 rel(
-                    float(np.dot(stokes_apply(u, 0.1), w.coeffs)),
+                    float(np.dot(stokes_apply(u, 0.1), w)),
                     0.1 * orc.oracle_gradient_inner(u, w, rule),
                 ),
             ]
             # the step's pairing <B(u), w> = b(u, u, w), and its polarised
             # bilinear b(u, v, w) + b(v, u, w) for a general pair
             pairs = [
-                (u, float(ops.bhat_operator(sp, u) @ w.coeffs), orc.oracle_trilinear(u, u, w, rule)),
+                (u, float(ops.bhat_operator(sp, u) @ w), orc.oracle_trilinear(u, u, w, rule)),
                 (
                     v,
                     polarised_pairing(sp, u, v, w),

@@ -20,7 +20,7 @@ from acflow.config import (
     write_json_report,
 )
 from acflow.integrator import State
-from acflow.spaces import ConfigurationError, PressureField, VelocityField
+from acflow.spaces import ConfigurationError
 
 
 def test_defaults_fill_minimal_file(tmp_path):
@@ -308,7 +308,7 @@ def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
     # captured while the sweep runs path 0 in its block, as a solo run has them
     from acflow import build_spaces
     from acflow.eps_limit import DEFAULT_SWEEP_FORCE_MODES
-    from acflow.forcing import DeterministicForce, default_noise
+    from acflow.forcing import default_noise
     from acflow.integrator import (
         GalerkinIntegrator,
         SolverConfig,
@@ -326,7 +326,7 @@ def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
     )
     assert rc in (0, 1)
     sp = build_spaces(4)
-    force = DeterministicForce(sp.velocity_from_modes(DEFAULT_SWEEP_FORCE_MODES).coeffs)
+    force = sp.velocity_from_modes(DEFAULT_SWEEP_FORCE_MODES)
     manifest = json.loads((out / "manifest.json").read_text())
     for eps in (0.1, 0.001):
         cfg = SolverConfig(n_modes=4, horizon=0.02, eps=eps)
@@ -334,7 +334,7 @@ def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
         states = {}
 
         def keep(m, b):
-            states[m] = State(VelocityField(b.u[0], 4), PressureField(b.p[0], 4), b.t)
+            states[m] = State(b.u[0], b.p[0], b.t)
 
         integ.run_path(project_initial(sp, None, None), 0, observe=keep)
         for t, m in (("0", 0), ("0.0104", 10), ("0.02", 20)):

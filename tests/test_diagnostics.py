@@ -7,7 +7,6 @@ import pytest
 from acflow import build_spaces
 from acflow.cli import main
 from acflow.diagnostics import (
-    UniquenessWeight,
     cumulative_trapezoid,
     mc_energy_bound,
     mc_moment_bound,
@@ -18,7 +17,7 @@ from acflow.diagnostics import (
     trapezoid,
 )
 from acflow.eps_limit import EpsSweepPlan, epsilon_sweep
-from acflow.forcing import DeterministicForce, default_noise
+from acflow.forcing import default_noise
 from acflow.integrator import SolverConfig, project_initial
 from acflow.spaces import ConfigurationError
 
@@ -67,14 +66,6 @@ def test_moment_stability_needs_both_constants_finite():
     for c in (None, np.nan, np.inf):
         assert moment_stability(report(2.0), report(c), 0.25) == (None, False)
         assert moment_stability(report(c), report(2.0), 0.25) == (None, False)
-
-
-def test_uniqueness_weight_invariants():
-    UniquenessWeight(np.array([0.0, 0.1, 0.1, 0.4]))
-    with pytest.raises(ValueError):
-        UniquenessWeight(np.array([0.1, 0.2]))
-    with pytest.raises(ValueError):
-        UniquenessWeight(np.array([0.0, 0.2, 0.1]))
 
 
 @pytest.fixture(scope="module")
@@ -167,18 +158,16 @@ def test_uniqueness_perturbed_non_increasing(small_setup):
     assert rep.weighted_diff[0] == pytest.approx(1e-6, rel=1e-12)
     assert np.all(rep.weighted_diff <= rep.weighted_diff[0] * (1 + 1e-9))
     assert rep.max_increase <= rep.tolerance
-    w = rep.weight.samples
+    w = rep.weight_r
     assert w[0] == 0.0 and np.all(np.diff(w) >= 0)
 
 
 def test_uniqueness_weight_follows_first_trajectory(small_setup):
     spaces, cfg, noise, initial, _ = small_setup
-    forced = DeterministicForce(
-        spaces.velocity_from_modes([(1, 1, 1, 0.5)]).coeffs
-    )
+    forced = spaces.velocity_from_modes([(1, 1, 1, 0.5)])
     other = perturbed_state(spaces, initial, (1, 1, 2), 5e-4)
     rep = pathwise_uniqueness_check(spaces, cfg, forced, noise, initial, other)
-    assert rep.weight.samples[-1] > 0.0
+    assert rep.weight_r[-1] > 0.0
 
 
 def test_divergence_series_zero_field(spaces4):

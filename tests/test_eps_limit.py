@@ -13,10 +13,10 @@ from acflow.eps_limit import (
     leray_projector,
     run_incompressible_reference,
 )
-from acflow.forcing import DeterministicForce, default_noise
+from acflow.forcing import default_noise
 from acflow.integrator import GalerkinIntegrator, SolverConfig, project_initial
 from acflow.operators import sample_field
-from acflow.spaces import ConfigurationError, SpectralSpaces, VelocityField
+from acflow.spaces import ConfigurationError, SpectralSpaces
 
 
 def test_plan_validation():
@@ -53,10 +53,10 @@ def test_projector_kills_discrete_gradients(spaces4, rng, dense_gram):
     assert np.linalg.norm(p * grad) <= 1e-10 * max(np.linalg.norm(grad), 1.0)
 
 
-def leray_project(spaces: SpectralSpaces, u: VelocityField) -> VelocityField:
+def leray_project(spaces: SpectralSpaces, u: np.ndarray) -> np.ndarray:
     """Project a velocity field onto the divergence-free subspace."""
     p = leray_projector(spaces)
-    return VelocityField(p * u.coeffs, spaces.n_modes)
+    return p * u
 
 
 def test_projected_field_is_divergence_free_and_idempotent(spaces4, rng):
@@ -64,14 +64,14 @@ def test_projected_field_is_divergence_free_and_idempotent(spaces4, rng):
     pu = leray_project(spaces4, u)
     assert spaces4.divergence_l2(pu) <= 1e-10 * max(l2_norm(u), 1.0)
     ppu = leray_project(spaces4, pu)
-    assert np.abs(ppu.coeffs - pu.coeffs).max() <= 1e-12
+    assert np.abs(ppu - pu).max() <= 1e-12
 
 
 def test_projector_fixes_divergence_free_fields(spaces4):
     # the divergence-free subspace is trivial here, so its only member is
     # the zero field; the projector must fix it exactly
-    zero = spaces4.zero_velocity()
-    assert np.array_equal(leray_project(spaces4, zero).coeffs, zero.coeffs)
+    zero = np.zeros(spaces4.n_velocity)
+    assert np.array_equal(leray_project(spaces4, zero), zero)
 
 
 def test_reference_run_stays_divergence_free(spaces4):
@@ -92,7 +92,7 @@ def test_reference_matches_projected_linear_flow(spaces4):
     rec = run_incompressible_reference(spaces4, cfg)
     p = np.diag(leray_projector(spaces4))
     a = p @ np.diag(-cfg.nu * spaces4.stiffness) @ p
-    exact = expm(a * cfg.horizon) @ (p @ initial.u.coeffs)
+    exact = expm(a * cfg.horizon) @ (p @ initial.u)
     assert np.linalg.norm(rec.u - exact) <= 50 * cfg.dt + 1e-12
 
 
@@ -124,7 +124,7 @@ def test_pressure_budget_integrates_over_the_run_time_grid(spaces4):
     plan = EpsSweepPlan(eps_values=(1e-2,), base=base, n_paths=2)
     rep = epsilon_sweep(spaces4, plan)
     noise = default_noise(spaces4, trace=plan.noise_trace)
-    force = DeterministicForce(spaces4.velocity_from_modes(plan.force_modes).coeffs)
+    force = spaces4.velocity_from_modes(plan.force_modes)
     initial = project_initial(spaces4, None, None)
     times = np.arange(base.n_steps + 1) * base.dt
     rhs = energy_bound_rhs(spaces4, replace(base, eps=1e-2), force, noise, initial, 1.0, times)
@@ -157,7 +157,6 @@ def test_sweep_noise_coupling_uses_shared_increments(spaces4):
         force_modes=((1, 1, 1, 0.4),),
     )
     rep = epsilon_sweep(spaces4, plan)
-    from acflow.forcing import DeterministicForce
     from acflow.integrator import GalerkinIntegrator
     from dataclasses import replace
 
@@ -165,7 +164,7 @@ def test_sweep_noise_coupling_uses_shared_increments(spaces4):
     integ = GalerkinIntegrator(
         spaces4,
         cfg,
-        force=DeterministicForce(spaces4.velocity_from_modes(plan.force_modes).coeffs),
+        force=spaces4.velocity_from_modes(plan.force_modes),
         noise=default_noise(spaces4, trace=plan.noise_trace),
     )
     recs = [
@@ -223,7 +222,7 @@ def test_sweep_gap_is_the_coupled_energy_at_n10():
         n_paths=4,
     )
     rep = epsilon_sweep(spaces, plan)
-    force = DeterministicForce(spaces.velocity_from_modes(plan.force_modes).coeffs)
+    force = spaces.velocity_from_modes(plan.force_modes)
     noise = default_noise(spaces, trace=plan.noise_trace)
     for row in rep.rows:
         integ = GalerkinIntegrator(spaces, replace(plan.base, eps=row.eps), force, noise)

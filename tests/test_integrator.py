@@ -3,6 +3,7 @@ import gc
 import glob
 import hashlib
 import os
+import struct
 import weakref
 
 import numpy as np
@@ -11,8 +12,10 @@ from scipy.linalg import expm
 
 from acflow import build_spaces
 from acflow import integrator
-from acflow.forcing import DeterministicForce, default_noise, noise_contribution, sample_increment
+from acflow.forcing import default_noise, noise_contribution, sample_increment
 from acflow.integrator import (
+    SNAPSHOT_MAGIC,
+    SNAPSHOT_VERSION,
     DivergedPathError,
     GalerkinIntegrator,
     SolverConfig,
@@ -22,7 +25,7 @@ from acflow.integrator import (
     write_snapshot,
 )
 from acflow.operators import bhat_operator
-from acflow.spaces import ConfigurationError, VelocityField, scalar_pow
+from acflow.spaces import ConfigurationError, scalar_pow
 from dataclasses import replace
 
 
@@ -71,7 +74,7 @@ def test_linear_decay_matches_matrix_exponential_first_order(dense_gram):
         state = project_initial(sp, [(1, 1, 1, 1.0)], None)
         rec = integ.run_path(state)
         A = _linear_flow_matrix(sp, cfg, dense_gram(sp))
-        z0 = np.concatenate([state.u.coeffs, state.p.coeffs])
+        z0 = np.concatenate([state.u, state.p])
         zT = expm(A * cfg.horizon) @ z0
         errors[dt] = abs(rec.l2_u[-1] - np.linalg.norm(zT[: sp.n_velocity]))
     assert 1.6 <= errors[2e-3] / errors[1e-3] <= 2.4
@@ -86,7 +89,7 @@ def test_linear_flow_matches_full_system_exponential(spaces3, dense_gram):
     )
     rec = integ.run_path(state)
     A = _linear_flow_matrix(spaces3, cfg, dense_gram(spaces3))
-    z0 = np.concatenate([state.u.coeffs, state.p.coeffs])
+    z0 = np.concatenate([state.u, state.p])
     zT = expm(A * cfg.horizon) @ z0
     exact = np.linalg.norm(zT[: spaces3.n_velocity])
     assert rec.l2_u[-1] == pytest.approx(exact, abs=50 * cfg.dt * exact)
@@ -122,7 +125,7 @@ def test_ledger_residual_recomputable_from_entry(spaces4):
     # dissipation and Ito term follow from the series, bit for bit
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=8)
     noise = default_noise(spaces4, n_terms=4)
-    force = DeterministicForce(spaces4.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
+    force = spaces4.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)])
     integ = GalerkinIntegrator(spaces4, cfg, force=force, noise=noise)
     rec = integ.run_path(project_initial(spaces4, "smooth", None), range(5))
     assert rec.residual.shape == (5, cfg.n_steps + 1)
@@ -177,6 +180,17 @@ def test_run_path_single_step_record(spaces4):
     assert rec.times[0] == 0.0 and rec.times[1] == pytest.approx(1e-3)
 
 
+def test_run_path_refuses_rows_that_start_at_different_times(spaces4):
+    # the rows share one time grid, so they must share its start
+    integ = GalerkinIntegrator(spaces4, SolverConfig(n_modes=4, dt=1e-3, horizon=5e-3))
+    start = project_initial(spaces4, "smooth", None)
+    later = replace(start, t=0.25)
+    with pytest.raises(ValueError, match=r"got t = \[0\.0, 0\.25\]"):
+        integ.run_path([start, later], [0, 1])
+    rows = integ.run_path([start, replace(start, u=start.u.copy())], [0, 1])
+    assert rows.times[0] == 0.0
+
+
 def test_run_path_reproducible(spaces4):
     cfg = SolverConfig(n_modes=4, dt=1e-3, horizon=0.02, seed=31415)
     noise = default_noise(spaces4, n_terms=4)
@@ -202,12 +216,12 @@ def test_blowup_raises_structured_error(spaces2):
 
 def test_project_initial_examples(spaces4):
     st = project_initial(spaces4, None, None)
-    assert np.all(st.u.coeffs == 0.0) and np.all(st.p.coeffs == 0.0) and st.t == 0.0
+    assert np.all(st.u == 0.0) and np.all(st.p == 0.0) and st.t == 0.0
 
     in_span = [(1, 2, 1, 0.5), (3, 3, 2, -1.25)]
     st = project_initial(spaces4, in_span, None)
-    assert st.u.coeffs[spaces4.velocity_index(1, 2, 1)] == 0.5
-    assert st.u.coeffs[spaces4.velocity_index(3, 3, 2)] == -1.25
+    assert st.u[spaces4.velocity_index(1, 2, 1)] == 0.5
+    assert st.u[spaces4.velocity_index(3, 3, 2)] == -1.25
 
     out_of_span = in_span + [(7, 1, 1, 2.0)]
     st2 = project_initial(spaces4, out_of_span, None)
@@ -215,7 +229,7 @@ def test_project_initial_examples(spaces4):
     from acflow import l2_norm
 
     assert l2_norm(st2.u) <= full_norm
-    assert np.array_equal(st2.u.coeffs, st.u.coeffs)
+    assert np.array_equal(st2.u, st.u)
 
 
 def test_project_initial_rejects_unknown_preset(spaces4):
@@ -224,10 +238,8 @@ def test_project_initial_rejects_unknown_preset(spaces4):
 
 
 def test_snapshot_roundtrip(tmp_path, spaces4, rng):
-    u = VelocityField(rng.standard_normal(spaces4.n_velocity), 4)
-    from acflow.spaces import PressureField
-
-    p = PressureField(rng.standard_normal(spaces4.n_pressure), 4)
+    u = rng.standard_normal(spaces4.n_velocity)
+    p = rng.standard_normal(spaces4.n_pressure)
     state = State(u=u, p=p, t=0.375)
     path = tmp_path / "state.bin"
     sha = write_snapshot(path, state, "ab" * 32)
@@ -235,8 +247,8 @@ def test_snapshot_roundtrip(tmp_path, spaces4, rng):
     loaded, digest = read_snapshot(path)
     assert digest == "ab" * 32
     assert loaded.t == state.t
-    assert np.array_equal(loaded.u.coeffs, u.coeffs)
-    assert np.array_equal(loaded.p.coeffs, p.coeffs)
+    assert np.array_equal(loaded.u, u)
+    assert np.array_equal(loaded.p, p)
 
 
 def test_snapshot_rejects_bad_magic(tmp_path):
@@ -268,6 +280,26 @@ def test_snapshot_rejects_short_fields_and_trailing_bytes(tmp_path, spaces4):
         read_snapshot(path)
     path.write_bytes(data)
     assert read_snapshot(path)[1] == "cd" * 32
+
+
+@pytest.mark.parametrize(
+    "counts, field",
+    [
+        ((0, 0, 0), "cutoff"),
+        ((65, 2 * 65**2, 2 * 65**2), "cutoff"),
+        ((2, 9, 8), "velocity"),
+        ((2, 8, 2), "pressure"),
+    ],
+)
+def test_snapshot_header_needs_a_cutoff_and_its_counts(tmp_path, counts, field):
+    # the header is checked before the arrays: a cutoff in [1, 64] and
+    # 2 N^2 coefficients for each field, whatever the bytes that follow
+    n, nv, n_p = counts
+    header = SNAPSHOT_MAGIC + struct.pack("<I", SNAPSHOT_VERSION) + b"0" * 64
+    path = tmp_path / "state.bin"
+    path.write_bytes(header + struct.pack("<IIId", n, nv, n_p, 0.0) + bytes(8 * (nv + n_p)))
+    with pytest.raises(ConfigurationError, match=f"snapshot {field}"):
+        read_snapshot(path)
 
 
 SHIPPED_EPS = (1e-1, 1e-2, 1e-3, 1e-4)
@@ -446,7 +478,7 @@ def _check_discrete_energy_identity(n_modes, horizon):
     sp = build_spaces(n_modes)
     cfg = SolverConfig(n_modes=n_modes, dt=1e-3, horizon=horizon, eps=1e-2, seed=3)
     noise = default_noise(sp, trace=0.05)
-    force = DeterministicForce(sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
+    force = sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)])
     integ = GalerkinIntegrator(sp, cfg, force=force, noise=noise)
     states = []
     rec = integ.run_path(

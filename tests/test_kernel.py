@@ -10,7 +10,7 @@ import pytest
 from acflow import build_spaces
 from acflow import integrator
 from acflow.eps_limit import EpsSweepPlan, epsilon_sweep
-from acflow.forcing import DeterministicForce, default_noise
+from acflow.forcing import default_noise
 from acflow.integrator import (
     DivergedPathError,
     GalerkinIntegrator,
@@ -19,7 +19,7 @@ from acflow.integrator import (
     project_initial,
 )
 from acflow.operators import bhat_operator, run_inequality_suite
-from acflow.spaces import GridWorkspace, PressureField, VelocityField, _cos_sin_integrals, scalar_pow
+from acflow.spaces import GridWorkspace, _cos_sin_integrals, scalar_pow
 
 SERIES = ("times", "l2_u", "h1_u", "l4_u", "l2_p", "l2_div_u", "energy", "residual")
 
@@ -116,7 +116,7 @@ def reference_path(integ, initial, path_index):
         out["residual"][m] = res
         out["u"] = u
 
-    u, p, t = initial.u.coeffs, initial.p.coeffs, initial.t
+    u, p, t = initial.u, initial.p, initial.t
     record(0, u, p, t, 0.0)
     for m in range(1, n_steps + 1):
         bits = np.random.Philox(key=[cfg.seed, path_index], counter=[0, m - 1, 0, 0])
@@ -124,7 +124,7 @@ def reference_path(integ, initial, path_index):
         xi = integ.noise.modes.T @ (np.sqrt(dt) * normal(integ.noise.n_terms))
         bhat = _bhat(sp, u)
         grad_dual = -sp.div_diagonal * gram(p)
-        rhs = u - dt * grad_dual - dt * bhat + dt * integ.force.coeffs + xi
+        rhs = u - dt * grad_dual - dt * bhat + dt * integ.force + xi
         # M^-1 rhs through the parity blocks: a gemv per block on the
         # right-hand side in class order, then back in the enumeration's
         u_new = (integ._inverse_blocks @ rhs[integ._gather]).reshape(-1)[integ._scatter]
@@ -133,7 +133,7 @@ def reference_path(integ, initial, path_index):
         energy_new = float(np.linalg.norm(u_new)) ** 2 + eps * pressure_l2(p_new) ** 2
         h1 = float(np.sqrt(np.dot(sp.stiffness, u_new * u_new)))
         dissipation = 2.0 * cfg.nu * h1**2 * dt
-        work = 2.0 * float(np.dot(integ.force.coeffs, u_new)) * dt
+        work = 2.0 * float(np.dot(integ.force, u_new)) * dt
         ito = integ.noise.trace * dt
         martingale = 2.0 * float(np.dot(xi, u))
         residual = (energy_new - energy_old) + dissipation - work - ito - martingale
@@ -159,7 +159,7 @@ def _dissipation(integ, rec):
 def _noisy_forced(n_modes):
     sp = build_spaces(n_modes)
     cfg = SolverConfig(n_modes=n_modes, dt=1e-3, horizon=0.015, seed=4242)
-    force = DeterministicForce(sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)]).coeffs)
+    force = sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)])
     integ = GalerkinIntegrator(sp, cfg, force=force, noise=default_noise(sp, trace=0.05))
     return integ, project_initial(sp, "smooth", "low_mode")
 
@@ -207,7 +207,7 @@ def test_many_rows_match_scalar_arithmetic(spaces2):
     integ = GalerkinIntegrator(spaces2, cfg, noise=default_noise(spaces2, n_terms=4))
     rng = np.random.default_rng(11)
     inits = [
-        State(VelocityField(rng.standard_normal(8), 2), PressureField(rng.standard_normal(8), 2), 0.0)
+        State(rng.standard_normal(8), rng.standard_normal(8), 0.0)
         for _ in range(3000)
     ]
     rows = integ.run_path(inits, range(len(inits)))

@@ -7,7 +7,6 @@ from pathlib import Path
 import numpy as np
 
 from acflow.integrator import State, write_snapshot
-from acflow.spaces import PressureField, VelocityField
 
 _TOOL = Path(__file__).resolve().parent.parent / "tools" / "output_digests.py"
 _spec = importlib.util.spec_from_file_location("output_digests", _TOOL)
@@ -23,8 +22,8 @@ def _outputs(root: Path, scale: float, verdict: bool, digest: str) -> Path:
     )
     summary = {"pass": verdict, "rates": [1.0, 2.0 * scale], "manifest": digest}
     (out / "run.json").write_text(json.dumps(summary))
-    u = VelocityField(np.array([1.0, -8.0 * scale]), 1)
-    write_snapshot(out / "final.bin", State(u, PressureField(np.array([3.0, 0.0]), 1), 0.5), digest)
+    u = np.array([1.0, -8.0 * scale])
+    write_snapshot(out / "final.bin", State(u, np.array([3.0, 0.0]), 0.5), digest)
     return root
 
 

@@ -7,7 +7,7 @@ import pytest
 
 import acflow
 from acflow import build_spaces, h10_norm, l2_norm
-from acflow.spaces import ConfigurationError, VelocityField
+from acflow.spaces import ConfigurationError
 import oracle as orc
 from acflow.operators import sample_checks, sample_field
 
@@ -83,7 +83,7 @@ def test_cutoff_13_builds_at_one_and_two_blas_threads():
 
 
 def test_l2_norm_examples(spaces3):
-    assert l2_norm(spaces3.zero_velocity()) == 0.0
+    assert l2_norm(np.zeros(spaces3.n_velocity)) == 0.0
     u = spaces3.velocity_from_modes([(1, 1, 1, 3.0), (2, 2, 2, 4.0)])
     assert l2_norm(u) == pytest.approx(5.0, abs=1e-14)
 
@@ -95,7 +95,7 @@ def test_l2_norm_matches_oracle(spaces3, rng):
 
 
 def test_h10_norm_examples(spaces3):
-    assert h10_norm(spaces3.zero_velocity()) == 0.0
+    assert h10_norm(np.zeros(spaces3.n_velocity)) == 0.0
     u = spaces3.velocity_from_modes([(1, 1, 1, 1.0)])
     assert h10_norm(u) == pytest.approx(np.pi * np.sqrt(2.0), rel=1e-13)
     v = spaces3.velocity_from_modes([(2, 1, 2, 1.0)])
@@ -109,7 +109,7 @@ def test_h10_norm_matches_oracle(spaces3, rng):
 
 
 def test_l4_norm_examples(spaces3):
-    assert spaces3.l4_norm(spaces3.zero_velocity()) == 0.0
+    assert spaces3.l4_norm(np.zeros(spaces3.n_velocity)) == 0.0
     u = spaces3.velocity_from_modes([(1, 1, 1, 1.0)])
     assert spaces3.l4_norm(u) == pytest.approx(np.sqrt(1.5), rel=1e-12)
 
@@ -134,7 +134,7 @@ def test_l4_norm_of_the_top_mode_is_exact(n_modes):
     # integrate exactly; a Gauss-Legendre rule does not.  The Ladyzhenskaya
     # rows of sample_checks carry each component's ||u_d||_L4^4
     sp = build_spaces(n_modes)
-    z = sp.zero_velocity()
+    z = np.zeros(sp.n_velocity)
     for d in (1, 2):
         u = sp.velocity_from_modes([(n_modes, n_modes, d, 1.0)])
         assert abs(sp.l4_norm(u) / (9.0 / 4.0) ** 0.25 - 1.0) <= 1e-14
@@ -143,14 +143,14 @@ def test_l4_norm_of_the_top_mode_is_exact(n_modes):
 
 
 def test_divergence_examples(spaces3):
-    zero = spaces3.divergence(spaces3.zero_velocity())
-    assert np.all(zero.coeffs == 0.0)
+    zero = spaces3.divergence(np.zeros(spaces3.n_velocity))
+    assert np.all(zero == 0.0)
 
     u = spaces3.velocity_from_modes([(1, 2, 1, 1.0)])
     d = spaces3.divergence(u)
     expected = np.zeros(spaces3.n_pressure)
     expected[spaces3.pressure_index("cs", 1, 2)] = np.pi
-    assert np.allclose(d.coeffs, expected, atol=1e-14)
+    assert np.allclose(d, expected, atol=1e-14)
 
 
 def test_divergence_norm_matches_oracle(spaces3, rng):
@@ -183,7 +183,7 @@ def _projected_stream_curl(spaces, a=1, b=1):
             lambda x, y: comp(x, y) * 2.0 * np.sin(j * np.pi * x) * np.sin(k * np.pi * y),
             rule,
         )
-    return VelocityField(coeffs, n)
+    return coeffs
 
 
 def test_projected_curl_divergence_decays_with_cutoff():
@@ -199,7 +199,7 @@ def test_projected_curl_divergence_decays_with_cutoff():
 
 
 def test_gradient_pairing_zero_pressure(spaces3):
-    p = spaces3.zero_pressure()
+    p = np.zeros(spaces3.n_pressure)
     assert np.all(spaces3.gradient_dual(p) == 0.0)
 
 
@@ -212,29 +212,23 @@ def test_gradient_pairing_of_divergence_matches_operator_column(spaces3, dense_g
 
 
 def test_gradient_divergence_duality_is_exact(spaces3, rng):
-    from acflow.spaces import PressureField
-
-    p = PressureField(rng.standard_normal(spaces3.n_pressure), spaces3.n_modes)
+    p = rng.standard_normal(spaces3.n_pressure)
     grad = spaces3.gradient_dual(p)
     g_p = spaces3.gram_product(p)
     # <grad p, e_i> = -<p, Div e_i> on every basis function, with the pressure
     # pairing <p, q> = (G p) . q: Div e_i is one scaled pressure mode, so each
     # side is one rounded product and the two agree bit for bit
     for e_i in np.eye(spaces3.n_velocity):
-        w = VelocityField(e_i, spaces3.n_modes)
-        grad_pair = float(np.dot(grad, w.coeffs))
-        div_pair = float(np.dot(g_p, spaces3.divergence(w).coeffs))
+        grad_pair = float(np.dot(grad, e_i))
+        div_pair = float(np.dot(g_p, spaces3.divergence(e_i)))
         assert grad_pair == -div_pair
 
 
 def test_gradient_divergence_duality_holds_to_round_off(spaces3, rng, dense_gram):
-    p_coeffs = rng.standard_normal(spaces3.n_pressure)
-    from acflow.spaces import PressureField
-
-    p = PressureField(p_coeffs, spaces3.n_modes)
+    p = rng.standard_normal(spaces3.n_pressure)
     w = sample_field(spaces3, rng)
-    grad_pair = float(np.dot(spaces3.gradient_dual(p), w.coeffs))
-    div_pair = float(np.dot(p.coeffs, dense_gram(spaces3) @ spaces3.divergence(w).coeffs))
+    grad_pair = float(np.dot(spaces3.gradient_dual(p), w))
+    div_pair = float(np.dot(p, dense_gram(spaces3) @ spaces3.divergence(w)))
     # <grad p, w> = -<p, Div w> for a general w, with Div w paired through the
     # dense Gram; the two sides sum in different orders, so they agree to
     # round-off, not bit for bit
@@ -242,17 +236,15 @@ def test_gradient_divergence_duality_holds_to_round_off(spaces3, rng, dense_gram
 
 
 def test_gradient_pairing_matches_oracle(spaces3, rng):
-    from acflow.spaces import PressureField
-
-    p = PressureField(rng.standard_normal(spaces3.n_pressure), spaces3.n_modes)
+    p = rng.standard_normal(spaces3.n_pressure)
     w = sample_field(spaces3, rng)
     rule = orc.make_rule(48)
-    grad_pair = float(np.dot(spaces3.gradient_dual(p), w.coeffs))
+    grad_pair = float(np.dot(spaces3.gradient_dual(p), w))
     against = -orc.oracle_div_pairing(p, w, rule)
     assert grad_pair == pytest.approx(against, rel=1e-8, abs=1e-10)
 
 
-def synthesize(spaces, u: VelocityField, points) -> np.ndarray:
+def synthesize(spaces, u: np.ndarray, points) -> np.ndarray:
     """Pointwise values of the field at (x, y) points in [0, 1]^2."""
     pts = np.atleast_2d(np.asarray(points, dtype=float))
     j = np.arange(1, spaces.n_modes + 1, dtype=float)
@@ -293,9 +285,7 @@ def test_stiffness_form_is_diagonal(spaces2):
             ea[a] = 1.0
             eb = np.zeros(n)
             eb[b] = 1.0
-            val = orc.oracle_gradient_inner(
-                VelocityField(ea, 2), VelocityField(eb, 2), rule
-            )
+            val = orc.oracle_gradient_inner(ea, eb, rule)
             if a == b:
                 j, k, _ = orc.velocity_modes(2)[a]
                 assert val == pytest.approx(np.pi**2 * (j**2 + k**2), rel=1e-12)
@@ -304,8 +294,6 @@ def test_stiffness_form_is_diagonal(spaces2):
 
 
 def test_pressure_l2_positive_semidefinite(spaces8, rng):
-    from acflow.spaces import PressureField
-
     for _ in range(5):
-        p = PressureField(rng.standard_normal(spaces8.n_pressure), spaces8.n_modes)
+        p = rng.standard_normal(spaces8.n_pressure)
         assert spaces8.pressure_l2(p) >= 0.0

@@ -144,7 +144,7 @@ def _columns(path: Path) -> dict:
         return _json_columns(json.loads(path.read_bytes()))
     if path.suffix == ".bin":
         state, _ = read_snapshot(path)
-        return {"t": np.array([state.t]), "u": state.u.coeffs, "p": state.p.coeffs}
+        return {"t": np.array([state.t]), "u": state.u, "p": state.p}
     return {}
 
 
