@@ -275,21 +275,9 @@ def _cmd_uniqueness(args) -> int:
 def _cmd_sweep(args) -> int:
     setup, manifest = _setup(args)
     spaces = build_spaces(setup.solver.n_modes)
-    plan = setup.sweep
-    # states of path 0 at the grid times nearest the requested ones, captured
-    # while the sweep runs it
-    cfg = plan.base
-    wanted = {round(t / cfg.dt): t for t in setup["sweep.snapshot_times"]}
-    snapshots = {eps: [] for eps in plan.eps_values}
-
-    def capture(eps, m, block):
-        if m in wanted and len(block.rows) and block.rows[0] == 0:
-            snapshots[eps].append((wanted[m], State(block.u[0], block.p[0], block.t)))
-
-    report = epsilon_sweep(spaces, plan, workers=args.workers, observe=capture if wanted else None)
-    for eps, states in snapshots.items():
-        for t_req, state in states:
-            _write(args, manifest, f"sweep_eps{eps:g}_t{t_req:g}.bin", state)
+    report = epsilon_sweep(spaces, setup.sweep, workers=args.workers)
+    for eps, t_req, state in report.snapshots:
+        _write(args, manifest, f"sweep_eps{eps:g}_t{t_req:g}.bin", state)
 
     csv_rows = [dataclasses.astuple(r) for r in report.rows]
     columns = (
@@ -311,7 +299,7 @@ def _cmd_sweep(args) -> int:
         "pressure_bound": report.pressure_bound,
         "div_rates": report.div_rates,
         "diff_rates": report.diff_rates,
-        "paths": plan.n_paths,
+        "paths": setup.sweep.n_paths,
     }
     line = "sweep: " + " ".join(f"{r.eps:g}->{r.div_sup:.3e}" for r in report.rows)
     return _finish(args, manifest, line, summary)

@@ -236,6 +236,7 @@ def load_config(path: str | None = None, overrides=()) -> RunSetup:
         n_paths=parsed["sweep.paths"],
         force_modes=tuple(parsed["sweep.force_modes"]),
         noise_trace=parsed["sweep.noise_trace"],
+        snapshot_times=tuple(parsed["sweep.snapshot_times"]),
     )
     _check_against_solver(parsed, solver)
     return RunSetup(solver, sweep, values, provenance, parsed)

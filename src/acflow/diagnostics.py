@@ -9,7 +9,8 @@ Three checks are driven from simulated path ensembles:
   an implied constant is reported, and its stability between the whole
   ensemble and its first half asserted,
 * the pathwise uniqueness contraction: the squared difference of two
-  trajectories driven by identical noise, weighted by
+  trajectories driven by identical noise, formed from the states of every
+  step that run_path keeps for the pair and weighted by
   exp[-(27/nu^3) int ||u||_L4^4], must not increase beyond scheme error.
 
 Monte Carlo paths are independent and advance in blocks that may run
@@ -250,17 +251,13 @@ def pathwise_uniqueness_check(
     weighted squared difference; additive noise cancels in the difference, so
     the weighted series must not increase beyond O(dt) scheme error."""
     integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
-    diff = np.zeros(config.n_steps + 1)
-
-    def diff_energy(m: int, block) -> None:
-        if len(block.rows) == 2:
-            du = block.u[0] - block.u[1]
-            dp = block.p[0] - block.p[1]
-            pr2 = max(float(dp @ spaces.gram_product(dp)), 0.0)
-            diff[m] = float(np.dot(du, du)) + config.eps * pr2
-
-    pair = integ.run_path([init_a, init_b], [0, 0], observe=diff_energy)
+    pair = integ.run_path([init_a, init_b], [0, 0], keep_steps=range(config.n_steps + 1))
     pair.raise_diverged()
+    du, dp = pair.kept_u[0] - pair.kept_u[1], pair.kept_p[0] - pair.kept_p[1]
+    diff = np.array([
+        float(np.dot(a, a)) + config.eps * max(float(q @ spaces.gram_product(q)), 0.0)
+        for a, q in zip(du, dp)
+    ])
     times, l4_a = pair.times, pair.l4_u[0]
 
     rate = 27.0 / config.nu**3

@@ -23,7 +23,6 @@ from __future__ import annotations
 
 import logging
 from dataclasses import dataclass, field, replace
-from functools import partial
 
 import numpy as np
 
@@ -77,13 +76,15 @@ DEFAULT_SWEEP_FORCE_MODES = ((1, 1, 1, 0.4), (2, 1, 2, 0.2))
 @dataclass(frozen=True)
 class EpsSweepPlan:
     """Decreasing compressibility values with everything else held fixed;
-    every path starts at rest."""
+    every path starts at rest.  Path 0's states at ``snapshot_times`` (each
+    on its nearest step) are kept for every eps."""
 
     eps_values: tuple[float, ...] = DEFAULT_SWEEP_EPS
     base: SolverConfig = field(default_factory=SolverConfig)
     n_paths: int = 50
     force_modes: tuple = DEFAULT_SWEEP_FORCE_MODES
     noise_trace: float = 0.01
+    snapshot_times: tuple[float, ...] = ()
 
     def __post_init__(self):
         if len(self.eps_values) < 1:
@@ -123,6 +124,7 @@ class ConvergenceReport:
     difference_decreasing: bool
     pressure_bounded: bool
     sweep_valid: bool  # False when too many paths diverged
+    snapshots: list[tuple[float, float, State]]  # path 0's (eps, requested t, state)
 
     @property
     def passed(self) -> bool:
@@ -153,7 +155,6 @@ def epsilon_sweep(
     spaces: SpectralSpaces,
     plan: EpsSweepPlan,
     workers: int = 1,
-    observe=None,
 ) -> ConvergenceReport:
     """Run the perturbed family over decreasing eps against the incompressible
     reference and collect the convergence statistics.
@@ -163,8 +164,9 @@ def epsilon_sweep(
     statistic sup_t E|u_eps - u_0|^2 is sup_t E|u_eps|^2, from the records'
     ``l2_u``, and its decrease shows u_eps -> 0, a locking effect of the
     discrete constraint, not convergence to a non-zero incompressible flow.
-    Diverged paths are logged and left out of the statistics.
-    ``observe(eps, m, block)`` sees path 0's block after each step m."""
+    Diverged paths are logged and left out of the statistics.  Path 0's
+    states at the plan's snapshot times, in step order for each eps, are
+    the report's ``snapshots``; those at or after its blow-up are left out."""
     noise = default_noise(spaces, trace=plan.noise_trace)
     force = spaces.velocity_from_modes(plan.force_modes)
     initial = project_initial(spaces, None, None)
@@ -172,11 +174,19 @@ def epsilon_sweep(
     first = replace(base, eps=plan.eps_values[0])
     run_incompressible_reference(spaces, first)
 
+    wanted = sorted((round(t / base.dt), t) for t in plan.snapshot_times)
+    keep = [m for m, _ in wanted]
     rows: list[SweepRow] = []
+    snapshots = []
     for eps in plan.eps_values:
         integ = GalerkinIntegrator(spaces, replace(base, eps=eps), force=force, noise=noise)
-        hook = None if observe is None else partial(observe, eps)
-        coupled = integ.run_path(initial, range(plan.n_paths), hook, workers)
+        coupled = integ.run_path(initial, range(plan.n_paths), workers=workers, keep_steps=keep)
+        stop = coupled.diverged_at[0]
+        snapshots += [
+            (eps, t, State(coupled.kept_u[0, j], coupled.kept_p[0, j], float(coupled.times[m])))
+            for j, (m, t) in enumerate(wanted)
+            if stop < 0 or m < stop
+        ]
         blown = coupled.diverged_at >= 0
         for path, step in zip(coupled.paths[blown].tolist(), coupled.diverged_at[blown].tolist()):
             logger.warning("path %d diverged at step %d for eps=%g; excluded", path, step, eps)
@@ -210,6 +220,7 @@ def epsilon_sweep(
             r.pressure_energy <= pressure_bound + 3.0 * r.pressure_se for r in rows
         ),
         sweep_valid=all(r.excluded_paths <= 0.1 * plan.n_paths for r in rows),
+        snapshots=snapshots,
     )
 
 

@@ -110,24 +110,14 @@ class State:
     t: float
 
 
-@dataclass(frozen=True)
-class PathBlock:
-    """States of M paths at one time, a row each, as an ``observe`` hook of
-    run_path sees them; ``rows`` are their positions in the batch given to
-    run_path.  The arrays are the hook's own copies."""
-
-    u: np.ndarray  # (M, n_velocity)
-    p: np.ndarray  # (M, n_pressure)
-    t: float
-    rows: np.ndarray
-
-
 @dataclass
 class PathRecord:
     """Per-step time series of the rows of one run_path call: every array
     but ``times`` has a leading row axis, which ``take`` selects from; an
     int takes one path's 1-D record.  A row that blew up has the step in
     ``diverged_at`` (-1 for the other rows), and its series stop there.
+    ``kept_u`` and ``kept_p`` hold the states of the steps run_path keeps,
+    a slot each; a row's slots stay zero from its blow-up on.
 
     Step m's energy balance, from state m to m + 1, is
 
@@ -151,6 +141,8 @@ class PathRecord:
     convection_pairing: np.ndarray  # (B(u_m), u_m), zero up to round-off
     u: np.ndarray  # last velocity coefficients, (rows, n_velocity)
     p: np.ndarray  # last pressure coefficients, (rows, n_pressure)
+    kept_u: np.ndarray  # velocities at the kept steps, (rows, kept, n_velocity)
+    kept_p: np.ndarray  # pressures at the kept steps, (rows, kept, n_pressure)
     paths: np.ndarray  # path index of each row
     diverged_at: np.ndarray  # step at which each row blew up, or -1
 
@@ -159,8 +151,8 @@ class PathRecord:
     CSV_COLUMNS = ("t",) + SERIES
 
     @classmethod
-    def zeros(cls, times: np.ndarray, paths, n_velocity: int, n_pressure: int) -> "PathRecord":
-        """Zero arrays with a row per entry of ``paths``."""
+    def zeros(cls, times: np.ndarray, paths, n_velocity: int, n_pressure: int, kept: int = 0) -> "PathRecord":
+        """Zero arrays with a row per entry of ``paths``, ``kept`` state slots each."""
         rows = len(paths)
         return cls(
             times,
@@ -168,13 +160,15 @@ class PathRecord:
             **{name: np.zeros((rows, len(times) - 1)) for name in cls.STEP_TERMS},
             u=np.zeros((rows, n_velocity)),
             p=np.zeros((rows, n_pressure)),
+            kept_u=np.zeros((rows, kept, n_velocity)),
+            kept_p=np.zeros((rows, kept, n_pressure)),
             paths=np.asarray(paths),
             diverged_at=np.full(rows, -1),
         )
 
     def take(self, rows) -> "PathRecord":
         """The rows an int, slice, mask or index array selects."""
-        names = self.SERIES + self.STEP_TERMS + ("u", "p", "paths", "diverged_at")
+        names = self.SERIES + self.STEP_TERMS + ("u", "p", "kept_u", "kept_p", "paths", "diverged_at")
         return replace(self, **{name: getattr(self, name)[rows] for name in names})
 
     def raise_diverged(self) -> None:
@@ -379,6 +373,13 @@ def _mode_entries(spec, presets: dict, key: str):
     return spec
 
 
+def _check_coefficients(spaces: SpectralSpaces, name: str, field) -> None:
+    """Refuse a field that is not one array of the cutoff's 2N^2 coefficients."""
+    n = spaces.n_velocity
+    if np.shape(field) != (n,):
+        raise ConfigurationError(f"{name} must hold 2N^2 = {n} coefficients, got shape {np.shape(field)}")
+
+
 class GalerkinIntegrator:
     """Steps the coupled velocity/pressure system along sample paths, a
     block of paths per step call."""
@@ -396,6 +397,7 @@ class GalerkinIntegrator:
         self.spaces = spaces
         self.config = config
         self.force = np.zeros(spaces.n_velocity) if force is None else force
+        _check_coefficients(spaces, "force", self.force)
         self.noise = noise if noise is not None else empty_noise(spaces)
         self.include_convection = include_convection
         # M^-1 as its four parity blocks, and where each velocity index sits
@@ -443,7 +445,7 @@ class GalerkinIntegrator:
 
     # -- whole paths ---------------------------------------------------------------
 
-    def run_path(self, initial, path_index=0, observe=None, workers=1):
+    def run_path(self, initial, path_index=0, workers=1, keep_steps=()):
         """Integrate from 0 to the horizon; bit-reproducible from
         (seed, path index), whatever the blocks, threads and chunks of steps.
 
@@ -455,10 +457,14 @@ class GalerkinIntegrator:
         contiguous parts on a thread each and run in blocks of at most
         BLOCK_PATHS rows, each writing its own rows of the record; when
         rows of a block blow up, the rows left start again as a new block
-        from that step.  ``observe(m, block)`` sees the running rows of row
-        0's block after each step m (and m = 0).
+        from that step.  The states at the steps ``keep_steps``, distinct
+        steps in [0, n_steps] in any order, go to the record's ``kept_u``
+        and ``kept_p``, a slot per step in that order.
         """
         cfg, sp = self.config, self.spaces
+        keep = {int(m): j for j, m in enumerate(keep_steps)}
+        if len(keep) < len(keep_steps) or not all(0 <= m <= cfg.n_steps for m in keep):
+            raise ValueError(f"keep_steps must be distinct steps in [0, {cfg.n_steps}]: {list(keep_steps)}")
         single = isinstance(path_index, (int, np.integer))
         paths = np.atleast_1d(np.asarray(path_index, dtype=int))
         inits = [initial] * len(paths) if isinstance(initial, State) else list(initial)
@@ -467,29 +473,30 @@ class GalerkinIntegrator:
             raise ValueError(f"rows share one time grid, so one start time; got t = {starts}")
         # cumsum adds in order, so these are the bits of t = t + dt per step
         times = np.cumsum([inits[0].t] + [cfg.dt] * cfg.n_steps)
-        record = PathRecord.zeros(times, paths, sp.n_velocity, sp.n_pressure)
+        record = PathRecord.zeros(times, paths, sp.n_velocity, sp.n_pressure, len(keep))
         for r, state in enumerate(inits):
+            _check_coefficients(sp, "initial u", state.u)
+            _check_coefficients(sp, "initial p", state.p)
             record.u[r], record.p[r] = state.u, state.p
 
-        def run_part(part, hook):
-            for i, rows in enumerate(np.array_split(part, -(-len(part) // BLOCK_PATHS))):
+        def run_part(part):
+            for rows in np.array_split(part, -(-len(part) // BLOCK_PATHS)):
                 m0 = 0
                 while len(rows):
-                    m0, rows = self._run_block(record, rows, m0, hook if i == 0 else None)
+                    m0, rows = self._run_block(record, rows, m0, keep)
 
         parts = [p for p in np.array_split(np.arange(len(paths)), workers) if len(p)]
-        hooks = [observe] + [None] * (len(parts) - 1)
         if len(parts) > 1:
             with ThreadPoolExecutor(max_workers=len(parts)) as ex:
-                list(ex.map(run_part, parts, hooks))
+                list(ex.map(run_part, parts))
         else:
-            list(map(run_part, parts, hooks))
+            list(map(run_part, parts))
         if single:
             record.raise_diverged()
             return record.take(0)
         return record
 
-    def _run_block(self, record: PathRecord, rows: np.ndarray, m0: int, observe=None):
+    def _run_block(self, record: PathRecord, rows: np.ndarray, m0: int, keep: dict):
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
         writing their series, step terms and last coefficients in place.
@@ -502,9 +509,11 @@ class GalerkinIntegrator:
         convection pairings and norms to the chunk buffers, and the chunk's
         series and step terms are then computed and written at once.  A
         row whose energy passes ENERGY_CAP, at the start too, ends the block
-        at that step, with the step in its ``diverged_at``.  Returns the
-        step reached and the rows left to run from it: none at the horizon,
-        else the rows that did not blow up."""
+        at that step, with the step in its ``diverged_at``.  The state at a
+        step of ``keep`` (step: slot) goes to the rows' slots in ``kept_u``
+        and ``kept_p`` at m0 and after each step that no row blows up in.
+        Returns the step reached and the rows left to run from it: none at
+        the horizon, else the rows that did not blow up."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
         size = CHUNK_BYTES // (8 * len(rows) * (6 * sp.n_velocity + self.noise.n_terms + 4))
         size = max(1, min(size, cfg.n_steps - m0))
@@ -522,11 +531,11 @@ class GalerkinIntegrator:
         solve = gathered, solved, solved.reshape(len(rows), -1)
         norms[:3, 0] = self._norms(u[0], p, gram_p)
         norms[3, 0] = sp.l4_norm(u[0], work=work)
-        if observe is not None:
-            observe(m0, PathBlock(u[0].copy(), p.copy(), float(record.times[m0]), rows))
         blown = ~(norms[2, 0] <= ENERGY_CAP)
         if blown.any():  # a start above the cap: write state m0, take no step
             self._write_chunk(record, rows, m0, 0, u, bhat, bhat, norms)
+        elif m0 in keep:
+            record.kept_u[rows, keep[m0]], record.kept_p[rows, keep[m0]] = u[0], p
         while m0 < cfg.n_steps and not blown.any():
             steps = range(m0, min(m0 + size, cfg.n_steps))
             dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))
@@ -536,9 +545,8 @@ class GalerkinIntegrator:
                 norms[3, k] = sp.l4_norm(u[k], work=work)
                 if not all(e <= ENERGY_CAP for e in norms[2, k].tolist()):
                     break
-                if observe is not None:
-                    m = m0 + k
-                    observe(m, PathBlock(u[k].copy(), p.copy(), float(record.times[m]), rows))
+                if m0 + k in keep:
+                    record.kept_u[rows, keep[m0 + k]], record.kept_p[rows, keep[m0 + k]] = u[k], p
             self._write_chunk(record, rows, m0, k, u, bhat, xis, norms)
             m0 += k
             u[0], norms[:, 0] = u[k], norms[:, k]
@@ -656,7 +664,6 @@ __all__ = [
     "BLOCK_PATHS",
     "DivergedPathError",
     "GalerkinIntegrator",
-    "PathBlock",
     "PathRecord",
     "SolverConfig",
     "State",

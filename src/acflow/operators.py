@@ -71,6 +71,13 @@ def bhat_operator(
 # -- inequality checks ---------------------------------------------------------
 
 
+@lru_cache(maxsize=None)
+def _product_grid(n_modes: int) -> _SynthGrid:
+    """The Q = 4N + 8 midpoint nodes per axis of check_product_l1."""
+    q = 4 * n_modes + 8
+    return _SynthGrid(n_modes, (np.arange(q) + 0.5) / q)
+
+
 def check_product_l1(spaces: SpectralSpaces, u: np.ndarray, v: np.ndarray) -> tuple[float, float]:
     """Product bound ||phi psi||_L2^2 <= ||phi d1 phi||_L1 ||psi d2 psi||_L1
     with phi the first component of u and psi the second component of v.
@@ -79,8 +86,7 @@ def check_product_l1(spaces: SpectralSpaces, u: np.ndarray, v: np.ndarray) -> tu
     the lhs, a cosine polynomial of degree at most 4N < 2Q in each variable,
     and approximate for the rhs, whose |phi d1 phi| is no trig polynomial.
     Only the four planes read are synthesised."""
-    q = 4 * spaces.n_modes + 8
-    g = _SynthGrid(spaces.n_modes, (np.arange(q) + 0.5) / q)
+    g = _product_grid(spaces.n_modes)
     u1, v2 = spaces._coeff_blocks(u)[0], spaces._coeff_blocks(v)[1]
     phi, d1phi = (spaces._synthesize(left, u1, g.sin2) for left in (g.sin, g.dcos))
     psi, d2psi = (spaces._synthesize(g.sin, v2, right) for right in (g.sin2, g.dcos2))

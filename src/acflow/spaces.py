@@ -288,20 +288,8 @@ class SpectralSpaces:
         mag2 *= mag2
         return scalar_pow(np.sum(mag2, axis=(-2, -1)) / work.grid.order**2, 0.25)
 
-    def divergence(self, u: np.ndarray) -> np.ndarray:
-        """Exact coefficient map onto the pressure basis."""
-        return self.div_diagonal * u
-
     def divergence_l2(self, u: np.ndarray) -> np.float64 | np.ndarray:
         return self.pressure_l2(self.div_diagonal * u)
-
-    def gradient_dual(self, p: np.ndarray) -> np.ndarray:
-        """Pairings <grad p, e_i> for every velocity basis function.
-
-        Computed through the duality <grad p, w> = -<p, Div w>; the pressure
-        field itself is never differentiated.
-        """
-        return -self.div_diagonal * self.gram_product(p)
 
     # -- synthesis ----------------------------------------------------------------
 

@@ -305,7 +305,8 @@ def test_summary_holds_seed_and_verdict_and_stdout_ends_with_them(tmp_path, caps
 
 
 def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
-    # captured while the sweep runs path 0 in its block, as a solo run has them
+    # kept while the sweep runs path 0 in its block, as a solo run keeps
+    # them; the times are listed out of order
     from acflow import build_spaces
     from acflow.eps_limit import DEFAULT_SWEEP_FORCE_MODES
     from acflow.forcing import default_noise
@@ -322,7 +323,7 @@ def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
         ["sweep-eps", "--quiet", "--out", str(out), "--workers", "2",
          "--set", "solver.horizon=0.02", "--set", "solver.n_modes=4",
          "--set", "sweep.eps_values=0.1,0.001", "--paths", "5",
-         "--set", "sweep.snapshot_times=0,0.0104,0.02"]
+         "--set", "sweep.snapshot_times=0.02,0,0.0104"]
     )
     assert rc in (0, 1)
     sp = build_spaces(4)
@@ -331,16 +332,12 @@ def test_sweep_snapshots_are_the_states_of_path_0(tmp_path):
     for eps in (0.1, 0.001):
         cfg = SolverConfig(n_modes=4, horizon=0.02, eps=eps)
         integ = GalerkinIntegrator(sp, cfg, force=force, noise=default_noise(sp))
-        states = {}
-
-        def keep(m, b):
-            states[m] = State(b.u[0], b.p[0], b.t)
-
-        integ.run_path(project_initial(sp, None, None), 0, observe=keep)
-        for t, m in (("0", 0), ("0.0104", 10), ("0.02", 20)):
+        rec = integ.run_path(project_initial(sp, None, None), 0, keep_steps=[0, 10, 20])
+        for j, t in enumerate(("0", "0.0104", "0.02")):
             name = f"sweep_eps{eps:g}_t{t}.bin"
             digest = read_snapshot(out / name)[1]
-            write_snapshot(tmp_path / "want.bin", states[m], digest)
+            state = State(rec.kept_u[j], rec.kept_p[j], float(rec.times[10 * j]))
+            write_snapshot(tmp_path / "want.bin", state, digest)
             assert (out / name).read_bytes() == (tmp_path / "want.bin").read_bytes()
             assert name in manifest["outputs"]
 

@@ -150,10 +150,9 @@ def test_pressure_work_identity(spaces4, dense_gram):
     state = project_initial(spaces4, "smooth", [("cs", 1, 1, 0.4)])
     sp = spaces4
     G = dense_gram(sp)
-    # the states of path 0 after every step, as an observe hook sees them
-    states = []
-    integ.run_path(state, 0, observe=lambda m, block: states.append((block.u[0], block.p[0])))
-    assert len(states) == cfg.n_steps + 1
+    # the states of path 0 at every step, as run_path keeps them
+    rec = integ.run_path(state, 0, keep_steps=range(cfg.n_steps + 1))
+    states = list(zip(rec.kept_u, rec.kept_p))
     for (_, p_old), (u_new, p_new) in zip(states, states[1:]):
         grad_mid = -sp.div_diagonal * (G @ (0.5 * (p_old + p_new)))
         pairing_mid = float(np.dot(grad_mid, u_new))
@@ -189,6 +188,18 @@ def test_run_path_refuses_rows_that_start_at_different_times(spaces4):
         integ.run_path([start, later], [0, 1])
     rows = integ.run_path([start, replace(start, u=start.u.copy())], [0, 1])
     assert rows.times[0] == 0.0
+
+
+def test_force_and_start_states_must_hold_2n2_coefficients(spaces2):
+    # refused by name before any step, not by numpy's broadcast at the first
+    cfg = SolverConfig(n_modes=2, dt=1e-3, horizon=5e-3)
+    with pytest.raises(ConfigurationError, match=r"force must hold 2N\^2 = 8 coefficients"):
+        GalerkinIntegrator(spaces2, cfg, force=np.ones(3))
+    integ = GalerkinIntegrator(spaces2, cfg)
+    start = project_initial(spaces2, "low_mode", None)
+    for name, bad in (("u", replace(start, u=np.ones(1))), ("p", replace(start, p=np.ones((1, 8))))):
+        with pytest.raises(ConfigurationError, match=rf"initial {name} must hold 2N\^2 = 8 coefficients"):
+            integ.run_path([start, bad], [0, 1])
 
 
 def test_run_path_reproducible(spaces4):
@@ -480,12 +491,8 @@ def _check_discrete_energy_identity(n_modes, horizon):
     noise = default_noise(sp, trace=0.05)
     force = sp.velocity_from_modes([(1, 1, 1, 0.4), (2, 1, 2, 0.2)])
     integ = GalerkinIntegrator(sp, cfg, force=force, noise=noise)
-    states = []
-    rec = integ.run_path(
-        project_initial(sp, "smooth", "low_mode"), 0,
-        observe=lambda m, block: states.append((block.u[0].copy(), block.p[0].copy())),
-    )
-    assert len(states) == cfg.n_steps + 1
+    rec = integ.run_path(project_initial(sp, "smooth", "low_mode"), 0, keep_steps=range(cfg.n_steps + 1))
+    states = list(zip(rec.kept_u, rec.kept_p))
     assert all(np.isfinite(getattr(rec, name)).all() for name in rec.SERIES)
     for m, ((u0, p0), (u1, p1)) in enumerate(zip(states, states[1:])):
         bhat = bhat_operator(sp, u0[None])[0]

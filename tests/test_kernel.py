@@ -104,6 +104,8 @@ def reference_path(integ, initial, path_index):
     out = {name: np.zeros(n_steps + 1) for name in SERIES}
     terms = ("dissipation", "work", "martingale", "convection_pairing")
     out.update({name: np.zeros(n_steps) for name in terms})
+    out["kept_u"] = np.zeros((n_steps + 1, sp.n_velocity))  # the state of every step
+    out["kept_p"] = np.zeros((n_steps + 1, sp.n_pressure))
 
     def record(m, u, p, t, res):
         out["times"][m] = t
@@ -114,7 +116,7 @@ def reference_path(integ, initial, path_index):
         out["l2_div_u"][m] = pressure_l2(sp.div_diagonal * u)
         out["energy"][m] = out["l2_u"][m] ** 2 + eps * out["l2_p"][m] ** 2
         out["residual"][m] = res
-        out["u"] = u
+        out["u"], out["kept_u"][m], out["kept_p"][m] = u, u, p
 
     u, p, t = initial.u, initial.p, initial.t
     record(0, u, p, t, 0.0)
@@ -170,13 +172,16 @@ def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
     size = integrator.BLOCK_PATHS
     n_paths = size + 1  # at BLOCK_PATHS: two blocks of different sizes
     want = [reference_path(integ, initial, i) for i in range(n_paths)]
+    keep = [15, 0, 7]
     for block, workers in ((1, 1), (7, 1), (size, 1), (size + 1, 1), (size, 3)):
         monkeypatch.setattr(integrator, "BLOCK_PATHS", block)
-        recs = integ.run_path(initial, range(n_paths), workers=workers)
+        recs = integ.run_path(initial, range(n_paths), workers=workers, keep_steps=keep)
         for i, ref in enumerate(want):
             rec = recs.take(i)
             for name in SERIES + ("u",):
                 assert _bits(getattr(rec, name)) == _bits(ref[name]), (block, name)
+            assert _bits(rec.kept_u) == _bits(ref["kept_u"][keep])
+            assert _bits(rec.kept_p) == _bits(ref["kept_p"][keep])
             assert _bits(_dissipation(integ, rec)) == _bits(ref["dissipation"])
             assert _bits(rec.work_increment) == _bits(ref["work"])
             assert _bits(rec.martingale_increment) == _bits(ref["martingale"])
@@ -225,7 +230,8 @@ def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
     huge = project_initial(spaces2, [(1, 1, 1, 3e5), (2, 2, 2, -2e5)], None)
     quiet = project_initial(spaces2, [(1, 1, 1, 1e-3)], None)
     inits = [quiet, huge, quiet, project_initial(spaces2, None, None)]
-    rows = integ.run_path(inits, [0, 1, 2, 3])
+    keep = [50, 0, 1, 2]
+    rows = integ.run_path(inits, [0, 1, 2, 3], keep_steps=keep)
 
     with pytest.raises(DivergedPathError) as solo_error:
         integ.run_path(huge, path_index=1)
@@ -233,9 +239,12 @@ def test_blown_up_row_leaves_the_other_rows_untouched(spaces2):
     with pytest.raises(DivergedPathError) as row_error:
         rows.raise_diverged()
     assert (str(row_error.value), row_error.value.energy) == (str(solo_error.value), solo_error.value.energy)
+    # the blown row keeps its start, step 0; its other slots stay zero
+    zero = np.zeros_like(huge.u)
+    assert _bits(rows.kept_u[1]) == _bits(np.stack([zero, huge.u, zero, zero]))
     for i in (0, 2, 3):
-        solo = integ.run_path(inits[i], path_index=i)
-        for name in SERIES:
+        solo = integ.run_path(inits[i], path_index=i, keep_steps=keep)
+        for name in SERIES + ("kept_u", "kept_p"):
             assert _bits(getattr(rows.take(i), name)) == _bits(getattr(solo, name)), (i, name)
 
 
@@ -410,15 +419,16 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
 
 
 def _whole_record(rec):
-    """Every array of a PathRecord, the step terms and the blow-up steps
-    included."""
-    names = SERIES + rec.STEP_TERMS + ("u", "p", "paths", "diverged_at")
+    """Every array of a PathRecord, the step terms, the kept states and the
+    blow-up steps included."""
+    names = SERIES + rec.STEP_TERMS + ("u", "p", "kept_u", "kept_p", "paths", "diverged_at")
     return {name: _bits(getattr(rec, name)) for name in names}
 
 
-def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, observe=None):
-    """run_path with chunks of ``steps`` steps for a block of n_rows rows, and
-    the spans its sample_increment calls drew."""
+def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, keep_steps=()):
+    """run_path with chunks of ``steps`` steps for a block of n_rows rows,
+    keeping the states of ``keep_steps``, and the spans its
+    sample_increment calls drew."""
     real, spans = integrator.sample_increment, []
 
     def counted(*args, **kwargs):
@@ -429,17 +439,19 @@ def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, observe=None):
         patch.setattr(integrator, "sample_increment", counted)
         if steps is not None:
             patch.setattr(integrator, "CHUNK_BYTES", _chunk_bytes(integ, n_rows, steps))
-        return integ.run_path(inits, paths, observe=observe), spans
+        return integ.run_path(inits, paths, keep_steps=keep_steps), spans
 
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
 def test_chunk_boundaries_do_not_change_a_block(steps, monkeypatch):
     # a 5-row block over 15 steps: chunks of 1, 3 and 7 steps (the last of
-    # them cut short by the horizon) against the default chunking, one chunk
+    # them cut short by the horizon) against the default chunking, one
+    # chunk, keeping states on and off the chunk ends
     integ, initial = _noisy_forced(4)
-    default, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, None)
+    keep = [15, 3, 0, 7, 8]
+    default, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, None, keep)
     assert spans == [(0, 15)]
-    rec, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, steps)
+    rec, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, steps, keep)
     assert spans == [(m, min(m + steps, 15)) for m in range(0, 15, steps)]
     assert _whole_record(rec) == _whole_record(default)
 
@@ -455,37 +467,48 @@ def test_chunk_boundaries_do_not_change_a_blow_up(spaces2, steps, monkeypatch):
     huge = project_initial(spaces2, [(1, 1, 1, 3e5), (2, 2, 2, -2e5)], None)
     quiet = project_initial(spaces2, [(1, 1, 1, 1e-3)], None)
     inits = [quiet, huge, quiet, project_initial(spaces2, None, None)]
-    default, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, None)
+    keep = [0, 1, 2, 3, 50]
+    default, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, None, keep)
     assert default.diverged_at.tolist() == [-1, 1, -1, -1]
     assert spans == [(0, 50), (1, 50)]
-    rec, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, steps)
+    rec, spans = _run_chunked(monkeypatch, integ, inits, [0, 1, 2, 3], 4, steps, keep)
     assert spans[0] == (0, steps) and spans[1][0] == 1
     assert _whole_record(rec) == _whole_record(default)
 
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
-def test_chunk_boundaries_do_not_change_what_observe_sees(spaces4, steps, monkeypatch):
-    # the hook sees every step's states, rows and time, the same under any
-    # chunking, and they stay as they were seen: row 2 blows up at step 3
+def test_chunk_boundaries_do_not_change_the_kept_states(spaces4, steps, monkeypatch):
+    # every step's states kept, the same under any chunking: row 2 blows up
+    # at step 3, so its slots are zero from there on, and the rows left keep
+    # the states of their solo runs
     cfg = SolverConfig(n_modes=4, dt=0.05, horizon=0.5, nu=1e-3, eps=1e-2, seed=5)
     integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
     quiet = project_initial(spaces4, "smooth", "low_mode")
     inits = [quiet, quiet, project_initial(spaces4, [(1, 1, 1, 100.0), (2, 3, 2, -100.0)], None)]
+    every = range(cfg.n_steps + 1)
+    default, _ = _run_chunked(monkeypatch, integ, inits, range(3), 3, None, every)
+    assert default.diverged_at.tolist() == [-1, -1, 3]
+    assert not default.kept_u[2, 3:].any() and not default.kept_p[2, 3:].any()
+    assert default.kept_u[2, :3].any(axis=1).all()
+    solo = integ.run_path(quiet, path_index=1, keep_steps=every)
+    assert _bits(default.kept_u[1]) == _bits(solo.kept_u)
+    assert _bits(default.kept_p[1]) == _bits(solo.kept_p)
+    assert _bits(default.kept_u[1, -1]) == _bits(default.u[1])
+    rec, _ = _run_chunked(monkeypatch, integ, inits, range(3), 3, steps, every)
+    assert _whole_record(rec) == _whole_record(default)
 
-    def run(chunk):
-        seen = []
 
-        def observe(m, block):
-            seen.append((m, block.t, block.rows.tolist(), block.u, block.p))
-
-        rec, _ = _run_chunked(monkeypatch, integ, inits, range(3), 3, chunk, observe)
-        kept = [(m, t, rows, _bits(u), _bits(p)) for m, t, rows, u, p in seen]
-        return _whole_record(rec), kept
-
-    default, seen = run(None)
-    assert [m for m, *_ in seen] == list(range(cfg.n_steps + 1))
-    assert [rows for _, _, rows, _, _ in seen[2:5]] == [[0, 1, 2], [0, 1], [0, 1]]
-    assert run(steps) == (default, seen)
+def test_kept_steps_are_distinct_steps_of_the_grid(spaces2):
+    cfg = SolverConfig(n_modes=2, dt=1e-3, horizon=5e-3)
+    integ = GalerkinIntegrator(spaces2, cfg)
+    initial = project_initial(spaces2, "low_mode", None)
+    for bad in ([1, 1], [-1], [6], [0, 5, 6]):
+        with pytest.raises(ValueError, match="keep_steps"):
+            integ.run_path(initial, path_index=0, keep_steps=bad)
+    rec = integ.run_path(initial, range(3))
+    assert rec.kept_u.shape == (3, 0, spaces2.n_velocity)
+    assert rec.kept_p.shape == (3, 0, spaces2.n_pressure)
+    assert rec.take(1).kept_u.shape == (0, spaces2.n_velocity)
 
 
 def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
@@ -494,17 +517,21 @@ def test_inequality_suite_interleaved_with_stepping_keeps_bytes():
     suite = run_inequality_suite(6, 3, cutoffs=(2, 4))[0]
     solo = integ.run_path(initial, range(5))
     rng = np.random.default_rng(8)
-    suites = []
+    suites, calls, step = [], [], integ.step
 
-    def interleave(m, block):
-        # other operator work on the same spaces between the block's steps
+    def interleaved(*args):
+        # other operator work on the same spaces before each of the block's
+        # 15 steps, and a suite before every fourth
         other = rng.standard_normal((4, sp.n_velocity))
         bhat_operator(sp, other)
         sp.l4_norm(other)
-        if m % 5 == 0:
+        if len(calls) % 4 == 0:
             suites.append(run_inequality_suite(6, 3, cutoffs=(2, 4))[0])
+        calls.append(step)
+        return step(*args)
 
-    mixed = integ.run_path(initial, range(5), observe=interleave)
+    integ.step = interleaved
+    mixed = integ.run_path(initial, range(5))
     assert len(suites) == 4 and all(rows == suite for rows in suites)
     for name in SERIES + ("u",):
         assert _bits(getattr(solo, name)) == _bits(getattr(mixed, name)), name
@@ -523,11 +550,14 @@ def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
         quiet,
         project_initial(spaces4, None, None),
     ]
-    rows = integ.run_path(inits, range(5))
+    keep = [20, 2, 3, 4, 5]
+    rows = integ.run_path(inits, range(5), keep_steps=keep)
     assert rows.diverged_at.tolist() == [4, -1, 3, -1, -1]
+    assert not rows.kept_u[0, [0, 3, 4]].any() and rows.kept_u[0, [1, 2]].any(axis=1).all()
+    assert not rows.kept_u[2, [0, 2, 3, 4]].any() and rows.kept_u[2, 1].any()
     for i in (1, 3, 4):
-        solo, row = integ.run_path(inits[i], path_index=i), rows.take(i)
-        for name in SERIES + ("u",):
+        solo, row = integ.run_path(inits[i], path_index=i, keep_steps=keep), rows.take(i)
+        for name in SERIES + ("u", "kept_u", "kept_p"):
             assert _bits(getattr(row, name)) == _bits(getattr(solo, name)), (i, name)
         for name in ("residual", "martingale_increment", "convection_pairing"):
             assert _bits(getattr(row, name)) == _bits(getattr(solo, name))

@@ -143,11 +143,12 @@ def test_l4_norm_of_the_top_mode_is_exact(n_modes):
 
 
 def test_divergence_examples(spaces3):
-    zero = spaces3.divergence(np.zeros(spaces3.n_velocity))
+    # the step's divergence map, Div u = div_diagonal * u coefficient-wise
+    zero = spaces3.div_diagonal * np.zeros(spaces3.n_velocity)
     assert np.all(zero == 0.0)
 
     u = spaces3.velocity_from_modes([(1, 2, 1, 1.0)])
-    d = spaces3.divergence(u)
+    d = spaces3.div_diagonal * u
     expected = np.zeros(spaces3.n_pressure)
     expected[spaces3.pressure_index("cs", 1, 2)] = np.pi
     assert np.allclose(d, expected, atol=1e-14)
@@ -198,37 +199,43 @@ def test_projected_curl_divergence_decays_with_cutoff():
     assert norms[0] > norms[1] > norms[2] > 0.0
 
 
+def _gradient_pairing(spaces, p):
+    """Pairings <grad p, e_i> as the step forms them, through the duality
+    <grad p, w> = -<p, Div w>: -div_diagonal * (G p)."""
+    return -spaces.div_diagonal * spaces.gram_product(p)
+
+
 def test_gradient_pairing_zero_pressure(spaces3):
     p = np.zeros(spaces3.n_pressure)
-    assert np.all(spaces3.gradient_dual(p) == 0.0)
+    assert np.all(_gradient_pairing(spaces3, p) == 0.0)
 
 
 def test_gradient_pairing_of_divergence_matches_operator_column(spaces3, dense_grad_div):
     e1 = spaces3.velocity_from_modes([(1, 1, 1, 1.0)])
-    p = spaces3.divergence(e1)
-    pairing = -spaces3.gradient_dual(p)  # <p, Div e_i> over i
+    p = spaces3.div_diagonal * e1
+    pairing = -_gradient_pairing(spaces3, p)  # <p, Div e_i> over i
     column = dense_grad_div(spaces3)[:, spaces3.velocity_index(1, 1, 1)]
     assert np.allclose(pairing, column, atol=1e-10)
 
 
 def test_gradient_divergence_duality_is_exact(spaces3, rng):
     p = rng.standard_normal(spaces3.n_pressure)
-    grad = spaces3.gradient_dual(p)
+    grad = _gradient_pairing(spaces3, p)
     g_p = spaces3.gram_product(p)
     # <grad p, e_i> = -<p, Div e_i> on every basis function, with the pressure
     # pairing <p, q> = (G p) . q: Div e_i is one scaled pressure mode, so each
     # side is one rounded product and the two agree bit for bit
     for e_i in np.eye(spaces3.n_velocity):
         grad_pair = float(np.dot(grad, e_i))
-        div_pair = float(np.dot(g_p, spaces3.divergence(e_i)))
+        div_pair = float(np.dot(g_p, spaces3.div_diagonal * e_i))
         assert grad_pair == -div_pair
 
 
 def test_gradient_divergence_duality_holds_to_round_off(spaces3, rng, dense_gram):
     p = rng.standard_normal(spaces3.n_pressure)
     w = sample_field(spaces3, rng)
-    grad_pair = float(np.dot(spaces3.gradient_dual(p), w))
-    div_pair = float(np.dot(p, dense_gram(spaces3) @ spaces3.divergence(w)))
+    grad_pair = float(np.dot(_gradient_pairing(spaces3, p), w))
+    div_pair = float(np.dot(p, dense_gram(spaces3) @ (spaces3.div_diagonal * w)))
     # <grad p, w> = -<p, Div w> for a general w, with Div w paired through the
     # dense Gram; the two sides sum in different orders, so they agree to
     # round-off, not bit for bit
@@ -239,7 +246,7 @@ def test_gradient_pairing_matches_oracle(spaces3, rng):
     p = rng.standard_normal(spaces3.n_pressure)
     w = sample_field(spaces3, rng)
     rule = orc.make_rule(48)
-    grad_pair = float(np.dot(spaces3.gradient_dual(p), w))
+    grad_pair = float(np.dot(_gradient_pairing(spaces3, p), w))
     against = -orc.oracle_div_pairing(p, w, rule)
     assert grad_pair == pytest.approx(against, rel=1e-8, abs=1e-10)
 
