@@ -40,6 +40,7 @@ from .spaces import (
     SpectralSpaces,
     _rowdot,
     h10_norm,
+    l4_reduce,
     scalar_pow,
 )
 
@@ -48,13 +49,12 @@ ENERGY_CAP = 1e12
 # per path-step over 12, 20, 50 and 200 paths (table in CHANGES.md); with the
 # block's grid arrays in its GridWorkspace, no block size page-faults per step.
 BLOCK_PATHS = 20
-# Bytes a block holds for one chunk of steps: the Wiener increments, and per
-# step the noise sums, velocities and convection pairings from which the
-# chunk's recorded series and step terms are computed once it ends, with
-# the three velocity-sized temporaries of those products.  A sample_increment
-# call draws a chunk's increments; the budget bounds a chunk's memory
-# whatever the rows and cutoff.
-CHUNK_BYTES = 1 << 19
+# Bytes a block holds for one chunk of steps, per row and step: the Wiener
+# increments, noise sum, velocity, pressure, G p, plane u1^2 + u2^2 and
+# pairings from which the chunk's norms, series and step terms are formed
+# once it ends, the four norms and three velocity-sized temporaries.  A
+# chunk's increments are one sample_increment call.
+CHUNK_BYTES = 1 << 20
 
 
 class DivergedPathError(RuntimeError):
@@ -410,26 +410,24 @@ class GalerkinIntegrator:
 
     # -- one step of a block of paths -------------------------------------------
 
-    def _norms(self, u, p, gram_p) -> tuple:
-        """|u| and |p| of the rows (u, p), with G p into ``gram_p``, and their
-        energies |u|^2 + eps |p|^2 (a list), an entry per row."""
-        l2_u, l2_p = np.sqrt(_rowdot(u, u)), self.spaces.pressure_l2(p, gram_out=gram_p)
-        eps = self.config.eps
-        return l2_u, l2_p, [a**2 + eps * b**2 for a, b in zip(l2_u.tolist(), l2_p.tolist())]
+    def _energy(self, l2_u, l2_p) -> np.ndarray:
+        """|u|^2 + eps |p|^2 with the bits of Python floats' a**2 + eps * b**2;
+        a norm is the square root of a double, so no a**2 overflows and raises."""
+        return scalar_pow(l2_u, 2) + self.config.eps * scalar_pow(l2_p, 2)
 
-    def step(self, u, p, gram_p, xi, work: GridWorkspace, out: np.ndarray, pairs: np.ndarray,
-             solve: tuple):
-        """One semi-implicit step of a block of M paths, a row each: from the
-        velocities u, the pressures p with G p in ``gram_p`` and the noise
-        sums xi = sum_k g_k dW_k, writes the new velocities to ``out``, the
-        new pressures and their G p over p and ``gram_p``, and the
-        convection pairings (B(u), e_i) to ``pairs``; ``out`` must not
-        overlap u.  ``work`` is the block's GridWorkspace, holding the grid
-        values of u and their squares, and ``solve`` its buffers for the
-        solve: the right-hand sides in class order, (M, 4, b, 1), and the
-        solutions, as that and as (M, 4 b).
-        Returns the new rows' norms as ``_norms`` gives them."""
+    def step(self, u, p, gram_p, xi, work: GridWorkspace, out: tuple, pairs: np.ndarray,
+             solve: tuple) -> None:
+        """One semi-implicit step of a block of M paths, a row each, computing
+        only what the next step reads: from the velocities u, the pressures
+        p with G p in ``gram_p`` and the noise sums xi = sum_k g_k dW_k,
+        writes the pairings (B(u), e_i) to ``pairs`` and the new velocities,
+        pressures, G p and planes u1^2 + u2^2 to the arrays ``out``, apart
+        from the inputs.  ``work``, the block's GridWorkspace, holds the
+        grid values of u, their squares and S^T C, then the new u's; ``solve``
+        holds the right-hand sides in class order, (M, 4, b, 1), and the
+        solutions, as that and as (M, 4 b)."""
         sp, dt = self.spaces, self.config.dt
+        u_new, p_new, gram_new, plane = out
         if self.include_convection:
             operators.bhat_operator(sp, u, work=work, out=pairs)
         else:
@@ -439,9 +437,11 @@ class GalerkinIntegrator:
         gathered, solved, flat = solve
         np.take(rhs, self._gather, axis=-1, out=gathered, mode="clip")
         np.matmul(self._inverse_blocks, gathered, out=solved)  # a gemv per row and block
-        np.take(flat, self._scatter, axis=-1, out=out, mode="clip")
-        p -= self._dt_eps * (sp.div_diagonal * out)
-        return self._norms(out, p, gram_p)
+        np.take(flat, self._scatter, axis=-1, out=u_new, mode="clip")
+        np.subtract(p, self._dt_eps * (sp.div_diagonal * u_new), out=p_new)
+        sp.gram_product(p_new, out=gram_new)
+        sp._grid_values(u_new, work)
+        np.add(work.u1u1, work.u2u2, out=plane)
 
     # -- whole paths ---------------------------------------------------------------
 
@@ -500,58 +500,64 @@ class GalerkinIntegrator:
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
         writing their series, step terms and last coefficients in place.
-        The block's buffers are allocated once and live as long as this
-        call: its GridWorkspace, its solve buffers, its pressures and their
-        G p, and the chunk buffers.  Steps run in chunks of CHUNK_BYTES: a
-        chunk draws its increments by one sample_increment call and forms
-        their noise sums
-        by one noise_contribution call, each step writes its velocity,
-        convection pairings and norms to the chunk buffers, and the chunk's
-        series and step terms are then computed and written at once.  A
-        row whose energy passes ENERGY_CAP, at the start too, ends the block
-        at that step, with the step in its ``diverged_at``.  The state at a
-        step of ``keep`` (step: slot) goes to the rows' slots in ``kept_u``
-        and ``kept_p`` at m0 and after each step that no row blows up in.
-        Returns the step reached and the rows left to run from it: none at
-        the horizon, else the rows that did not blow up."""
+        The block's GridWorkspace, solve and chunk buffers are allocated
+        once.  Steps run in chunks of CHUNK_BYTES: one sample_increment and
+        one noise_contribution call give a chunk's noise sums, each step
+        writes what the next reads to the chunk buffers, and the chunk's
+        norms, series and step terms are then formed at once.  The first
+        step at which a row's energy is not within ENERGY_CAP, the start
+        too, ends the block there, in the row's ``diverged_at``; the chunk's
+        later steps are dropped.  The state at a step of ``keep`` (step:
+        slot) goes to the rows' ``kept_u`` and ``kept_p`` slots at m0 and
+        after each step before a blow-up.  Returns the step reached and the
+        rows left to run from it: none at the horizon, else the rows that
+        did not blow up."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
-        size = CHUNK_BYTES // (8 * len(rows) * (6 * sp.n_velocity + self.noise.n_terms + 4))
+        n_v, n_p, m = sp.n_velocity, sp.n_pressure, sp.midpoint.order
+        size = CHUNK_BYTES // (8 * len(rows) * (6 * n_v + 2 * n_p + m * m + self.noise.n_terms + 4))
         size = max(1, min(size, cfg.n_steps - m0))
-        # a step's velocity and pairings, and |u|, |p|, energy and L4 norm
-        u = np.empty((size + 1, len(rows), sp.n_velocity))
-        bhat = np.empty((size, len(rows), sp.n_velocity))
+        # a state's velocity, pressure and G p, a step's pairings and the
+        # plane u1^2 + u2^2 of its velocity, and |u|, |p|, energy and L4 norm
+        u, p, gram_p = (np.empty((size + 1, len(rows), n)) for n in (n_v, n_p, n_p))
+        bhat, planes = np.empty((size, len(rows), n_v)), np.empty((size, len(rows), m, m))
         norms = np.empty((4, size + 1, len(rows)))
-        u[0], p = record.u[rows], record.p[rows]
-        gram_p = np.empty_like(p)
-        # l4_norm leaves the grid values of each new u and their squares in
-        # the workspace, where the next step's convection reads them
+        u[0], p[0] = record.u[rows], record.p[rows]
+        # l4_norm leaves the grid values of u[0], their squares and S^T C in
+        # the workspace, where the first step's convection reads them
         work = GridWorkspace(sp.midpoint, (len(rows),))
         gathered = np.empty((len(rows),) + self._gather.shape)
         solved = np.empty_like(gathered)
         solve = gathered, solved, solved.reshape(len(rows), -1)
-        norms[:3, 0] = self._norms(u[0], p, gram_p)
-        norms[3, 0] = sp.l4_norm(u[0], work=work)
+        l2 = np.sqrt(_rowdot(u[0], u[0])), sp.pressure_l2(p[0], gram_out=gram_p[0])
+        norms[:, 0] = *l2, self._energy(*l2), sp.l4_norm(u[0], work=work)
         blown = ~(norms[2, 0] <= ENERGY_CAP)
         if blown.any():  # a start above the cap: write state m0, take no step
             self._write_chunk(record, rows, m0, 0, u, bhat, bhat, norms)
         elif m0 in keep:
-            record.kept_u[rows, keep[m0]], record.kept_p[rows, keep[m0]] = u[0], p
+            record.kept_u[rows, keep[m0]], record.kept_p[rows, keep[m0]] = u[0], p[0]
         while m0 < cfg.n_steps and not blown.any():
             steps = range(m0, min(m0 + size, cfg.n_steps))
             dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))
             xis = noise_contribution(self.noise, dw)
-            for k, xi in enumerate(xis, 1):
-                norms[:3, k] = self.step(u[k - 1], p, gram_p, xi, work, u[k], bhat[k - 1], solve)
-                norms[3, k] = sp.l4_norm(u[k], work=work)
-                if not all(e <= ENERGY_CAP for e in norms[2, k].tolist()):
-                    break
-                if m0 + k in keep:
-                    record.kept_u[rows, keep[m0 + k]], record.kept_p[rows, keep[m0 + k]] = u[k], p
+            states = slice(1, len(steps) + 1)
+            # steps after a blow-up may overflow to inf and NaN; they are dropped
+            with np.errstate(over="ignore", invalid="ignore"):
+                for k, xi in enumerate(xis, 1):
+                    out = u[k], p[k], gram_p[k], planes[k - 1]
+                    self.step(u[k - 1], p[k - 1], gram_p[k - 1], xi, work, out, bhat[k - 1], solve)
+                l2 = np.sqrt([_rowdot(u[states], u[states]),
+                              np.maximum(_rowdot(p[states], gram_p[states]), 0.0)])
+                norms[:, states] = *l2, self._energy(*l2), l4_reduce(planes[: len(steps)], m)
+            capped = (norms[2, states] <= ENERGY_CAP).all(axis=1)
+            k = len(steps) if capped.all() else int(np.argmin(capped)) + 1
+            for j in range(1, k + 1 if capped.all() else k):
+                if m0 + j in keep:
+                    record.kept_u[rows, keep[m0 + j]], record.kept_p[rows, keep[m0 + j]] = u[j], p[j]
             self._write_chunk(record, rows, m0, k, u, bhat, xis, norms)
             m0 += k
-            u[0], norms[:, 0] = u[k], norms[:, k]
+            u[0], p[0], gram_p[0], norms[:, 0] = u[k], p[k], gram_p[k], norms[:, k]
             blown = ~(norms[2, 0] <= ENERGY_CAP)
-        record.u[rows], record.p[rows] = u[0], p
+        record.u[rows], record.p[rows] = u[0], p[0]
         record.diverged_at[rows[blown]] = m0
         return m0, rows[~blown] if blown.any() else rows[:0]
 
@@ -565,17 +571,9 @@ class GalerkinIntegrator:
         cfg, sp, dt = self.config, self.spaces, self.config.dt
         first = 0 if m0 == 0 else 1
         states = slice(first, n + 1)
-        h1_u = h10_norm(u[states])
-        series = {
-            "l2_u": norms[0, states],
-            "l2_p": norms[1, states],
-            "energy": norms[2, states],
-            "l4_u": norms[3, states],
-            "h1_u": h1_u,
-            "l2_div_u": sp.divergence_l2(u[states]),
-        }
-        cols = slice(m0 + first, m0 + n + 1)
-        for name, values in series.items():
+        h1_u, cols = h10_norm(u[states]), slice(m0 + first, m0 + n + 1)
+        names = ("l2_u", "l2_p", "energy", "l4_u", "h1_u", "l2_div_u")
+        for name, values in zip(names, (*norms[:, states], h1_u, sp.divergence_l2(u[states]))):
             getattr(record, name)[rows, cols] = values.T
 
         u_m, u_p, energy = u[:n], u[1 : n + 1], norms[2, : n + 1]

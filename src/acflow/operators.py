@@ -37,9 +37,10 @@ def bhat_operator(
     ``u`` is a field's coefficients or an (M, n_velocity) block of rows; a
     block gives one row of pairings per path, each bit-identical to the
     row's own call.  ``work`` is the block's workspace, which must hold the
-    grid values of u and their squares, as ``spaces.l4_norm(u, work=work)``
-    leaves them; the grid arrays go to it.  The pairings go to ``out``, a
-    C-contiguous array of u's shape, when given.
+    grid values of u, their squares and S^T C, as ``spaces.l4_norm(u,
+    work=work)`` leaves them and this call keeps them; the grid arrays go
+    to it.  The pairings go to ``out``, a C-contiguous array of u's shape,
+    when given.
 
     With T1 = u1 d1 u, T2 = u2 d2 u, b1 = u1 u and b2 = u2 u, the pairing
     with e_(j,k,d) is int (T1 + T2)_d sin sin - b1_d j pi cos sin -

@@ -57,6 +57,13 @@ def scalar_pow(values: np.ndarray, exponent: float):
     return np.array([v**exponent for v in values.ravel().tolist()]).reshape(values.shape)
 
 
+def l4_reduce(mag2: np.ndarray, order: int) -> np.ndarray:
+    """L4 norms of the planes u1^2 + u2^2 (..., M, M) of the order^2
+    midpoint grid, each with its own bits; squares the planes in place."""
+    mag2 *= mag2
+    return scalar_pow(np.sum(mag2, axis=(-2, -1)) / order**2, 0.25)
+
+
 def l2_norm(u: np.ndarray) -> np.float64 | np.ndarray:
     """L2 norm; equals the Euclidean coefficient norm (Parseval)."""
     return np.sqrt(_rowdot(u, u))
@@ -145,10 +152,11 @@ class GridWorkspace:
     ``planes`` their pointwise products u1 u1, u1 u2, u2 u2 (..., 3, M, M),
     of which the L4 norm forms the squares ``planes[..., ::2]`` and the
     convection the cross term; ``d1`` and ``d2`` hold the gradients and
-    then the convection's terms u1 d1 u and u2 d2 u, ``half`` a synthesis'
-    first product, ``adjoint_a`` and ``adjoint_b`` the adjoint's products
-    (..., 2, N, M), and the same memory as (..., 2, M, N), ``adjoint_n``
-    its last, and ``mag2`` |u|^4."""
+    then the convection's terms u1 d1 u and u2 d2 u, ``half`` the values'
+    first product S^T C, which d2 u reuses, ``half_d1`` that of d1 u,
+    ``adjoint_a`` and ``adjoint_b`` the adjoint's products (..., 2, N, M),
+    and the same memory as (..., 2, M, N), ``adjoint_n`` its last, and
+    ``mag2`` |u|^4."""
 
     def __init__(self, grid: _MidpointGrid, rows: tuple):
         m, n = grid.order, len(grid.sin)
@@ -158,6 +166,7 @@ class GridWorkspace:
         self.d1 = np.empty(rows + (2, m, m))
         self.d2 = np.empty(rows + (2, m, m))
         self.half = np.empty(rows + (2, m, n))
+        self.half_d1 = np.empty(rows + (2, m, n))
         self.adjoint_a = np.empty(rows + (2, n, m))
         self.adjoint_b = np.empty(rows + (2, n, m))
         self.adjoint_n = np.empty(rows + (2, n, n))
@@ -284,9 +293,7 @@ class SpectralSpaces:
         if work is None:
             work = GridWorkspace(self.midpoint, u.shape[:-1])
         self._grid_values(u, work)
-        mag2 = np.add(work.u1u1, work.u2u2, out=work.mag2)
-        mag2 *= mag2
-        return scalar_pow(np.sum(mag2, axis=(-2, -1)) / work.grid.order**2, 0.25)
+        return l4_reduce(np.add(work.u1u1, work.u2u2, out=work.mag2), work.grid.order)
 
     def divergence_l2(self, u: np.ndarray) -> np.float64 | np.ndarray:
         return self.pressure_l2(self.div_diagonal * u)
@@ -316,11 +323,11 @@ class SpectralSpaces:
     def _component_gradients(self, u: np.ndarray, work: GridWorkspace) -> tuple[np.ndarray, np.ndarray]:
         """Partial derivatives (d_1 u, d_2 u) on the block's grid, into
         ``work.d1`` and ``work.d2``, each of shape (..., 2, M, M):
-        [i][..., d] = d_i u_d."""
-        g, c = work.grid, self._coeff_blocks(u)
+        [i][..., d] = d_i u_d; d_2 u from the S^T C of u in ``work.half``."""
+        g = work.grid
         return (
-            self._synthesize(g.dcos, c, g.sin2, work.d1, work.half),
-            self._synthesize(g.sin, c, g.dcos2, work.d2, work.half),
+            self._synthesize(g.dcos, self._coeff_blocks(u), g.sin2, work.d1, work.half_d1),
+            np.matmul(work.half, g.dcos2, out=work.d2),
         )
 
 

@@ -390,14 +390,17 @@ def test_held_squares_survive_a_convection(spaces8):
 def _chunk_bytes(integ, n_rows, steps):
     """A CHUNK_BYTES that gives a block of n_rows rows chunks of ``steps``
     steps: per row and step, the increments, six velocity-sized arrays
-    (velocity, noise sum, convection pairings and three temporaries) and
-    four norms."""
-    return steps * 8 * n_rows * (6 * integ.spaces.n_velocity + integ.noise.n_terms + 4)
+    (velocity, noise sum, convection pairings and three temporaries), the
+    pressure and its G p, the plane u1^2 + u2^2 on the M^2 midpoint grid
+    and four norms."""
+    sp = integ.spaces
+    per_step = 6 * sp.n_velocity + 2 * sp.n_pressure + sp.midpoint.order**2 + integ.noise.n_terms + 4
+    return steps * 8 * n_rows * per_step
 
 
 def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
-    # K = 2N^2 noise terms: a block of 20 rows runs 3 steps a chunk, so 120
-    # steps take 40 sample_increment calls, one-step chunks 120
+    # K = 2N^2 noise terms: a block of 20 rows runs 4 steps a chunk, so 120
+    # steps take 30 sample_increment calls, one-step chunks 120
     cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.12, seed=3)
     noise = default_noise(spaces8, trace=0.05, n_terms=spaces8.n_velocity)
     integ = GalerkinIntegrator(spaces8, cfg, noise=noise)
@@ -410,10 +413,10 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
 
     monkeypatch.setattr(integrator, "sample_increment", counted)
     chunked = integ.run_path(initial, range(20))
-    assert [(s.start, s.stop) for s in calls] == [(m, m + 3) for m in range(0, 120, 3)]
+    assert [(s.start, s.stop) for s in calls] == [(m, m + 4) for m in range(0, 120, 4)]
     monkeypatch.setattr(integrator, "CHUNK_BYTES", 1)
     stepped = integ.run_path(initial, range(20))
-    assert len(calls) == 40 + 120
+    assert len(calls) == 30 + 120
     for name in SERIES:
         assert _bits(getattr(chunked, name)) == _bits(getattr(stepped, name)), name
 
@@ -561,6 +564,41 @@ def test_block_shrunk_by_divergence_matches_solo_runs(spaces4):
             assert _bits(getattr(row, name)) == _bits(getattr(solo, name)), (i, name)
         for name in ("residual", "martingale_increment", "convection_pairing"):
             assert _bits(getattr(row, name)) == _bits(getattr(solo, name))
+
+
+def test_blow_up_inside_a_chunk_runs_on_to_inf_without_a_warning(spaces4, monkeypatch):
+    # row 0 passes the cap at step 4 of a 20-step chunk, whose later steps
+    # still run for it and reach inf or NaN before the chunk ends; no
+    # warning escapes (pytest turns one into an error), numpy's error state
+    # is left as it was, and the record is that of one-step chunks, which
+    # stop at the blow-up, with every row equal to its solo run
+    cfg = SolverConfig(n_modes=4, dt=0.05, horizon=1.0, nu=1e-3, eps=1e-2, seed=5)
+    integ = GalerkinIntegrator(spaces4, cfg, noise=default_noise(spaces4, trace=0.05))
+    quiet = project_initial(spaces4, "smooth", "low_mode")
+    inits = [project_initial(spaces4, [(1, 1, 1, 30.0), (2, 3, 2, -30.0)], None), quiet, quiet]
+    keep = [20, 0, 3, 4, 5]
+    finite, step = [], integ.step
+
+    def watched(*args):
+        step(*args)
+        finite.append(np.isfinite(args[5][0]).all(axis=-1))  # the new velocities
+
+    integ.step = watched
+    state = np.geterr()
+    default, spans = _run_chunked(monkeypatch, integ, inits, range(3), 3, None, keep)
+    assert np.geterr() == state
+    assert spans == [(0, 20), (4, 20)]
+    blown_row = [bool(f[0]) for f in finite[:20]]
+    assert all(blown_row[:4]) and not all(blown_row)
+    one_step, spans = _run_chunked(monkeypatch, integ, inits, range(3), 3, 1, keep)
+    assert np.geterr() == state
+    assert spans == [(m, m + 1) for m in range(4)] + [(m, m + 1) for m in range(4, 20)]
+    assert _whole_record(one_step) == _whole_record(default)
+    assert default.diverged_at.tolist() == [4, -1, -1]
+    assert not default.kept_u[0, [0, 3, 4]].any() and default.kept_u[0, [1, 2]].any(axis=1).all()
+    for i in range(3):
+        solo = integ.run_path(inits[i], [i], keep_steps=keep)
+        assert _whole_record(default.take([i])) == _whole_record(solo), i
 
 
 def test_rows_dropped_across_noise_chunks_match_solo_runs(spaces4, monkeypatch):

@@ -55,7 +55,9 @@ from acflow.integrator import read_snapshot  # noqa: E402
 # From N=16 on, numpy.linalg's and an unpinned LAPACK's factors of the
 # implicit parity blocks round differently at one and two BLAS threads, so
 # run-n32 checks the one-thread pin of the inverse that keeps N=32 bytes
-# independent of the thread count.
+# independent of the thread count.  In sweep-eps-blowup path 0 blows up at
+# eps = 0.1 (step 41) and 0.01 (step 44), inside a chunk of steps, which
+# runs on past the blow-up; the sweep leaves the path out and exits 0.
 COMMANDS = (
     ("run-n8", ("run",)),
     ("run-n12", ("run", "--set", "solver.n_modes=12", "--set", "solver.horizon=0.2")),
@@ -64,6 +66,10 @@ COMMANDS = (
     ("mc-moment", ("mc-moment", "--paths", "24")),
     ("uniqueness", ("uniqueness",)),
     ("sweep-eps", ("sweep-eps", "--paths", "10", "--set", "sweep.snapshot_times=0,0.0104,0.05")),
+    ("sweep-eps-blowup", (
+        "sweep-eps", "--paths", "10", "--seed", "3",
+        "--set", "solver.horizon=0.05", "--set", "sweep.noise_trace=1e4",
+    )),
     ("verify", ("verify", "--samples", "200")),
 )
 
