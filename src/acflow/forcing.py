@@ -108,11 +108,14 @@ _STREAM = _Stream()
 _FRESH_PHILOX = dict(bit_generator="Philox", buffer=[0] * 4, buffer_pos=4, has_uint32=0, uinteger=0)
 
 
-def noise_contribution(noise: NoiseModel, dw: np.ndarray) -> np.ndarray:
+def noise_contribution(noise: NoiseModel, dw: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Coefficient increment sum_k g_k dW_k; increments with one row of dW
-    per path give one row per path, each bit-identical to its own call."""
+    per path give one row per path, each bit-identical to its own call.
+    The sums go to ``out``, a C-contiguous array of shape dw.shape[:-1] +
+    (n_velocity,), when given."""
     if dw.shape[-1] != noise.n_terms:
         raise ValueError(
             f"increment has {dw.shape[-1]} terms, noise model has {noise.n_terms}"
         )
-    return (noise.modes.T @ dw[..., None])[..., 0]
+    column = None if out is None else out[..., None]
+    return np.matmul(noise.modes.T, dw[..., None], out=column)[..., 0]

@@ -27,6 +27,7 @@ import math
 import os
 import struct
 from concurrent.futures import ThreadPoolExecutor
+from collections import namedtuple
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -380,6 +381,22 @@ def _check_coefficients(spaces: SpectralSpaces, name: str, field) -> None:
         raise ConfigurationError(f"{name} must hold 2N^2 = {n} coefficients, got shape {np.shape(field)}")
 
 
+# The chunk-buffer views that step k of a chunk reads and writes, made once
+# per block: state k - 1's velocity (also as coefficient blocks, ``_c``),
+# pressure and G p; step k's noise sum and pairings (also as blocks); state
+# k's velocity (also as blocks), pressure (also as the Gram's swapped family
+# blocks), G p and plane u1^2 + u2^2.
+_Slot = namedtuple("_Slot", "u u_c p gram_p xi pairs pairs_c u_new u_new_c p_new p_new_swap gram_new plane")
+# A block's buffers for what a step forms on the way, made once per block:
+# its GridWorkspace, the right-hand side and a velocity-sized scratch array,
+# the right-hand side gathered into class order (M, 4, b, 1) and the
+# solutions, as that and as (M, 4 b), and the Gram product's first and
+# second matmuls, (M, 2, N, N), the second also as (M, 2N^2).
+_StepBuffers = namedtuple(
+    "_StepBuffers", "work rhs scratch gathered solved solved_rows gram_left gram_cross gram_cross_rows"
+)
+
+
 class GalerkinIntegrator:
     """Steps the coupled velocity/pressure system along sample paths, a
     block of paths per step call."""
@@ -415,32 +432,45 @@ class GalerkinIntegrator:
         a norm is the square root of a double, so no a**2 overflows and raises."""
         return scalar_pow(l2_u, 2) + self.config.eps * scalar_pow(l2_p, 2)
 
-    def step(self, u, p, gram_p, xi, work: GridWorkspace, out: tuple, pairs: np.ndarray,
-             solve: tuple) -> None:
+    def step(self, slot: _Slot, buffers: _StepBuffers) -> None:
         """One semi-implicit step of a block of M paths, a row each, computing
-        only what the next step reads: from the velocities u, the pressures
-        p with G p in ``gram_p`` and the noise sums xi = sum_k g_k dW_k,
-        writes the pairings (B(u), e_i) to ``pairs`` and the new velocities,
-        pressures, G p and planes u1^2 + u2^2 to the arrays ``out``, apart
-        from the inputs.  ``work``, the block's GridWorkspace, holds the
-        grid values of u, their squares and S^T C, then the new u's; ``solve``
-        holds the right-hand sides in class order, (M, 4, b, 1), and the
-        solutions, as that and as (M, 4 b)."""
-        sp, dt = self.spaces, self.config.dt
-        u_new, p_new, gram_new, plane = out
+        only what the next step reads, on the views and buffers its block
+        made once: from the velocities ``slot.u``, the pressures ``slot.p``
+        with G p in ``slot.gram_p`` and the noise sums xi = sum_k g_k dW_k in
+        ``slot.xi``, writes the pairings (B(u), e_i) to ``slot.pairs`` and
+        the new velocities, pressures, G p and planes u1^2 + u2^2 to
+        ``slot.u_new``, ``slot.p_new``, ``slot.gram_new`` and
+        ``slot.plane``.  ``buffers.work``, the block's GridWorkspace, holds
+        the grid values of u, their squares and S^T C, then the new u's.
+        Every call is a numpy kernel into a buffer; nothing is allocated."""
+        u, u_c, p, gram_p, xi, pairs, pairs_c, u_new, u_new_c, p_new, p_new_swap, gram_new, plane = slot
+        work, rhs, scratch, gathered, solved, solved_rows, gram_left, gram_cross, gram_cross_rows = buffers
+        sp, g, dt = self.spaces, work.grid, self.config.dt
+        div, factors = sp.div_diagonal, sp.gram_factors
         if self.include_convection:
-            operators.bhat_operator(sp, u, work=work, out=pairs)
+            operators.bhat_operator(sp, u_c, work=work, out=pairs_c)
         else:
             pairs.fill(0.0)
         # u - dt grad_dual(p) - dt B(u) + dt f + xi, with grad_dual(p) = -D G p
-        rhs = u + dt * (sp.div_diagonal * gram_p) - dt * pairs + self._dt_force + xi
-        gathered, solved, flat = solve
-        np.take(rhs, self._gather, axis=-1, out=gathered, mode="clip")
+        np.multiply(div, gram_p, out=rhs)
+        np.multiply(dt, rhs, out=rhs)
+        np.add(u, rhs, out=rhs)
+        np.subtract(rhs, np.multiply(dt, pairs, out=scratch), out=rhs)
+        np.add(rhs, self._dt_force, out=rhs)
+        np.add(rhs, xi, out=rhs)
+        rhs.take(self._gather, axis=-1, out=gathered, mode="clip")
         np.matmul(self._inverse_blocks, gathered, out=solved)  # a gemv per row and block
-        np.take(flat, self._scatter, axis=-1, out=u_new, mode="clip")
-        np.subtract(p, self._dt_eps * (sp.div_diagonal * u_new), out=p_new)
-        sp.gram_product(p_new, out=gram_new)
-        sp._grid_values(u_new, work)
+        solved_rows.take(self._scatter, axis=-1, out=u_new, mode="clip")
+        np.multiply(div, u_new, out=scratch)
+        np.subtract(p, np.multiply(self._dt_eps, scratch, out=scratch), out=p_new)
+        # G p = p + L swap(P) L, as SpectralSpaces.gram_product forms it
+        np.matmul(factors, p_new_swap, out=gram_left)
+        np.matmul(gram_left, factors, out=gram_cross)
+        np.add(p_new, gram_cross_rows, out=gram_new)
+        # the new u's grid values, their squares and S^T C, as
+        # SpectralSpaces._grid_values forms them, and the plane
+        np.matmul(np.matmul(g.sin_t, u_new_c, out=work.half), g.sin2, out=work.values)
+        np.multiply(work.values, work.values, out=work.squares)
         np.add(work.u1u1, work.u2u2, out=plane)
 
     # -- whole paths ---------------------------------------------------------------
@@ -500,51 +530,62 @@ class GalerkinIntegrator:
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
         writing their series, step terms and last coefficients in place.
-        The block's GridWorkspace, solve and chunk buffers are allocated
-        once.  Steps run in chunks of CHUNK_BYTES: one sample_increment and
-        one noise_contribution call give a chunk's noise sums, each step
-        writes what the next reads to the chunk buffers, and the chunk's
-        norms, series and step terms are then formed at once.  The first
-        step at which a row's energy is not within ENERGY_CAP, the start
-        too, ends the block there, in the row's ``diverged_at``; the chunk's
-        later steps are dropped.  The state at a step of ``keep`` (step:
-        slot) goes to the rows' ``kept_u`` and ``kept_p`` slots at m0 and
-        after each step before a blow-up.  Returns the step reached and the
-        rows left to run from it: none at the horizon, else the rows that
-        did not blow up."""
+        Steps run in chunks of CHUNK_BYTES.  The block makes everything a
+        step touches once: the chunk buffers, the _Slot of views for each
+        step of a chunk and the _StepBuffers, so a step runs only its numpy
+        kernels.  One sample_increment call and one noise_contribution call
+        into the noise-sum buffer give a chunk's noise sums, each step
+        writes what the next reads to its slot, and the chunk's norms,
+        series and step terms are then formed at once.  The first step at
+        which a row's energy is not within ENERGY_CAP, the start too, ends
+        the block there, in the row's ``diverged_at``; the chunk's later
+        steps are dropped.  The state at a step of ``keep`` (step: slot)
+        goes to the rows' ``kept_u`` and ``kept_p`` slots at m0 and after
+        each step before a blow-up.  Returns the step reached and the rows
+        left to run from it: none at the horizon, else the rows that did
+        not blow up."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
-        n_v, n_p, m = sp.n_velocity, sp.n_pressure, sp.midpoint.order
-        size = CHUNK_BYTES // (8 * len(rows) * (6 * n_v + 2 * n_p + m * m + self.noise.n_terms + 4))
+        n_v, n_p, m, r = sp.n_velocity, sp.n_pressure, sp.midpoint.order, len(rows)
+        size = CHUNK_BYTES // (8 * r * (6 * n_v + 2 * n_p + m * m + self.noise.n_terms + 4))
         size = max(1, min(size, cfg.n_steps - m0))
-        # a state's velocity, pressure and G p, a step's pairings and the
-        # plane u1^2 + u2^2 of its velocity, and |u|, |p|, energy and L4 norm
-        u, p, gram_p = (np.empty((size + 1, len(rows), n)) for n in (n_v, n_p, n_p))
-        bhat, planes = np.empty((size, len(rows), n_v)), np.empty((size, len(rows), m, m))
-        norms = np.empty((4, size + 1, len(rows)))
-        u[0], p[0] = record.u[rows], record.p[rows]
+        # a state's velocity, pressure and G p, a step's noise sums,
+        # pairings and the plane u1^2 + u2^2 of its velocity, and |u|, |p|,
+        # energy and L4 norm
+        u, p, gram_p = (np.empty((size + 1, r, k)) for k in (n_v, n_p, n_p))
+        xis, bhat = (np.empty((size, r, n_v)) for _ in range(2))
+        planes, norms = np.empty((size, r, m, m)), np.empty((4, size + 1, r))
+        # each step's _Slot of views into these, and the _StepBuffers
+        blocks = (r, 2, sp.n_modes, sp.n_modes)
+        us, u_cs, ps, swaps, grams = map(list, (
+            u, u.reshape((size + 1,) + blocks), p, p.reshape((size + 1,) + blocks)[:, :, ::-1], gram_p
+        ))
+        slots = list(map(_Slot, us[:-1], u_cs[:-1], ps[:-1], grams[:-1], xis, bhat,
+                         bhat.reshape((size,) + blocks), us[1:], u_cs[1:], ps[1:], swaps[1:], grams[1:], planes))
+        solved, gram_cross = np.empty((r,) + self._gather.shape), np.empty(blocks)
+        buffers = _StepBuffers(
+            GridWorkspace(sp.midpoint, (r,)), np.empty((r, n_v)), np.empty((r, n_v)), np.empty_like(solved),
+            solved, solved.reshape(r, -1), np.empty(blocks), gram_cross, gram_cross.reshape(r, -1),
+        )
         # l4_norm leaves the grid values of u[0], their squares and S^T C in
         # the workspace, where the first step's convection reads them
-        work = GridWorkspace(sp.midpoint, (len(rows),))
-        gathered = np.empty((len(rows),) + self._gather.shape)
-        solved = np.empty_like(gathered)
-        solve = gathered, solved, solved.reshape(len(rows), -1)
+        u[0], p[0] = record.u[rows], record.p[rows]
         l2 = np.sqrt(_rowdot(u[0], u[0])), sp.pressure_l2(p[0], gram_out=gram_p[0])
-        norms[:, 0] = *l2, self._energy(*l2), sp.l4_norm(u[0], work=work)
+        norms[:, 0] = *l2, self._energy(*l2), sp.l4_norm(u[0], work=buffers.work)
         blown = ~(norms[2, 0] <= ENERGY_CAP)
         if blown.any():  # a start above the cap: write state m0, take no step
             self._write_chunk(record, rows, m0, 0, u, bhat, bhat, norms)
         elif m0 in keep:
             record.kept_u[rows, keep[m0]], record.kept_p[rows, keep[m0]] = u[0], p[0]
+        step = self.step
         while m0 < cfg.n_steps and not blown.any():
             steps = range(m0, min(m0 + size, cfg.n_steps))
             dw = sample_increment(self.noise, dt, (cfg.seed, record.paths[rows], steps))
-            xis = noise_contribution(self.noise, dw)
+            noise_contribution(self.noise, dw, out=xis[: len(steps)])
             states = slice(1, len(steps) + 1)
             # steps after a blow-up may overflow to inf and NaN; they are dropped
             with np.errstate(over="ignore", invalid="ignore"):
-                for k, xi in enumerate(xis, 1):
-                    out = u[k], p[k], gram_p[k], planes[k - 1]
-                    self.step(u[k - 1], p[k - 1], gram_p[k - 1], xi, work, out, bhat[k - 1], solve)
+                for slot in slots[: len(steps)]:
+                    step(slot, buffers)
                 l2 = np.sqrt([_rowdot(u[states], u[states]),
                               np.maximum(_rowdot(p[states], gram_p[states]), 0.0)])
                 norms[:, states] = *l2, self._energy(*l2), l4_reduce(planes[: len(steps)], m)

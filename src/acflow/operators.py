@@ -39,8 +39,10 @@ def bhat_operator(
     row's own call.  ``work`` is the block's workspace, which must hold the
     grid values of u, their squares and S^T C, as ``spaces.l4_norm(u,
     work=work)`` leaves them and this call keeps them; the grid arrays go
-    to it.  The pairings go to ``out``, a C-contiguous array of u's shape,
-    when given.
+    to it.  With a workspace, u may also be its (..., 2, N, N) coefficient
+    blocks.  The pairings come in u's layout, into ``out``, a C-contiguous
+    array of u's shape, when given: with blocks, a workspace and ``out``,
+    as a step passes them, the call runs only its numpy kernels.
 
     With T1 = u1 d1 u, T2 = u2 d2 u, b1 = u1 u and b2 = u2 u, the pairing
     with e_(j,k,d) is int (T1 + T2)_d sin sin - b1_d j pi cos sin -
@@ -50,23 +52,26 @@ def bhat_operator(
     if work is None:
         work = GridWorkspace(spaces.midpoint, u.shape[:-1])
         spaces._grid_values(u, work)
-    g, n = work.grid, spaces.n_modes
-    t1, t2 = spaces._component_gradients(u, work)
-    t1 *= work.u1
-    t2 *= work.u2
+    g, c, pairs = work.grid, u, out
+    if u.shape[-1] == spaces.n_velocity:  # coefficient rows
+        c = spaces._coeff_blocks(u)
+        pairs = None if out is None else spaces._coeff_blocks(out)
+    # d1 u by a synthesis of its own, d2 u from the S^T C of the values
+    np.matmul(np.matmul(g.dcos_t, c, out=work.half_d1), g.sin2, out=work.d1)
+    np.matmul(work.half, g.dcos2, out=work.d2)
+    np.multiply(work.d1, work.u1, out=work.d1)
+    np.multiply(work.d2, work.u2, out=work.d2)
     np.multiply(work.v1, work.v2, out=work.u1u2)
     # pair = (S T1 - D b1) W + W^T (T2 S^T - b2 D^T), with the overlapping
     # planes b1 = u1 u, b2 = u2 u: six stacked matmuls, a BLAS call per row
     # matrix
-    left = np.matmul(g.sin_m, t1, out=work.adjoint_a)
+    left = np.matmul(g.sin_m, work.d1, out=work.adjoint_a)
     left -= np.matmul(g.dcos_m, work.b1, out=work.adjoint_b)
-    if out is not None:
-        out = out.reshape(left.shape[:-1] + (n,))
-    pair = np.matmul(left, g.dct_sin, out=out)
-    right = np.matmul(t2, g.sin_m.T, out=work.adjoint_at)
-    right -= np.matmul(work.b2, g.dcos_m.T, out=work.adjoint_bt)
-    pair += np.matmul(g.dct_sin.T, right, out=work.adjoint_n)
-    return pair.reshape(u.shape)
+    pair = np.matmul(left, g.dct_sin, out=pairs)
+    right = np.matmul(work.d2, g.sin_m_t, out=work.adjoint_at)
+    right -= np.matmul(work.b2, g.dcos_m_t, out=work.adjoint_bt)
+    pair += np.matmul(g.dct_sin_t, right, out=work.adjoint_n)
+    return out if out is not None else pair.reshape(u.shape)
 
 
 # -- inequality checks ---------------------------------------------------------
@@ -89,8 +94,8 @@ def check_product_l1(spaces: SpectralSpaces, u: np.ndarray, v: np.ndarray) -> tu
     Only the four planes read are synthesised."""
     g = _product_grid(spaces.n_modes)
     u1, v2 = spaces._coeff_blocks(u)[0], spaces._coeff_blocks(v)[1]
-    phi, d1phi = (spaces._synthesize(left, u1, g.sin2) for left in (g.sin, g.dcos))
-    psi, d2psi = (spaces._synthesize(g.sin, v2, right) for right in (g.sin2, g.dcos2))
+    phi, d1phi = (left @ u1 @ g.sin2 for left in (g.sin_t, g.dcos_t))
+    psi, d2psi = (g.sin_t @ v2 @ right for right in (g.sin2, g.dcos2))
     # the rule's weight 1 / Q^2 makes each integral a mean over the grid
     lhs = float(np.mean((phi * psi) ** 2))
     rhs = float(np.mean(np.abs(phi * d1phi))) * float(np.mean(np.abs(psi * d2psi)))

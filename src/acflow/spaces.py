@@ -116,6 +116,7 @@ class _SynthGrid:
         self.dcos = (np.pi * j)[:, None] * np.cos(np.outer(j, np.pi * x))
         self.sin2 = 2.0 * self.sin
         self.dcos2 = 2.0 * self.dcos
+        self.sin_t, self.dcos_t = self.sin.T, self.dcos.T
 
 
 class _MidpointGrid(_SynthGrid):
@@ -131,7 +132,9 @@ class _MidpointGrid(_SynthGrid):
     sin_m, dcos_m  S = sin / M and D = j pi cos / M, the rule against
                    sin(j pi x) and its x-derivative;
     dct_sin        W[i, k] = sum_{n=0}^{2N} (c_n / M) cos(n pi x_i) I[n, k],
-                   c_0 = 1 and c_n = 2, an (M, N) table."""
+                   c_0 = 1 and c_n = 2, an (M, N) table;
+
+and their transposes sin_m_t, dcos_m_t and dct_sin_t."""
 
     def __init__(self, n_modes: int):
         m = 2 * n_modes + 1
@@ -142,21 +145,23 @@ class _MidpointGrid(_SynthGrid):
         weights = np.where(degrees == 0, 1.0, 2.0) / m
         dct = weights[:, None] * np.cos(np.outer(degrees, np.pi * self.x))
         self.dct_sin = dct.T @ _cos_sin_integrals(n_modes, degrees)
+        self.sin_m_t, self.dcos_m_t, self.dct_sin_t = self.sin_m.T, self.dcos_m.T, self.dct_sin.T
 
 
 class GridWorkspace:
     """Arrays of a block of coefficient rows of leading shape ``rows`` on
-    the midpoint grid, allocated once: a block's fresh grid temporaries
-    page-fault anew on every step.  Owned by the block, never shared between
-    threads.  ``values`` holds the grid values of u (..., 2, M, M), and
-    ``planes`` their pointwise products u1 u1, u1 u2, u2 u2 (..., 3, M, M),
-    of which the L4 norm forms the squares ``planes[..., ::2]`` and the
-    convection the cross term; ``d1`` and ``d2`` hold the gradients and
-    then the convection's terms u1 d1 u and u2 d2 u, ``half`` the values'
-    first product S^T C, which d2 u reuses, ``half_d1`` that of d1 u,
-    ``adjoint_a`` and ``adjoint_b`` the adjoint's products (..., 2, N, M),
-    and the same memory as (..., 2, M, N), ``adjoint_n`` its last, and
-    ``mag2`` |u|^4."""
+    the midpoint grid, and the views of them that a step reads, all made
+    once: a block's fresh grid temporaries page-fault anew on every step,
+    and a view made per step costs about as much as a small kernel.  Owned
+    by the block, never shared between threads.  ``values`` holds the grid
+    values of u (..., 2, M, M), and ``planes`` their pointwise products
+    u1 u1, u1 u2, u2 u2 (..., 3, M, M), of which the L4 norm forms the
+    squares ``planes[..., ::2]`` and the convection the cross term; ``d1``
+    and ``d2`` hold the gradients and then the convection's terms u1 d1 u
+    and u2 d2 u, ``half`` the values' first product S^T C, which d2 u
+    reuses, ``half_d1`` that of d1 u, ``adjoint_a`` and ``adjoint_b`` the
+    adjoint's products (..., 2, N, M), and the same memory as
+    (..., 2, M, N), ``adjoint_n`` its last, and ``mag2`` |u|^4."""
 
     def __init__(self, grid: _MidpointGrid, rows: tuple):
         m, n = grid.order, len(grid.sin)
@@ -298,7 +303,7 @@ class SpectralSpaces:
     def divergence_l2(self, u: np.ndarray) -> np.float64 | np.ndarray:
         return self.pressure_l2(self.div_diagonal * u)
 
-    # -- synthesis ----------------------------------------------------------------
+    # -- coefficient blocks and grid values ---------------------------------------
 
     def _coeff_blocks(self, c: np.ndarray) -> np.ndarray:
         """Coefficients as (..., 2, N, N) blocks: velocity components, or the
@@ -306,29 +311,12 @@ class SpectralSpaces:
         n = self.n_modes
         return c.reshape(c.shape[:-1] + (2, n, n))
 
-    def _synthesize(self, left, c, right2, out=None, half=None) -> np.ndarray:
-        """left.T @ c @ right2 over the coefficient blocks c, into ``out``,
-        with the first product into ``half``, when given; ``left`` and
-        ``right2`` are tables of the grid, so the basis' factor 2 and the
-        derivative factors cost no pass."""
-        return np.matmul(np.matmul(left.T, c, out=half), right2, out=out)
-
     def _grid_values(self, c: np.ndarray, work: GridWorkspace) -> None:
         """The grid values of the coefficient rows c into ``work.values``,
         and their squares u1 u1, u2 u2 into the product planes."""
         g = work.grid
-        self._synthesize(g.sin, self._coeff_blocks(c), g.sin2, work.values, work.half)
+        np.matmul(np.matmul(g.sin_t, self._coeff_blocks(c), out=work.half), g.sin2, out=work.values)
         np.multiply(work.values, work.values, out=work.squares)
-
-    def _component_gradients(self, u: np.ndarray, work: GridWorkspace) -> tuple[np.ndarray, np.ndarray]:
-        """Partial derivatives (d_1 u, d_2 u) on the block's grid, into
-        ``work.d1`` and ``work.d2``, each of shape (..., 2, M, M):
-        [i][..., d] = d_i u_d; d_2 u from the S^T C of u in ``work.half``."""
-        g = work.grid
-        return (
-            self._synthesize(g.dcos, self._coeff_blocks(u), g.sin2, work.d1, work.half_d1),
-            np.matmul(work.half, g.dcos2, out=work.d2),
-        )
 
 
 def build_spaces(n_modes: int) -> SpectralSpaces:

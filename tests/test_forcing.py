@@ -167,6 +167,12 @@ def test_multi_step_draw_equals_per_step_draws(spaces3, paths):
         assert block[i].tobytes() == single.tobytes()
     one_path = sample_increment(g, 2e-3, (99, paths[0], steps))
     assert one_path.tobytes() == block[:, 0].tobytes()
+    # the block's noise sums, into a buffer, equal each row-step's own
+    xi = np.full((len(steps) + 2, len(paths), g.modes.shape[1]), np.nan)
+    noise_contribution(g, block, out=xi[: len(steps)])
+    for i, j in np.ndindex(block.shape[:2]):
+        assert xi[i, j].tobytes() == noise_contribution(g, block[i, j]).tobytes()
+    assert np.isnan(xi[len(steps):]).all()
 
 
 def test_multi_step_draw_of_empty_noise(spaces3):
@@ -176,3 +182,7 @@ def test_multi_step_draw_of_empty_noise(spaces3):
     xi = noise_contribution(empty_noise(spaces3), dw)
     assert xi.shape == (4, 2, spaces3.n_velocity)
     assert not xi.any() and not np.signbit(xi).any()
+    # also into a buffer that held other values
+    out = np.full_like(xi, np.nan)
+    noise_contribution(empty_noise(spaces3), dw, out=out)
+    assert out.tobytes() == xi.tobytes()

@@ -166,8 +166,9 @@ def _noisy_forced(n_modes):
     return integ, project_initial(sp, "smooth", "low_mode")
 
 
-@pytest.mark.parametrize("n_modes", [4, 5, 8, 12])
+@pytest.mark.parametrize("n_modes", [1, 4, 5, 8, 12])
 def test_block_size_does_not_change_path_bytes(n_modes, monkeypatch):
+    # at N=1 two of the four parity classes hold a padding slot alone
     integ, initial = _noisy_forced(n_modes)
     size = integrator.BLOCK_PATHS
     n_paths = size + 1  # at BLOCK_PATHS: two blocks of different sizes
@@ -333,7 +334,8 @@ def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
     # the doubled tables and the shared product planes give the bits of the
     # plain 2 * (...) transforms and four products: on fresh arrays, and on
     # a block's buffers filled by an L4 norm or by the synthesis alone, as
-    # bhat_operator fills a workspace of its own
+    # bhat_operator fills a workspace of its own, for coefficient rows and
+    # blocks
     sp = build_spaces(n_modes)
     g = sp.midpoint
     rows = np.random.default_rng(n_modes).standard_normal((n_rows, sp.n_velocity))
@@ -351,6 +353,10 @@ def test_folded_transforms_match_per_component_arithmetic(n_modes, n_rows):
         out = np.empty_like(rows)
         bhat_operator(sp, rows, work=work, out=out)
         assert out.tobytes() == want.tobytes()
+        # the rows as coefficient blocks, as a step passes them
+        blocks = np.empty((n_rows, 2, n_modes, n_modes))
+        assert bhat_operator(sp, rows.reshape(blocks.shape), work=work, out=blocks) is blocks
+        assert blocks.tobytes() == want.tobytes()
 
 
 @pytest.mark.parametrize("n_modes", [2, 8, 12, 16, 32])
@@ -447,16 +453,19 @@ def _run_chunked(monkeypatch, integ, inits, paths, n_rows, steps, keep_steps=())
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
 def test_chunk_boundaries_do_not_change_a_block(steps, monkeypatch):
-    # a 5-row block over 15 steps: chunks of 1, 3 and 7 steps (the last of
-    # them cut short by the horizon) against the default chunking, one
-    # chunk, keeping states on and off the chunk ends
+    # a 5-row block and a one-row block, the shape of a single long path,
+    # over 15 steps: chunks of 1, 3 and 7 steps (the last of them cut short
+    # by the horizon) against the default chunking, one chunk, keeping
+    # states on and off the chunk ends
     integ, initial = _noisy_forced(4)
     keep = [15, 3, 0, 7, 8]
-    default, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, None, keep)
-    assert spans == [(0, 15)]
-    rec, spans = _run_chunked(monkeypatch, integ, initial, range(5), 5, steps, keep)
-    assert spans == [(m, min(m + steps, 15)) for m in range(0, 15, steps)]
-    assert _whole_record(rec) == _whole_record(default)
+    for n_rows in (5, 1):
+        paths = range(n_rows)
+        default, spans = _run_chunked(monkeypatch, integ, initial, paths, n_rows, None, keep)
+        assert spans == [(0, 15)]
+        rec, spans = _run_chunked(monkeypatch, integ, initial, paths, n_rows, steps, keep)
+        assert spans == [(m, min(m + steps, 15)) for m in range(0, 15, steps)]
+        assert _whole_record(rec) == _whole_record(default), n_rows
 
 
 @pytest.mark.parametrize("steps", [1, 3, 7])
@@ -581,7 +590,7 @@ def test_blow_up_inside_a_chunk_runs_on_to_inf_without_a_warning(spaces4, monkey
 
     def watched(*args):
         step(*args)
-        finite.append(np.isfinite(args[5][0]).all(axis=-1))  # the new velocities
+        finite.append(np.isfinite(args[0].u_new).all(axis=-1))  # the slot's new velocities
 
     integ.step = watched
     state = np.geterr()
