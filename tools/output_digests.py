@@ -58,12 +58,20 @@ from acflow.integrator import read_snapshot  # noqa: E402
 # independent of the thread count.  In sweep-eps-blowup path 0 blows up at
 # eps = 0.1 (step 41) and 0.01 (step 44), inside a chunk of steps, which
 # runs on past the blow-up; the sweep leaves the path out and exits 0.
+# The -forced runs pin the |f|^2/delta and |f|^p terms of the energy and
+# moment bounds, which the default zero force leaves at 0.
+_FORCED = (
+    "--set", "force.modes=1,1,1,0.4; 2,1,2,0.2",
+    "--set", "noise.modes=1,1,1,0.05; 1,2,2,0.03",
+)
 COMMANDS = (
     ("run-n8", ("run",)),
     ("run-n12", ("run", "--set", "solver.n_modes=12", "--set", "solver.horizon=0.2")),
     ("run-n32", ("run", "--set", "solver.n_modes=32", "--set", "solver.horizon=0.01")),
     ("mc-energy", ("mc-energy", "--paths", "12")),
     ("mc-moment", ("mc-moment", "--paths", "24")),
+    ("mc-energy-forced", ("mc-energy", "--paths", "12", *_FORCED)),
+    ("mc-moment-forced", ("mc-moment", "--paths", "24", *_FORCED)),
     ("uniqueness", ("uniqueness",)),
     ("sweep-eps", ("sweep-eps", "--paths", "10", "--set", "sweep.snapshot_times=0,0.0104,0.05")),
     ("sweep-eps-blowup", (
