@@ -154,10 +154,11 @@ def _finish(args, manifest: RunManifest, line: str, summary: dict | None = None)
 
 
 def _problem(setup) -> tuple:
-    """Spaces, force, noise and initial state of the configured problem."""
+    """The configured problem's integrator and initial state."""
     spaces = build_spaces(setup.solver.n_modes)
     force, noise = build_force(setup, spaces), build_noise(setup, spaces)
-    return spaces, force, noise, build_initial(setup, spaces)
+    integ = GalerkinIntegrator(spaces, setup.solver, force=force, noise=noise)
+    return integ, build_initial(setup, spaces)
 
 
 def _write(args, manifest: RunManifest, name: str, *content) -> None:
@@ -171,8 +172,7 @@ def _write(args, manifest: RunManifest, name: str, *content) -> None:
 
 def _cmd_run(args) -> int:
     setup, manifest = _setup(args)
-    spaces, force, noise, initial = _problem(setup)
-    integ = GalerkinIntegrator(spaces, setup.solver, force=force, noise=noise)
+    integ, initial = _problem(setup)
     record = integ.run_path(initial, path_index=0)
     _write(args, manifest, "run.csv", record.CSV_COLUMNS, record.csv_rows())
     _write(args, manifest, "run_final.bin", State(record.u, record.p, record.times[-1]))
@@ -202,15 +202,10 @@ def _cmd_verify(args) -> int:
 
 def _cmd_mc_energy(args) -> int:
     setup, manifest = _setup(args)
-    spaces, force, noise, initial = _problem(setup)
+    integ, initial = _problem(setup)
     n_paths, z = setup["monte_carlo.paths"], setup["monte_carlo.confidence_z"]
-    records = simulate_paths(
-        spaces, setup.solver, force, noise, initial, n_paths, workers=args.workers
-    )
-    reports = [
-        mc_energy_bound(records, spaces, setup.solver, delta, z, force, noise, initial)
-        for delta in setup["monte_carlo.deltas"]
-    ]
+    records = simulate_paths(integ, initial, n_paths, workers=args.workers)
+    reports = [mc_energy_bound(records, integ, delta, z, initial) for delta in setup["monte_carlo.deltas"]]
     csv_rows = [(r.delta, *row) for r in reports for row in zip(r.times, r.lhs, r.rhs, r.se)]
     _write(args, manifest, "mc_energy.csv", ("delta", "t", "lhs", "rhs", "se"), csv_rows)
     all_pass = all(r.passed for r in reports)
@@ -226,12 +221,12 @@ def _cmd_mc_energy(args) -> int:
 
 def _cmd_mc_moment(args) -> int:
     setup, manifest = _setup(args)
-    spaces, force, noise, initial = _problem(setup)
+    integ, initial = _problem(setup)
     n_paths, tol = setup["monte_carlo.paths"], setup["monte_carlo.moment_stability_tol"]
     cfg = setup.solver
-    records = simulate_paths(spaces, cfg, force, noise, initial, n_paths, workers=args.workers)
-    full = mc_moment_bound(records, spaces, cfg, force, noise, initial)
-    half = mc_moment_bound(records.take(slice(n_paths // 2)), spaces, cfg, force, noise, initial)
+    records = simulate_paths(integ, initial, n_paths, workers=args.workers)
+    full = mc_moment_bound(records, integ, initial)
+    half = mc_moment_bound(records.take(slice(n_paths // 2)), integ, initial)
     spread, ok = moment_stability(full, half, tol)
     _write(args, manifest, "mc_moment.csv", ("path", "sup_statistic"), enumerate(full.per_path))
     summary = {
@@ -253,12 +248,10 @@ def _cmd_mc_moment(args) -> int:
 
 def _cmd_uniqueness(args) -> int:
     setup, manifest = _setup(args)
-    spaces, force, noise, init_a = _problem(setup)
+    integ, init_a = _problem(setup)
     mode, amp = setup["uniqueness.perturb_mode"], setup["uniqueness.perturb_amplitude"]
-    init_b = perturbed_state(spaces, init_a, mode, amp)
-    rep = pathwise_uniqueness_check(
-        spaces, setup.solver, force, noise, init_a, init_b, c_check=setup["uniqueness.c_check"]
-    )
+    init_b = perturbed_state(integ.spaces, init_a, mode, amp)
+    rep = pathwise_uniqueness_check(integ, init_a, init_b, c_check=setup["uniqueness.c_check"])
     rows = zip(rep.times, rep.weighted_diff, rep.weight_r)
     _write(args, manifest, "uniqueness.csv", ("t", "weighted_diff", "weight_r"), rows)
     summary = {

@@ -9,10 +9,13 @@ Three checks are driven from simulated path ensembles:
   an implied constant is reported, and its stability between the whole
   ensemble and its first half asserted,
 * the pathwise uniqueness contraction: the squared difference of two
-  trajectories driven by identical noise, formed from the states of every
-  step that run_path keeps for the pair and weighted by
+  trajectories driven by identical noise, formed at once from the states
+  of every step that run_path keeps for the pair and weighted by
   exp[-(27/nu^3) int ||u||_L4^4], must not increase beyond scheme error.
 
+Each check takes the problem as its GalerkinIntegrator, which holds the
+spaces, the solver configuration, the force and the noise (zero and empty
+when the problem has none), and the initial state the paths start from.
 Monte Carlo paths are independent and advance in blocks that may run
 concurrently, each writing its own rows of one PathRecord; the checks reduce
 its arrays over the row axis, in path-index order, whatever the scheduling.
@@ -24,9 +27,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .forcing import NoiseModel
-from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State
-from .spaces import SpectralSpaces, l2_norm
+from .integrator import GalerkinIntegrator, PathRecord, State
+from .spaces import SpectralSpaces, _rowdot, l2_norm
 
 
 def trapezoid(y: np.ndarray, x: np.ndarray) -> np.float64 | np.ndarray:
@@ -92,19 +94,10 @@ class UniquenessReport:
     passed: bool
 
 
-def simulate_paths(
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    force: np.ndarray | None,
-    noise: NoiseModel | None,
-    initial: State,
-    n_paths: int,
-    workers: int = 1,
-) -> PathRecord:
-    """Run n_paths independent trajectories, a row each, in ``workers``
-    contiguous parts; deterministic in path order.  A blow-up raises the
-    first DivergedPathError."""
-    integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
+def simulate_paths(integ: GalerkinIntegrator, initial: State, n_paths: int, workers: int = 1) -> PathRecord:
+    """Run n_paths independent trajectories of ``integ``'s problem, a row
+    each, in ``workers`` contiguous parts; deterministic in path order.  A
+    blow-up raises the first DivergedPathError."""
     record = integ.run_path(initial, range(n_paths), workers=workers)
     record.raise_diverged()
     return record
@@ -123,25 +116,18 @@ def _weighted_dissipation_series(
 
 
 def mc_energy_bound(
-    records: PathRecord,
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    delta: float,
-    z: float,
-    force: np.ndarray | None,
-    noise: NoiseModel | None,
-    initial: State,
+    records: PathRecord, integ: GalerkinIntegrator, delta: float, z: float, initial: State
 ) -> EnergyBoundReport:
     """Monte Carlo check of the weighted energy bound at weight rate
     ``delta`` and every grid time, lhs <= rhs + z se, over the paths of
-    ``records`` simulated from this problem."""
-    times, n_paths = records.times, len(records.paths)
+    ``records`` simulated by ``integ`` from ``initial``."""
+    config, times, n_paths = integ.config, records.times, len(records.paths)
     energy = records.l2_u**2 + config.eps * records.l2_p**2
     diss = _weighted_dissipation_series(records, delta, config.nu, 2.0)
     per_path = energy * np.exp(-delta * times) + diss
 
     lhs, se = mean_se(per_path)
-    rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
+    rhs = energy_bound_rhs(integ, initial, delta, times)
 
     passed = bool(np.all(lhs <= rhs + z * se + 1e-14))
     return EnergyBoundReport(
@@ -158,44 +144,32 @@ def mc_energy_bound(
 
 
 def energy_bound_rhs(
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    force: np.ndarray | None,
-    noise: NoiseModel | None,
-    initial: State,
-    delta: float,
-    times: np.ndarray,
+    integ: GalerkinIntegrator, initial: State, delta: float, times: np.ndarray
 ) -> np.ndarray:
-    """Right-hand side of the weighted energy bound at the given times:
-    initial energy + int_0^t [|f|^2/delta + Tr(g^2)] e^{-delta s} ds, the
-    integral by the trapezoid rule on ``times``."""
-    trace = noise.trace if noise is not None else 0.0
-    f_sq = np.linalg.norm(force) ** 2 if force is not None else 0.0
+    """Right-hand side of the weighted energy bound of ``integ``'s problem
+    from ``initial`` at the given times: initial energy +
+    int_0^t [|f|^2/delta + Tr(g^2)] e^{-delta s} ds, the integral by the
+    trapezoid rule on ``times``."""
+    f_sq = np.linalg.norm(integ.force) ** 2
     initial_energy = (
-        l2_norm(initial.u) ** 2 + config.eps * spaces.pressure_l2(initial.p) ** 2
+        l2_norm(initial.u) ** 2 + integ.config.eps * integ.spaces.pressure_l2(initial.p) ** 2
     )
-    source = (f_sq / delta + trace) * np.exp(-delta * times)
+    source = (f_sq / delta + integ.noise.trace) * np.exp(-delta * times)
     return initial_energy + cumulative_trapezoid(source, times)
 
 
-def mc_moment_bound(
-    records: PathRecord,
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    force: np.ndarray | None,
-    noise: NoiseModel | None,
-    initial: State,
-) -> MomentBoundReport:
+def mc_moment_bound(records: PathRecord, integ: GalerkinIntegrator, initial: State) -> MomentBoundReport:
     """Monte Carlo evaluation of the p-th moment bound, at the exponent
-    ``config.moment_p`` and weight rate ``config.delta``, over the paths of
-    ``records`` simulated from this problem.
+    ``moment_p`` and weight rate ``delta`` of ``integ.config``, over the
+    paths of ``records`` simulated by ``integ`` from ``initial``.
 
     The bound's constant is not explicit, so the report carries the implied
     constant (lhs minus initial terms, divided by the forcing integral);
     moment_stability asserts its finiteness and stability across
     ensemble sizes, not a fixed threshold.
     """
-    p, delta, times, n_paths = config.moment_p, config.delta, records.times, len(records.paths)
+    config, times, n_paths = integ.config, records.times, len(records.paths)
+    p, delta = config.moment_p, config.delta
     weight = np.exp(-delta * times)
     sup_term = np.max((records.l2_u**p + config.eps * records.l2_p**p) * weight, axis=-1)
     diss = _weighted_dissipation_series(records, delta, config.nu, p)[:, -1]
@@ -203,12 +177,8 @@ def mc_moment_bound(
 
     lhs, lhs_se = map(float, mean_se(per_path))
 
-    trace = noise.trace if noise is not None else 0.0
-    f_p = np.linalg.norm(force) ** p if force is not None else 0.0
-    initial_term = (
-        l2_norm(initial.u) ** p + config.eps * spaces.pressure_l2(initial.p) ** p
-    )
-    source = (f_p + trace ** (p / 2.0)) * weight
+    initial_term = l2_norm(initial.u) ** p + config.eps * integ.spaces.pressure_l2(initial.p) ** p
+    source = (np.linalg.norm(integ.force) ** p + integ.noise.trace ** (p / 2.0)) * weight
     denominator = float(cumulative_trapezoid(source, times)[-1])
 
     implied = (lhs - initial_term) / denominator if denominator > 0 else None
@@ -239,25 +209,18 @@ def moment_stability(
 
 
 def pathwise_uniqueness_check(
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    force: np.ndarray | None,
-    noise: NoiseModel | None,
-    init_a: State,
-    init_b: State,
-    c_check: float = 1.0,
+    integ: GalerkinIntegrator, init_a: State, init_b: State, c_check: float = 1.0
 ) -> UniquenessReport:
-    """Drive two trajectories with path 0's Wiener increments and track the
-    weighted squared difference; additive noise cancels in the difference, so
-    the weighted series must not increase beyond O(dt) scheme error."""
-    integ = GalerkinIntegrator(spaces, config, force=force, noise=noise)
+    """Drive two trajectories of ``integ``'s problem with path 0's Wiener
+    increments and track the weighted squared difference
+    |u_a - u_b|^2 + eps |p_a - p_b|^2 at every step; additive noise
+    cancels in the difference, so the weighted series must not increase
+    beyond O(dt) scheme error."""
+    config = integ.config
     pair = integ.run_path([init_a, init_b], [0, 0], keep_steps=range(config.n_steps + 1))
     pair.raise_diverged()
     du, dp = pair.kept_u[0] - pair.kept_u[1], pair.kept_p[0] - pair.kept_p[1]
-    diff = np.array([
-        float(np.dot(a, a)) + config.eps * max(float(q @ spaces.gram_product(q)), 0.0)
-        for a, q in zip(du, dp)
-    ])
+    diff = _rowdot(du, du) + config.eps * np.maximum(_rowdot(dp, integ.spaces.gram_product(dp)), 0.0)
     times, l4_a = pair.times, pair.l4_u[0]
 
     rate = 27.0 / config.nu**3

@@ -27,7 +27,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .diagnostics import energy_bound_rhs, mean_se, trapezoid
-from .forcing import NoiseModel, default_noise
+from .forcing import default_noise
 from .integrator import GalerkinIntegrator, PathRecord, SolverConfig, State, project_initial
 from .spaces import ConfigurationError, SpectralSpaces
 
@@ -164,15 +164,16 @@ def epsilon_sweep(
     statistic sup_t E|u_eps - u_0|^2 is sup_t E|u_eps|^2, from the records'
     ``l2_u``, and its decrease shows u_eps -> 0, a locking effect of the
     discrete constraint, not convergence to a non-zero incompressible flow.
-    Diverged paths are logged and left out of the statistics.  Path 0's
-    states at the plan's snapshot times, in step order for each eps, are
-    the report's ``snapshots``; those at or after its blow-up are left out."""
+    Diverged paths are logged and left out of the statistics.  The pressure
+    budget is that of the first, largest eps, from the integrator that runs
+    it.  Path 0's states at the plan's snapshot times, in step order for
+    each eps, are the report's ``snapshots``; those at or after its blow-up
+    are left out."""
     noise = default_noise(spaces, trace=plan.noise_trace)
     force = spaces.velocity_from_modes(plan.force_modes)
     initial = project_initial(spaces, None, None)
     base = replace(plan.base, n_modes=spaces.n_modes)
-    first = replace(base, eps=plan.eps_values[0])
-    run_incompressible_reference(spaces, first)
+    run_incompressible_reference(spaces, base)
 
     wanted = sorted((round(t / base.dt), t) for t in plan.snapshot_times)
     keep = [m for m, _ in wanted]
@@ -181,6 +182,8 @@ def epsilon_sweep(
     for eps in plan.eps_values:
         integ = GalerkinIntegrator(spaces, replace(base, eps=eps), force=force, noise=noise)
         coupled = integ.run_path(initial, range(plan.n_paths), workers=workers, keep_steps=keep)
+        if not rows:  # the first eps
+            pressure_bound = _pressure_energy_budget(integ, initial, coupled.times)
         stop = coupled.diverged_at[0]
         snapshots += [
             (eps, t, State(coupled.kept_u[0, j], coupled.kept_p[0, j], float(coupled.times[m])))
@@ -198,7 +201,6 @@ def epsilon_sweep(
         diff_sup, diff_se = _peak(kept.l2_u**2)
         p_mean, p_se = map(float, mean_se(trapezoid(eps * kept.l2_p**2, kept.times)))
         rows.append(SweepRow(eps, div_sup, div_se, diff_sup, diff_se, p_mean, p_se, excluded))
-    pressure_bound = _pressure_energy_budget(spaces, first, force, noise, initial, coupled.times)
 
     # monotonicity with statistical tolerance: the divergence must fall by
     # more than the combined standard error, or stay at its limit 0, the gap
@@ -224,17 +226,11 @@ def epsilon_sweep(
     )
 
 
-def _pressure_energy_budget(
-    spaces: SpectralSpaces,
-    config: SolverConfig,
-    force: np.ndarray,
-    noise: NoiseModel,
-    initial: State,
-    times: np.ndarray,
-) -> float:
-    """Budget for E int eps |p|^2 dt implied by the weighted energy bound:
-    eps E|p(t)|^2 <= e^{t} * rhs(t) with unit weight rate, integrated over
-    the run's time grid ``times``, as the pressure energy it bounds is."""
+def _pressure_energy_budget(integ: GalerkinIntegrator, initial: State, times: np.ndarray) -> float:
+    """Budget for E int eps |p|^2 dt implied by the weighted energy bound of
+    ``integ``'s problem from ``initial``: eps E|p(t)|^2 <= e^{t} * rhs(t)
+    with unit weight rate, integrated over the run's time grid ``times``,
+    as the pressure energy it bounds is."""
     delta = 1.0
-    rhs = energy_bound_rhs(spaces, config, force, noise, initial, delta, times)
+    rhs = energy_bound_rhs(integ, initial, delta, times)
     return float(trapezoid(np.exp(delta * times) * rhs, times))

@@ -56,6 +56,10 @@ BLOCK_PATHS = 20
 # once it ends, the four norms and three velocity-sized temporaries.  A
 # chunk's increments are one sample_increment call.
 CHUNK_BYTES = 1 << 20
+# Most steps a chunk runs: a block binds a _Slot of views, about 1.5 KB
+# that CHUNK_BYTES does not count, per step of a chunk.  One path at N=12
+# runs chunks of 44 steps, and 12- and 20-row blocks at N=8 of 8 and 4.
+CHUNK_STEPS = 64
 
 
 class DivergedPathError(RuntimeError):
@@ -530,24 +534,23 @@ class GalerkinIntegrator:
         """Step the rows ``rows`` of ``record`` together from the coefficients
         in its ``u`` and ``p`` at step m0 until the horizon or a blow-up,
         writing their series, step terms and last coefficients in place.
-        Steps run in chunks of CHUNK_BYTES.  The block makes everything a
-        step touches once: the chunk buffers, the _Slot of views for each
-        step of a chunk and the _StepBuffers, so a step runs only its numpy
-        kernels.  One sample_increment call and one noise_contribution call
-        into the noise-sum buffer give a chunk's noise sums, each step
-        writes what the next reads to its slot, and the chunk's norms,
-        series and step terms are then formed at once.  The first step at
-        which a row's energy is not within ENERGY_CAP, the start too, ends
-        the block there, in the row's ``diverged_at``; the chunk's later
-        steps are dropped.  The state at a step of ``keep`` (step: slot)
-        goes to the rows' ``kept_u`` and ``kept_p`` slots at m0 and after
-        each step before a blow-up.  Returns the step reached and the rows
-        left to run from it: none at the horizon, else the rows that did
-        not blow up."""
+        Steps run in chunks of CHUNK_BYTES and at most CHUNK_STEPS steps.  The
+        block makes everything a step touches once: the chunk buffers, the
+        _Slot of views for each step of a chunk and the _StepBuffers, so a
+        step runs only its numpy kernels.  One sample_increment call and one
+        noise_contribution call into the noise-sum buffer give a chunk's noise
+        sums, each step writes what the next reads to its slot, and the
+        chunk's norms, series and step terms are then formed at once.  The
+        first step at which a row's energy is not within ENERGY_CAP, the start
+        too, ends the block there, in the row's ``diverged_at``; the chunk's
+        later steps are dropped.  The state at a step of ``keep`` (step: slot)
+        goes to the rows' ``kept_u`` and ``kept_p`` slots at m0 and after each
+        step before a blow-up.  Returns the step reached and the rows left to
+        run from it: none at the horizon, else the rows that did not blow up."""
         cfg, sp, dt = self.config, self.spaces, self.config.dt
         n_v, n_p, m, r = sp.n_velocity, sp.n_pressure, sp.midpoint.order, len(rows)
         size = CHUNK_BYTES // (8 * r * (6 * n_v + 2 * n_p + m * m + self.noise.n_terms + 4))
-        size = max(1, min(size, cfg.n_steps - m0))
+        size = max(1, min(size, CHUNK_STEPS, cfg.n_steps - m0))
         # a state's velocity, pressure and G p, a step's noise sums,
         # pairings and the plane u1^2 + u2^2 of its velocity, and |u|, |p|,
         # energy and L4 norm

@@ -61,11 +61,12 @@ def inequality_rows():
 def energy_ensemble(spaces8):
     cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.5, seed=ACCEPT_SEED)
     noise = default_noise(spaces8, trace=0.01, n_terms=8)
+    integ = GalerkinIntegrator(spaces8, cfg, noise=noise)
     initial = project_initial(spaces8, None, None)
     start = time.monotonic()
-    records = simulate_paths(spaces8, cfg, None, noise, initial, 200, workers=1)
+    records = simulate_paths(integ, initial, 200, workers=1)
     elapsed = time.monotonic() - start
-    return cfg, noise, initial, records, elapsed
+    return integ, initial, records, elapsed
 
 
 def test_criterion_1_inequality_suite(inequality_rows):
@@ -195,12 +196,12 @@ def test_criterion_4_energy_ledger_slopes(spaces8):
 
 
 def test_criterion_5_energy_estimate(spaces8, energy_ensemble):
-    cfg, noise, initial, records, sim_elapsed = energy_ensemble
+    integ, initial, records, sim_elapsed = energy_ensemble
     start = time.monotonic()
     worst_z = -np.inf
     ok = True
     for delta in (0.5, 1.0, 2.0):
-        rep = mc_energy_bound(records, spaces8, cfg, delta, 3.0, None, noise, initial)
+        rep = mc_energy_bound(records, integ, delta, 3.0, initial)
         ok = ok and rep.passed
         with np.errstate(invalid="ignore", divide="ignore"):
             z = np.where(rep.se > 0, (rep.lhs - rep.rhs) / rep.se, -np.inf)
@@ -217,16 +218,18 @@ def test_criterion_5_energy_estimate(spaces8, energy_ensemble):
 
 
 def test_criterion_6_moment_estimate(spaces8, energy_ensemble):
-    cfg, noise, initial, records, _ = energy_ensemble
-    cfg4 = replace(cfg, moment_p=4.0, delta=1.0)
-    full = mc_moment_bound(records, spaces8, cfg4, None, noise, initial)
-    half = mc_moment_bound(records.take(slice(100)), spaces8, cfg4, None, noise, initial)
+    integ, initial, records, _ = energy_ensemble
+    cfg4 = replace(integ.config, moment_p=4.0, delta=1.0)
+    integ4 = GalerkinIntegrator(spaces8, cfg4, noise=integ.noise)
+    full = mc_moment_bound(records, integ4, initial)
+    half = mc_moment_bound(records.take(slice(100)), integ4, initial)
     # the gate mc-moment reads: both implied constants finite, spread <= 0.25
     spread, stable = moment_stability(full, half, 0.25)
 
-    cfg2 = replace(cfg, moment_p=2.0, delta=1.0)
-    m2 = mc_moment_bound(records, spaces8, cfg2, None, noise, initial)
-    e2 = mc_energy_bound(records, spaces8, cfg2, 1.0, 3.0, None, noise, initial)
+    cfg2 = replace(integ.config, moment_p=2.0, delta=1.0)
+    integ2 = GalerkinIntegrator(spaces8, cfg2, noise=integ.noise)
+    m2 = mc_moment_bound(records, integ2, initial)
+    e2 = mc_energy_bound(records, integ2, 1.0, 3.0, initial)
     consistent = (m2.dissipation_term == e2.dissipation_term) and (
         m2.lhs >= e2.lhs.max() - 1e-15
     )
@@ -247,14 +250,14 @@ def test_criterion_7_pathwise_uniqueness(spaces8):
     cfg = SolverConfig(n_modes=8, dt=1e-3, horizon=0.25, seed=ACCEPT_SEED)
     initial = project_initial(spaces8, None, None)
 
-    same = pathwise_uniqueness_check(spaces8, cfg, None, noise, initial, initial)
+    same = pathwise_uniqueness_check(GalerkinIntegrator(spaces8, cfg, noise=noise), initial, initial)
     exact_zero = bool(np.all(same.weighted_diff == 0.0)) and same.max_increase == 0.0
 
     increases = {}
     for dt in (1e-3, 5e-4):
         c = replace(cfg, dt=dt)
         other = perturbed_state(spaces8, initial, (1, 1, 1), 1e-3)
-        rep = pathwise_uniqueness_check(spaces8, c, None, noise, initial, other)
+        rep = pathwise_uniqueness_check(GalerkinIntegrator(spaces8, c, noise=noise), initial, other)
         increases[dt] = rep.max_increase
     ratio = increases[1e-3] / increases[5e-4]
     ok = exact_zero and 1.5 <= ratio <= 2.5

@@ -127,7 +127,8 @@ def test_pressure_budget_integrates_over_the_run_time_grid(spaces4):
     force = spaces4.velocity_from_modes(plan.force_modes)
     initial = project_initial(spaces4, None, None)
     times = np.arange(base.n_steps + 1) * base.dt
-    rhs = energy_bound_rhs(spaces4, replace(base, eps=1e-2), force, noise, initial, 1.0, times)
+    integ = GalerkinIntegrator(spaces4, replace(base, eps=1e-2), force=force, noise=noise)
+    rhs = energy_bound_rhs(integ, initial, 1.0, times)
     assert rep.pressure_bound == pytest.approx(trapezoid(np.exp(times) * rhs, times), rel=1e-12)
 
 

@@ -2,6 +2,7 @@
 runs in, and equal the per-path step arithmetic the kernel replaced."""
 
 import sys
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -425,6 +426,25 @@ def test_noise_chunks_do_not_change_path_bytes(spaces8, monkeypatch):
     assert len(calls) == 30 + 120
     for name in SERIES:
         assert _bits(getattr(chunked, name)) == _bits(getattr(stepped, name)), name
+
+
+def test_a_long_one_row_block_holds_less_than_a_chunk_beyond_its_record():
+    # at N=1 a row's chunk arrays take 248 bytes a step, so CHUNK_BYTES
+    # alone gives one-row chunks of 4228 steps, and a block binds a slot of
+    # views for each (7.6 MiB traced over 5000 steps); CHUNK_STEPS caps it
+    spaces = build_spaces(1)
+    cfg = SolverConfig(n_modes=1, dt=1e-3, horizon=5.0)
+    integ = GalerkinIntegrator(spaces, cfg, noise=default_noise(spaces))
+    initial = project_initial(spaces, None, None)
+    tracemalloc.start()
+    try:
+        rec = integ.run_path(initial, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    held = sum(a.nbytes for a in vars(rec).values() if isinstance(a, np.ndarray))
+    assert cfg.n_steps == 5000 and held > 400_000
+    assert peak - held < integrator.CHUNK_BYTES
 
 
 def _whole_record(rec):
